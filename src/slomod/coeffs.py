@@ -22,9 +22,21 @@ Three distinguished states:
 * ``prec >= 1`` or infinite       (at least one certain digit; the lowest
   digit c_0 is then a pi-unit and the valuation is exact).
 
-All arithmetic is performed on the exact digit lifts and then truncated to
-the precision dictated by the ultrametric lattice calculus, so the exact and
-approximate code paths share one implementation.
+Invariant: a stored digit vector is reduced -- digit i is the canonical
+representative modulo pi^ceil((prec - i)/ram) -- and its lowest digit c_0 is
+a pi-unit.  For ram_index 1 the vector is the single pi-unit c_0 reduced mod
+pi^prec, which gives add and mul a shortcut:
+
+* the product is c_0 * c_0' at w^(num_val + num_val'), with relative
+  precision min(prec, prec'), reduced once -- a product of pi-units is a
+  pi-unit, so there is nothing to fold and no valuation to scan;
+* the sum shifts both digits to the common base w^min(num_val, num_val'),
+  adds them and normalises that one digit.
+
+For ram_index > 1 the arithmetic runs on the exact digit lifts (vectors
+longer than ram are folded with w^ram = pi) and is then truncated to the
+precision dictated by the ultrametric lattice calculus.  Both paths give
+identical elements; the exact and approximate cases share each path.
 """
 
 from __future__ import annotations
@@ -36,6 +48,9 @@ from . import gfq
 from .errors import ConfigMismatch, NotInvertible, UncertifiedValuation
 
 INF = math.inf
+
+# Fraction is immutable, so every exact zero of the Z_p backend can be one value
+_ZERO = Fraction(0)
 
 
 def _isinf(x) -> bool:
@@ -84,7 +99,7 @@ class ZpConfig(RingConfig):
         return f"ZpConfig(p={self.p})"
 
     def exa_zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def exa_one(self):
         return Fraction(1)
@@ -123,12 +138,16 @@ class ZpConfig(RingConfig):
         return v
 
     def exa_shift_pi(self, a, j):
-        return a * Fraction(self.p) ** j
+        if j > 0:
+            return a * self.p ** j
+        if j < 0:
+            return a / self.p ** -j
+        return a
 
     def exa_reduce(self, a, n):
         """Canonical representative of a (with v_p >= 0) modulo p^n."""
         if n <= 0:
-            return Fraction(0)
+            return _ZERO
         m = self.p ** n
         den = a.denominator % m
         return Fraction(a.numerator * pow(den, -1, m) % m)
@@ -342,6 +361,13 @@ class CoeffElem:
         cfg, ram = a.cfg, a.ram
         out_abs = min(a.abs_w(), b.abs_w())
         base = min(a.num_val, b.num_val)
+        if ram == 1:
+            digits = [
+                cfg.exa_shift_pi(x.unit[0], x.num_val - base) for x in (a, b) if x.unit is not None
+            ]
+            if len(digits) == 2:
+                digits = [cfg.exa_add(digits[0], digits[1])]
+            return _normalize(cfg, 1, base, digits or [cfg.exa_zero()], out_abs)
         da = _lift(cfg, ram, a, base)
         db = _lift(cfg, ram, b, base)
         if len(da) < len(db):
@@ -373,7 +399,11 @@ class CoeffElem:
         out_abs = min(a.num_val + b.abs_w(), b.num_val + a.abs_w())
         if a.unit is None or b.unit is None:
             return CoeffElem.o_term(cfg, out_abs, ram)
-        prod = [cfg.exa_zero()] * (2 * ram - 1) if ram > 1 else [cfg.exa_zero()]
+        if ram == 1:
+            prec = min(a.prec, b.prec)
+            digits = _reduce_digits(cfg, 1, (cfg.exa_mul(a.unit[0], b.unit[0]),), prec)
+            return CoeffElem(cfg, 1, a.num_val + b.num_val, prec, digits)
+        prod = [cfg.exa_zero()] * (2 * ram - 1)
         for i, x in enumerate(a.unit):
             if cfg.exa_is_zero(x):
                 continue
@@ -482,6 +512,8 @@ def _lift(cfg, ram, x: CoeffElem, base: int):
 
 def _fold(cfg, ram, digits):
     """Fold indices >= ram using w^ram = pi."""
+    if len(digits) == ram:
+        return digits
     out = list(digits[:ram]) + [cfg.exa_zero()] * max(0, ram - len(digits))
     for i in range(ram, len(digits)):
         d = digits[i]
@@ -529,7 +561,8 @@ def _normalize(cfg, ram, base, digits, abs_w):
         if cfg.exa_is_zero(d):
             continue
         j = (i - grade) % ram
-        out[j] = cfg.exa_shift_pi(d, (i - grade - j) // ram)
+        k = (i - grade - j) // ram
+        out[j] = cfg.exa_shift_pi(d, k) if k else d
     prec = abs_w - val if not _isinf(abs_w) else INF
     return CoeffElem(cfg, ram, val, prec, _reduce_digits(cfg, ram, out, prec))
 

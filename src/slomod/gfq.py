@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 
+from .errors import NotDivisible
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -288,7 +290,8 @@ def pshift(field: GF, a, k):
         return ()
     if k >= 0:
         return (field.zero,) * k + a
-    assert all(field.is_zero(c) for c in a[:-k])
+    if not all(field.is_zero(c) for c in a[:-k]):
+        raise NotDivisible(f"polynomial is not divisible by t^{-k}")
     return a[-k:]
 
 

@@ -119,7 +119,8 @@ class SMat:
         return all(self.a[i][j].is_exact_zero() for i in range(self.rows))
 
     def matmul(self, other: "SMat") -> "SMat":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise BadParameters(f"matmul of {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = SMat.zeros(self.cfg, self.slope, self.rows, other.cols, self.ram)
         for i in range(self.rows):
             for j in range(other.cols):
@@ -130,7 +131,8 @@ class SMat:
         return out
 
     def apply_to_vector(self, vec):
-        assert self.cols == len(vec)
+        if self.cols != len(vec):
+            raise BadParameters(f"{self.rows}x{self.cols} matrix times a length-{len(vec)} vector")
         out = []
         for i in range(self.rows):
             acc = SnuSeries.zero(self.cfg, self.slope, self.ram)

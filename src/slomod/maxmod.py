@@ -26,6 +26,7 @@ from .contfrac import GenSchedule, Slope, monomial_generators
 from .errors import (
     BadParameters,
     BudgetExhausted,
+    CertificateViolation,
     NonTermination,
     PrecisionExhausted,
     SlopeOrder,
@@ -188,9 +189,8 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
             prod = M.matmul(R)
             for row in prod.a:
                 for e in row:
-                    assert not any(
-                        c.has_witness() for c in e.coeffs.values()
-                    ), "M.R = 0 violated"
+                    if any(c.has_witness() for c in e.coeffs.values()):
+                        raise CertificateViolation("M.R = 0 violated")
 
     snapshot()
     budget = _iteration_budget(R, alpha)
@@ -212,9 +212,16 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
                 j0 = max(data, key=lambda j: (data[j][1], -j))
                 vt = {j: data[j][0] - Fraction(L[j], alpha) for j in data}
                 delta = min(v for j, v in vt.items() if j != j0) - vt[j0]
-                assert delta > 0
+                if delta <= 0:
+                    raise CertificateViolation(f"enlargement gap delta = {delta} is not positive")
                 d_int = _floor(delta)
-                frac_w = int(alpha * (delta - d_int))
+                shift = alpha * (delta - d_int)
+                if shift.denominator != 1:
+                    raise BadParameters(
+                        f"enlargement shift alpha*(delta - floor(delta)) = {shift} "
+                        "is not a whole number of w-units"
+                    )
+                frac_w = int(shift)
                 if d_int:
                     for c in range(M.rows):
                         M.a[c][j0] = M.a[c][j0].scale_pi(-d_int)

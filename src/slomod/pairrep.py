@@ -250,7 +250,6 @@ def saturate(P: LocalPair, prec=None) -> LocalPair:
     if prec is None:
         prec = P.cfg.default_prec
     if P.rank == P.dim:
-        eu = hnf_u(SMat.identity(P.cfg, P.slope, P.dim, P.ram), prec)
         B = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
         return LocalPair(
             P.cfg, P.slope, P.dim, P.A, B, P.a_rows, P.a_pivots,
@@ -325,7 +324,8 @@ def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
 def _det(M: SMat) -> SnuSeries:
     """Cofactor-expansion determinant (ambients are small)."""
     n = M.rows
-    assert M.cols == n
+    if M.cols != n:
+        raise BadParameters(f"determinant of a non-square {n}x{M.cols} matrix")
     if n == 0:
         return SnuSeries.one(M.cfg, M.slope, M.ram)
     if n == 1:

@@ -30,6 +30,7 @@ from .coeffs import INF, CoeffElem, _isinf
 from .contfrac import Slope
 from .errors import (
     BadParameters,
+    CertificateViolation,
     NotDistinguished,
     NotDistinguishedCertificate,
     NotDivisible,
@@ -491,8 +492,6 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
     x._check_compat(z)
     try:
         vx, dx = x.certified_val_deg()
-    except PrecisionExhausted:
-        raise
     except NotDistinguishedCertificate:
         raise NotUnitDegree("divisor has no certified Weierstrass data")
     if dx != 0:
@@ -619,7 +618,8 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec, u_cap=None) -> DivisionRes
     except (PrecisionExhausted, NotDistinguishedCertificate):
         raise PrecisionExhausted("Lo(x, d) has no certified valuation: e is unknown")
     e = v_lo - vx
-    assert e > 0
+    if e <= 0:
+        raise CertificateViolation(f"v_nu(Lo(x, d)) - v_nu(x) = {e} is not positive")
     hi_y = hi_lo_split(y, d)[1]
     v_hi_y = hi_y.lower_bound()
     loops_max = max(0, _ceil((prec - min(v_hi_y, Fraction(0))) / e)) + 1
@@ -798,7 +798,8 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     # normalize det(k n - l m) to exactly 1
     det = k * n - l * m
     det_c = det.coeffs.get(0)
-    assert det_c is not None and not det.coeffs.keys() - {0}
+    if det_c is None or det.coeffs.keys() - {0}:
+        raise CertificateViolation("Bezout determinant k*n - l*m is not a nonzero constant")
     fix = det_c.inv()
     m, n = m.scale_coeff(fix), n.scale_coeff(fix)
     if swapped:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, coeff_add, coeff_inv, coeff_mul
-from slomod.errors import ConfigMismatch, NotInvertible
+from slomod.errors import ConfigMismatch, NotDivisible, NotInvertible
 
 Z5 = ZpConfig(5)
 
@@ -21,6 +22,9 @@ def test_add_forced_carry():
     assert s.num_val == 2
     assert s.prec == 2
     assert s.unit == (Fraction(1),)
+    # 1 + 4 = pi at mixed precision
+    s = coeff_add(c_int(1, prec=3), c_int(4, prec=4))
+    assert (s.num_val, s.prec, s.unit) == (1, 2, (Fraction(1),))
 
 
 def test_add_exact_zero_identity():
@@ -122,6 +126,9 @@ def test_full_cancellation_gives_o_term():
     d = a - a
     assert not d.has_witness()
     assert d.val_lower() == 3
+    d = a + c_int(-7, prec=2)
+    assert d.unit is None and d.val_lower() == 2
+    assert (c_int(7) - c_int(7)).is_exact_zero()
 
 
 def test_reduce_precision():
@@ -129,3 +136,82 @@ def test_reduce_precision():
     r = a.reduce_prec(2)
     assert r.prec == 2
     assert r.unit == (Fraction(1),)  # 126 mod 25 = 1
+
+
+def _unit_value(rng, cfg):
+    """A random exact pi-unit: n/d with p dividing neither, or a rational
+    function whose numerator and denominator have nonzero constant terms."""
+    if cfg.kind == "zp":
+        p = cfg.p
+        num = rng.choice([1, -1]) * rng.randrange(1, 200)
+        den = rng.randrange(1, 40)
+        while num % p == 0:
+            num += 1
+        while den % p == 0:
+            den += 1
+        return Fraction(num, den)
+    f = cfg.field
+    nonzero = [e for e in f.elements() if not f.is_zero(e)]
+    num = [rng.choice(nonzero)] + [rng.choice(f.elements()) for _ in range(rng.randrange(0, 3))]
+    den = [f.one] + [rng.choice(f.elements()) for _ in range(rng.randrange(0, 3))]
+    return gfq.RatFunc(f, tuple(num), tuple(den))
+
+
+def _ram1_elements(rng, cfg):
+    """Exact zero, O-terms and units times pi^v, v in [-3, 3], exact or at
+    relative precision 1..4."""
+    out = [CoeffElem.exact_zero(cfg)]
+    out += [CoeffElem.o_term(cfg, v) for v in (-2, 0, 3)]
+    for v in range(-3, 4):
+        for prec in (INF, 1, 2, 3, 4):
+            out.append(CoeffElem.from_exact(cfg, _unit_value(rng, cfg), prec=prec).scale_pi(v))
+    return out
+
+
+@pytest.mark.parametrize("cfg", [ZpConfig(3), Z5, FqConfig(2), FqConfig(4)], ids=repr)
+def test_ram1_shortcut_matches_ramified_path(cfg):
+    # The ram = 1 add/mul shortcut against the generic ram = 2 digit-vector
+    # path, compared structurally after lifting.
+    rng = random.Random(1212)
+    elems = _ram1_elements(rng, cfg)
+    pairs = [(a, b) for a in elems for b in elems if rng.random() < 0.3]
+    for a in elems:
+        pairs.append((a, -a))  # cancels to an O-term or exact zero
+    pairs.append((CoeffElem.from_int(cfg, 1, prec=3), CoeffElem.from_int(cfg, -1, prec=2)))
+    if cfg.kind == "zp":
+        # sums that raise the valuation: 1 + (p - 1) = p, 1 + (p^2 - 1) = p^2
+        p = cfg.p
+        pairs.append((CoeffElem.from_int(cfg, 1, prec=3), CoeffElem.from_int(cfg, p - 1, prec=4)))
+        pairs.append((CoeffElem.from_int(cfg, 1), CoeffElem.from_int(cfg, p * p - 1)))
+    for a, b in pairs:
+        a2, b2 = a.with_ram(2), b.with_ram(2)
+        assert (a + b).with_ram(2) == a2 + b2, (a, b)
+        assert (a - b).with_ram(2) == a2 - b2, (a, b)
+        assert (a * b).with_ram(2) == a2 * b2, (a, b)
+        assert (-a).with_ram(2) == -a2, a
+
+
+@pytest.mark.parametrize("cfg", [Z5, FqConfig(4)], ids=repr)
+def test_exa_shift_pi(cfg):
+    rng = random.Random(7)
+    a = _unit_value(rng, cfg)
+    assert cfg.exa_shift_pi(a, 0) == a
+    for j in (-3, -1, 1, 2):
+        s = cfg.exa_shift_pi(a, j)
+        assert cfg.exa_pi_val(s) == j
+        assert cfg.exa_shift_pi(s, -j) == a
+    if cfg.kind == "zp":
+        assert cfg.exa_shift_pi(Fraction(3, 2), 2) == Fraction(75, 2)
+        assert cfg.exa_shift_pi(Fraction(3, 2), -1) == Fraction(3, 10)
+    else:
+        pi = cfg.exa_shift_pi(cfg.exa_one(), 1)
+        assert cfg.exa_shift_pi(a, 2) == cfg.exa_mul(cfg.exa_mul(a, pi), pi)
+        assert cfg.exa_shift_pi(a, -1) == cfg.exa_mul(a, cfg.exa_inv(pi))
+
+
+def test_pshift_negative_needs_divisibility():
+    f = gfq.GF(4)
+    t2 = (f.zero, f.zero, f.one)
+    assert gfq.pshift(f, t2, -2) == (f.one,)
+    with pytest.raises(NotDivisible):
+        gfq.pshift(f, (f.one, f.one), -1)

@@ -5,7 +5,7 @@ import pytest
 
 from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import PrecisionExhausted
+from slomod.errors import BadParameters, PrecisionExhausted
 from slomod.localized import (
     SMat,
     echelon_pi,
@@ -264,3 +264,11 @@ def test_precision_policy_rejects_inexact():
         hnf_pi(M, 8)
     with pytest.raises(PrecisionExhausted):
         kernel_pi(M)
+
+
+def test_shape_mismatch_is_typed():
+    A = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)]), poly(Z5, NU0, [(1, 1)])]])
+    with pytest.raises(BadParameters):
+        A.matmul(A)
+    with pytest.raises(BadParameters):
+        A.apply_to_vector([poly(Z5, NU0, [(0, 1)])])

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from slomod.contfrac import Slope
-from slomod.errors import BudgetExhausted, SlopeOrder
+from slomod.coeffs import CoeffElem
+from slomod.errors import BadParameters, BudgetExhausted, CertificateViolation, SlopeOrder
 from slomod.localized import SMat
 from slomod.maxmod import (
     MLModule,
@@ -215,3 +216,24 @@ def test_generator_bound_on_outputs():
         M = SMat.from_columns(Z5, slope, cols)
         ml, _ = max_module(M, 14)
         assert ml.generator_count() <= d * slope.generator_bound()
+
+
+def test_matrix_reduction_check_rejects_non_relations():
+    # M.R = 2 != 0: the first division step's check must fail
+    one = poly(Z5, NU0, [(0, 1)])
+    M = SMat(Z5, NU0, [[one, one]])
+    R = SMat(Z5, NU0, [[one], [one]])
+    with pytest.raises(CertificateViolation):
+        matrix_reduction(M, R, check=True)
+
+
+def test_matrix_reduction_rejects_fractional_w_shift():
+    # ram 2 at slope 0: the enlargement gap is 1/2, not a whole number of
+    # w-units (w^alpha = pi with alpha = 1)
+    one = CoeffElem.from_int(Z5, 1, ram=2)
+    u = SnuSeries.monomial(Z5, NU0, 1, one)
+    w = SnuSeries.monomial(Z5, NU0, 0, one.scale_w(1))
+    M = SMat(Z5, NU0, [[w, -u]], 2)
+    R = SMat(Z5, NU0, [[u], [w]], 2)
+    with pytest.raises(BadParameters, match="whole"):
+        matrix_reduction(M, R)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from slomod.contfrac import Slope
-from slomod.errors import NotFullRank
+from slomod.errors import BadParameters, NotFullRank
 from slomod.localized import SMat
 from slomod.maxmod import MLModule, max_module, max_sum_ml, qis_closure_member
 from slomod.pairrep import (
@@ -191,3 +191,10 @@ def test_pair_to_ml_integral_determinant_case():
         P = psi(ml, 12)
         det_ok = pair_to_ml(P, 12)
         assert psi(det_ok, 12).equal(P)
+
+
+def test_det_rejects_non_square():
+    from slomod.pairrep import _det
+
+    with pytest.raises(BadParameters):
+        _det(SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)]), poly(Z5, NU0, [(1, 1)])]]))
