@@ -34,7 +34,7 @@ from .contfrac import Slope, best_approx_denominators, cf_expand
 from .errors import AlgebraError, ParseError, PrecisionExhausted, RequiresExactInput
 from .localized import SMat, hnf_pi, hnf_u
 from .maxmod import MLModule, max_module, max_sum_ml, scalar_extend
-from .pairrep import pair_intersect, pair_max_sum, psi, saturate
+from .pairrep import pair_intersect, psi, saturate
 from .precise_sum import GapCertificate, approx_max_sum
 from .series import SnuSeries, euclid_div, gcd_extended
 

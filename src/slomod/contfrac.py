@@ -120,10 +120,6 @@ class Slope:
         cf = self.cf()
         return 2 + cf.even_quotient_sum(cf.n // 2)
 
-    def generator_bound_ceil(self) -> int:
-        cf = self.cf()
-        return 2 + cf.even_quotient_sum((cf.n + 1) // 2)
-
     def __eq__(self, other):
         return (
             isinstance(other, Slope)

@@ -79,10 +79,6 @@ class BadDelta(AlgebraError):
     pass
 
 
-class AmbiguousTie(AlgebraError):
-    pass
-
-
 class NonTermination(AlgebraError):
     pass
 

@@ -334,7 +334,8 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if num:
-            g = pgcd(field, num, den)
+            # the gcd with a nonzero constant is a constant: nothing to cancel
+            g = pgcd(field, num, den) if len(den) > 1 else den
             if len(g) > 1:
                 num, _ = pdivmod(field, num, g)
                 den, _ = pdivmod(field, den, g)

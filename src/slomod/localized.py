@@ -23,13 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import INF, CoeffElem, _isinf
+from .coeffs import CoeffElem, _isinf
 from .contfrac import Slope
-from .errors import (
-    BadParameters,
-    PrecisionExhausted,
-    RequiresExactInput,
-)
+from .errors import BadParameters, PrecisionExhausted
 from .series import (
     SnuSeries,
     _ceil,
@@ -152,11 +148,6 @@ class SMat:
         return f"[{body}]"
 
 
-def mat_vnu_zero(M: SMat) -> bool:
-    """Every entry has no certain nonzero digit (zero at precision)."""
-    return all(not c.has_witness() for r in M.a for e in r for c in e.coeffs.values())
-
-
 # ---------------------------------------------------------------------------
 # pi-localization: echelon, HNF, kernel, membership
 # ---------------------------------------------------------------------------
@@ -211,30 +202,10 @@ def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
     _require_exact(M, "echelon_pi")
     if prec is None:
         prec = M.cfg.default_prec
-    T = M.copy()
-    P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
-    pivot_rows, pivot_cols = [], []
-    frozen = 0
-    for row in range(T.rows):
-        active = [j for j in range(frozen, T.cols) if not T.a[row][j].is_exact_zero()]
-        if not active:
-            continue
-        active.sort(key=lambda j: _entry_key(T.a[row][j]) + (j,))
-        acc = active[0]
-        for j in active[1:]:
-            x, y = T.a[row][acc], T.a[row][j]
-            g, k, l, m, n = gcd_extended(x, y)
-            T.transform_cols_2x2(acc, j, k, l, m, n)
-            P.transform_cols_2x2(acc, j, k, l, m, n)
-            T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)  # m x + n y = 0
-        T.swap_cols(acc, frozen)
-        P.swap_cols(acc, frozen)
-        pivot_rows.append(row)
-        pivot_cols.append(frozen)
-        frozen += 1
-    # phase 2: pivot normalization
+    T, P, pivot_rows = _echelon_pi_phase1(M)
+    # phase 2: pivot normalization; pivot i sits in column i
     pivots = []
-    for i, (row, col) in enumerate(zip(pivot_rows, pivot_cols)):
+    for col, row in enumerate(pivot_rows):
         g = T.a[row][col]
         vg, d = g.certified_val_deg()
         deg = g.max_deg()
@@ -246,16 +217,14 @@ def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
             t = T.a[row][col]
         else:
             t = _weierstrass_monic(g, prec)
-            w_res = euclid_div_full(g, t, prec)  # g = w * t
-            w = w_res.q
+            w = euclid_div_full(g, t, prec).q  # g = w * t
             _scale_col_by_unit_inverse(T, col, w, prec)
             _scale_col_by_unit_inverse(P, col, w, prec)
             T.a[row][col] = t  # structurally exact: the true scaled pivot
         pivots.append(T.a[row][col])
     if hnf:
-        for i, (row, col) in enumerate(zip(pivot_rows, pivot_cols)):
-            t = pivots[i]
-            d = t.max_deg()
+        for col, row in enumerate(pivot_rows):
+            t = pivots[col]
             for j in range(col):
                 e = T.a[row][j]
                 if e.is_certainly_zero() or e.is_exact_zero():
@@ -329,8 +298,7 @@ def kernel_pi(M: SMat) -> list:
     """Columns spanning the syzygies of M over the pi-localization, exact,
     normalized (pi-cleared, first entry monic)."""
     _require_exact(M, "kernel")
-    ech = _echelon_pi_phase1(M)
-    T, P = ech
+    T, P, _ = _echelon_pi_phase1(M)
     out = []
     for j in range(M.cols):
         if all(T.a[i][j].is_exact_zero() for i in range(M.rows)):
@@ -342,10 +310,12 @@ def kernel_pi(M: SMat) -> list:
 
 
 def _echelon_pi_phase1(M: SMat):
-    """Exact staircase without pivot normalization (enough for kernels)."""
-    _require_exact(M, "echelon")
+    """Exact staircase T = M.P without pivot normalization (enough for
+    kernels): returns (T, P, pivot_rows), the pivot of row pivot_rows[i]
+    in column i; M must be exact."""
     T = M.copy()
     P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
+    pivot_rows = []
     frozen = 0
     for row in range(T.rows):
         active = [j for j in range(frozen, T.cols) if not T.a[row][j].is_exact_zero()]
@@ -358,11 +328,12 @@ def _echelon_pi_phase1(M: SMat):
             g, k, l, m, n = gcd_extended(x, y)
             T.transform_cols_2x2(acc, j, k, l, m, n)
             P.transform_cols_2x2(acc, j, k, l, m, n)
-            T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)
+            T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)  # m x + n y = 0
         T.swap_cols(acc, frozen)
         P.swap_cols(acc, frozen)
+        pivot_rows.append(row)
         frozen += 1
-    return T, P
+    return T, P, pivot_rows
 
 
 def _normalize_kernel_col(col):
@@ -389,20 +360,19 @@ def member_pi(vec, M: SMat, prec=None, ech: EchelonPi | None = None):
     for i, row in enumerate(ech.pivot_rows):
         t = ech.pivots[i]
         e = residual[row]
-        if e.is_certainly_zero() or not any(c.has_witness() for c in e.coeffs.values()):
+        if not e.has_certain_digit():
             continue
         vt, dt = t.certified_val_deg()
         shift = max(0, _ceil(vt - e.lower_bound()))
         res = euclid_div_full(e.scale_pi(shift), t, prec)
-        if any(c.has_witness() for c in res.r.coeffs.values()):
+        if res.r.has_certain_digit():
             return None  # certain nonzero remainder: not divisible
         q = res.q.scale_pi(-shift)
         y[i] = q
         for r in range(M.rows):
             residual[r] = residual[r] - q * T.a[r][i]
-    for e in residual:
-        if any(c.has_witness() for c in e.coeffs.values()):
-            return None
+    if any(e.has_certain_digit() for e in residual):
+        return None
     return P.apply_to_vector(y)
 
 
@@ -423,6 +393,23 @@ def mu_monomial(cfg, slope: Slope, m: int, ram=1) -> SnuSeries:
     return SnuSeries.monomial(
         cfg, slope, a, CoeffElem.from_int(cfg, 1, ram=ram).scale_pi(b)
     )
+
+
+def _u_window(entries, n_level, slope: Slope) -> int:
+    """The one u-exponent window of DVR-side work on ``entries`` at level
+    precision n_level (hnf_u, smith_u, member_u, psi_inverse): the entries'
+    largest |degree| plus 2 + 2*ceil(n_level) blocks of alpha exponents,
+    plus 4.  A margin kept from the Hermite form, not a proven bound."""
+    base = max((abs(e.max_deg() or 0) for e in entries), default=1)
+    return (base + 2 + 2 * _ceil(n_level)) * slope.alpha + 4
+
+
+def _valuation_index(v, slope: Slope) -> int:
+    """m with v = m/alpha, the index of the canonical monomial mu_m."""
+    m = Fraction(v) * slope.alpha
+    if m.denominator != 1:
+        raise BadParameters(f"valuation {v} is not a multiple of 1/{slope.alpha}")
+    return int(m)
 
 
 def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
@@ -470,8 +457,7 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
 
 def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
     """a / b in the u-localization (requires v_nu(a) >= v_nu(b))."""
-    vb = b.certified_valuation()
-    m = int(vb * b.slope.alpha)
+    m = _valuation_index(b.certified_valuation(), b.slope)
     mu = mu_monomial(b.cfg, b.slope, m, b.ram)
     (i_mu,) = mu.coeffs.keys()
     mu_inv = SnuSeries.monomial(b.cfg, b.slope, -i_mu, mu.coeffs[i_mu].inv())
@@ -514,14 +500,10 @@ def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
     if n_level is None:
         n_level = M.cfg.default_prec
     if hi_window is None:
-        base = max(
-            (abs(e.max_deg() or 0) for r in M.a for e in r),
-            default=1,
-        )
-        hi_window = (base + 2) * M.slope.alpha + 2 * _ceil(n_level) * M.slope.alpha + 4
+        hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     T = M.copy()
     P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
-    pivot_rows, pivot_vals, pivot_cols = [], [], []
+    pivot_rows, pivot_vals = [], []
     frozen = 0
     for row in range(T.rows):
         vals = {}
@@ -532,7 +514,7 @@ def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
         if not vals:
             continue
         jstar = min(vals, key=lambda j: (vals[j], j))
-        vp = vals[jstar]
+        m = _valuation_index(vals[jstar], T.slope)
         T.swap_cols(jstar, frozen)
         P.swap_cols(jstar, frozen)
         piv = T.a[row][frozen]
@@ -544,7 +526,6 @@ def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
                 P.addmul_col(j, frozen, -q)
                 T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)
         # normalize the pivot to the canonical monomial
-        m = int(vp * T.slope.alpha)
         mu = mu_monomial(T.cfg, T.slope, m, T.ram)
         w_inv = u_divide(mu, piv, n_level, hi_window)
         T.scale_col_series(frozen, w_inv)
@@ -552,11 +533,10 @@ def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
         T.a[row][frozen] = mu  # structurally exact after unit scaling
         pivot_rows.append(row)
         pivot_vals.append(Fraction(m, T.slope.alpha))
-        pivot_cols.append(frozen)
         frozen += 1
     if hnf:
-        for i, (row, col) in enumerate(zip(pivot_rows, pivot_cols)):
-            bound = pivot_vals[i]
+        for col, row in enumerate(pivot_rows):
+            bound = pivot_vals[col]
             for j in range(col):
                 e = T.a[row][j]
                 low, high = e.split_levels(bound)
@@ -581,8 +561,7 @@ def member_u(vec, M: SMat, n_level=None, ech: EchelonU | None = None):
     if ech is None:
         ech = hnf_u(M, n_level)
     T, P = ech.T, ech.P
-    hi_window = max((max(e.coeffs, default=0) for r in T.a for e in r), default=0) + 8
-    hi_window += max((max(e.coeffs, default=0) for e in vec), default=0)
+    hi_window = _u_window([e for r in M.a for e in r] + list(vec), n_level, M.slope)
     y = [SnuSeries.zero(M.cfg, M.slope, M.ram) for _ in range(M.cols)]
     residual = list(vec)
     for i, row in enumerate(ech.pivot_rows):
@@ -627,8 +606,7 @@ def smith_u(M: SMat, n_level=None):
     """
     if n_level is None:
         n_level = M.cfg.default_prec
-    hi_window = max((abs(e.max_deg() or 0) for r in M.a for e in r), default=1)
-    hi_window = (hi_window + 2) * M.slope.alpha + 2 * _ceil(n_level) * M.slope.alpha + 4
+    hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     D = M.copy()
     U_inv = SMat.identity(M.cfg, M.slope, M.rows, M.ram)
     vals = []
@@ -644,6 +622,7 @@ def smith_u(M: SMat, n_level=None):
         if best is None:
             break
         v, i, j = best
+        m = _valuation_index(v, D.slope)
         # move pivot to (k, k): row swap mirrored on U_inv columns
         if i != k:
             D.a[i], D.a[k] = D.a[k], D.a[i]
@@ -663,7 +642,6 @@ def smith_u(M: SMat, n_level=None):
                 for r in range(D.rows):
                     D.a[r][c] = D.a[r][c] - q * D.a[r][k]
                 D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
-        m = int(v * D.slope.alpha)
         vals.append(Fraction(m, D.slope.alpha))
         k += 1
     return vals, U_inv, k
@@ -705,7 +683,7 @@ def module_intersect(M: SMat, M2: SMat, loc: str, prec=None) -> SMat:
             _sum_series(M.cfg, M.slope, M.ram, (M.a[i][j] * top[j] for j in range(M.cols)))
             for i in range(M.rows)
         ]
-        if any(not e.is_exact_zero() and any(c.has_witness() for c in e.coeffs.values()) for e in gen):
+        if any(e.has_certain_digit() for e in gen):
             cols.append(gen)
     if not cols:
         return SMat.zeros(M.cfg, M.slope, M.rows, 0, M.ram)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import INF, CoeffElem, _isinf
+from .coeffs import CoeffElem, _isinf
 from .contfrac import GenSchedule, Slope, monomial_generators
 from .errors import (
     BadParameters,
@@ -31,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
     SlopeOrder,
 )
-from .localized import SMat, kernel_pi, member_pi, member_u, mu_monomial
+from .localized import SMat, kernel_pi, member_pi, member_u
 from .series import SnuSeries, _ceil, _floor, euclid_div_full
 
 
@@ -156,8 +156,8 @@ def _entry_data(e: SnuSeries):
     ambiguity)."""
     if e.is_exact_zero() or e.is_certainly_zero():
         return None
-    if not any(c.has_witness() for c in e.coeffs.values()):
-        raise PrecisionExhausted("relation entry is ambiguous at working precision")
+    if not e.has_certain_digit():
+        raise PrecisionExhausted("entry is ambiguous at working precision")
     return e.certified_val_deg()
 
 
@@ -187,10 +187,8 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
     def verify():
         if check:
             prod = M.matmul(R)
-            for row in prod.a:
-                for e in row:
-                    if any(c.has_witness() for c in e.coeffs.values()):
-                        raise CertificateViolation("M.R = 0 violated")
+            if any(e.has_certain_digit() for row in prod.a for e in row):
+                raise CertificateViolation("M.R = 0 violated")
 
     snapshot()
     budget = _iteration_budget(R, alpha)
@@ -205,12 +203,12 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
                     data[j] = d
             if len(data) <= 1:
                 break
-            pair = _pick_pair(data, L, alpha)
+            vt = {j: data[j][0] - Fraction(L[j], alpha) for j in data}
+            pair = _pick_pair(data, vt)
             if pair is None:
                 # enlargement: unique max-degree entry has minimal scaled
                 # valuation; raise it to the second minimum
                 j0 = max(data, key=lambda j: (data[j][1], -j))
-                vt = {j: data[j][0] - Fraction(L[j], alpha) for j in data}
                 delta = min(v for j, v in vt.items() if j != j0) - vt[j0]
                 if delta <= 0:
                     raise CertificateViolation(f"enlargement gap delta = {delta} is not positive")
@@ -266,10 +264,10 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
     return M, R, L
 
 
-def _pick_pair(data, L, alpha):
-    """The lexicographically smallest (j0, j1) with both entries nonzero,
-    scaled-valuation and degree of j0 at most those of j1."""
-    vt = {j: data[j][0] - Fraction(L[j], alpha) for j in data}
+def _pick_pair(data, vt):
+    """The Euclidean step of both reductions: the lexicographically smallest
+    (j0, j1) of nonzero entries (data[j] = (v, deg)) whose scaled valuation
+    vt and degree at j0 are at most those at j1; None when there is none."""
     best = None
     for j0 in data:
         for j1 in data:
@@ -305,11 +303,13 @@ def max_module(M: SMat, prec=None, trace=None):
     """The maximal module of the column span: an MLModule over the ramified
     extension plus the per-column monomial generator schedules realizing
     the intersection with the base ring."""
-    R = relations_approx(M)
-    if R.cols == 0:
-        ml = MLModule.from_matrix(M)
-        return ml, ml.schedules()
-    M1, R1, L1 = matrix_reduction(M, R, prec=prec, trace=trace)
+    return _reduce_to_ml(M, None, prec, trace)
+
+
+def _reduce_to_ml(M: SMat, L, prec, trace=None):
+    """Relations of the columns of M, the matrix reduction of (M, R, L) and
+    the columns it frees: (MLModule, schedules)."""
+    M1, R1, L1 = matrix_reduction(M, relations_approx(M), L, prec=prec, trace=trace)
     return _assemble_ml(M1, R1, L1)
 
 
@@ -318,12 +318,7 @@ def _assemble_ml(M1: SMat, R1: SMat, L1):
     alpha = slope.alpha
     cols, Ls = [], []
     for j in range(M1.cols):
-        row_zero = all(
-            R1.a[j][c].is_exact_zero() or R1.a[j][c].is_certainly_zero()
-            or not any(cc.has_witness() for cc in R1.a[j][c].coeffs.values())
-            for c in range(R1.cols)
-        )
-        if not row_zero:
+        if any(e.has_certain_digit() for e in R1.a[j]):
             continue
         col = [M1.a[i][j] for i in range(M1.rows)]
         if all(e.is_exact_zero() or e.is_certainly_zero() for e in col):
@@ -373,13 +368,7 @@ def max_sum_ml(A: MLModule, B: MLModule, prec=None) -> MLModule:
     M = SMat.from_columns(A.cfg, A.slope, cols, A.ram) if cols else SMat.zeros(
         A.cfg, A.slope, A.dim, 0, A.ram
     )
-    R = relations_approx(M)
-    if R.cols == 0:
-        M1, R1, L1 = M, R, L
-    else:
-        M1, R1, L1 = matrix_reduction(M, R, L, prec=prec)
-    ml, _ = _assemble_ml(M1, R1, L1)
-    return ml
+    return _reduce_to_ml(M, L, prec)[0]
 
 
 def scalar_extend(A: MLModule, nu2: Slope) -> MLModule:

@@ -14,12 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import CoeffElem, _isinf
-from .errors import BadParameters, NotFullRank, NotInImage, PrecisionExhausted
+from .errors import BadParameters, NotFullRank, NotInImage
 from .localized import (
     EchelonPi,
     EchelonU,
     SMat,
-    echelon_pi,
+    _u_window,
     hnf_pi,
     hnf_u,
     member_u,
@@ -28,8 +28,8 @@ from .localized import (
     mu_monomial,
     u_divide,
 )
-from .maxmod import MLModule, _assemble_ml, matrix_reduction, max_module, relations_approx
-from .series import SnuSeries, _ceil, _floor
+from .maxmod import MLModule, _reduce_to_ml, max_module
+from .series import SnuSeries, _ceil
 
 
 class LocalPair:
@@ -154,11 +154,8 @@ def psi_inverse(P: LocalPair, prec=None):
         ml = pair_to_ml(P, prec)
         return ml.expand_generators(), ml
     # coordinates w.r.t. the pi-side basis: solve A * Y = B over E
-    hi_window = _default_window(P)
-    Y_cols = []
-    for j in range(P.B.cols):
-        y = _solve_triangular_e(P, P.B.col(j), prec, hi_window)
-        Y_cols.append(y)
+    hi_window = _u_window([e for M in (P.A, P.B) for r in M.a for e in r], prec, P.slope)
+    Y_cols = [_solve_triangular_e(P, P.B.col(j), prec, hi_window) for j in range(P.B.cols)]
     r = P.rank
     coordP = _coordinate_pair(P, Y_cols, prec)
     ml_c = pair_to_ml(coordP, prec)
@@ -177,22 +174,12 @@ def psi_inverse(P: LocalPair, prec=None):
     return M, ml
 
 
-def _default_window(P: LocalPair) -> int:
-    base = 4
-    for M in (P.A, P.B):
-        for row in M.a:
-            for e in row:
-                if e.coeffs:
-                    base = max(base, abs(max(e.coeffs)), abs(min(e.coeffs)))
-    return (base + 4) * P.slope.alpha + 4 * P.cfg.default_prec
-
-
 def _solve_triangular_e(P: LocalPair, vec, prec, hi_window):
     y = [SnuSeries.zero(P.cfg, P.slope, P.ram) for _ in range(P.rank)]
     residual = list(vec)
     for i, row in enumerate(P.a_rows):
         e = residual[row]
-        if e.is_certainly_zero() or not any(c.has_witness() for c in e.coeffs.values()):
+        if not e.has_certain_digit():
             continue
         q = _e_divide(e, P.a_pivots[i], prec, hi_window)
         y[i] = q
@@ -267,17 +254,18 @@ def saturate(P: LocalPair, prec=None) -> LocalPair:
     )
 
 
-def ml_to_pair(ml: MLModule, prec=None) -> LocalPair:
-    return psi(ml, prec)
-
-
 def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
     """The (M, L) representation of a full-rank pair: scale each side by the
-    opposite determinant, concatenate, reduce."""
+    opposite determinant, concatenate, reduce.
+
+    At full rank both Hermite forms are lower-triangular with a pivot on
+    every row, so det A is the product of A's diagonal and
+    v(det B) = sum(b_vals); a pair of any other shape is rejected."""
     if prec is None:
         prec = P.cfg.default_prec
     if P.rank != P.dim:
         raise NotFullRank("pair_to_ml needs a full-rank pair")
+    _check_triangular(P)
     alpha = P.slope.alpha
     # clear denominators
     a_shift = 0
@@ -300,10 +288,11 @@ def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
     B = P.B.map(lambda e: e * xa if u_shift else e)
     # the u-side determinant only enters through a pi power that pushes the
     # pi-basis into the u-span; with monomial pivots we take the power
-    # directly (ceil of the determinant valuation)
-    v_du = _det(B).certified_valuation()
-    D_u = SnuSeries.one(P.cfg, P.slope, P.ram).scale_pi(_ceil(v_du))
-    D_pi_raw = _det(A)
+    # directly (ceil of the determinant valuation; xa has valuation 0)
+    D_u = SnuSeries.one(P.cfg, P.slope, P.ram).scale_pi(_ceil(sum(P.b_vals, Fraction(0))))
+    D_pi_raw = SnuSeries.one(P.cfg, P.slope, P.ram)
+    for i in reversed(range(P.dim)):
+        D_pi_raw = A.a[i][i] * D_pi_raw
     v_dpi = D_pi_raw.certified_valuation()
     w_exp = int(alpha * v_dpi)
     cols = []
@@ -315,32 +304,17 @@ def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
         cols.append([D_pi_raw * B.a[i][j] for i in range(B.rows)])
         L.append(-w_exp)
     M = SMat.from_columns(P.cfg, P.slope, cols, P.ram)
-    R = relations_approx(M)
-    M1, R1, L1 = matrix_reduction(M, R, L, prec=prec)
-    ml, _ = _assemble_ml(M1, R1, L1)
-    return ml
+    return _reduce_to_ml(M, L, prec)[0]
 
 
-def _det(M: SMat) -> SnuSeries:
-    """Cofactor-expansion determinant (ambients are small)."""
-    n = M.rows
-    if M.cols != n:
-        raise BadParameters(f"determinant of a non-square {n}x{M.cols} matrix")
-    if n == 0:
-        return SnuSeries.one(M.cfg, M.slope, M.ram)
-    if n == 1:
-        return M.a[0][0]
-    acc = SnuSeries.zero(M.cfg, M.slope, M.ram)
-    for j in range(n):
-        e = M.a[0][j]
-        if e.is_exact_zero():
-            continue
-        minor = SMat(
-            M.cfg,
-            M.slope,
-            [[M.a[i][c] for c in range(n) if c != j] for i in range(1, n)],
-            M.ram,
-        )
-        term = e * _det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+def _check_triangular(P: LocalPair):
+    """Both components square lower-triangular Hermite forms with the pivot
+    of column i on row i (the shape of a full-rank pair)."""
+    n = P.dim
+    if P.a_rows != list(range(n)) or P.b_rows != list(range(n)):
+        raise BadParameters("full-rank pair without a pivot on every row")
+    for M in (P.A, P.B):
+        if M.rows != n or M.cols != n or any(
+            not M.a[i][j].is_exact_zero() for i in range(n) for j in range(i + 1, n)
+        ):
+            raise BadParameters("full-rank pair component is not lower-triangular")

@@ -23,9 +23,9 @@ from .errors import (
     PrecisionExhausted,
 )
 from .localized import SMat, member_pi
-from .maxmod import MLModule, _assemble_ml, _reslope
+from .maxmod import MLModule, _assemble_ml, _entry_data, _pick_pair, _reslope
 from .precision import PrecisionLattice, reduce_series
-from .series import SnuSeries, _ceil, _floor, divide_by_unit, euclid_div_full
+from .series import SnuSeries, _ceil, divide_by_unit, euclid_div_full
 
 
 class GapCertificate:
@@ -74,14 +74,8 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
     L = list(L) if L is not None else [0] * h
 
     def data():
-        out = {}
-        for j, lam in enumerate(lambdas):
-            if lam.is_exact_zero() or lam.is_certainly_zero():
-                continue
-            if not any(c.has_witness() for c in lam.coeffs.values()):
-                raise PrecisionExhausted("lambda coefficient ambiguous at working precision")
-            out[j] = lam.certified_val_deg()
-        return out
+        out = {j: _entry_data(lam) for j, lam in enumerate(lambdas)}
+        return {j: d for j, d in out.items() if d is not None}
 
     budget = 40 * sum((lam.max_deg() or 0) + 2 for lam in lambdas) + 60
     steps = 0
@@ -92,7 +86,7 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
             break
         # Euclidean consolidation
         while True:
-            pair = _pick(d, vt)
+            pair = _pick_pair(d, vt)
             if pair is None:
                 break
             j0, j1 = pair
@@ -125,19 +119,6 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
         if steps > budget:
             raise NonTermination("vector addition exceeded its budget")
     return M, L
-
-
-def _pick(d, vt):
-    best = None
-    for j0 in d:
-        for j1 in d:
-            if j0 == j1:
-                continue
-            if vt[j0] <= vt[j1] and d[j0][1] <= d[j1][1]:
-                key = (d[j0][1], vt[j0], j0, d[j1][1], vt[j1], j1)
-                if best is None or key < best[0]:
-                    best = (key, (j0, j1))
-    return best[1] if best else None
 
 
 def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLModule:
@@ -228,7 +209,7 @@ def _solve_pi(M: SMat, t, prec):
     for i in range(d - 1, -1, -1):
         piv = M.a[i][i]
         e = residual[i]
-        if not (e.is_certainly_zero() or not any(c.has_witness() for c in e.coeffs.values())):
+        if e.has_certain_digit():
             if len(piv.coeffs) == 1 and piv.is_polynomial():
                 # monomial pivot c * u^b: exact shift division
                 (b,) = piv.coeffs.keys()

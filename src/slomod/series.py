@@ -139,6 +139,10 @@ class SnuSeries:
         if stored with a finite u-window."""
         return not self.coeffs and _isinf(self.tail_bound)
 
+    def has_certain_digit(self) -> bool:
+        """Some stored digit is certainly nonzero: the series is not zero."""
+        return any(c.has_witness() for c in self.coeffs.values())
+
     def max_deg(self):
         return max(self.coeffs) if self.coeffs else None
 
@@ -251,8 +255,7 @@ class SnuSeries:
 
     def digits_agree(self, other: "SnuSeries") -> bool:
         """No digit that both sides claim to know disagrees."""
-        d = self - other
-        return all(not c.has_witness() for c in d.coeffs.values())
+        return not (self - other).has_certain_digit()
 
     # -- rescaling helpers -------------------------------------------------------
 

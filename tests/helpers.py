@@ -92,6 +92,26 @@ def random_unit(rng, cfg, slope, max_deg=4):
 # ---------------------------------------------------------------------------
 
 
+def det_cofactor(M):
+    """Determinant by cofactor expansion along the first row (factorial
+    time: small matrices only)."""
+    n = M.rows
+    assert M.cols == n
+    if n == 0:
+        return SnuSeries.one(M.cfg, M.slope, M.ram)
+    if n == 1:
+        return M.a[0][0]
+    acc = SnuSeries.zero(M.cfg, M.slope, M.ram)
+    for j in range(n):
+        e = M.a[0][j]
+        if e.is_exact_zero():
+            continue
+        minor = SMat(M.cfg, M.slope, [[M.a[i][c] for c in range(n) if c != j] for i in range(1, n)], M.ram)
+        term = e * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 def oracle_pos_best_approx(a, b, gamma):
     """Denominators q in [gamma, b] passing the defining inequality against
     every smaller admissible denominator, plus the b endpoint (the descent

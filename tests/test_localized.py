@@ -229,6 +229,29 @@ def test_smith_u_invariance():
         assert [int(v) for v in vals] == diag
 
 
+def _sqrt_pi_matrix(slope):
+    """The 1x1 matrix [pi^(1/2)] over ram-2 coefficients."""
+    w = CoeffElem.from_int(Z5, 1, ram=2).scale_w(1)
+    return SMat(Z5, slope, [[SnuSeries.monomial(Z5, slope, 0, w)]], ram=2)
+
+
+def test_smith_u_ramified_valuation():
+    # v = 1/2 is off the 1/alpha grid at slope 0: no canonical pivot exists
+    # (it used to truncate to 0 and report vals == [0])
+    with pytest.raises(BadParameters, match="1/2"):
+        smith_u(_sqrt_pi_matrix(NU0), 8)
+    vals, _, rank = smith_u(_sqrt_pi_matrix(Slope(1, 2)), 8)
+    assert rank == 1 and vals == [Fraction(1, 2)]
+
+
+def test_hnf_u_ramified_valuation():
+    with pytest.raises(BadParameters, match="1/2"):
+        hnf_u(_sqrt_pi_matrix(NU0), 8)
+    ech = hnf_u(_sqrt_pi_matrix(Slope(1, 2)), 8)
+    assert ech.pivot_vals == [Fraction(1, 2)]
+    assert ech.T.a[0][0] == mu_monomial(Z5, Slope(1, 2), 1, 2)
+
+
 def test_module_sum_unit_absorption():
     # u and pi over the pi-localization: pi is a unit, sum is everything
     A = SMat(Z5, NU0, [[poly(Z5, NU0, [(1, 1)])]])

@@ -19,7 +19,7 @@ from slomod.pairrep import (
 )
 from slomod.series import SnuSeries
 
-from helpers import NU0, Z5, mono, poly
+from helpers import NU0, Z5, det_cofactor, mono, poly
 
 
 def random_maximal_ml(rng, slope, d, upper=True):
@@ -124,13 +124,14 @@ def test_pair_monomial_lattice():
 
 def test_two_sum_paths_agree():
     rng = random.Random(25)
-    for _ in range(8):
-        d = 2
-        A = random_maximal_ml(rng, NU0, d)
-        B = random_maximal_ml(rng, NU0, d)
-        via_ml = psi(max_sum_ml(A, B, 12), 12)
-        via_pair = pair_max_sum(psi(A, 12), psi(B, 12), 12)
-        assert via_ml.equal(via_pair)
+    for slope in (NU0, Slope(1, 2), Slope(2, 3)):
+        for _ in range(8):
+            d = 2
+            A = random_maximal_ml(rng, slope, d)
+            B = random_maximal_ml(rng, slope, d)
+            via_ml = psi(max_sum_ml(A, B, 12), 12)
+            via_pair = pair_max_sum(psi(A, 12), psi(B, 12), 12)
+            assert via_ml.equal(via_pair)
 
 
 def test_intersection_is_maximal():
@@ -184,17 +185,40 @@ def test_pair_to_ml_requires_full_rank():
 
 
 def test_pair_to_ml_integral_determinant_case():
-    # at slope 0 the pi-determinant valuation is integral: no extension used
+    # at slope 0 the pi-determinant valuation is integral: no extension
+    # used; at 1/2 and 2/3 the w-exponents of the determinant enter L
     rng = random.Random(45)
-    for _ in range(6):
-        ml = random_maximal_ml(rng, NU0, 2)
-        P = psi(ml, 12)
-        det_ok = pair_to_ml(P, 12)
-        assert psi(det_ok, 12).equal(P)
+    for slope in (NU0, Slope(1, 2), Slope(2, 3)):
+        for _ in range(6):
+            ml = random_maximal_ml(rng, slope, 2)
+            P = psi(ml, 12)
+            det_ok = pair_to_ml(P, 12)
+            assert psi(det_ok, 12).equal(P)
 
 
-def test_det_rejects_non_square():
-    from slomod.pairrep import _det
+def test_triangular_determinants_match_cofactor_oracle():
+    # pair_to_ml takes det A as the diagonal product and v(det B) as
+    # sum(b_vals): both Hermite forms of a full-rank pair are triangular
+    rng = random.Random(55)
+    for slope in (NU0, Slope(1, 2), Slope(2, 3)):
+        for _ in range(6):
+            P = psi(random_maximal_ml(rng, slope, rng.randrange(1, 4)), 12)
+            diag = SnuSeries.one(Z5, slope)
+            for i in reversed(range(P.dim)):
+                diag = P.A.a[i][i] * diag
+            assert det_cofactor(P.A) == diag
+            assert det_cofactor(P.B).certified_valuation() == sum(P.b_vals)
 
+
+def test_pair_to_ml_rejects_non_triangular():
+    one = SnuSeries.one(Z5, NU0)
+    z = SnuSeries.zero(Z5, NU0)
+    u = poly(Z5, NU0, [(1, 1)])
+    ident = SMat(Z5, NU0, [[one, z], [z, one]])
+    upper = SMat(Z5, NU0, [[one, u], [z, one]])
+    P = LocalPair(Z5, NU0, 2, upper, ident, [0, 1], [one, one], [0, 1], [Fraction(0)] * 2)
     with pytest.raises(BadParameters):
-        _det(SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)]), poly(Z5, NU0, [(1, 1)])]]))
+        pair_to_ml(P, 10)
+    # the same pair without the entry above the diagonal is accepted
+    P.A = ident
+    assert pair_to_ml(P, 10).L == [0, 0]
