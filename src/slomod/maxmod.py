@@ -299,17 +299,17 @@ def _iteration_budget(R: SMat, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-def max_module(M: SMat, prec=None, trace=None):
+def max_module(M: SMat, prec=None):
     """The maximal module of the column span: an MLModule over the ramified
     extension plus the per-column monomial generator schedules realizing
     the intersection with the base ring."""
-    return _reduce_to_ml(M, None, prec, trace)
+    return _reduce_to_ml(M, None, prec)
 
 
-def _reduce_to_ml(M: SMat, L, prec, trace=None):
+def _reduce_to_ml(M: SMat, L, prec):
     """Relations of the columns of M, the matrix reduction of (M, R, L) and
     the columns it frees: (MLModule, schedules)."""
-    M1, R1, L1 = matrix_reduction(M, relations_approx(M), L, prec=prec, trace=trace)
+    M1, R1, L1 = matrix_reduction(M, relations_approx(M), L, prec=prec)
     return _assemble_ml(M1, R1, L1)
 
 

@@ -309,12 +309,14 @@ def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
 
 def _check_triangular(P: LocalPair):
     """Both components square lower-triangular Hermite forms with the pivot
-    of column i on row i (the shape of a full-rank pair)."""
+    of column i on row i (the shape of a full-rank pair).  A is exact above
+    its diagonal; hnf_u may leave a digit-free O-term there in B (zero at
+    the working level), so only a certain digit rejects B."""
     n = P.dim
     if P.a_rows != list(range(n)) or P.b_rows != list(range(n)):
         raise BadParameters("full-rank pair without a pivot on every row")
-    for M in (P.A, P.B):
+    for M, nonzero in ((P.A, lambda e: not e.is_exact_zero()), (P.B, SnuSeries.has_certain_digit)):
         if M.rows != n or M.cols != n or any(
-            not M.a[i][j].is_exact_zero() for i in range(n) for j in range(i + 1, n)
+            nonzero(M.a[i][j]) for i in range(n) for j in range(i + 1, n)
         ):
             raise BadParameters("full-rank pair component is not lower-triangular")

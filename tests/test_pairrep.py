@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, NotFullRank
+from slomod.errors import BadParameters, NotFullRank, PrecisionExhausted
 from slomod.localized import SMat
 from slomod.maxmod import MLModule, max_module, max_sum_ml, qis_closure_member
 from slomod.pairrep import (
@@ -222,3 +222,37 @@ def test_pair_to_ml_rejects_non_triangular():
     # the same pair without the entry above the diagonal is accepted
     P.A = ident
     assert pair_to_ml(P, 10).L == [0, 0]
+    # in B a certain digit above the diagonal is rejected too
+    P.B = upper
+    with pytest.raises(BadParameters):
+        pair_to_ml(P, 10)
+    # but hnf_u may leave a digit-free O-term there (zero at the working
+    # level): the shape check passes it, the exact relations then refuse it
+    P.B = SMat(Z5, NU0, [[one, SnuSeries(Z5, NU0, {}, 30, Fraction(15))], [z, one]])
+    with pytest.raises(PrecisionExhausted):
+        pair_to_ml(P, 10)
+
+
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2)])
+def test_psi_inverse_round_trip_by_rank(slope):
+    # rank < dim goes through coordinates in the pi basis; (1 + u) is a
+    # non-monomial u-unit at slope 1/2
+    z = SnuSeries.zero(Z5, slope)
+    one = SnuSeries.one(Z5, slope)
+    u = poly(Z5, slope, [(1, 1)])
+    pu = poly(Z5, slope, [(0, 5), (1, 1)])
+    opu = poly(Z5, slope, [(0, 1), (1, 1)])
+    for rank, cols in (
+        (1, [[one, pu]]),
+        (1, [[pu, z], [u * pu, z]]),
+        (1, [[one, pu, u]]),
+        (2, [[one, pu, z], [z, z, one]]),
+        (2, [[one, pu, z], [z, u, opu], [u, u * pu, z]]),
+        (2, [[one, z, opu], [z, one, z]]),
+        (3, [[one, opu, z], [z, one, opu], [z, z, one]]),
+        (3, [[one, z, z], [opu, u, z], [z, opu, pu]]),
+    ):
+        P = psi(SMat.from_columns(Z5, slope, cols), 12)
+        assert P.rank == rank and P.dim == len(cols[0])
+        gens, ml = psi_inverse(P, 12)
+        assert psi(ml, 12).equal(P)

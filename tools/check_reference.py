@@ -1,6 +1,6 @@
 """Replay every benchmark pool input and compare it with ``perfbench/reference.json``.
 
-    python3 tools/check_reference.py [--workload W ...]
+    python3 tools/check_reference.py
 
 Each pool input of each workload (``perfbench/gen.py``) runs once through
 ``perfbench/ops.py`` under the per-operation deadline of
@@ -12,7 +12,6 @@ mismatch and a summary per workload; exits 1 on any mismatch.
 
 from __future__ import annotations
 
-import argparse
 import os
 import signal
 import sys
@@ -35,14 +34,11 @@ def outcome(op) -> str:
     return f"{kind}:{detail}"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(gen.WORKLOADS))
-    args = ap.parse_args(argv)
+def main() -> int:
     reference = worker.load_reference()["outcomes"]
     signal.signal(signal.SIGALRM, worker._on_alarm)
     total = bad = 0
-    for workload in args.workload or list(gen.WORKLOADS):
+    for workload in gen.WORKLOADS:
         t0 = time.perf_counter()
         pool = gen.pool(workload)
         mismatches = 0
