@@ -37,10 +37,20 @@ For ram_index > 1 the arithmetic runs on the exact digit lifts (vectors
 longer than ram are folded with w^ram = pi) and is then truncated to the
 precision dictated by the ultrametric lattice calculus.  Both paths give
 identical elements; the exact and approximate cases share each path.
+
+Sums of products -- a digit of a series product, a step of the unit-division
+recurrence -- go through one kernel, ``sum_products``: the exact digits of
+every product are summed at a common base (the backend's ``exa_dot``) and
+normalised once, at absolute precision min(v_a + v_b + min(prec_a, prec_b))
+over the products.  This is value-identical to folding ``acc + a*b`` term by
+term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
+and every intermediate reduction of the fold moves the value by a multiple of
+w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,8 +81,8 @@ class RingConfig:
         self.default_prec = default_prec
 
     # subclasses implement: exa_zero, exa_one, exa_from_int, exa_add,
-    # exa_neg, exa_mul, exa_inv, exa_is_zero, exa_pi_val, exa_shift_pi,
-    # exa_reduce, exa_str, residue_size
+    # exa_neg, exa_mul, exa_dot, exa_inv, exa_is_zero, exa_pi_val,
+    # exa_shift_pi, exa_reduce, exa_str, residue_size
 
     def exa_sub(self, a, b):
         return self.exa_add(a, self.exa_neg(b))
@@ -115,6 +125,27 @@ class ZpConfig(RingConfig):
 
     def exa_mul(self, a, b):
         return a * b
+
+    def exa_dot(self, terms):
+        """Exact sum of x*y*p^e over (x, y, e) triples with e >= 0.
+
+        Raw numerators are accumulated as ints over a running lcm of the
+        denominators; one ``Fraction`` is built at the end.
+        """
+        p = self.p
+        num, den = 0, 1
+        for x, y, e in terms:
+            n = x.numerator * y.numerator
+            d = x.denominator * y.denominator
+            if e:
+                n *= p ** e
+            if d == den:
+                num += n
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den *= d // g
+        return Fraction(num, den) if num else _ZERO
 
     def exa_inv(self, a):
         if a == 0:
@@ -191,6 +222,30 @@ class FqConfig(RingConfig):
 
     def exa_mul(self, a, b):
         return a * b
+
+    def exa_dot(self, terms):
+        """Exact sum of x*y*t^e over (x, y, e) triples with e >= 0.
+
+        Raw numerator polynomials are accumulated over a running lcm of the
+        denominators; one ``RatFunc`` is built at the end.
+        """
+        f = self.field
+        one = (f.one,)
+        num, den = (), one
+        for x, y, e in terms:
+            n = (f.zero,) * e + gfq.pmul(f, x.num, y.num)
+            d = y.den if x.den == one else x.den if y.den == one else gfq.pmul(f, x.den, y.den)
+            if d == den:
+                num = gfq.padd(f, num, n)
+            elif d == one:
+                num = gfq.padd(f, num, gfq.pmul(f, n, den))
+            else:
+                g = gfq.pgcd(f, den, d)
+                dg, _ = gfq.pdivmod(f, d, g)
+                eg, _ = gfq.pdivmod(f, den, g)
+                num = gfq.padd(f, gfq.pmul(f, num, dg), gfq.pmul(f, n, eg))
+                den = gfq.pmul(f, den, dg)
+        return gfq.RatFunc(f, num, den) if num else self.exa_zero()
 
     def exa_inv(self, a):
         return a.inv_any()
@@ -403,13 +458,7 @@ class CoeffElem:
             prec = min(a.prec, b.prec)
             digits = _reduce_digits(cfg, 1, (cfg.exa_mul(a.unit[0], b.unit[0]),), prec)
             return CoeffElem(cfg, 1, a.num_val + b.num_val, prec, digits)
-        prod = [cfg.exa_zero()] * (2 * ram - 1)
-        for i, x in enumerate(a.unit):
-            if cfg.exa_is_zero(x):
-                continue
-            for j, y in enumerate(b.unit):
-                prod[i + j] = cfg.exa_add(prod[i + j], cfg.exa_mul(x, y))
-        return _normalize(cfg, ram, a.num_val + b.num_val, prod, out_abs)
+        return sum_products(cfg, ram, ((a, b),))
 
     def inv(self) -> "CoeffElem":
         """Multiplicative inverse at the same relative precision."""
@@ -565,6 +614,52 @@ def _normalize(cfg, ram, base, digits, abs_w):
         out[j] = cfg.exa_shift_pi(d, k) if k else d
     prec = abs_w - val if not _isinf(abs_w) else INF
     return CoeffElem(cfg, ram, val, prec, _reduce_digits(cfg, ram, out, prec))
+
+
+def sum_products(cfg, ram, pairs, lone=None) -> CoeffElem:
+    """lone + sum of a*b over the (a, b) pairs, normalised once.
+
+    Elements of a smaller ram are lifted with ``with_ram``.  Digit x of a
+    times digit y of b sits at w^s = w^(s mod ram) * pi^(s div ram), so the
+    exact sum is one ``exa_dot`` per w-residue and needs no fold.  The
+    absolute precision is the minimum over the terms: v_a + v_b +
+    min(prec_a, prec_b) for a product, v + prec for the lone term.
+    """
+    if lone is not None:
+        one = CoeffElem(cfg, ram, 0, INF, (cfg.exa_one(),) + (cfg.exa_zero(),) * (ram - 1))
+        pairs = itertools.chain(pairs, ((lone, one),))
+    abs_w = INF
+    base = INF  # lowest pi power of a term
+    terms = [[] for _ in range(ram)]
+    for a, b in pairs:
+        if a.ram != ram:
+            a = a.with_ram(ram)
+        if b.ram != ram:
+            b = b.with_ram(ram)
+        if a.zero or b.zero:
+            continue
+        v = a.num_val + b.num_val
+        t = v + min(a.prec, b.prec)
+        if t < abs_w:
+            abs_w = t
+        if a.unit is None or b.unit is None:
+            continue
+        if v // ram < base:
+            base = v // ram
+        if ram == 1:
+            terms[0].append((a.unit[0], b.unit[0], v))
+            continue
+        ys = [(j, y) for j, y in enumerate(b.unit) if not cfg.exa_is_zero(y)]
+        for i, x in enumerate(a.unit):
+            if cfg.exa_is_zero(x):
+                continue
+            for j, y in ys:
+                s = v + i + j
+                terms[s % ram].append((x, y, s // ram))
+    if _isinf(base):
+        return CoeffElem.exact_zero(cfg, ram) if _isinf(abs_w) else CoeffElem.o_term(cfg, abs_w, ram)
+    digits = [cfg.exa_dot((x, y, e - base) for x, y, e in t) for t in terms]
+    return _normalize(cfg, ram, base * ram, digits, abs_w)
 
 
 def _unit_poly_inverse(cfg, ram, digits):

@@ -123,7 +123,9 @@ class GF:
         return tuple((-x) % self.p for x in a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.m == 1:
+            return (a - b) % self.p
+        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
         p, m = self.p, self.m

@@ -112,10 +112,10 @@ def _e_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
     return u_divide(a.scale_pi(s), b, n_level, hi_window).scale_pi(-s)
 
 
-def _e_membership(vec, M: SMat, prec) -> bool:
-    """Is vec in the E-span of the columns of M?  Tested over the DVR after
-    clearing a pi power bounded by the total pivot valuation."""
-    ech = hnf_u(M, prec)
+def _e_membership(vec, M: SMat, ech, prec) -> bool:
+    """Is vec in the E-span of the columns of M (u-side echelon ``ech``)?
+    Tested over the DVR after clearing a pi power bounded by the total
+    pivot valuation."""
     shift = _ceil(sum(ech.pivot_vals, Fraction(0))) + 1
     lb = min((e.lower_bound() for e in vec), default=Fraction(0))
     if not _isinf(lb) and lb < 0:
@@ -131,12 +131,11 @@ def verify_image_condition(P: LocalPair, prec=None) -> bool:
         prec = P.cfg.default_prec
     if P.A.cols != P.B.cols:
         return False
-    for j in range(P.A.cols):
-        if not _e_membership(P.A.col(j), P.B, prec):
-            return False
-    for j in range(P.B.cols):
-        if not _e_membership(P.B.col(j), P.A, prec):
-            return False
+    for X, Y in ((P.A, P.B), (P.B, P.A)):
+        if X.cols:
+            ech = hnf_u(Y, prec)  # one echelon per component, not per column
+            if not all(_e_membership(X.col(j), Y, ech, prec) for j in range(X.cols)):
+                return False
     return True
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import INF, CoeffElem, _isinf
+from .coeffs import INF, CoeffElem, _isinf, sum_products
 from .contfrac import Slope
 from .errors import (
     BadParameters,
@@ -400,14 +400,14 @@ class SnuSeries:
         lo_a = min(a.coeffs, default=a.u_prec)
         lo_b = min(b.coeffs, default=b.u_prec)
         up = min(a.u_prec + lo_b, b.u_prec + lo_a)
-        coeffs: dict = {}
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
-                k = i + j
-                if k >= up:
-                    continue
-                prod = ca * cb
-                coeffs[k] = coeffs[k] + prod if k in coeffs else prod
+        # one sum_products per output exponent, in first-seen order; the
+        # inner scan runs over the sparser factor
+        sa, sb = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
+        coeffs = {
+            k: sum_products(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
+            for k in dict.fromkeys(i + j for i in a.coeffs for j in b.coeffs)
+            if k < up
+        }
         if _isinf(up):
             tb = None
         else:
@@ -508,7 +508,7 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
     if z.min_exp() is not None and z.min_exp() < 0 or (x.min_exp() or 0) < 0:
         raise BadParameters("divide_by_unit expects non-negative supports")
     a0_inv = x.coeff(0).inv()
-    xs = sorted(i for i in x.coeffs if i > 0)
+    xs = [i for i in x.coeffs if i > 0]
     if not xs and z.is_polynomial():
         # single-digit divisor: the quotient is the exact polynomial z/a_0
         return z.scale_coeff(a0_inv)
@@ -518,18 +518,17 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
             cap = z.u_prec  # finite: z not polynomial here
         else:
             raise BadParameters("series division of exact polynomials needs a u-precision cap")
+    ram = max(z.ram, x.ram)
+    neg_x = [(i, (-x.coeffs[i]).with_ram(ram)) for i in xs]
     b: dict = {}
     for j in range(cap):
-        acc = z.coeff(j)
-        for i in xs:
-            if i > j:
-                break
-            if (j - i) in b:
-                acc = acc - x.coeffs[i] * b[j - i]
+        acc = sum_products(
+            z.cfg, ram, ((c, b[j - i]) for i, c in neg_x if j - i in b), lone=z.coeffs.get(j)
+        )
         bj = acc * a0_inv
         if not bj.is_exact_zero():
             b[j] = bj
-    return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=max(z.ram, x.ram))
+    return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=ram)
 
 
 def invert_unit(x: SnuSeries, n, u_prec=None) -> SnuSeries:

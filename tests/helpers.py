@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _isinf
+from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize
 from slomod.contfrac import Slope
 from slomod.localized import SMat
 from slomod.series import SnuSeries
@@ -110,6 +110,73 @@ def det_cofactor(M):
         term = e * det_cofactor(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def coeff_mul_fold(a, b):
+    """CoeffElem product by the digit-vector convolution, folded with
+    w^ram = pi and normalised once."""
+    a, b = _align(a, b)
+    cfg, ram = a.cfg, a.ram
+    if a.zero or b.zero:
+        return CoeffElem.exact_zero(cfg, ram)
+    out_abs = min(a.num_val + b.abs_w(), b.num_val + a.abs_w())
+    if a.unit is None or b.unit is None:
+        return CoeffElem.o_term(cfg, out_abs, ram)
+    prod = [cfg.exa_zero()] * (2 * ram - 1)
+    for i, x in enumerate(a.unit):
+        for j, y in enumerate(b.unit):
+            prod[i + j] = cfg.exa_add(prod[i + j], cfg.exa_mul(x, y))
+    return _normalize(cfg, ram, a.num_val + b.num_val, prod, out_abs)
+
+
+def mul_fold(x, y):
+    """x*y by the per-pair fold coeffs[k] + ca*cb: every partial sum of every
+    output digit is a normalised CoeffElem."""
+    a, b = x, y
+    if a.ram != b.ram:
+        r = max(a.ram, b.ram)
+        a, b = a.with_ram(r), b.with_ram(r)
+    lo_a = min(a.coeffs, default=a.u_prec)
+    lo_b = min(b.coeffs, default=b.u_prec)
+    up = min(a.u_prec + lo_b, b.u_prec + lo_a)
+    coeffs = {}
+    for i, ca in a.coeffs.items():
+        for j, cb in b.coeffs.items():
+            k = i + j
+            if k >= up:
+                continue
+            prod = coeff_mul_fold(ca, cb)
+            coeffs[k] = coeffs[k] + prod if k in coeffs else prod
+    tb = None
+    if not _isinf(up):
+        tb = min(a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound)
+    return SnuSeries(a.cfg, a.slope, coeffs, up, tb, ram=a.ram)
+
+
+def divide_fold(z, x, u_prec=None):
+    """divide_by_unit by the sequential recurrence acc = z_j; acc -= x_i *
+    b_{j-i}; b_j = acc * a_0^-1 (valid inputs only: no checks)."""
+    vx, _ = x.certified_val_deg()
+    lz = z.lower_bound()
+    a0_inv = x.coeff(0).inv()
+    xs = sorted(i for i in x.coeffs if i > 0)
+    if not xs and z.is_polynomial():
+        return z.scale_coeff(a0_inv)
+    cap = min(z.u_prec, x.u_prec) if u_prec is None else min(u_prec, z.u_prec, x.u_prec)
+    if _isinf(cap):
+        cap = z.u_prec
+    b = {}
+    for j in range(cap):
+        acc = z.coeff(j)
+        for i in xs:
+            if i > j:
+                break
+            if (j - i) in b:
+                acc = acc - coeff_mul_fold(x.coeffs[i], b[j - i])
+        bj = coeff_mul_fold(acc, a0_inv)
+        if not bj.is_exact_zero():
+            b[j] = bj
+    return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=max(z.ram, x.ram))
 
 
 def oracle_pos_best_approx(a, b, gamma):

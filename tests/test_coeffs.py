@@ -215,3 +215,24 @@ def test_pshift_negative_needs_divisibility():
     assert gfq.pshift(f, t2, -2) == (f.one,)
     with pytest.raises(NotDivisible):
         gfq.pshift(f, (f.one, f.one), -1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_gf_sub_matches_add_neg(q):
+    f = gfq.GF(q)
+    for a in f.elements():
+        for b in f.elements():
+            assert f.sub(a, b) == f.add(a, f.neg(b)), (a, b)
+
+
+@pytest.mark.parametrize("cfg", [Z5, FqConfig(4)], ids=repr)
+def test_exa_dot_matches_mul_add_fold(cfg):
+    rng = random.Random(11)
+    for n in range(6):
+        terms = [(_unit_value(rng, cfg), _unit_value(rng, cfg), rng.randrange(0, 4)) for _ in range(n)]
+        want = cfg.exa_zero()
+        for x, y, e in terms:
+            want = cfg.exa_add(want, cfg.exa_shift_pi(cfg.exa_mul(x, y), e))
+        assert cfg.exa_dot(terms) == want
+    x = _unit_value(rng, cfg)
+    assert cfg.exa_is_zero(cfg.exa_dot([(x, cfg.exa_one(), 1), (cfg.exa_neg(x), cfg.exa_one(), 1)]))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from slomod import pairrep
 from slomod.contfrac import Slope
 from slomod.errors import BadParameters, NotFullRank, PrecisionExhausted
 from slomod.localized import SMat
@@ -256,3 +257,38 @@ def test_psi_inverse_round_trip_by_rank(slope):
         assert P.rank == rank and P.dim == len(cols[0])
         gens, ml = psi_inverse(P, 12)
         assert psi(ml, 12).equal(P)
+
+
+def test_verify_image_condition_one_hnf_per_component(monkeypatch):
+    # a 3x3 psi_inverse echelons each component once, not once per column
+    slope = Slope(1, 2)
+    z = SnuSeries.zero(Z5, slope)
+    one = SnuSeries.one(Z5, slope)
+    u = poly(Z5, slope, [(1, 1)])
+    pu = poly(Z5, slope, [(0, 5), (1, 1)])
+    opu = poly(Z5, slope, [(0, 1), (1, 1)])
+    P = psi(SMat.from_columns(Z5, slope, [[one, z, z], [opu, u, z], [z, opu, pu]]), 12)
+    assert P.rank == P.dim == 3
+    expected = pair_to_ml(P, 12).expand_generators()
+    # the per-column membership tests with a fresh echelon each time
+    assert all(
+        pairrep._e_membership(X.col(j), Y, pairrep.hnf_u(Y, 12), 12)
+        for X, Y in ((P.A, P.B), (P.B, P.A))
+        for j in range(X.cols)
+    )
+    calls = []
+    real = pairrep.hnf_u
+
+    def counting(M, *args, **kwargs):
+        if M is P.A or M is P.B:
+            calls.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(pairrep, "hnf_u", counting)
+    gens, ml = psi_inverse(P, 12)
+    assert len(calls) == 2
+    assert gens.rows == expected.rows and gens.cols == expected.cols
+    assert all(
+        gens.a[i][j] == expected.a[i][j] for i in range(gens.rows) for j in range(gens.cols)
+    )
+    assert psi(ml, 12).equal(P)

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from slomod.coeffs import INF, CoeffElem
+from slomod import gfq
+from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig
 from slomod.contfrac import Slope
 from slomod.errors import (
     NotDistinguishedCertificate,
@@ -31,7 +33,17 @@ from slomod.series import (
     weierstrass_prep,
 )
 
-from helpers import F2, NU0, Z5, assert_zero_at_precision, poly, random_exact_poly, random_unit
+from helpers import (
+    F2,
+    NU0,
+    Z5,
+    assert_zero_at_precision,
+    divide_fold,
+    mul_fold,
+    poly,
+    random_exact_poly,
+    random_unit,
+)
 
 
 def test_gauss_valuation_figure():
@@ -304,3 +316,111 @@ def test_poly_divmod_classical():
     q, r = poly_divmod(y, x)
     assert (q * x + r) == y
     assert r.max_deg() in (None, 0)
+
+
+# ---------------------------------------------------------------------------
+# the sum-of-products kernel against the per-pair fold
+# ---------------------------------------------------------------------------
+
+KERNEL_RINGS = [ZpConfig(3), Z5, F2, FqConfig(4)]
+
+
+def _kernel_value(rng, cfg):
+    """A random nonzero exact field element, not always a pi-unit."""
+    if cfg.kind == "zp":
+        return Fraction(rng.choice([1, -1]) * rng.randrange(1, 30), rng.randrange(1, 5))
+    f = cfg.field
+    while True:
+        num = tuple(rng.choice(f.elements()) for _ in range(rng.randrange(1, 4)))
+        den = (f.one,) + tuple(rng.choice(f.elements()) for _ in range(rng.randrange(0, 2)))
+        v = gfq.RatFunc(f, num, den)
+        if not v.is_zero():
+            return v
+
+
+def _kernel_coeff(rng, cfg, ram):
+    """Exact or finite-precision digits, O-terms, valuations of both signs."""
+    if rng.random() < 0.12:
+        return CoeffElem.o_term(cfg, rng.randrange(-3, 5), ram)
+    c = CoeffElem.from_exact(cfg, _kernel_value(rng, cfg), ram)
+    if ram > 1 and rng.random() < 0.6:
+        c = c + CoeffElem.from_exact(cfg, _kernel_value(rng, cfg), ram).scale_w(rng.randrange(1, ram + 1))
+    if c.is_exact_zero():
+        return c
+    return c.scale_w(rng.randrange(-3, 4)).reduce_prec(rng.choice([INF, INF, 1, 2, 3, 5]))
+
+
+def _kernel_series(rng, cfg, slope, ram, lo=0, width=6):
+    coeffs = {}
+    for i in range(lo, lo + width):
+        if rng.random() < 0.6:
+            c = _kernel_coeff(rng, cfg, ram)
+            if not c.is_exact_zero():
+                coeffs[i] = c
+    if rng.random() < 0.5:
+        return SnuSeries(cfg, slope, coeffs, ram=ram)
+    tb = rng.choice([Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(3)])
+    return SnuSeries(cfg, slope, coeffs, lo + width, tb, ram=ram)
+
+
+def _cancelling_pair(rng, cfg, slope, ram, prec):
+    """(c + c u)(c - c u): the u^1 digit cancels to an exact zero, or to an
+    O-term when c is known to finite precision."""
+    c = CoeffElem.from_exact(cfg, _kernel_value(rng, cfg), ram, prec).scale_w(rng.randrange(-2, 3))
+    return SnuSeries(cfg, slope, {0: c, 1: c}), SnuSeries(cfg, slope, {0: c, 1: -c})
+
+
+@pytest.mark.parametrize("cfg", KERNEL_RINGS, ids=repr)
+@pytest.mark.parametrize("ram", [1, 2])
+def test_mul_matches_per_pair_fold(cfg, ram):
+    rng = random.Random(4100 + 10 * ram + KERNEL_RINGS.index(cfg))
+    for _ in range(40):
+        slope = rng.choice([NU0, Slope(1, 2)])
+        x = _kernel_series(rng, cfg, slope, rng.choice([1, ram]), lo=rng.randrange(-2, 2))
+        y = _kernel_series(rng, cfg, slope, ram, lo=rng.randrange(-2, 2))
+        assert x * y == mul_fold(x, y), (x, y)
+    for prec in (INF, 2):
+        x, y = _cancelling_pair(rng, cfg, NU0, ram, prec)
+        got = x * y
+        assert got == mul_fold(x, y), (x, y)
+        if prec == INF:
+            assert 1 not in got.coeffs
+        else:
+            assert not got.coeffs[1].has_witness()
+
+
+def _unit_divisor(rng, cfg, slope, ram):
+    """Certified Weierstrass degree 0, valuation of either sign."""
+    x0 = _kernel_coeff(rng, cfg, ram)
+    while not x0.has_witness():
+        x0 = _kernel_coeff(rng, cfg, ram)
+    x = _kernel_series(rng, cfg, slope, ram, width=5)
+    v0 = x0.val()
+    coeffs = {0: x0}
+    for i, c in x.coeffs.items():
+        if i > 0:
+            level = c.val_lower() + slope.nu * i
+            coeffs[i] = c.scale_pi(max(0, math.ceil(v0 - level)))
+    tb = None if x.is_polynomial() else max(x.tail_bound, v0)
+    return SnuSeries(cfg, slope, coeffs, x.u_prec, tb, ram=ram)
+
+
+@pytest.mark.parametrize("cfg", KERNEL_RINGS, ids=repr)
+@pytest.mark.parametrize("ram", [1, 2])
+def test_divide_by_unit_matches_sequential_recurrence(cfg, ram):
+    rng = random.Random(4200 + 10 * ram + KERNEL_RINGS.index(cfg))
+    for trial in range(30):
+        slope = rng.choice([NU0, Slope(1, 2)])
+        x = _unit_divisor(rng, cfg, slope, ram)
+        vx = x.certified_val_deg()[0]
+        if trial % 5 == 0:
+            z = x * _kernel_series(rng, cfg, slope, ram)  # cancels in the recurrence
+        else:
+            z = _kernel_series(rng, cfg, slope, rng.choice([1, ram]))
+        lz = z.lower_bound()
+        if lz < vx:
+            z = z.scale_pi(math.ceil(vx - lz))
+        cap = rng.choice([None, 4, 7])
+        if cap is None and z.is_polynomial() and x.is_polynomial() and len(x.coeffs) > 1:
+            cap = 7
+        assert divide_by_unit(z, x, u_prec=cap) == divide_fold(z, x, u_prec=cap), (z, x)
