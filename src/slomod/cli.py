@@ -24,7 +24,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from fractions import Fraction
@@ -444,9 +443,6 @@ def main(argv=None) -> int:
             session = parse_session(fh.read())
         if ns.prec is not None:
             session.cfg.default_prec = ns.prec
-        env_prec = os.environ.get("SLOMOD_PREC")
-        if env_prec and ns.prec is None:
-            session.cfg.default_prec = int(env_prec)
         print(run_command([ns.command] + ns.args + extra, session))
         return 0
     except (PrecisionExhausted, RequiresExactInput) as e:

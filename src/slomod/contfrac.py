@@ -89,7 +89,7 @@ def cf_expand(x) -> ContinuedFraction:
 class Slope:
     """A slope nu = beta/alpha >= 0 in lowest terms."""
 
-    __slots__ = ("beta", "alpha")
+    __slots__ = ("beta", "alpha", "nu")
 
     def __init__(self, beta: int, alpha: int):
         if alpha <= 0:
@@ -102,15 +102,12 @@ class Slope:
             raise ValueError("slope 0 must be written 0/1")
         self.beta = beta
         self.alpha = alpha
+        self.nu = Fraction(beta, alpha)
 
     @classmethod
     def from_fraction(cls, x) -> "Slope":
         x = Fraction(x)
         return cls(x.numerator, x.denominator)
-
-    @property
-    def nu(self) -> Fraction:
-        return Fraction(self.beta, self.alpha)
 
     def cf(self) -> ContinuedFraction:
         return cf_expand(self.nu)

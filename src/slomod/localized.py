@@ -30,6 +30,7 @@ from .series import (
     SnuSeries,
     _ceil,
     _floor,
+    _newton_refine,
     divide_by_unit,
     euclid_div_full,
     gcd_extended,
@@ -53,6 +54,8 @@ class SMat:
         self.a = [list(r) for r in entries]
         self.rows = len(self.a)
         self.cols = len(self.a[0]) if self.a else 0
+        if any(len(r) != self.cols for r in self.a):
+            raise BadParameters(f"ragged rows of lengths {[len(r) for r in self.a]}")
         self.ram = ram
 
     @classmethod
@@ -69,9 +72,11 @@ class SMat:
         return m
 
     @classmethod
-    def from_columns(cls, cfg, slope, columns, ram=1):
-        rows = len(columns[0]) if columns else 0
-        return cls(cfg, slope, [[columns[j][i] for j in range(len(columns))] for i in range(rows)], ram)
+    def from_columns(cls, cfg, slope, rows, columns, ram=1):
+        """The rows x len(columns) matrix with these columns (rows x 0 for none)."""
+        if any(len(c) != rows for c in columns):
+            raise BadParameters(f"column lengths {[len(c) for c in columns]}, not {rows}")
+        return cls(cfg, slope, [[c[i] for c in columns] for i in range(rows)], ram)
 
     def copy(self):
         return SMat(self.cfg, self.slope, self.a, self.ram)
@@ -344,6 +349,33 @@ def _normalize_kernel_col(col):
     return [e.scale_pi(n) for e in col]
 
 
+_NOT_IN_SPAN = object()  # a pivot division's definite "no"
+
+
+def _substitute(vec, T: SMat, steps, divide):
+    """The triangular substitution of every solve against an echelon form T.
+
+    For each step (i, row), ``divide(i, e)`` reads coordinate i off the
+    residual entry e on that row: the quotient by the pivot of column i,
+    None when e is zero at the caller's precision (the coordinate stays 0),
+    or _NOT_IN_SPAN when e is certainly no multiple of that pivot.  Each
+    quotient q leaves the whole residual as q times column i of T.  Returns
+    (coordinates, residual), or None; what is left of the residual is the
+    caller's to judge.
+    """
+    y = [SnuSeries.zero(T.cfg, T.slope, T.ram) for _ in range(T.cols)]
+    residual = list(vec)
+    for i, row in steps:
+        q = divide(i, residual[row])
+        if q is _NOT_IN_SPAN:
+            return None
+        if q is not None:
+            y[i] = q
+            for r in range(T.rows):
+                residual[r] = residual[r] - q * T.a[r][i]
+    return y, residual
+
+
 def member_pi(vec, M: SMat, prec=None, ech: EchelonPi | None = None):
     """Coordinates X with M.X = vec over the pi-localization, or None.
 
@@ -354,26 +386,22 @@ def member_pi(vec, M: SMat, prec=None, ech: EchelonPi | None = None):
         prec = M.cfg.default_prec
     if ech is None:
         ech = echelon_pi(M, prec)
-    T, P = ech.T, ech.P
-    y = [SnuSeries.zero(M.cfg, M.slope, M.ram) for _ in range(M.cols)]
-    residual = list(vec)
-    for i, row in enumerate(ech.pivot_rows):
-        t = ech.pivots[i]
-        e = residual[row]
+
+    def divide(i, e):
         if not e.has_certain_digit():
-            continue
-        vt, dt = t.certified_val_deg()
+            return None
+        t = ech.pivots[i]
+        vt, _ = t.certified_val_deg()
         shift = max(0, _ceil(vt - e.lower_bound()))
         res = euclid_div_full(e.scale_pi(shift), t, prec)
         if res.r.has_certain_digit():
-            return None  # certain nonzero remainder: not divisible
-        q = res.q.scale_pi(-shift)
-        y[i] = q
-        for r in range(M.rows):
-            residual[r] = residual[r] - q * T.a[r][i]
-    if any(e.has_certain_digit() for e in residual):
+            return _NOT_IN_SPAN  # certain nonzero remainder: not divisible
+        return res.q.scale_pi(-shift)
+
+    solved = _substitute(vec, ech.T, enumerate(ech.pivot_rows), divide)
+    if solved is None or any(e.has_certain_digit() for e in solved[1]):
         return None
-    return P.apply_to_vector(y)
+    return ech.P.apply_to_vector(solved[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +467,8 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
         pw = (-(pw * t)).truncate_u(hi_window)
         acc = acc + pw
     y = (acc * base).truncate_u(hi_window)
-    one = SnuSeries.one(w.cfg, w.slope, w.ram)
-    wt = w.truncate_u(hi_window)
     budget = 2 * (_ceil(Fraction(n_level) * alpha).bit_length() + 3)
-    for _ in range(budget):
-        e = (one - wt * y).truncate_u(hi_window)
-        ve = e.visible_valuation()
-        if _isinf(ve) or ve >= n_level:
-            return y
-        y = (y + y * e).truncate_u(hi_window)
-    e = (one - wt * y).truncate_u(hi_window)
-    ve = e.visible_valuation()
-    if _isinf(ve) or ve >= n_level:
-        return y
-    raise PrecisionExhausted("u-unit inversion stalled")
+    return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
 
 
 def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
@@ -560,25 +576,20 @@ def member_u(vec, M: SMat, n_level=None, ech: EchelonU | None = None):
         n_level = M.cfg.default_prec
     if ech is None:
         ech = hnf_u(M, n_level)
-    T, P = ech.T, ech.P
     hi_window = _u_window([e for r in M.a for e in r] + list(vec), n_level, M.slope)
-    y = [SnuSeries.zero(M.cfg, M.slope, M.ram) for _ in range(M.cols)]
-    residual = list(vec)
-    for i, row in enumerate(ech.pivot_rows):
-        e = residual[row]
+
+    def divide(i, e):
         v = _u_entry_val(e, n_level)
         if v is None:
-            continue
-        if v < ech.pivot_vals[i]:
-            return None  # valuation obstruction: definite no
-        q = u_divide(e, T.a[row][i], n_level, hi_window)
-        y[i] = q
-        for r in range(M.rows):
-            residual[r] = residual[r] - q * T.a[r][i]
-    for e in residual:
-        if _u_entry_val(e, n_level) is not None:
             return None
-    return P.apply_to_vector(y)
+        if v < ech.pivot_vals[i]:
+            return _NOT_IN_SPAN  # valuation obstruction: definite no
+        return u_divide(e, ech.T.a[ech.pivot_rows[i]][i], n_level, hi_window)
+
+    solved = _substitute(vec, ech.T, enumerate(ech.pivot_rows), divide)
+    if solved is None or any(_u_entry_val(e, n_level) is not None for e in solved[1]):
+        return None
+    return ech.P.apply_to_vector(solved[0])
 
 
 def kernel_u(M: SMat, n_level=None) -> list:
@@ -661,37 +672,14 @@ def _concat(M: SMat, M2: SMat) -> SMat:
 def module_sum(M: SMat, M2: SMat, loc: str, prec=None) -> SMat:
     """Generators of the sum: pivot columns of the echelon of (M M2)."""
     C = _concat(M, M2)
-    if loc == "pi":
-        ech = echelon_pi(C, prec)
-        cols = [ech.T.col(j) for j in range(ech.rank)]
-    else:
-        ech = hnf_u(C, prec)
-        cols = [ech.T.col(j) for j in range(ech.rank)]
-    if not cols:
-        return SMat.zeros(M.cfg, M.slope, M.rows, 0, M.ram)
-    return SMat.from_columns(M.cfg, M.slope, cols, M.ram)
+    ech = echelon_pi(C, prec) if loc == "pi" else hnf_u(C, prec)
+    return SMat.from_columns(M.cfg, M.slope, M.rows, [ech.T.col(j) for j in range(ech.rank)], M.ram)
 
 
 def module_intersect(M: SMat, M2: SMat, loc: str, prec=None) -> SMat:
     """Generators of the intersection via syzygies of the concatenation."""
     C = _concat(M, M2)
-    cols = []
     kern = kernel_pi(C) if loc == "pi" else kernel_u(C, prec)
-    for col in kern:
-        top = col[: M.cols]
-        gen = [
-            _sum_series(M.cfg, M.slope, M.ram, (M.a[i][j] * top[j] for j in range(M.cols)))
-            for i in range(M.rows)
-        ]
-        if any(e.has_certain_digit() for e in gen):
-            cols.append(gen)
-    if not cols:
-        return SMat.zeros(M.cfg, M.slope, M.rows, 0, M.ram)
-    return SMat.from_columns(M.cfg, M.slope, cols, M.ram)
-
-
-def _sum_series(cfg, slope, ram, items):
-    acc = SnuSeries.zero(cfg, slope, ram)
-    for s in items:
-        acc = acc + s
-    return acc
+    gens = [M.apply_to_vector(col[: M.cols]) for col in kern]
+    cols = [g for g in gens if any(e.has_certain_digit() for e in g)]
+    return SMat.from_columns(M.cfg, M.slope, M.rows, cols, M.ram)

@@ -58,9 +58,7 @@ class MLModule:
         return cls(M.cfg, M.slope, M.rows, cols, L or [0] * M.cols, M.ram)
 
     def as_matrix(self) -> SMat:
-        if not self.columns:
-            return SMat.zeros(self.cfg, self.slope, self.dim, 0, self.ram)
-        return SMat.from_columns(self.cfg, self.slope, self.columns, self.ram)
+        return SMat.from_columns(self.cfg, self.slope, self.dim, self.columns, self.ram)
 
     def schedules(self):
         """Per column, the monomial generator schedule of
@@ -81,9 +79,7 @@ class MLModule:
                     CoeffElem.from_int(self.cfg, 1, ram=self.ram).scale_pi(b),
                 )
                 cols.append([mono * e for e in col])
-        if not cols:
-            return SMat.zeros(self.cfg, self.slope, self.dim, 0, self.ram)
-        return SMat.from_columns(self.cfg, self.slope, cols, self.ram)
+        return SMat.from_columns(self.cfg, self.slope, self.dim, cols, self.ram)
 
     def generator_count(self) -> int:
         return sum(s.count() for s in self.schedules())
@@ -140,10 +136,7 @@ def relations_approx(M: SMat) -> SMat:
     """A full-rank matrix R of S_nu-relations of the columns of M with
     pi-power cofinite index in the full syzygy module: the pi-localized
     kernel with denominators cleared per column."""
-    cols = kernel_pi(M)
-    if not cols:
-        return SMat.zeros(M.cfg, M.slope, M.cols, 0, M.ram)
-    return SMat.from_columns(M.cfg, M.slope, cols, M.ram)
+    return SMat.from_columns(M.cfg, M.slope, M.cols, kernel_pi(M), M.ram)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +356,8 @@ def max_sum_ml(A: MLModule, B: MLModule, prec=None) -> MLModule:
     """The maximal sum, computed by reducing the concatenated (M, L) data."""
     if A.slope != B.slope or A.dim != B.dim:
         raise BadParameters("summands live in different ambients")
-    cols = A.columns + B.columns
-    L = A.L + B.L
-    M = SMat.from_columns(A.cfg, A.slope, cols, A.ram) if cols else SMat.zeros(
-        A.cfg, A.slope, A.dim, 0, A.ram
-    )
-    return _reduce_to_ml(M, L, prec)[0]
+    M = SMat.from_columns(A.cfg, A.slope, A.dim, A.columns + B.columns, A.ram)
+    return _reduce_to_ml(M, A.L + B.L, prec)[0]
 
 
 def scalar_extend(A: MLModule, nu2: Slope) -> MLModule:

@@ -19,6 +19,7 @@ from .localized import (
     EchelonPi,
     EchelonU,
     SMat,
+    _substitute,
     _u_window,
     hnf_pi,
     hnf_u,
@@ -79,10 +80,8 @@ class LocalPair:
 
 
 def _pair_from_hnfs(cfg, slope, dim, ep: EchelonPi, eu: EchelonU, ram=1) -> LocalPair:
-    a_cols = [ep.T.col(j) for j in range(ep.rank)]
-    b_cols = [eu.T.col(j) for j in range(eu.rank)]
-    A = SMat.from_columns(cfg, slope, a_cols, ram) if a_cols else SMat.zeros(cfg, slope, dim, 0, ram)
-    B = SMat.from_columns(cfg, slope, b_cols, ram) if b_cols else SMat.zeros(cfg, slope, dim, 0, ram)
+    A = SMat.from_columns(cfg, slope, dim, [ep.T.col(j) for j in range(ep.rank)], ram)
+    B = SMat.from_columns(cfg, slope, dim, [eu.T.col(j) for j in range(eu.rank)], ram)
     return LocalPair(cfg, slope, dim, A, B, ep.pivot_rows, ep.pivots, eu.pivot_rows, eu.pivot_vals, ram)
 
 
@@ -97,10 +96,7 @@ def psi(m, prec=None) -> LocalPair:
     for col, delta in zip(m.columns, m.L):
         mu = mu_monomial(m.cfg, m.slope, delta, m.ram)
         u_cols.append([mu * e for e in col])
-    Mu = SMat.from_columns(m.cfg, m.slope, u_cols, m.ram) if u_cols else SMat.zeros(
-        m.cfg, m.slope, m.dim, 0, m.ram
-    )
-    eu = hnf_u(Mu, prec)
+    eu = hnf_u(SMat.from_columns(m.cfg, m.slope, m.dim, u_cols, m.ram), prec)
     return _pair_from_hnfs(m.cfg, m.slope, m.dim, ep, eu, m.ram)
 
 
@@ -154,37 +150,16 @@ def psi_inverse(P: LocalPair, prec=None):
         return ml.expand_generators(), ml
     # coordinates w.r.t. the pi-side basis: solve A * Y = B over E
     hi_window = _u_window([e for M in (P.A, P.B) for r in M.a for e in r], prec, P.slope)
-    Y_cols = [_solve_triangular_e(P, P.B.col(j), prec, hi_window) for j in range(P.B.cols)]
-    r = P.rank
-    coordP = _coordinate_pair(P, Y_cols, prec)
-    ml_c = pair_to_ml(coordP, prec)
+
+    def divide(i, e):
+        return _e_divide(e, P.a_pivots[i], prec, hi_window) if e.has_certain_digit() else None
+
+    Y_cols = [_substitute(P.B.col(j), P.A, enumerate(P.a_rows), divide)[0] for j in range(P.B.cols)]
+    ml_c = pair_to_ml(_coordinate_pair(P, Y_cols, prec), prec)
     # map coordinate generators back through the basis
-    gens = ml_c.expand_generators()
-    cols = []
-    for jc in range(gens.cols):
-        col = [SnuSeries.zero(P.cfg, P.slope, P.ram) for _ in range(P.dim)]
-        for i in range(r):
-            coeff = gens.a[i][jc]
-            for row in range(P.dim):
-                col[row] = col[row] + coeff * P.A.a[row][i]
-        cols.append(col)
-    M = SMat.from_columns(P.cfg, P.slope, cols, P.ram)
+    M = P.A.matmul(ml_c.expand_generators())
     ml, _ = max_module(M, prec)
     return M, ml
-
-
-def _solve_triangular_e(P: LocalPair, vec, prec, hi_window):
-    y = [SnuSeries.zero(P.cfg, P.slope, P.ram) for _ in range(P.rank)]
-    residual = list(vec)
-    for i, row in enumerate(P.a_rows):
-        e = residual[row]
-        if not e.has_certain_digit():
-            continue
-        q = _e_divide(e, P.a_pivots[i], prec, hi_window)
-        y[i] = q
-        for rr in range(P.dim):
-            residual[rr] = residual[rr] - q * P.A.a[rr][i]
-    return y
 
 
 def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
@@ -196,7 +171,7 @@ def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
         list(range(r)),
         [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)],
     )
-    Y = SMat.from_columns(P.cfg, P.slope, Y_cols, P.ram)
+    Y = SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram)
     eu = hnf_u(Y, prec)
     return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)
 
@@ -242,10 +217,7 @@ def saturate(P: LocalPair, prec=None) -> LocalPair:
             list(range(P.dim)), [Fraction(0)] * P.dim, P.ram,
         )
     vals, U_inv, rank = smith_u(P.B, prec)
-    cols = [U_inv.col(j) for j in range(rank)]
-    Bs = SMat.from_columns(P.cfg, P.slope, cols, P.ram) if cols else SMat.zeros(
-        P.cfg, P.slope, P.dim, 0, P.ram
-    )
+    Bs = SMat.from_columns(P.cfg, P.slope, P.dim, [U_inv.col(j) for j in range(rank)], P.ram)
     eu = hnf_u(Bs, prec)
     return _pair_from_hnfs(
         P.cfg, P.slope, P.dim,
@@ -302,7 +274,7 @@ def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
     for j in range(B.cols):
         cols.append([D_pi_raw * B.a[i][j] for i in range(B.rows)])
         L.append(-w_exp)
-    M = SMat.from_columns(P.cfg, P.slope, cols, P.ram)
+    M = SMat.from_columns(P.cfg, P.slope, P.dim, cols, P.ram)
     return _reduce_to_ml(M, L, prec)[0]
 
 

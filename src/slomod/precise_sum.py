@@ -22,7 +22,7 @@ from .errors import (
     NonTermination,
     PrecisionExhausted,
 )
-from .localized import SMat, member_pi
+from .localized import _NOT_IN_SPAN, SMat, _substitute, member_pi
 from .maxmod import MLModule, _assemble_ml, _entry_data, _pick_pair, _reslope
 from .precision import PrecisionLattice, reduce_series
 from .series import SnuSeries, _ceil, divide_by_unit, euclid_div_full
@@ -204,32 +204,32 @@ def _solve_pi(M: SMat, t, prec):
             e = M.a[i][j]
             if not (e.is_exact_zero() or e.is_certainly_zero()):
                 raise PrecisionExhausted("approximate solve needs an upper-triangular base")
-    X = [SnuSeries.zero(M.cfg, M.slope, M.ram) for _ in range(d)]
-    residual = list(t)
-    for i in range(d - 1, -1, -1):
+
+    def divide(i, e):
+        if not e.has_certain_digit():
+            return None
         piv = M.a[i][i]
-        e = residual[i]
-        if e.has_certain_digit():
-            if len(piv.coeffs) == 1 and piv.is_polynomial():
-                # monomial pivot c * u^b: exact shift division
-                (b,) = piv.coeffs.keys()
-                if any(k < b and cc.has_witness() for k, cc in e.coeffs.items()):
-                    return None
-                ee = SnuSeries(
-                    e.cfg, e.slope,
-                    {k: cc for k, cc in e.coeffs.items() if k >= b},
-                    e.u_prec, e.tail_bound, ram=e.ram,
-                )
-                X[i] = ee.shift_u(-b).scale_coeff(piv.coeffs[b].inv())
-            else:
-                vp, dp = piv.certified_val_deg()
-                if dp != 0:
-                    raise PrecisionExhausted("diagonal pivot does not have degree zero")
-                s = max(0, _ceil(vp - e.lower_bound()))
-                cap = e.u_prec
-                if _isinf(cap):
-                    cap = (e.max_deg() or 0) + (piv.max_deg() or 0) + prec * M.slope.alpha + 8
-                X[i] = divide_by_unit(e.scale_pi(s), piv, u_prec=cap).scale_pi(-s)
-            for r in range(i):
-                residual[r] = residual[r] - X[i] * M.a[r][i]
-    return X
+        if len(piv.coeffs) == 1 and piv.is_polynomial():
+            # monomial pivot c * u^b: exact shift division
+            (b,) = piv.coeffs.keys()
+            if any(k < b and cc.has_witness() for k, cc in e.coeffs.items()):
+                return _NOT_IN_SPAN
+            ee = SnuSeries(
+                e.cfg, e.slope,
+                {k: cc for k, cc in e.coeffs.items() if k >= b},
+                e.u_prec, e.tail_bound, ram=e.ram,
+            )
+            return ee.shift_u(-b).scale_coeff(piv.coeffs[b].inv())
+        vp, dp = piv.certified_val_deg()
+        if dp != 0:
+            raise PrecisionExhausted("diagonal pivot does not have degree zero")
+        s = max(0, _ceil(vp - e.lower_bound()))
+        cap = e.u_prec
+        if _isinf(cap):
+            cap = (e.max_deg() or 0) + (piv.max_deg() or 0) + prec * M.slope.alpha + 8
+        return divide_by_unit(e.scale_pi(s), piv, u_prec=cap).scale_pi(-s)
+
+    # back substitution from the last row up: a solved row is never read
+    # again, and no residual is left to check
+    solved = _substitute(t, M, ((i, i) for i in reversed(range(d))), divide)
+    return None if solved is None else solved[0]

@@ -555,20 +555,29 @@ def invert_unit(x: SnuSeries, n, u_prec=None) -> SnuSeries:
         ram=x.ram,
     )
     y = divide_by_unit(SnuSeries.one(x.cfg, x.slope, ram=x.ram), level0, u_prec=cap)
-    one = SnuSeries.one(x.cfg, x.slope, ram=x.ram)
-    xt = x.truncate_u(cap)
     budget = 2 * (_ceil(Fraction(n) * x.slope.alpha).bit_length() + 2)
-    for _ in range(budget):
-        e = one - xt * y
+    return _newton_refine(x.truncate_u(cap), y, n, INF, budget)
+
+
+def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSeries:
+    """Newton steps y <- y + y(1 - x*y), every result cut below the
+    u-exponent ``window`` (INF: no cut), until each certain digit of 1 - x*y
+    has level >= n; PrecisionExhausted after ``budget`` steps.  The one
+    refinement loop of invert_unit and localized.u_invert_unit."""
+    one = SnuSeries.one(x.cfg, x.slope, ram=x.ram)
+    steps = 0
+    while True:
+        e = (one - x * y).truncate_u(window)
         ve = e.visible_valuation()
         if _isinf(ve) or ve >= n:
             return y
-        y = y + y * e
-    e = one - xt * y
-    ve = e.visible_valuation()
-    if _isinf(ve) or ve >= n:
-        return y
-    raise PrecisionExhausted("unit inversion stalled below the requested precision")
+        if steps == budget:
+            raise PrecisionExhausted(
+                f"unit inversion used its budget of {budget} Newton steps "
+                f"and reached level {ve} < {n}"
+            )
+        y = (y + y * e).truncate_u(window)
+        steps += 1
 
 
 class DivisionResult:

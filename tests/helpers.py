@@ -40,7 +40,7 @@ def mat(cfg, slope, rows):
 
 
 def mat_from_cols(cfg, slope, cols):
-    return SMat.from_columns(cfg, slope, cols)
+    return SMat.from_columns(cfg, slope, len(cols[0]), cols)
 
 
 def mats_agree(A, B) -> bool:

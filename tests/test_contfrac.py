@@ -17,6 +17,11 @@ from slomod.errors import BadDelta, BadGamma
 from helpers import divides_monomial, oracle_pos_best_approx, oracle_staircase
 
 
+def test_slope_nu_is_stored_once():
+    s = Slope(2, 5)
+    assert s.nu == Fraction(2, 5) and s.nu is s.nu
+
+
 def test_cf_10_7():
     cf = cf_expand(Fraction(10, 7))
     assert cf.quotients == [1, 2, 3]

@@ -5,7 +5,7 @@ import pytest
 
 from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, PrecisionExhausted
+from slomod.errors import BadParameters, PrecisionExhausted, ValuationOrder
 from slomod.localized import (
     SMat,
     echelon_pi,
@@ -22,7 +22,19 @@ from slomod.localized import (
 )
 from slomod.series import SnuSeries
 
-from helpers import NU0, Z5, mats_agree, mono, poly, random_exact_poly, series_is_zeroish
+from helpers import (
+    F2,
+    NU0,
+    Z5,
+    _unit_range,
+    mats_agree,
+    mono,
+    poly,
+    random_exact_poly,
+    series_is_zeroish,
+)
+
+HALF = Slope(1, 2)
 
 
 def _zero_mat(M):
@@ -83,7 +95,7 @@ def test_hnf_pi_uniqueness_fuzz():
         d = rng.randrange(1, 4)
         k = rng.randrange(1, 4)
         M = SMat.from_columns(
-            Z5, NU0, [[random_exact_poly(rng, Z5, NU0, 2, 2) for _ in range(d)] for _ in range(k)]
+            Z5, NU0, d, [[random_exact_poly(rng, Z5, NU0, 2, 2) for _ in range(d)] for _ in range(k)]
         )
         Q = random_unimodular(rng, Z5, NU0, k)
         h1 = hnf_pi(M, 10)
@@ -115,7 +127,7 @@ def test_kernel_multiply_back_random():
     for _ in range(20):
         d = rng.randrange(1, 3)
         cols = [[random_exact_poly(rng, Z5, NU0, 2, 2) for _ in range(d)] for _ in range(d + 1)]
-        M = SMat.from_columns(Z5, NU0, cols)
+        M = SMat.from_columns(Z5, NU0, d, cols)
         for col in kernel_pi(M):
             out = M.apply_to_vector(col)
             assert all(e.is_exact_zero() or series_is_zeroish(e) for e in out)
@@ -130,10 +142,15 @@ def test_member_pi():
     got = M.apply_to_vector(X)
     for e, want in zip(got, M.col(0)):
         assert (e - want).coeffs == {} or series_is_zeroish(e - want)
-    # something outside the span of a rank-1 module
+    # something outside the span of a rank-1 module: a leftover residual
     M1 = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)])], [SnuSeries.zero(Z5, NU0)]])
     v = [SnuSeries.zero(Z5, NU0), SnuSeries.one(Z5, NU0)]
     assert member_pi(v, M1, 8) is None
+    # 1 is no multiple of the pivot u over the pi-localization: a certain
+    # remainder, at slope 0 over Z5 and at slope 1/2 over GF(2)
+    for cfg, slope in ((Z5, NU0), (F2, HALF)):
+        Mu = SMat(cfg, slope, [[poly(cfg, slope, [(1, 1)])]])
+        assert member_pi([SnuSeries.one(cfg, slope)], Mu, 8) is None
 
 
 def test_member_pi_random_combinations():
@@ -141,7 +158,7 @@ def test_member_pi_random_combinations():
     for _ in range(15):
         d = 2
         cols = [[random_exact_poly(rng, Z5, NU0, 2, 1) for _ in range(d)] for _ in range(2)]
-        M = SMat.from_columns(Z5, NU0, cols)
+        M = SMat.from_columns(Z5, NU0, d, cols)
         coeffs = [random_exact_poly(rng, Z5, NU0, 1, 1) for _ in range(2)]
         v = [
             sum((M.a[i][j] * coeffs[j] for j in range(2)), SnuSeries.zero(Z5, NU0))
@@ -152,6 +169,45 @@ def test_member_pi_random_combinations():
         got = M.apply_to_vector(X)
         for e, want in zip(got, v):
             assert series_is_zeroish((e - want).truncate_u(6))
+    for cfg, slope, M, v in _random_members():
+        X = member_pi(v, M, 8)
+        assert X is not None
+        for e, want in zip(M.apply_to_vector(X), v):
+            assert series_is_zeroish((e - want).truncate_u(6))
+
+
+def _random_members(draws=4):
+    """Seeded (cfg, slope, M, M.c) over Z5 and GF(2) at slopes 0 and 1/2:
+    2x2 matrices of linear entries (small, so the test stays fast) whose
+    digits have valuation >= 0 (an entry like pi^-1 u^2 trips the
+    echelon_pi defect of test_echelon_pi_low_valuation_pivot)."""
+
+    def digit(rng, cfg):
+        c = CoeffElem.from_int(cfg, rng.randrange(1, _unit_range(cfg)))
+        return c.scale_pi(rng.randrange(0, 2))
+
+    def entry(rng, cfg, slope):
+        while True:
+            coeffs = {i: digit(rng, cfg) for i in range(2) if rng.random() < 0.5}
+            if coeffs:
+                return SnuSeries(cfg, slope, coeffs)
+
+    for cfg, slope in ((Z5, NU0), (F2, NU0), (Z5, HALF), (F2, HALF)):
+        rng = random.Random(61)
+        for _ in range(draws):
+            M = SMat(cfg, slope, [[entry(rng, cfg, slope) for _ in range(2)] for _ in range(2)])
+            yield cfg, slope, M, M.apply_to_vector([entry(rng, cfg, slope) for _ in range(2)])
+
+
+@pytest.mark.xfail(raises=ValuationOrder, strict=True)
+def test_echelon_pi_low_valuation_pivot():
+    # pi^-1 u^2 + u^3 lies in the slope-1/2 ring (levels 0 and 3/2); its
+    # Weierstrass degree 2 is below its degree, and phase 2 of echelon_pi
+    # divides it by its monic factor (valuation 1) without a pi shift
+    one = CoeffElem.from_int(Z5, 1)
+    g = SnuSeries(Z5, HALF, {2: one.scale_pi(-1), 3: one})
+    ech = hnf_pi(SMat(Z5, HALF, [[g]]), 8)
+    assert ech.rank == 1
 
 
 def test_hnf_u_examples():
@@ -173,7 +229,7 @@ def test_hnf_u_uniqueness_fuzz():
     for _ in range(15):
         d = 2
         cols = [[random_exact_poly(rng, Z5, NU0, 1, 2) for _ in range(d)] for _ in range(2)]
-        M = SMat.from_columns(Z5, NU0, cols)
+        M = SMat.from_columns(Z5, NU0, d, cols)
         Q = random_unimodular(rng, Z5, NU0, 2, ops=2)
         h1 = hnf_u(M, 8)
         h2 = hnf_u(M.matmul(Q), 8)
@@ -199,6 +255,20 @@ def test_member_u():
     assert X is not None  # u is invertible in the u-localization
     X2 = member_u([poly(Z5, NU0, [(0, 25)])], SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 125)])]]), 8)
     assert X2 is None  # valuation obstruction
+    # u (valuation 1/2) does not divide 1 at slope 1/2 over GF(2) either
+    Mu = SMat(F2, HALF, [[poly(F2, HALF, [(1, 1)])]])
+    assert member_u([SnuSeries.one(F2, HALF)], Mu, 8) is None
+    # a leftover residual on the row without a pivot
+    M1 = SMat(F2, HALF, [[SnuSeries.one(F2, HALF)], [SnuSeries.zero(F2, HALF)]])
+    assert member_u([SnuSeries.zero(F2, HALF), SnuSeries.one(F2, HALF)], M1, 8) is None
+
+
+def test_member_u_random_combinations():
+    for cfg, slope, M, v in _random_members():
+        X = member_u(v, M, 8)
+        assert X is not None
+        for e, want in zip(M.apply_to_vector(X), v):
+            assert (e - want).visible_valuation() >= 8  # zero at the working level
 
 
 def test_smith_u_diagonal():
@@ -290,8 +360,19 @@ def test_precision_policy_rejects_inexact():
 
 
 def test_shape_mismatch_is_typed():
-    A = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)]), poly(Z5, NU0, [(1, 1)])]])
+    a, b = poly(Z5, NU0, [(0, 1)]), poly(Z5, NU0, [(1, 1)])
+    A = SMat(Z5, NU0, [[a, b]])
     with pytest.raises(BadParameters):
         A.matmul(A)
     with pytest.raises(BadParameters):
-        A.apply_to_vector([poly(Z5, NU0, [(0, 1)])])
+        A.apply_to_vector([a])
+    # rows of 1 and 2 entries used to reach module_intersect and fail there
+    # with an IndexError in transform_cols_2x2
+    with pytest.raises(BadParameters):
+        SMat(Z5, NU0, [[a], [a, b]])
+    with pytest.raises(BadParameters):
+        SMat.from_columns(Z5, NU0, 2, [[a, b], [a]])
+    with pytest.raises(BadParameters):
+        SMat.from_columns(Z5, NU0, 3, [[a, b]])
+    E = SMat.from_columns(Z5, NU0, 3, [])
+    assert (E.rows, E.cols) == (3, 0)

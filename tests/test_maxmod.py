@@ -48,7 +48,7 @@ def test_relations_multiply_back_random():
             sum((base[j][0] * poly(Z5, NU0, [(rng.randrange(0, 2), rng.randrange(1, 5))])
                  for j in range(2)), SnuSeries.zero(Z5, NU0))
         ]
-        M = SMat.from_columns(Z5, NU0, [c for c in base] + [dep])
+        M = SMat.from_columns(Z5, NU0, 1, [c for c in base] + [dep])
         R = relations_approx(M)
         assert R.cols >= 1
         prod = M.matmul(R)
@@ -106,7 +106,7 @@ def test_max_module_mk_family():
     # of rank one on the constant 1
     for k in (2, 3, 4):
         cols = [[mono(Z5, NU0, j, k - j)] for j in range(k + 1)]
-        M = SMat.from_columns(Z5, NU0, cols)
+        M = SMat.from_columns(Z5, NU0, 1, cols)
         ml, _ = max_module(M, 14)
         assert len(ml.columns) == 1
         assert ml.columns[0][0].digits_agree(SnuSeries.one(Z5, NU0))
@@ -154,7 +154,7 @@ def test_max_fixed_point_random_monomial_modules():
                 a = max(rng.randrange(0, 3), vmin)
                 col[r] = mono(Z5, slope, b, a)
                 cols.append(col)
-            M = SMat.from_columns(Z5, slope, cols)
+            M = SMat.from_columns(Z5, slope, d, cols)
             ml, scheds = max_module(M, 14)
             bound = d * (2 + slope.cf().even_quotient_sum(slope.cf().n // 2))
             assert ml.generator_count() <= bound
@@ -213,7 +213,7 @@ def test_generator_bound_on_outputs():
             a = max(rng.randrange(0, 3), -int(slope.nu * b))
             col[r] = mono(Z5, slope, b, a)
             cols.append(col)
-        M = SMat.from_columns(Z5, slope, cols)
+        M = SMat.from_columns(Z5, slope, d, cols)
         ml, _ = max_module(M, 14)
         assert ml.generator_count() <= d * slope.generator_bound()
 

@@ -253,9 +253,22 @@ def test_psi_inverse_round_trip_by_rank(slope):
         (3, [[one, opu, z], [z, one, opu], [z, z, one]]),
         (3, [[one, z, z], [opu, u, z], [z, opu, pu]]),
     ):
-        P = psi(SMat.from_columns(Z5, slope, cols), 12)
+        P = psi(SMat.from_columns(Z5, slope, len(cols[0]), cols), 12)
         assert P.rank == rank and P.dim == len(cols[0])
         gens, ml = psi_inverse(P, 12)
+        assert psi(ml, 12).equal(P)
+
+
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2)])
+def test_psi_inverse_rank_zero(slope):
+    # the zero module of dimension d: d x 0 generators, not a 0 x 0 matrix
+    z = SnuSeries.zero(Z5, slope)
+    for d, k in ((1, 1), (2, 1), (3, 2)):
+        P = psi(SMat(Z5, slope, [[z] * k for _ in range(d)]), 12)
+        assert P.rank == 0 and P.dim == d
+        gens, ml = psi_inverse(P, 12)
+        assert (gens.rows, gens.cols) == (d, 0)
+        assert ml.dim == d and ml.columns == []
         assert psi(ml, 12).equal(P)
 
 
@@ -267,7 +280,7 @@ def test_verify_image_condition_one_hnf_per_component(monkeypatch):
     u = poly(Z5, slope, [(1, 1)])
     pu = poly(Z5, slope, [(0, 5), (1, 1)])
     opu = poly(Z5, slope, [(0, 1), (1, 1)])
-    P = psi(SMat.from_columns(Z5, slope, [[one, z, z], [opu, u, z], [z, opu, pu]]), 12)
+    P = psi(SMat.from_columns(Z5, slope, 3, [[one, z, z], [opu, u, z], [z, opu, pu]]), 12)
     assert P.rank == P.dim == 3
     expected = pair_to_ml(P, 12).expand_generators()
     # the per-column membership tests with a fresh echelon each time

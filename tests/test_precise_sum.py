@@ -46,7 +46,7 @@ def test_add_vector_matches_exact_max_sum():
         d = 2
         diag = [mono(Z5, NU0, 0, rng.randrange(1, 3)), mono(Z5, NU0, rng.randrange(0, 2), 1)]
         cols = [[diag[0], SnuSeries.zero(Z5, NU0)], [SnuSeries.zero(Z5, NU0), diag[1]]]
-        M = SMat.from_columns(Z5, NU0, cols)
+        M = SMat.from_columns(Z5, NU0, d, cols)
         lams = [
             poly(Z5, NU0, [(rng.randrange(0, 2), rng.randrange(1, 5))]).scale_pi(-rng.randrange(0, 2))
             for _ in range(2)
@@ -64,7 +64,7 @@ def test_add_vector_matches_exact_max_sum():
             L_out.append(delta)
         got = MLModule(Z5, NU0, d, cols_out, L_out)
         A = MLModule.from_matrix(M)
-        B_m, _ = max_module(SMat.from_columns(Z5, NU0, [t]), 12)
+        B_m, _ = max_module(SMat.from_columns(Z5, NU0, d, [t]), 12)
         want = max_sum_ml(A, B_m, 12)
         assert psi(got, 12).equal(psi(want, 12)), (lams,)
 
@@ -98,7 +98,7 @@ def test_approx_sum_representative_independence():
     M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1), SnuSeries.zero(Z5, NU0)],
                         [SnuSeries.zero(Z5, NU0), mono(Z5, NU0, 0, 1)]])
     t = [SnuSeries.one(Z5, NU0), poly(Z5, NU0, [(1, 1)])]
-    M2 = SMat.from_columns(Z5, NU0, [t])
+    M2 = SMat.from_columns(Z5, NU0, 2, [t])
     base = approx_max_sum(M1, M2, cert, 10)
     for _ in range(6):
         def perturb(e):

@@ -18,6 +18,7 @@ from slomod.errors import (
 )
 from slomod.series import (
     SnuSeries,
+    _newton_refine,
     divide_by_unit,
     euclid_div,
     euclid_div_full,
@@ -166,6 +167,15 @@ def test_invert_unit_multiply_back():
             e = SnuSeries.one(Z5, slope) - x.truncate_u(y.u_prec) * y
             v = e.visible_valuation()
             assert v == INF or v >= 6
+
+
+def test_newton_budget_error_names_budget_and_level():
+    # 1 - 6*1 has level 1; each Newton step doubles it: 2, then 4 >= 3
+    x, y = poly(Z5, NU0, [(0, 6)]), SnuSeries.one(Z5, NU0)
+    with pytest.raises(PrecisionExhausted, match="budget of 1 Newton steps and reached level 2"):
+        _newton_refine(x, y, 3, INF, 1)
+    y = _newton_refine(x, y, 3, INF, 2)
+    assert (SnuSeries.one(Z5, NU0) - x * y).visible_valuation() >= 3
 
 
 def test_invert_unit_rejects_non_units():
