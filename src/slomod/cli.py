@@ -14,11 +14,13 @@ A session file declares the ring, the slope and named blocks::
 
 Series literals are polynomials ``c*u^k + ...`` with integer coefficients
 (zp backend) or polynomials in t (fq backend, parenthesized inside
-products); a trailing ``!`` marks the literal as exactly known, otherwise
-coefficients carry the header pi-precision.  Commands print canonical forms
-only, so reports are byte-stable across runs; failures print the structured
-error name.  Exit codes: 0 success, 2 certified-precision failure, 1 usage
-error.
+products).  An fq literal's digits are integers read mod p, so they lie in
+the prime field F_p: digits of GF(p^m) outside F_p are reachable only from
+the library (``gfq.GF`` elements are ints in [0, q)).  A trailing ``!``
+marks the literal as exactly known, otherwise coefficients carry the header
+pi-precision.  Commands print canonical forms only, so reports are
+byte-stable across runs; failures print the structured error name.  Exit
+codes: 0 success, 2 certified-precision failure, 1 usage error.
 """
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ class FqConfig(RingConfig):
     def exa_reduce(self, a, n):
         if n <= 0:
             return self.exa_zero()
-        return gfq.RatFunc(self.field, gfq.ptrim(self.field, a.series(n)))
+        return gfq.RatFunc(self.field, a.series(n))
 
     def exa_str(self, a):
         return repr(a)

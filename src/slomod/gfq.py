@@ -5,9 +5,13 @@ mod t^n are fixed-length tuples of field elements, and exactly-known elements
 are rational functions n(t)/d(t) with d(0) != 0 (the subring of k((t)) closed
 under the inversions the exact code paths need).
 
-Field elements: for prime q they are plain ints in [0, p); for q = p^m they
-are length-m tuples of ints (coordinates w.r.t. the power basis of a fixed
-irreducible modulus, found by brute force).
+Field elements: every element of GF(q), q = p^m, is an int in [0, q) whose
+base-p digits, least significant first, are its coordinates in the power
+basis 1, x, ..., x^(m-1) of F_p[x]/(f), where f is the smallest monic
+irreducible of degree m over F_p (f = x when q is prime, so an element is its
+residue mod p).  0 is zero and 1 is one in every field, and ``from_int(n)``
+is n mod p.  ``GF`` builds its arithmetic tables once, from the powers of a
+primitive element; every field operation after that is a table lookup.
 """
 
 from __future__ import annotations
@@ -30,151 +34,145 @@ def _is_prime(n: int) -> bool:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p**m, or raise ValueError."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            m = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq == 1:
-                return p, m
-            raise ValueError(f"{q} is not a prime power")
+    if q >= 2:
+        p = next(d for d in range(2, q + 1) if q % d == 0)  # the least divisor is prime
+        m, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            m += 1
+        if rest == 1:
+            return p, m
     raise ValueError(f"{q} is not a prime power")
 
 
+# -- the table builder: F_p polynomials as little-endian int lists -----------
+
+
+def _fp_rem(a, f, p):
+    """Remainder of a by the monic f over F_p."""
+    a = list(a)
+    d = len(f) - 1
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] % p
+        if c:
+            for i in range(d + 1):
+                a[k - d + i] -= c * f[i]
+    return [c % p for c in a[:d]]
+
+
+def _smallest_irreducible(p, m):
+    """The first monic irreducible x^m + c_{m-1} x^(m-1) + ... + c_0 over F_p
+    in lexicographic order of (c_0, ..., c_{m-1}), by trial division."""
+    for tail in itertools.product(range(p), repeat=m):
+        f = list(tail) + [1]
+        if all(
+            any(_fp_rem(f, list(g) + [1], p))
+            for d in range(1, m // 2 + 1)
+            for g in itertools.product(range(p), repeat=d)
+        ):
+            return f
+    raise AssertionError("no irreducible polynomial found")
+
+
+def _field_powers(p, m):
+    """[1, g, g^2, ..., g^(q-2)] as ints, for the smallest primitive element g
+    of F_p[x]/(f): the powers of each candidate g are walked until they
+    return to 1, and g is primitive when the walk meets q - 1 elements.  The
+    coordinate product runs only here."""
+    q = p**m
+    f = _smallest_irreducible(p, m)
+    weights = [p**i for i in range(m)]
+    for g in range(1, q):
+        gd = [g // w % p for w in weights]
+        powers, cur = [1], 1
+        while True:
+            cur_d = [cur // w % p for w in weights]
+            prod = [0] * (2 * m - 1)
+            for i, x in enumerate(cur_d):
+                for j, y in enumerate(gd):
+                    prod[i + j] += x * y
+            cur = sum(c * w for c, w in zip(_fp_rem(prod, f, p), weights))
+            if cur == 1:
+                break
+            powers.append(cur)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError("no primitive element found")
+
+
 class GF:
-    """The finite field with q = p^m elements."""
+    """The finite field with q = p^m elements, as ints in [0, q).
+
+    Tables, with N = q - 1 and g the primitive element:
+
+    * ``_log[a]``: the i in [0, N) with g^i = a; ``_log[0]`` is 2N.
+    * ``_exp[i]``: g^(i mod N) for i < 2N and 0 from 2N to 4N, so
+      ``_exp[_log[a] + _log[b]]`` is a*b for every a and b, zero included.
+    * ``_zech[d]`` for d = _log[b] - _log[a] in [-2N, 2N] (negative d read
+      through Python's negative index; the two ranges do not overlap): the
+      Zech logarithm log(1 + g^d) for nonzero a and b (2N when 1 + g^d is
+      zero), d itself when a is zero and 0 when b is zero, so
+      ``_exp[_log[a] + _zech[_log[b] - _log[a]]]`` is a + b for every a and b.
+    * ``_neg[a]``: -a.
+    """
 
     def __init__(self, q: int):
         p, m = factor_prime_power(q)
         self.q = q
         self.p = p
         self.m = m
-        if m == 1:
-            self.zero = 0
-            self.one = 1
-            self._modulus = None
-        else:
-            self.zero = (0,) * m
-            self.one = (1,) + (0,) * (m - 1)
-            self._modulus = self._find_irreducible()
-
-    # -- modulus search (m > 1) ------------------------------------------
-
-    def _find_irreducible(self):
-        # Smallest monic irreducible of degree m over F_p, by direct root /
-        # factor testing; m is tiny in practice.
-        p, m = self.p, self.m
-        for tail in itertools.product(range(p), repeat=m):
-            coeffs = tuple(tail) + (1,)  # monic, little-endian over F_p
-            if self._fp_irreducible(coeffs):
-                return coeffs
-        raise AssertionError("no irreducible polynomial found")
-
-    def _fp_irreducible(self, coeffs):
-        # x^(p^k) == x (mod f) has gcd tests; with m small, trial division by
-        # all monic polynomials of degree <= m//2 is simplest.
-        p = self.p
-        deg = len(coeffs) - 1
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                g = tuple(tail) + (1,)
-                if self._fp_divides(g, coeffs):
-                    return False
-        return True
-
-    def _fp_divides(self, g, f):
-        p = self.p
-        rem = list(f)
-        dg = len(g) - 1
-        while len(rem) - 1 >= dg:
-            lead = rem[-1]
-            if lead == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - 1 - dg
-            for i in range(dg + 1):
-                rem[shift + i] = (rem[shift + i] - lead * g[i]) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                return True
-        return all(c == 0 for c in rem)
+        self.zero = 0
+        self.one = 1
+        powers = _field_powers(p, m)
+        n = q - 1
+        log = [2 * n] * q
+        for i, a in enumerate(powers):
+            log[a] = i
+        zech = [0] * (4 * n + 1)
+        for d, a in enumerate(powers):
+            s = a - a % p + (a + 1) % p  # 1 + g^d: add 1 to the lowest digit
+            zech[d] = zech[d - n] = log[s]
+        for d in range(n + 1, 2 * n + 1):
+            zech[-d] = -d
+        self._log = log
+        self._exp = powers * 2 + [0] * (2 * n + 1)
+        self._zech = zech
+        self._neg = [self._exp[la + log[p - 1]] for la in log]  # -1 is p - 1
 
     # -- element arithmetic ----------------------------------------------
 
     def from_int(self, n: int):
-        if self.m == 1:
-            return n % self.p
-        return (n % self.p,) + (0,) * (self.m - 1)
+        return n % self.p
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not a
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        la = self._log[a]
+        return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        return self._neg[a]
 
     def sub(self, a, b):
-        if self.m == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        mod = self._modulus
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * mod[i]) % p
-        return tuple(prod[:m])
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero in GF(q)")
-        if self.m == 1:
-            return pow(a, -1, self.p)
-        # a^(q-2)
-        result = self.one
-        base = a
-        e = self.q - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self._exp[self.q - 1 - self._log[a]]
 
     def elements(self):
-        if self.m == 1:
-            return list(range(self.p))
-        return [tuple(v) for v in itertools.product(range(self.p), repeat=self.m)]
+        return list(range(self.q))
 
     def elem_str(self, a) -> str:
-        if self.m == 1:
+        if self.m == 1 or a < 2:
             return str(a)
-        if a == self.zero:
-            return "0"
-        if a == self.one:
-            return "1"
-        return "g" + "".join(str(x) for x in a)
+        p = self.p
+        return "g" + "".join(str(a // p**i % p) for i in range(self.m))
 
 
 # ---------------------------------------------------------------------------
@@ -182,34 +180,22 @@ class GF:
 # ---------------------------------------------------------------------------
 
 
-def ptrim(field: GF, a):
-    a = list(a)
-    while a and field.is_zero(a[-1]):
-        a.pop()
-    return tuple(a)
-
-
-def pdeg(field: GF, a) -> int:
-    """Degree of a trimmed polynomial; -1 for the zero polynomial."""
-    return len(ptrim(field, a)) - 1
+def ptrim(a):
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return tuple(a[:n])
 
 
 def padd(field: GF, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(field.add(x, y))
-    return ptrim(field, out)
+    if len(a) < len(b):
+        a, b = b, a
+    add = field.add
+    return ptrim([add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def pneg(field: GF, a):
     return tuple(field.neg(x) for x in a)
-
-
-def psub(field: GF, a, b):
-    return padd(field, a, pneg(field, b))
 
 
 def pmul(field: GF, a, b, trunc=None):
@@ -218,43 +204,45 @@ def pmul(field: GF, a, b, trunc=None):
     n = len(a) + len(b) - 1
     if trunc is not None:
         n = min(n, trunc)
-    out = [field.zero] * n
-    for i, x in enumerate(a):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return ptrim(field, out)
+    add, mul = field.add, field.mul
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
+    return ptrim(out)
 
 
 def pscale(field: GF, c, a):
-    return ptrim(field, [field.mul(c, x) for x in a])
+    return ptrim([field.mul(c, x) for x in a])
 
 
 def pdivmod(field: GF, a, b):
     """Classical division a = q*b + r with deg r < deg b."""
-    b = ptrim(field, b)
+    b = ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(ptrim(field, a))
+    a = list(ptrim(a))
     db = len(b) - 1
     inv_lead = field.inv(b[-1])
-    q = [field.zero] * max(0, len(a) - db)
+    add, mul = field.add, field.mul
+    q = [0] * max(0, len(a) - db)
     while len(a) - 1 >= db and a:
-        c = field.mul(a[-1], inv_lead)
+        c = mul(a[-1], inv_lead)
         k = len(a) - 1 - db
         q[k] = c
-        for i in range(db + 1):
-            a[k + i] = field.sub(a[k + i], field.mul(c, b[i]))
-        while a and field.is_zero(a[-1]):
+        c = field.neg(c)  # a -= c*t^k*b, as one addition per digit
+        for i, y in enumerate(b, k):
+            if y:
+                a[i] = add(a[i], mul(c, y))
+        while a and not a[-1]:
             a.pop()
-    return ptrim(field, q), ptrim(field, a)
+    return ptrim(q), tuple(a)
 
 
 def pgcd(field: GF, a, b):
-    a, b = ptrim(field, a), ptrim(field, b)
+    a, b = ptrim(a), ptrim(b)
     while b:
         _, r = pdivmod(field, a, b)
         a, b = b, r
@@ -265,45 +253,46 @@ def pgcd(field: GF, a, b):
 
 def pinv_series(field: GF, a, n):
     """Inverse of a (a[0] != 0) modulo t^n, as a length-<=n tuple."""
-    if not a or field.is_zero(a[0]):
+    if not a or not a[0]:
         raise ZeroDivisionError("constant term is zero")
+    add, mul = field.add, field.mul
     inv0 = field.inv(a[0])
     out = [inv0]
     for k in range(1, n):
-        acc = field.zero
+        acc = 0
         for i in range(1, min(k, len(a) - 1) + 1):
-            acc = field.add(acc, field.mul(a[i], out[k - i]))
-        out.append(field.neg(field.mul(inv0, acc)))
-    return ptrim(field, out)
+            acc = add(acc, mul(a[i], out[k - i]))
+        out.append(field.neg(mul(inv0, acc)))
+    return ptrim(out)
 
 
-def pt_val(field: GF, a):
+def pt_val(a):
     """t-adic valuation of a polynomial; None for the zero polynomial."""
     for i, c in enumerate(a):
-        if not field.is_zero(c):
+        if c:
             return i
     return None
 
 
-def pshift(field: GF, a, k):
+def pshift(a, k):
     """Multiply by t^k (k may be negative if a is divisible by t^-k)."""
-    a = ptrim(field, a)
+    a = ptrim(a)
     if not a:
         return ()
     if k >= 0:
-        return (field.zero,) * k + a
-    if not all(field.is_zero(c) for c in a[:-k]):
+        return (0,) * k + a
+    if any(a[:-k]):
         raise NotDivisible(f"polynomial is not divisible by t^{-k}")
     return a[-k:]
 
 
 def pstr(field: GF, a, var="t") -> str:
-    a = ptrim(field, a)
+    a = ptrim(a)
     if not a:
         return "0"
     parts = []
     for i, c in enumerate(a):
-        if field.is_zero(c):
+        if not c:
             continue
         cs = field.elem_str(c)
         if i == 0:
@@ -313,6 +302,13 @@ def pstr(field: GF, a, var="t") -> str:
         else:
             parts.append(f"{var}^{i}" if cs == "1" else f"{cs}*{var}^{i}")
     return "+".join(parts)
+
+
+def _canonical(field: GF, num, den) -> "RatFunc":
+    """A RatFunc from a pair already in canonical form, without ``__init__``."""
+    r = object.__new__(RatFunc)
+    r.field, r.num, r.den = field, num, den
+    return r
 
 
 class RatFunc:
@@ -328,11 +324,9 @@ class RatFunc:
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: GF, num, den=None):
-        if den is None:
-            den = (field.one,)
-        num = ptrim(field, num)
-        den = ptrim(field, den)
+    def __init__(self, field: GF, num, den=(1,)):
+        num = ptrim(num)
+        den = ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if num:
@@ -341,11 +335,11 @@ class RatFunc:
             if len(g) > 1:
                 num, _ = pdivmod(field, num, g)
                 den, _ = pdivmod(field, den, g)
-            c = field.inv(den[pt_val(field, den)])
+            c = field.inv(den[pt_val(den)])
             num = pscale(field, c, num)
             den = pscale(field, c, den)
         else:
-            den = (field.one,)
+            den = (1,)
         self.field = field
         self.num = num
         self.den = den
@@ -356,13 +350,20 @@ class RatFunc:
     def t_val(self):
         if not self.num:
             return None
-        return pt_val(self.field, self.num) - pt_val(self.field, self.den)
+        return pt_val(self.num) - pt_val(self.den)
 
     def shift(self, k: int) -> "RatFunc":
-        """Multiply by t^k (any sign)."""
-        if k >= 0:
-            return RatFunc(self.field, pshift(self.field, self.num, k), self.den)
-        return RatFunc(self.field, self.num, pshift(self.field, self.den, -k))
+        """Multiply by t^k (any sign).  As gcd(num, den) = 1, the only common
+        factor the shift can create is the power of t that the other side
+        holds, so it is cancelled by slicing."""
+        num, den = self.num, self.den
+        if not num or not k:
+            return self
+        if k > 0:
+            c = min(k, pt_val(den))
+            return _canonical(self.field, pshift(num, k - c), pshift(den, -c))
+        c = min(-k, pt_val(num))
+        return _canonical(self.field, pshift(num, -c), pshift(den, -k - c))
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         f = self.field
@@ -370,7 +371,7 @@ class RatFunc:
         return RatFunc(f, num, pmul(f, self.den, other.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(self.field, pneg(self.field, self.num), self.den)
+        return _canonical(self.field, pneg(self.field, self.num), self.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -396,15 +397,15 @@ class RatFunc:
         """Expansion modulo t^n as a length-n tuple (needs t-val >= 0)."""
         f = self.field
         if not self.num:
-            return (f.zero,) * n
-        if pt_val(f, self.den) != 0:
+            return (0,) * n
+        if pt_val(self.den) != 0:
             raise ZeroDivisionError("series expansion of an element with a pole")
         dinv = pinv_series(f, self.den, n)
         s = pmul(f, self.num, dinv, trunc=n)
-        return tuple(s) + (f.zero,) * (n - len(s))
+        return s + (0,) * (n - len(s))
 
     def __repr__(self):
         f = self.field
-        if self.den == (f.one,):
+        if self.den == (1,):
             return pstr(f, self.num)
         return f"({pstr(f, self.num)})/({pstr(f, self.den)})"

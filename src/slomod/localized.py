@@ -84,10 +84,6 @@ class SMat:
     def col(self, j):
         return [self.a[i][j] for i in range(self.rows)]
 
-    def set_col(self, j, col):
-        for i in range(self.rows):
-            self.a[i][j] = col[i]
-
     def columns(self):
         return [self.col(j) for j in range(self.cols)]
 
@@ -115,9 +111,6 @@ class SMat:
             x, y = self.a[i][j0], self.a[i][j1]
             self.a[i][j0] = k * x + l * y
             self.a[i][j1] = m * x + n * y
-
-    def col_is_exact_zero(self, j):
-        return all(self.a[i][j].is_exact_zero() for i in range(self.rows))
 
     def matmul(self, other: "SMat") -> "SMat":
         if self.cols != other.rows:

@@ -1,12 +1,15 @@
 """Shared builders and independent brute-force oracles for the test suite."""
 
+import itertools
 from fractions import Fraction
 
+from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize
 from slomod.contfrac import Slope
 from slomod.localized import SMat
 from slomod.series import SnuSeries
 
+Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
 Z7 = ZpConfig(7, 20)
 F2 = FqConfig(2, 20)
@@ -227,3 +230,63 @@ def divides_monomial(slope: Slope, gen, pt) -> bool:
     if x < gx:
         return False
     return Fraction(y - gy) + slope.nu * (x - gx) >= 0
+
+
+class CoordGF:
+    """GF(p^m), m <= 3, with elements as length-m coordinate tuples over F_p
+    in the power basis of the modulus: the first monic x^m + c_{m-1} x^(m-1)
+    + ... + c_0 without a root in F_p (irreducible, as m <= 3) in
+    lexicographic order of (c_0, ..., c_{m-1}); x itself when m = 1.  The
+    product is the schoolbook one, reduced by the modulus: an oracle for
+    the table arithmetic of ``gfq.GF``."""
+
+    def __init__(self, q):
+        p, m = gfq.factor_prime_power(q)
+        assert m <= 3, "the root test decides irreducibility only up to degree 3"
+        self.p, self.m = p, m
+        self.one = (1,) + (0,) * (m - 1)
+        self.elements = list(itertools.product(range(p), repeat=m))
+        self.modulus = next(
+            tail + (1,)
+            for tail in self.elements
+            if m == 1 or all(sum(c * r**i for i, c in enumerate(tail + (1,))) % p for r in range(p))
+        )
+
+    def to_int(self, a) -> int:
+        """The ``gfq`` encoding: coordinates as base-p digits."""
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, m = self.p, self.m
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for k in range(len(prod) - 1, m - 1, -1):
+            c = prod[k]
+            if c:
+                prod[k] = 0
+                for i in range(m):
+                    prod[k - m + i] = (prod[k - m + i] - c * self.modulus[i]) % p
+        return tuple(prod[:m])
+
+    def inv(self, a):
+        return next(b for b in self.elements if self.mul(a, b) == self.one)
+
+    def elem_str(self, a) -> str:
+        if self.m == 1:
+            return str(a[0])
+        if not any(a):
+            return "0"
+        if a == self.one:
+            return "1"
+        return "g" + "".join(str(x) for x in a)

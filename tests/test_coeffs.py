@@ -7,6 +7,8 @@ from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, coeff_add, coeff_inv, coeff_mul
 from slomod.errors import ConfigMismatch, NotDivisible, NotInvertible
 
+from helpers import CoordGF
+
 Z5 = ZpConfig(5)
 
 
@@ -212,9 +214,75 @@ def test_exa_shift_pi(cfg):
 def test_pshift_negative_needs_divisibility():
     f = gfq.GF(4)
     t2 = (f.zero, f.zero, f.one)
-    assert gfq.pshift(f, t2, -2) == (f.one,)
+    assert gfq.pshift(t2, -2) == (f.one,)
     with pytest.raises(NotDivisible):
-        gfq.pshift(f, (f.one, f.one), -1)
+        gfq.pshift((f.one, f.one), -1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27])
+def test_gf_tables_match_coordinate_oracle(q):
+    # every element pair, against the schoolbook coordinate product
+    f, o = gfq.GF(q), CoordGF(q)
+    enc = o.to_int
+    assert sorted(enc(a) for a in o.elements) == f.elements()
+    for a in o.elements:
+        x = enc(a)
+        assert f.elem_str(x) == o.elem_str(a), a
+        assert f.neg(x) == enc(o.neg(a)), a
+        if any(a):
+            assert f.inv(x) == enc(o.inv(a)), a
+        for b in o.elements:
+            y = enc(b)
+            assert f.add(x, y) == enc(o.add(a, b)), (a, b)
+            assert f.sub(x, y) == enc(o.sub(a, b)), (a, b)
+            assert f.mul(x, y) == enc(o.mul(a, b)), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(f.zero)
+
+
+def test_gf_elem_str_golden():
+    # coordinates of 1, x, x^2 after "g", for elements outside the prime field
+    f4, f8, f9, f25, f27 = (gfq.GF(q) for q in (4, 8, 9, 25, 27))
+    x = 2  # x in GF(2^m)
+    assert f4.elem_str(x) == "g01"
+    assert f4.elem_str(f4.mul(x, x)) == "g11"
+    assert f8.elem_str(f8.mul(x, f8.mul(x, x))) == "g101"
+    assert f8.elem_str(f8.inv(x)) == "g011"
+    assert f8.elem_str(f8.inv(f8.add(x, 1))) == "g001"
+    x = 3  # x in GF(3^m)
+    assert f9.elem_str(8) == "g22"
+    assert f9.elem_str(f9.mul(x, x)) == "g20"
+    assert f9.elem_str(f9.inv(x)) == "g02"
+    assert f9.elem_str(f9.inv(f9.add(x, 1))) == "g21"
+    assert f27.elem_str(f27.mul(x, f27.mul(x, x))) == "g201"
+    assert f27.elem_str(f27.inv(x)) == "g012"
+    assert f27.elem_str(f27.inv(f27.add(x, 1))) == "g211"
+    assert f27.elem_str(f27.neg(x)) == "g020"
+    x = 5  # x in GF(25)
+    assert f25.elem_str(f25.mul(x, x)) == "g44"
+    assert f25.elem_str(f25.neg(x)) == "g04"
+    assert f25.elem_str(f25.inv(f25.add(x, 1))) == "g04"
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_ratfunc_shift_and_neg_match_construction(q):
+    # the sliced shift and the gcd-free negation against a RatFunc built
+    # (and reduced) from scratch, with t-powers on either side
+    f = gfq.GF(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        num = (0,) * rng.randrange(0, 3) + tuple(rng.choice(f.elements()) for _ in range(rng.randrange(0, 4)))
+        den = (0,) * rng.randrange(0, 3) + (rng.randrange(1, q),)
+        den += tuple(rng.choice(f.elements()) for _ in range(rng.randrange(0, 3)))
+        a = gfq.RatFunc(f, num, den)
+        assert -a == gfq.RatFunc(f, gfq.pneg(f, a.num), a.den)
+        assert (a + -a).is_zero()
+        for k in range(-4, 5):
+            if k >= 0:
+                want = gfq.RatFunc(f, (0,) * k + a.num, a.den)
+            else:
+                want = gfq.RatFunc(f, a.num, (0,) * -k + a.den)
+            assert a.shift(k) == want, (a, k)
 
 
 @pytest.mark.parametrize("q", [2, 4, 9])

@@ -25,6 +25,7 @@ from slomod.series import SnuSeries
 from helpers import (
     F2,
     NU0,
+    Z3,
     Z5,
     _unit_range,
     mats_agree,
@@ -269,6 +270,40 @@ def test_member_u_random_combinations():
         assert X is not None
         for e, want in zip(M.apply_to_vector(X), v):
             assert (e - want).visible_valuation() >= 8  # zero at the working level
+
+
+@pytest.mark.xfail(raises=PrecisionExhausted, strict=True)
+def test_member_u_true_member_over_f2():
+    # M.(u, t*u) is a member, yet the residual of the substitution keeps an
+    # entry that is ambiguous at the working level
+    one = CoeffElem.from_int(F2, 1)
+    t = one.scale_pi(1)
+    M = SMat(F2, NU0, [[SnuSeries(F2, NU0, {2: t}), SnuSeries(F2, NU0, {0: one, 1: one})],
+                       [SnuSeries(F2, NU0, {0: t}), SnuSeries(F2, NU0, {1: one})]])
+    vec = M.apply_to_vector([SnuSeries(F2, NU0, {1: one}), SnuSeries(F2, NU0, {1: t})])
+    for n in (6, 8, 12):
+        assert member_u(vec, M, n) is not None
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_member_u_own_column_at_the_working_level():
+    # the substitution leaves a digit at exactly the working level, and
+    # member_u answers "no" for the matrix's own column
+    M = SMat(Z3, HALF, [[poly(Z3, HALF, [(0, 10), (1, -3)])], [poly(Z3, HALF, [(0, -25)])]])
+    for n in (6, 12, 20):
+        assert member_u(M.col(0), M, n) is not None
+
+
+@pytest.mark.xfail(raises=PrecisionExhausted, strict=True)
+def test_hnf_u_exact_input_at_slope_zero():
+    # "tail bound 1 cannot rule out terms below 27" on exact entries;
+    # max_module and hnf_pi succeed on the same matrix
+    M = SMat(Z5, NU0, [
+        [poly(Z5, NU0, [(0, 15), (2, 2)]), poly(Z5, NU0, [(2, 20)]), poly(Z5, NU0, [(0, 2), (1, 2)])],
+        [poly(Z5, NU0, [(1, 4), (2, 5)]), poly(Z5, NU0, [(1, 10)]), poly(Z5, NU0, [(0, 1)])],
+        [poly(Z5, NU0, [(0, 20)]), poly(Z5, NU0, [(2, 15)]), poly(Z5, NU0, [(1, 3)])],
+    ])
+    assert hnf_u(M, 8).rank == 3
 
 
 def test_smith_u_diagonal():
