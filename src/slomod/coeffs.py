@@ -46,6 +46,31 @@ over the products.  This is value-identical to folding ``acc + a*b`` term by
 term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
 and every intermediate reduction of the fold moves the value by a multiple of
 w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
+
+Whole series products go through ``series_product``.  For Z_p at ram 1 it
+is one Kronecker multiply (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009):
+
+* each factor becomes integers: with D the lcm of its unit denominators
+  (prime to p) and v0 its lowest valuation, digit i is A_i * p^v0 / D with
+  A_i = num * (D/den) * p^(num_val - v0);
+* the factors pack as sum A_i * 2^(K*(i - i_min)) with K = bits(max|A|) +
+  bits(max|B|) + bits(min(len)) + 2, so |C_k| = |sum A_i B_j| < 2^(K-2)
+  and no output digit reaches the next field;
+* one multiply gives sum C_k * 2^(K*k); the signed K-bit fields are read
+  from the low end, a field >= 2^(K-1) is negative and borrows 1 from the
+  rest;
+* digit k is C_k * p^(v0a + v0b) / (Da*Db); its valuation is v0a + v0b +
+  v_p(C_k), and its unit is C_k/p^v_p(C_k) over Da*Db, exact or reduced mod
+  p^(abs - val).
+
+The absolute precision abs of a digit is the ``sum_products`` one, computed
+only over pairs with an inexact factor.  So each digit is the element that
+``sum_products`` builds: a ``CoeffElem`` is a function of its exact value
+mod w^abs and of abs, and C_k carries the exact value.  A digit that cancels
+is left out when exact and is O(w^abs) otherwise, as there.  GF(q) digits
+(``RatFunc``s) and ram > 1 digit vectors do not pack; they take one
+``sum_products`` per output digit.
 """
 
 from __future__ import annotations
@@ -660,6 +685,114 @@ def sum_products(cfg, ram, pairs, lone=None) -> CoeffElem:
         return CoeffElem.exact_zero(cfg, ram) if _isinf(abs_w) else CoeffElem.o_term(cfg, abs_w, ram)
     digits = [cfg.exa_dot((x, y, e - base) for x, y, e in t) for t in terms]
     return _normalize(cfg, ram, base * ram, digits, abs_w)
+
+
+def series_product(cfg, ram, a, b, up) -> dict:
+    """The digits of (sum a_i u^i) * (sum b_j u^j) below u^up.
+
+    ``a`` and ``b`` map exponents to nonzero ``CoeffElem``s of this ram.
+    Returns {k: digit} for the exponents k = i + j < up in first-seen order
+    (i over a, j over b); a digit that cancels to an exact zero is left out.
+    Z_p at ram 1 takes one Kronecker multiply; GF(q) digits (``RatFunc``s)
+    and ram > 1 digit vectors do not pack, so there every digit is one
+    ``sum_products`` over the sparser factor.
+    """
+    keys = [k for k in dict.fromkeys([i + j for i in a for j in b]) if k < up]
+    if cfg.kind == "zp" and ram == 1:
+        return _zp_product(cfg, a, b, keys)
+    sa, sb = (a, b) if len(a) <= len(b) else (b, a)
+    out = {}
+    for k in keys:
+        c = sum_products(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb))
+        if not c.zero:
+            out[k] = c
+    return out
+
+
+def _zp_integers(p, coeffs):
+    """A ram-1 Z_p operand as integers: (v0, D, [(i, A_i)]) with digit i
+    equal to A_i * p^v0 / D, or None when no digit is known.  D is the lcm
+    of the unit denominators (prime to p) and v0 the lowest valuation."""
+    known = [(i, c.num_val, c.unit[0]) for i, c in coeffs.items() if c.unit is not None]
+    if not known:
+        return None
+    v0 = min(v for _, v, _ in known)
+    den = math.lcm(*(u.denominator for _, _, u in known))
+    return v0, den, [(i, u.numerator * (den // u.denominator) * p ** (v - v0)) for i, v, u in known]
+
+
+def _zp_abs_precisions(a, b):
+    """{k: min over i + j = k of v_i + v_j + min(prec_i, prec_j)}, the
+    absolute precision of each product digit, over the pairs with an
+    inexact factor; a key left out is exact.  Each pair is read from both
+    sides, so min(prec_i, prec_j) is the prec of the inexact side read."""
+    out = {}
+    for x, y in ((a, b), (b, a)):
+        for i, c in x.items():
+            if _isinf(c.prec):
+                continue
+            for j, d in y.items():
+                t = c.num_val + d.num_val + c.prec
+                if t < out.get(i + j, INF):
+                    out[i + j] = t
+    return out
+
+
+def _zp_product(cfg, a, b, keys) -> dict:
+    """``series_product`` for ram-1 Z_p: both factors packed into one int
+    each, one multiply, signed digits unpacked with a borrow."""
+    p = cfg.p
+    ia, ib = _zp_integers(p, a), _zp_integers(p, b)
+    digits, k0 = [], 0
+    if ia is not None and ib is not None and keys:
+        (va, da, xs), (vb, db, ys) = ia, ib
+        width = (
+            max(abs(x) for _, x in xs).bit_length()
+            + max(abs(y) for _, y in ys).bit_length()
+            + min(len(xs), len(ys)).bit_length()
+            + 2
+        )
+        i0, j0 = min(i for i, _ in xs), min(j for j, _ in ys)
+        packed = 0
+        for i, x in xs:
+            packed += x << (width * (i - i0))
+        other = 0
+        for j, y in ys:
+            other += y << (width * (j - j0))
+        packed *= other
+        k0 = i0 + j0
+        mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+        for _ in range(max(keys) - k0 + 1):
+            c = packed & mask
+            packed >>= width
+            if c >= half:
+                c -= full
+                packed += 1
+            digits.append(c)
+        val0, den = va + vb, da * db
+    precs = _zp_abs_precisions(a, b)
+    out = {}
+    for k in keys:
+        abs_w = precs.get(k, INF)
+        c = digits[k - k0] if 0 <= k - k0 < len(digits) else 0
+        if c == 0:
+            if abs_w != INF:
+                out[k] = CoeffElem.o_term(cfg, abs_w)
+            continue
+        val = val0
+        while c % p == 0:
+            c //= p
+            val += 1
+        if abs_w == INF:
+            unit = Fraction(c, den) if den != 1 else Fraction(c)
+            out[k] = CoeffElem(cfg, 1, val, INF, (unit,))
+        elif val >= abs_w:
+            out[k] = CoeffElem.o_term(cfg, abs_w)
+        else:
+            m = p ** (abs_w - val)
+            unit = c * pow(den, -1, m) if den != 1 else c
+            out[k] = CoeffElem(cfg, 1, val, abs_w - val, (Fraction(unit % m),))
+    return out
 
 
 def _unit_poly_inverse(cfg, ram, digits):

@@ -440,7 +440,7 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     lvl0 = {
         i: c
         for i, c in w.coeffs.items()
-        if c.has_witness() and c.val() + w.nu * i == 0
+        if c.has_witness() and w.level_key(i, c) == 0
     }
     if not lvl0:
         raise PrecisionExhausted("unit has no certain level-zero digit")

@@ -241,7 +241,9 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
             verify()
             steps += 1
             if steps > budget:
-                raise NonTermination("matrix reduction exceeded its iteration budget")
+                raise NonTermination(
+                    f"matrix reduction exceeded its iteration budget 10*mass+50 = {budget} steps"
+                )
         if data:
             (jstar,) = data.keys()
             # r_{jstar,t} * g_jstar = 0 and the span is torsion free, so the
@@ -274,6 +276,8 @@ def _pick_pair(data, vt):
 
 
 def _iteration_budget(R: SMat, alpha) -> int:
+    """10*mass+50 Euclidean steps, where the mass of R adds deg + 1 and
+    alpha*ceil(level) (for a positive level) over its nonzero entries."""
     mass = 0
     for row in R.a:
         for e in row:

@@ -77,7 +77,8 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
         out = {j: _entry_data(lam) for j, lam in enumerate(lambdas)}
         return {j: d for j, d in out.items() if d is not None}
 
-    budget = 40 * sum((lam.max_deg() or 0) + 2 for lam in lambdas) + 60
+    budget = _addition_budget(lambdas)
+    exhausted = f"vector addition exceeded its budget 40*sum+60 = {budget} steps"
     steps = 0
     while True:
         d = data()
@@ -106,7 +107,7 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
             vt = {j: d[j][0] - Fraction(L[j], alpha) for j in d}
             steps += 1
             if steps > budget:
-                raise NonTermination("vector addition exceeded its budget")
+                raise NonTermination(exhausted)
         if not d:
             break
         j0 = min(d, key=lambda j: (vt[j], j))
@@ -117,8 +118,13 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
         L[j0] = int(alpha * (d[j0][0] - target))
         steps += 1
         if steps > budget:
-            raise NonTermination("vector addition exceeded its budget")
+            raise NonTermination(exhausted)
     return M, L
+
+
+def _addition_budget(lambdas) -> int:
+    """40*sum+60 steps, the sum running over deg + 2 of each lambda."""
+    return 40 * sum((lam.max_deg() or 0) + 2 for lam in lambdas) + 60
 
 
 def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLModule:

@@ -18,6 +18,13 @@ demand a *certified* reading: a witness digit attains the visible minimum
 and every unknown piece (imprecise digits and the tail) provably cannot go
 below it.  ``certified_val_deg`` implements exactly that check.
 
+Levels are compared as integer keys.  The level of a digit c at u^i is
+v(c) + nu*i with v(c) = num_val/ram (a lower bound for an O-term) and nu =
+beta/alpha, so ram*alpha times it is the int num_val*alpha + ram*beta*i
+(``level_key``).  The level readers (``lower_bound``, the visible and
+certified readings, ``truncate_u``) and the level-zero filters of the unit
+inverses compare keys and build a ``Fraction`` only for a level they return.
+
 Exponents may be negative (Laurent windows for the u-localization); the
 operations specific to the non-localized ring assert non-negative support.
 """
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import INF, CoeffElem, _isinf, sum_products
+from .coeffs import INF, CoeffElem, _isinf, series_product, sum_products
 from .contfrac import Slope
 from .errors import (
     BadParameters,
@@ -149,15 +156,28 @@ class SnuSeries:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def _level(self, i: int, c: CoeffElem) -> Fraction:
-        return c.val_lower() + self.nu * i
+    def level_key(self, i: int, c: CoeffElem) -> int:
+        """ram*alpha times the level v(c) + nu*i of the digit c at u^i, an
+        int (see the module docstring); ``_level`` turns it back."""
+        return c.num_val * self.slope.alpha + self.ram * self.slope.beta * i
+
+    def _level(self, key: int) -> Fraction:
+        return Fraction(key, self.ram * self.slope.alpha)
+
+    def _visible_min(self):
+        """(key, i) of the lowest-level certain digit, the smallest i on a
+        tie; None when no digit is certain."""
+        return min(
+            ((self.level_key(i, c), i) for i, c in self.coeffs.items() if c.has_witness()),
+            default=None,
+        )
 
     def lower_bound(self) -> Fraction:
         """Certified lower bound for v_nu of the underlying element."""
-        lb = self.tail_bound
-        for i, c in self.coeffs.items():
-            lb = min(lb, self._level(i, c))
-        return lb
+        if not self.coeffs:
+            return self.tail_bound
+        key = min(self.level_key(i, c) for i, c in self.coeffs.items())
+        return min(self.tail_bound, self._level(key))
 
     @property
     def shift(self) -> int:
@@ -173,24 +193,12 @@ class SnuSeries:
     def visible_valuation(self):
         """Gauss valuation of the truncated representative (INF if it has
         no certain nonzero digit).  Upper bound for the true valuation."""
-        best = INF
-        for i, c in self.coeffs.items():
-            if c.has_witness():
-                best = min(best, c.val() + self.nu * i)
-        return best
+        m = self._visible_min()
+        return INF if m is None else self._level(m[0])
 
     def visible_degree(self):
-        best = INF
-        arg = NEG_INF
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            if not c.has_witness():
-                continue
-            lvl = c.val() + self.nu * i
-            if lvl < best:
-                best = lvl
-                arg = i
-        return arg
+        m = self._visible_min()
+        return NEG_INF if m is None else m[1]
 
     def certified_val_deg(self):
         """(v_nu, deg_W) of the underlying element, or raise.
@@ -200,12 +208,13 @@ class SnuSeries:
         every other imprecise digit and the unknown tail provably at or
         above v.  Exact zero raises NotDistinguishedCertificate as well.
         """
-        v = self.visible_valuation()
-        if _isinf(v):
+        m = self._visible_min()
+        if m is None:
             if self.is_exact_zero():
                 raise NotDistinguishedCertificate("exact zero has no Weierstrass data")
             raise PrecisionExhausted("no certain digit to anchor the valuation")
-        d = self.visible_degree()
+        vk, d = m
+        v = self._level(vk)
         if self.tail_bound < v:
             raise PrecisionExhausted(
                 f"tail bound {self.tail_bound} cannot rule out terms below {v}"
@@ -213,8 +222,8 @@ class SnuSeries:
         for i, c in self.coeffs.items():
             if c.has_witness():
                 continue
-            lb = self._level(i, c)
-            if lb < v or (lb == v and i < d):
+            lk = self.level_key(i, c)
+            if lk < vk or (lk == vk and i < d):
                 raise PrecisionExhausted(
                     f"imprecise digit at u^{i} could change the valuation data"
                 )
@@ -224,17 +233,19 @@ class SnuSeries:
         """v_nu of the underlying element, certified (degree not needed:
         imprecise digits may tie the minimum as long as they cannot go
         below it)."""
-        v = self.visible_valuation()
-        if _isinf(v):
+        m = self._visible_min()
+        if m is None:
             if self.is_certainly_zero() or self.is_exact_zero():
                 return INF
             raise PrecisionExhausted("no certain digit to anchor the valuation")
+        vk = m[0]
+        v = self._level(vk)
         if self.tail_bound < v:
             raise PrecisionExhausted(
                 f"tail bound {self.tail_bound} cannot rule out terms below {v}"
             )
         for i, c in self.coeffs.items():
-            if not c.has_witness() and self._level(i, c) < v:
+            if not c.has_witness() and self.level_key(i, c) < vk:
                 raise PrecisionExhausted(
                     f"imprecise digit at u^{i} could lower the valuation"
                 )
@@ -307,13 +318,14 @@ class SnuSeries:
         """Forget all coefficients at exponents >= p."""
         if p >= self.u_prec:
             return self
-        tb = self.tail_bound
         coeffs = {}
+        dropped = INF
         for i, c in self.coeffs.items():
             if i < p:
                 coeffs[i] = c
             else:
-                tb = min(tb, self._level(i, c))
+                dropped = min(dropped, self.level_key(i, c))
+        tb = self.tail_bound if _isinf(dropped) else min(self.tail_bound, self._level(dropped))
         # tb stays INF only when nothing unknown was dropped (a polynomial
         # truncated beyond its degree): the tail is then exactly zero.
         return SnuSeries(self.cfg, self.slope, coeffs, p, tb, ram=self.ram)
@@ -400,14 +412,7 @@ class SnuSeries:
         lo_a = min(a.coeffs, default=a.u_prec)
         lo_b = min(b.coeffs, default=b.u_prec)
         up = min(a.u_prec + lo_b, b.u_prec + lo_a)
-        # one sum_products per output exponent, in first-seen order; the
-        # inner scan runs over the sparser factor
-        sa, sb = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
-        coeffs = {
-            k: sum_products(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
-            for k in dict.fromkeys(i + j for i in a.coeffs for j in b.coeffs)
-            if k < up
-        }
+        coeffs = series_product(a.cfg, a.ram, a.coeffs, b.coeffs, up)
         if _isinf(up):
             tb = None
         else:
@@ -551,7 +556,7 @@ def invert_unit(x: SnuSeries, n, u_prec=None) -> SnuSeries:
     level0 = SnuSeries(
         x.cfg,
         x.slope,
-        {i: c for i, c in x.coeffs.items() if c.has_witness() and c.val() + x.nu * i == 0},
+        {i: c for i, c in x.coeffs.items() if c.has_witness() and x.level_key(i, c) == 0},
         ram=x.ram,
     )
     y = divide_by_unit(SnuSeries.one(x.cfg, x.slope, ram=x.ram), level0, u_prec=cap)

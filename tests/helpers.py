@@ -4,8 +4,9 @@ import itertools
 from fractions import Fraction
 
 from slomod import gfq
-from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize
+from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize, sum_products
 from slomod.contfrac import Slope
+from slomod.errors import NotDistinguishedCertificate, PrecisionExhausted
 from slomod.localized import SMat
 from slomod.series import SnuSeries
 
@@ -154,6 +155,109 @@ def mul_fold(x, y):
     if not _isinf(up):
         tb = min(a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound)
     return SnuSeries(a.cfg, a.slope, coeffs, up, tb, ram=a.ram)
+
+
+def mul_per_digit(x, y):
+    """x*y with one ``sum_products`` per output exponent over the sparser
+    factor, keys in first-seen order: the product loop before the Kronecker
+    kernel, kept as its oracle."""
+    a, b = x, y
+    if a.ram != b.ram:
+        r = max(a.ram, b.ram)
+        a, b = a.with_ram(r), b.with_ram(r)
+    lo_a = min(a.coeffs, default=a.u_prec)
+    lo_b = min(b.coeffs, default=b.u_prec)
+    up = min(a.u_prec + lo_b, b.u_prec + lo_a)
+    sa, sb = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
+    coeffs = {
+        k: sum_products(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
+        for k in dict.fromkeys(i + j for i in a.coeffs for j in b.coeffs)
+        if k < up
+    }
+    tb = None
+    if not _isinf(up):
+        tb = min(a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound)
+    return SnuSeries(a.cfg, a.slope, coeffs, up, tb, ram=a.ram)
+
+
+def fraction_level(x, i, c):
+    """The level v(c) + nu*i of a digit as a Fraction, as the level readers
+    computed it before integer keys."""
+    return c.val_lower() + x.nu * i
+
+
+def fraction_levels(x, p):
+    """The level readings of x by the Fraction formula, each an outcome
+    ("ok", value) or ("raise", error class): lower_bound, visible_valuation,
+    visible_degree, certified_val_deg, certified_valuation, the tail bound
+    of truncate_u(p) and the level-zero witness exponents."""
+
+    def outcome(fn):
+        try:
+            return ("ok", fn())
+        except Exception as e:  # noqa: BLE001 - the class is the outcome
+            return ("raise", type(e))
+
+    def lower_bound():
+        lb = x.tail_bound
+        for i, c in x.coeffs.items():
+            lb = min(lb, fraction_level(x, i, c))
+        return lb
+
+    def visible():
+        best, arg = INF, -INF
+        for i in sorted(x.coeffs):
+            c = x.coeffs[i]
+            if c.has_witness() and fraction_level(x, i, c) < best:
+                best, arg = fraction_level(x, i, c), i
+        return best, arg
+
+    def certified_val_deg():
+        v, d = visible()
+        if _isinf(v):
+            if x.is_exact_zero():
+                raise NotDistinguishedCertificate
+            raise PrecisionExhausted
+        if x.tail_bound < v:
+            raise PrecisionExhausted
+        for i, c in x.coeffs.items():
+            lb = fraction_level(x, i, c)
+            if not c.has_witness() and (lb < v or (lb == v and i < d)):
+                raise PrecisionExhausted
+        return v, d
+
+    def certified_valuation():
+        v, _ = visible()
+        if _isinf(v):
+            if x.is_certainly_zero() or x.is_exact_zero():
+                return INF
+            raise PrecisionExhausted
+        if x.tail_bound < v:
+            raise PrecisionExhausted
+        for i, c in x.coeffs.items():
+            if not c.has_witness() and fraction_level(x, i, c) < v:
+                raise PrecisionExhausted
+        return v
+
+    def truncated_tail():
+        if p >= x.u_prec:
+            return x.tail_bound
+        tb = x.tail_bound
+        for i, c in x.coeffs.items():
+            if i >= p:
+                tb = min(tb, fraction_level(x, i, c))
+        return tb
+
+    return [
+        outcome(lower_bound),
+        outcome(lambda: visible()[0]),
+        outcome(lambda: visible()[1]),
+        outcome(certified_val_deg),
+        outcome(certified_valuation),
+        outcome(truncated_tail),
+        outcome(lambda: sorted(i for i, c in x.coeffs.items()
+                               if c.has_witness() and fraction_level(x, i, c) == 0)),
+    ]
 
 
 def divide_fold(z, x, u_prec=None):

@@ -5,7 +5,8 @@ import pytest
 
 from slomod.contfrac import Slope
 from slomod.coeffs import CoeffElem
-from slomod.errors import BadParameters, BudgetExhausted, CertificateViolation, SlopeOrder
+from slomod import maxmod
+from slomod.errors import BadParameters, BudgetExhausted, CertificateViolation, NonTermination, SlopeOrder
 from slomod.localized import SMat
 from slomod.maxmod import (
     MLModule,
@@ -75,6 +76,13 @@ def test_matrix_reduction_worked_example_states():
     assert repr(M1) == "[pi, 0]"
     assert repr(R1) == "[0; -pi]"
     assert L1 == [0, 0]
+
+
+def test_matrix_reduction_budget_error_names_its_rule(monkeypatch):
+    monkeypatch.setattr(maxmod, "_iteration_budget", lambda R, alpha: 0)
+    M = worked_example_matrix()
+    with pytest.raises(NonTermination, match=r"10\*mass\+50 = 0 steps"):
+        matrix_reduction(M, relations_approx(M), prec=12)
 
 
 def test_matrix_reduction_no_relations():

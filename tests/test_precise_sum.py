@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from slomod.contfrac import Slope
-from slomod.errors import BadCoefficients, CertificateViolation
+from slomod import precise_sum
+from slomod.errors import BadCoefficients, CertificateViolation, NonTermination
 from slomod.localized import SMat
 from slomod.maxmod import MLModule, max_module, max_sum_ml, scalar_extend
 from slomod.pairrep import psi
@@ -32,6 +33,13 @@ def test_add_vector_dimension_one():
     q, delta = divmod(L1[0], 1)
     col = M1.a[0][0].scale_pi(q)
     assert col.digits_agree(SnuSeries.one(Z5, NU0))
+
+
+def test_add_vector_budget_error_names_its_rule(monkeypatch):
+    monkeypatch.setattr(precise_sum, "_addition_budget", lambda lambdas: 0)
+    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)])]])
+    with pytest.raises(NonTermination, match=r"40\*sum\+60 = 0 steps"):
+        add_vector(M, [SnuSeries.one(Z5, NU0).scale_pi(-1)], prec=10)
 
 
 def test_add_vector_degree_bound():
