@@ -136,13 +136,7 @@ def coeff_mul_fold(a, b):
 def mul_fold(x, y):
     """x*y by the per-pair fold coeffs[k] + ca*cb: every partial sum of every
     output digit is a normalised CoeffElem."""
-    a, b = x, y
-    if a.ram != b.ram:
-        r = max(a.ram, b.ram)
-        a, b = a.with_ram(r), b.with_ram(r)
-    lo_a = min(a.coeffs, default=a.u_prec)
-    lo_b = min(b.coeffs, default=b.u_prec)
-    up = min(a.u_prec + lo_b, b.u_prec + lo_a)
+    a, b, up = _product_frame(x, y)
     coeffs = {}
     for i, ca in a.coeffs.items():
         for j, cb in b.coeffs.items():
@@ -151,29 +145,36 @@ def mul_fold(x, y):
                 continue
             prod = coeff_mul_fold(ca, cb)
             coeffs[k] = coeffs[k] + prod if k in coeffs else prod
-    tb = None
-    if not _isinf(up):
-        tb = min(a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound)
-    return SnuSeries(a.cfg, a.slope, coeffs, up, tb, ram=a.ram)
+    return _product_series(a, b, up, coeffs)
 
 
 def mul_per_digit(x, y):
     """x*y with one ``sum_products`` per output exponent over the sparser
     factor, keys in first-seen order: the product loop before the Kronecker
     kernel, kept as its oracle."""
-    a, b = x, y
-    if a.ram != b.ram:
-        r = max(a.ram, b.ram)
-        a, b = a.with_ram(r), b.with_ram(r)
-    lo_a = min(a.coeffs, default=a.u_prec)
-    lo_b = min(b.coeffs, default=b.u_prec)
-    up = min(a.u_prec + lo_b, b.u_prec + lo_a)
+    a, b, up = _product_frame(x, y)
     sa, sb = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
     coeffs = {
         k: sum_products(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
         for k in dict.fromkeys(i + j for i in a.coeffs for j in b.coeffs)
         if k < up
     }
+    return _product_series(a, b, up, coeffs)
+
+
+def _product_frame(x, y):
+    """Both factors at the common ram, and the first exponent an unknown
+    tail can reach, as in ``SnuSeries.__mul__``."""
+    a, b = x, y
+    if a.ram != b.ram:
+        r = max(a.ram, b.ram)
+        a, b = a.with_ram(r), b.with_ram(r)
+    lo_a = min(a.coeffs, default=a.u_prec)
+    lo_b = min(b.coeffs, default=b.u_prec)
+    return a, b, min(a.u_prec + lo_b, b.u_prec + lo_a)
+
+
+def _product_series(a, b, up, coeffs):
     tb = None
     if not _isinf(up):
         tb = min(a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound)
