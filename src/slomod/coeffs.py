@@ -47,6 +47,21 @@ term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
 and every intermediate reduction of the fold moves the value by a multiple of
 w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
 
+At ram 1 over Z_p, ``sum_products`` and ``CoeffElem.__add__`` (so also
+``__sub__``) build no ``Fraction`` per term.  A term is an int pair over its
+power of p: the unit's numerator and denominator, or for a product a*b the
+products of those of a and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs
+over a running lcm of the denominators (prime to p) at the lowest power of
+p, and one normaliser, ``_zp_digit``, turns (c, den, val, abs) into the
+element: it strips p from c once and builds one ``Fraction``, exact or
+reduced mod p^(abs - val).  The Kronecker digits below end in it too.
+Summing the stored units is exact enough.  A unit known to finite precision
+is stored reduced, so its element's stored value differs from any value the
+element stands for by a multiple of p^abs of that element.  Times the other
+factor, the difference stays at or above the product's abs, so at or above
+the sum's abs.  The stored and the exact sums agree mod p^abs of the sum,
+and a ``CoeffElem`` depends only on that residue and on abs.
+
 Whole series products go through ``series_product``.  For Z_p at ram 1 it
 is one Kronecker multiply (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009):
@@ -60,9 +75,9 @@ multipoint Kronecker substitution", JSC 2009):
 * one multiply gives sum C_k * 2^(K*k); the signed K-bit fields are read
   from the low end, a field >= 2^(K-1) is negative and borrows 1 from the
   rest;
-* digit k is C_k * p^(v0a + v0b) / (Da*Db); its valuation is v0a + v0b +
-  v_p(C_k), and its unit is C_k/p^v_p(C_k) over Da*Db, exact or reduced mod
-  p^(abs - val).
+* digit k is C_k * p^(v0a + v0b) / (Da*Db), normalised by ``_zp_digit``:
+  its valuation is v0a + v0b + v_p(C_k), and its unit is C_k/p^v_p(C_k)
+  over Da*Db, exact or reduced mod p^(abs - val).
 
 The absolute precision abs of a digit is the ``sum_products`` one, computed
 only over pairs with an inexact factor.  So each digit is the element that
@@ -439,8 +454,11 @@ class CoeffElem:
         if b.zero:
             return a
         cfg, ram = a.cfg, a.ram
-        out_abs = min(a.abs_w(), b.abs_w())
+        out_abs = min(a.num_val + a.prec, b.num_val + b.prec)
         base = min(a.num_val, b.num_val)
+        if ram == 1 and cfg.kind == "zp":
+            terms = [(x.unit[0].numerator, x.unit[0].denominator, x.num_val) for x in (a, b) if x.unit is not None]
+            return _zp_sum(cfg, terms, base, out_abs)
         if ram == 1:
             digits = [
                 cfg.exa_shift_pi(x.unit[0], x.num_val - base) for x in (a, b) if x.unit is not None
@@ -649,7 +667,10 @@ def sum_products(cfg, ram, pairs, lone=None) -> CoeffElem:
     exact sum is one ``exa_dot`` per w-residue and needs no fold.  The
     absolute precision is the minimum over the terms: v_a + v_b +
     min(prec_a, prec_b) for a product, v + prec for the lone term.
+    Z_p at ram 1 sums raw ints instead (``_zp_sum``).
     """
+    if ram == 1 and cfg.kind == "zp":
+        return _zp_sum_products(cfg, pairs, lone)
     if lone is not None:
         one = CoeffElem(cfg, ram, 0, INF, (cfg.exa_one(),) + (cfg.exa_zero(),) * (ram - 1))
         pairs = itertools.chain(pairs, ((lone, one),))
@@ -743,7 +764,7 @@ def _zp_product(cfg, a, b, keys) -> dict:
     each, one multiply, signed digits unpacked with a borrow."""
     p = cfg.p
     ia, ib = _zp_integers(p, a), _zp_integers(p, b)
-    digits, k0 = [], 0
+    digits, k0, val0, den = [], 0, 0, 1
     if ia is not None and ib is not None and keys:
         (va, da, xs), (vb, db, ys) = ia, ib
         width = (
@@ -773,26 +794,83 @@ def _zp_product(cfg, a, b, keys) -> dict:
     precs = _zp_abs_precisions(a, b)
     out = {}
     for k in keys:
-        abs_w = precs.get(k, INF)
         c = digits[k - k0] if 0 <= k - k0 < len(digits) else 0
-        if c == 0:
-            if abs_w != INF:
-                out[k] = CoeffElem.o_term(cfg, abs_w)
-            continue
-        val = val0
-        while c % p == 0:
-            c //= p
-            val += 1
-        if abs_w == INF:
-            unit = Fraction(c, den) if den != 1 else Fraction(c)
-            out[k] = CoeffElem(cfg, 1, val, INF, (unit,))
-        elif val >= abs_w:
-            out[k] = CoeffElem.o_term(cfg, abs_w)
-        else:
-            m = p ** (abs_w - val)
-            unit = c * pow(den, -1, m) if den != 1 else c
-            out[k] = CoeffElem(cfg, 1, val, abs_w - val, (Fraction(unit % m),))
+        d = _zp_digit(cfg, c, den, val0, precs.get(k, INF))
+        if not d.zero:
+            out[k] = d
     return out
+
+
+def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
+    """``sum_products`` at ram 1 over Z_p: each product is the int pair
+    (x.num * y.num, x.den * y.den) at p^(v_a + v_b); no ``Fraction`` and
+    no ``CoeffElem`` is built for a term."""
+    abs_w = base = INF
+    terms = []
+    if lone is not None:
+        if lone.ram != 1:
+            lone.with_ram(1)  # raises: nothing lowers to ram 1
+        if not lone.zero:
+            abs_w = lone.num_val + lone.prec
+            if lone.unit is not None:
+                u = lone.unit[0]
+                terms.append((u.numerator, u.denominator, lone.num_val))
+                base = lone.num_val
+    for a, b in pairs:
+        if a.ram != 1 or b.ram != 1:
+            a, b = a.with_ram(1), b.with_ram(1)  # raises: nothing lowers to ram 1
+        if a.zero or b.zero:
+            continue
+        v = a.num_val + b.num_val
+        t = v + min(a.prec, b.prec)
+        if t < abs_w:
+            abs_w = t
+        if a.unit is None or b.unit is None:
+            continue
+        x, y = a.unit[0], b.unit[0]
+        terms.append((x.numerator * y.numerator, x.denominator * y.denominator, v))
+        if v < base:
+            base = v
+    return _zp_sum(cfg, terms, base, abs_w)
+
+
+def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
+    """The ram-1 Z_p element sum n/d * p^v over (n, d, v) triples (d prime
+    to p, v >= base) at absolute precision abs_w: ints over a running lcm of
+    the denominators, at p^base."""
+    if not terms:
+        return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
+    p = cfg.p
+    num, den = 0, 1
+    for n, d, v in terms:
+        if v != base:
+            n *= p ** (v - base)
+        if d == den:
+            num += n
+        else:
+            g = math.gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den *= d // g
+    return _zp_digit(cfg, num, den, base, abs_w)
+
+
+def _zp_digit(cfg, c, den, val, abs_w) -> CoeffElem:
+    """The ram-1 Z_p element c/den * p^val (den prime to p) at absolute
+    precision abs_w: p is stripped from c once, and the unit is one
+    ``Fraction``, exact or reduced mod p^(abs_w - val)."""
+    if c == 0:
+        return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
+    p = cfg.p
+    while c % p == 0:
+        c //= p
+        val += 1
+    if abs_w == INF:
+        return CoeffElem(cfg, 1, val, INF, (Fraction(c, den) if den != 1 else Fraction(c),))
+    if val >= abs_w:
+        return CoeffElem.o_term(cfg, abs_w)
+    m = p ** (abs_w - val)
+    unit = c * pow(den, -1, m) if den != 1 else c
+    return CoeffElem(cfg, 1, val, abs_w - val, (Fraction(unit % m),))
 
 
 def _unit_poly_inverse(cfg, ram, digits):

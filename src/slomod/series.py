@@ -70,19 +70,20 @@ class SnuSeries:
     def __init__(self, cfg, slope: Slope, coeffs, u_prec=INF, tail_bound=None, ram=None):
         self.cfg = cfg
         self.slope = slope
+        # one pass of attribute reads: most series hold 0-2 digits, where a
+        # comprehension or a per-digit method call costs more than the loop
         clean = {}
         r = ram
         for i, c in coeffs.items():
-            if c.is_exact_zero():
-                continue
-            if r is None:
-                r = c.ram
-            elif c.ram != r:
-                raise ValueError("mixed ram indices in one series")
-            if not _isinf(u_prec) and i >= u_prec:
-                raise ValueError("stored exponent beyond u_prec")
-            clean[i] = c
-        self.ram = r if r is not None else (ram or 1)
+            if not c.zero:
+                clean[i] = c
+                if c.ram != r:
+                    if r is not None:
+                        raise ValueError("mixed ram indices in one series")
+                    r = c.ram
+        if clean and u_prec != INF and max(clean) >= u_prec:
+            raise ValueError("stored exponent beyond u_prec")
+        self.ram = 1 if r is None else r
         self.coeffs = clean
         if not _isinf(u_prec) and tail_bound is not None and _isinf(tail_bound):
             u_prec = INF  # an infinite tail bound means the tail is exactly 0

@@ -287,6 +287,50 @@ def divide_fold(z, x, u_prec=None):
     return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=max(z.ram, x.ram))
 
 
+def zp_stored_value(x):
+    """The exact Fraction a ram-1 Z_p element stores: unit * p^num_val, 0
+    for an exact zero or an O-term."""
+    if x.zero or x.unit is None:
+        return Fraction(0)
+    return x.unit[0] * Fraction(x.cfg.p) ** x.num_val
+
+
+def zp_element(cfg, value, abs_w):
+    """The ram-1 Z_p element of the exact Fraction value known modulo
+    p^abs_w (INF: exact), from the definition: the valuation of value, its
+    unit part reduced mod p^(abs_w - val), an O-term when val >= abs_w."""
+    p = cfg.p
+    if value == 0:
+        return CoeffElem.exact_zero(cfg) if _isinf(abs_w) else CoeffElem.o_term(cfg, abs_w)
+    val, num, den = 0, value.numerator, value.denominator
+    while num % p == 0:
+        num, val = num // p, val + 1
+    while den % p == 0:
+        den, val = den // p, val - 1
+    if _isinf(abs_w):
+        return CoeffElem(cfg, 1, val, INF, (Fraction(num, den),))
+    if val >= abs_w:
+        return CoeffElem.o_term(cfg, abs_w)
+    m = p ** (abs_w - val)
+    return CoeffElem(cfg, 1, val, abs_w - val, (Fraction(num * pow(den, -1, m) % m),))
+
+
+def zp_sum_oracle(cfg, pairs, lone=None):
+    """lone + sum a*b over ram-1 Z_p elements: the exact sum of the stored
+    values at the lowest absolute precision of a term (v_a + v_b +
+    min(prec_a, prec_b) for a product, v + prec for lone)."""
+    value, abs_w = Fraction(0), INF
+    for a, b in pairs:
+        if a.zero or b.zero:
+            continue
+        abs_w = min(abs_w, a.num_val + b.num_val + min(a.prec, b.prec))
+        value += zp_stored_value(a) * zp_stored_value(b)
+    if lone is not None and not lone.zero:
+        abs_w = min(abs_w, lone.num_val + lone.prec)
+        value += zp_stored_value(lone)
+    return zp_element(cfg, value, abs_w)
+
+
 def oracle_pos_best_approx(a, b, gamma):
     """Denominators q in [gamma, b] passing the defining inequality against
     every smaller admissible denominator, plus the b endpoint (the descent

@@ -47,6 +47,50 @@ from helpers import (
 )
 
 
+def test_series_init_drops_exact_zeros_and_copies():
+    c, zero = CoeffElem.from_int(Z5, 3), CoeffElem.exact_zero(Z5)
+    digits = {0: c, 1: zero, 2: CoeffElem.o_term(Z5, 1), 3: zero}
+    x = SnuSeries(Z5, NU0, digits, 3)  # the exact zero at u^3 is dropped, not checked
+    assert list(x.coeffs) == [0, 2]
+    digits[5] = c
+    assert list(x.coeffs) == [0, 2]
+
+
+def test_series_init_ram_from_digits_or_argument():
+    c1, c2 = CoeffElem.from_int(Z5, 3), CoeffElem.from_int(Z5, 3, ram=2)
+    assert SnuSeries(Z5, NU0, {0: c2, 1: c2}).ram == 2
+    assert SnuSeries(Z5, NU0, {0: c2}, ram=2).ram == 2
+    assert SnuSeries(Z5, NU0, {}, ram=3).ram == 3
+    assert SnuSeries(Z5, NU0, {}).ram == 1
+    assert SnuSeries(Z5, NU0, {0: CoeffElem.exact_zero(Z5)}, ram=2).ram == 2
+    assert SnuSeries(Z5, NU0, {0: c1}).ram == 1
+
+
+def test_series_init_rejects_mixed_ram():
+    c1, c2 = CoeffElem.from_int(Z5, 3), CoeffElem.from_int(Z5, 3, ram=2)
+    for digits, ram in (({0: c1, 1: c2}, None), ({0: c2, 1: c1}, None), ({0: c1}, 2), ({0: c2}, 1)):
+        with pytest.raises(ValueError, match="mixed ram indices in one series"):
+            SnuSeries(Z5, NU0, digits, ram=ram)
+
+
+def test_series_init_rejects_exponent_beyond_u_prec():
+    c = CoeffElem.from_int(Z5, 3)
+    for key in (3, 4):
+        with pytest.raises(ValueError, match="stored exponent beyond u_prec"):
+            SnuSeries(Z5, NU0, {0: c, key: c}, 3)
+    assert list(SnuSeries(Z5, NU0, {-2: c, 2: c}, 3).coeffs) == [-2, 2]
+
+
+def test_series_init_infinite_tail_bound_is_a_polynomial():
+    c = CoeffElem.from_int(Z5, 3)
+    x = SnuSeries(Z5, NU0, {0: c}, 4, INF)
+    assert x.u_prec == INF and x.tail_bound == INF and x.is_polynomial()
+    y = SnuSeries(Z5, NU0, {0: c}, 4)
+    assert y.u_prec == 4 and y.tail_bound == 0 and type(y.tail_bound) is Fraction
+    assert SnuSeries(Z5, NU0, {0: c}, 4, Fraction(-1, 2)).tail_bound == Fraction(-1, 2)
+    assert SnuSeries(Z5, NU0, {0: c}).tail_bound == INF
+
+
 def test_gauss_valuation_figure():
     # v_{1/3}(pi^2 u^4) = 10/3
     x = poly(Z5, Slope(1, 3), [(4, 25)])
