@@ -48,30 +48,24 @@ class SessionFile:
         self.block_order = block_order
 
     def matrix(self, name) -> SMat:
-        kind, value, tag = self._get(name)
-        if kind != "matrix":
-            raise ParseError(f"block '{name}' is a {kind}, not a matrix")
-        return value
+        return self._get(name, "matrix")
 
     def series(self, name) -> SnuSeries:
-        kind, value, tag = self._get(name)
-        if kind != "series":
-            raise ParseError(f"block '{name}' is a {kind}, not a series")
-        return value
-
-    def vector(self, name):
-        kind, value, tag = self._get(name)
-        if kind != "vector":
-            raise ParseError(f"block '{name}' is a {kind}, not a vector")
-        return value
+        return self._get(name, "series")
 
     def tag(self, name):
-        return self._get(name)[2]
+        return self._block(name)[2]
 
-    def _get(self, name):
+    def _block(self, name):
         if name not in self.blocks:
             raise ParseError(f"no block named '{name}'")
         return self.blocks[name]
+
+    def _get(self, name, kind):
+        have, value, _ = self._block(name)
+        if have != kind:
+            raise ParseError(f"block '{name}' is a {have}, not a {kind}")
+        return value
 
     def render(self) -> str:
         lines = []
@@ -103,16 +97,11 @@ def _render_literal(e: SnuSeries) -> str:
     cfg = e.cfg
     for i in sorted(e.coeffs):
         c = e.coeffs[i]
-        lift = c.unit[0] if c.unit else None
-        if lift is None:
+        if not c.unit:
             continue
-        value = cfg.exa_shift_pi(lift, c.num_val) if cfg.kind == "zp" else lift.shift(c.num_val)
-        if cfg.kind == "zp":
-            cs = str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-        else:
-            cs = repr(value)
-            if "+" in cs or "*" in cs:
-                cs = f"({cs})"
+        cs = cfg.exa_str(cfg.exa_shift_pi(c.unit[0], c.num_val))
+        if "+" in cs or "*" in cs:
+            cs = f"({cs})"
         if i == 0:
             parts.append(cs)
         else:
@@ -139,9 +128,10 @@ def _parse_coef(cfg, text, lineno):
         m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
         if not m:
             raise ParseError(f"bad coefficient '{text}'", lineno)
-        num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
-        return Fraction(num, den)
+        if den == 0:
+            raise ParseError(f"zero denominator in '{text}'", lineno)
+        return Fraction(int(m.group(1)), den)
     # fq backend: polynomial in t
     value = cfg.exa_zero()
     for part in re.split(r"(?=[+-])", text.replace(" ", "")):
@@ -211,25 +201,38 @@ def parse_series_literal(cfg, slope, text, lineno=None, prec=None) -> SnuSeries:
         else:
             exp = 0
             coef_text = body
-        if cfg.kind == "zp":
-            val = _parse_coef(cfg, coef_text, lineno)
-            if negate:
-                val = -val
-            c = CoeffElem.from_rational(cfg, val.numerator, val.denominator)
-        else:
-            val = _parse_coef(cfg, coef_text, lineno)
-            if negate:
-                val = cfg.exa_neg(val)
-            if cfg.exa_is_zero(val):
-                continue
-            c = CoeffElem.from_exact(cfg, val)
-        if c.is_exact_zero():
+        val = _parse_coef(cfg, coef_text, lineno)
+        if negate:
+            val = cfg.exa_neg(val)
+        if cfg.exa_is_zero(val):
             continue
+        c = CoeffElem.from_exact(cfg, val)
         coeffs[exp] = coeffs[exp] + c if exp in coeffs else c
     x = SnuSeries(cfg, slope, coeffs)
     if not exact:
         x = x.reduce_levels(Fraction(prec))
     return x
+
+
+def _int(text, lineno=None) -> int:
+    if not re.fullmatch(r"[+-]?\d+", text):
+        raise ParseError(f"expected an integer, found '{text}'", lineno)
+    return int(text)
+
+
+def _ratio(text, lineno=None) -> tuple[int, int]:
+    """(num, den) of a literal num/den with den != 0."""
+    m = re.fullmatch(r"([+-]?\d+)/([+-]?\d+)", text)
+    if m is None or int(m.group(2)) == 0:
+        raise ParseError(f"expected num/den with den != 0, found '{text}'", lineno)
+    return int(m.group(1)), int(m.group(2))
+
+
+def _slope(text, lineno=None) -> Slope:
+    try:
+        return Slope(*_ratio(text, lineno))
+    except ValueError as e:
+        raise ParseError(f"slope {text}: {e}", lineno) from None
 
 
 def parse_session(text: str) -> SessionFile:
@@ -243,6 +246,14 @@ def parse_session(text: str) -> SessionFile:
     def strip(line):
         return line.split("#", 1)[0].strip()
 
+    def body_line(kind, lineno):
+        """The next line of a block opened on line ``lineno``."""
+        nonlocal i
+        if i >= len(lines):
+            raise ParseError(f"unexpected end of {kind} block", lineno)
+        i += 1
+        return strip(lines[i - 1])
+
     while i < len(lines):
         line = strip(lines[i])
         lineno = i + 1
@@ -255,17 +266,25 @@ def parse_session(text: str) -> SessionFile:
             if len(words) < 2 or words[1] not in ("zp", "fq"):
                 raise ParseError(f"unknown ring kind '{' '.join(words[1:2])}'", lineno)
             params = dict(w.split("=", 1) for w in words[2:] if "=" in w)
-            prec = int(params.get("prec", 20))
-            if words[1] == "zp":
-                cfg = ZpConfig(int(params["p"]), prec)
-            else:
-                cfg = FqConfig(int(params["q"]), prec)
+            key = "p" if words[1] == "zp" else "q"
+            if key not in params:
+                raise ParseError(f"ring {words[1]} needs {key}=", lineno)
+            prec = _int(params.get("prec", "20"), lineno)
+            make = ZpConfig if words[1] == "zp" else FqConfig
+            try:
+                cfg = make(_int(params[key], lineno), prec)
+            except ValueError as e:
+                raise ParseError(str(e), lineno) from None
         elif head == "slope":
-            b, a = words[1].split("/")
-            slope = Slope(int(b), int(a))
+            if len(words) < 2:
+                raise ParseError("slope needs beta/alpha", lineno)
+            slope = _slope(words[1], lineno)
         elif head in ("matrix", "vector", "series"):
             if cfg is None or slope is None:
                 raise ParseError("header (ring, slope) must precede blocks", lineno)
+            if len(words) < (4 if head == "matrix" else 2):
+                need = "a name and its rows and columns" if head == "matrix" else "a name"
+                raise ParseError(f"{head} block needs {need}", lineno)
             name = words[1]
             if name in blocks:
                 raise ParseError(f"duplicate block name '{name}'", lineno)
@@ -274,14 +293,10 @@ def parse_session(text: str) -> SessionFile:
                 if w.startswith("@"):
                     tag = w[1:]
             if head == "matrix":
-                rows, cols = int(words[2]), int(words[3])
+                rows, cols = _int(words[2], lineno), _int(words[3], lineno)
                 entries = []
                 for r in range(rows):
-                    if i >= len(lines):
-                        raise ParseError("unexpected end of matrix block", lineno)
-                    row_text = strip(lines[i])
-                    i += 1
-                    cells = [c for c in row_text.split(";")]
+                    cells = body_line(head, lineno).split(";")
                     if len(cells) != cols:
                         raise ParseError(
                             f"expected {cols} entries, found {len(cells)}", i
@@ -291,17 +306,14 @@ def parse_session(text: str) -> SessionFile:
                     )
                 blocks[name] = ("matrix", SMat(cfg, slope, entries), tag)
             elif head == "vector":
-                row_text = strip(lines[i])
-                i += 1
-                cells = row_text.split(";")
+                cells = body_line(head, lineno).split(";")
                 blocks[name] = (
                     "vector",
                     [parse_series_literal(cfg, slope, c, i) for c in cells],
                     tag,
                 )
             else:
-                body = strip(lines[i])
-                i += 1
+                body = body_line(head, lineno)
                 blocks[name] = ("series", parse_series_literal(cfg, slope, body, i), tag)
             order.append(name)
         else:
@@ -316,12 +328,8 @@ def parse_session(text: str) -> SessionFile:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_matrix(M: SMat) -> str:
-    return "[" + "; ".join(", ".join(e.render() for e in row) for row in M.a) + "]"
-
-
 def _fmt_ml(ml: MLModule) -> str:
-    lines = [f"M = {_fmt_matrix(ml.as_matrix())}", f"L = {ml.L}"]
+    lines = [f"M = {ml.as_matrix()!r}", f"L = {ml.L}"]
     for j, sched in enumerate(ml.schedules()):
         seqs = " ".join(f"({f},{d},{n})" for f, d, n in sched.sequences)
         lines.append(f"schedule[{j}] = {seqs}")
@@ -330,13 +338,45 @@ def _fmt_ml(ml: MLModule) -> str:
 
 def _fmt_pair(P) -> str:
     vals = " ".join(str(v) for v in P.b_vals)
-    return f"A = {_fmt_matrix(P.A)}\nB = {_fmt_matrix(P.B)}\npivots_u = [{vals}]"
+    return f"A = {P.A!r}\nB = {P.B!r}\npivots_u = [{vals}]"
+
+
+# command -> (number of positional arguments, required options)
+_COMMANDS = {
+    "hnf": (1, ()), "max": (1, ()), "sum": (2, ()), "intersect": (2, ()),
+    "pair": (1, ()), "eq": (2, ()), "saturate": (1, ()), "extend": (1, ("to",)),
+    "approx-sum": (2, ("c", "pu", "ppi")), "cf": (1, ()), "divmod": (2, ()), "gcd": (2, ()),
+}
+
+
+def _split_args(name, args):
+    """(positional arguments, {option: value}) of one command, or a
+    ParseError naming what is missing."""
+    if name not in _COMMANDS:
+        raise ParseError(f"unknown command '{name}'")
+    arity, required = _COMMANDS[name]
+    names, opts = [], {}
+    rest = iter(args)
+    for a in rest:
+        if a.startswith("--"):
+            value = next(rest, None)
+            if value is None:
+                raise ParseError(f"option {a} needs a value")
+            opts[a[2:]] = value
+        else:
+            names.append(a)
+    if len(names) < arity:
+        raise ParseError(f"{name} needs {arity} argument{'s' if arity > 1 else ''}")
+    for key in required:
+        if key not in opts:
+            raise ParseError(f"{name} needs --{key}")
+    return names, opts
 
 
 def run_command(cmd, session: SessionFile) -> str:
     """Execute one command against a parsed session, returning the report."""
     name = cmd[0]
-    args = cmd[1:]
+    args, opts = _split_args(name, cmd[1:])
     prec = session.cfg.default_prec
     if name == "hnf":
         M = session.matrix(args[0])
@@ -344,10 +384,10 @@ def run_command(cmd, session: SessionFile) -> str:
         if tag == "pi":
             ech = hnf_pi(M, prec)
             piv = ", ".join(p.render() for p in ech.pivots)
-            return f"T = {_fmt_matrix(ech.T)}\nrows = {ech.pivot_rows}\npivots = [{piv}]"
+            return f"T = {ech.T!r}\nrows = {ech.pivot_rows}\npivots = [{piv}]"
         ech = hnf_u(M, prec)
         vals = ", ".join(str(v) for v in ech.pivot_vals)
-        return f"T = {_fmt_matrix(ech.T)}\nrows = {ech.pivot_rows}\npivots_u = [{vals}]"
+        return f"T = {ech.T!r}\nrows = {ech.pivot_rows}\npivots_u = [{vals}]"
     if name == "max":
         ml, _ = max_module(session.matrix(args[0]), prec)
         return _fmt_ml(ml)
@@ -369,14 +409,11 @@ def run_command(cmd, session: SessionFile) -> str:
         P = psi(session.matrix(args[0]), prec)
         return _fmt_pair(saturate(P, prec))
     if name == "extend":
-        opts = _opts(args[1:])
-        b, a = opts["to"].split("/")
         ml, _ = max_module(session.matrix(args[0]), prec)
-        return _fmt_ml(scalar_extend(ml, Slope(int(b), int(a))))
+        return _fmt_ml(scalar_extend(ml, _slope(opts["to"])))
     if name == "approx-sum":
-        opts = _opts(args[2:])
         cert = GapCertificate(
-            int(opts["c"]), int(opts["pu"]), int(opts["ppi"]),
+            _int(opts["c"]), _int(opts["pu"]), _int(opts["ppi"]),
             session.matrix(args[1]).cols,
         )
         ml = approx_max_sum(
@@ -384,42 +421,25 @@ def run_command(cmd, session: SessionFile) -> str:
         )
         return f"slope = {ml.slope}\n" + _fmt_ml(ml)
     if name == "cf":
-        num, den = args[0].split("/")
-        x = Fraction(int(num), int(den))
+        x = Fraction(*_ratio(args[0]))
         cf = cf_expand(x)
-        opts = _opts(args[1:])
         out = [f"cf = {cf!r}"]
         out.append("convergents = " + " ".join(f"{p}/{q}" for p, q in zip(cf.p, cf.q)))
         if "gamma" in opts:
-            sched = best_approx_denominators(x, int(opts["gamma"]))
+            sched = best_approx_denominators(x, _int(opts["gamma"]))
             out.append(
                 "schedule = " + " ".join(f"({f},{d},{n})" for f, d, n in sched.sequences)
             )
         return "\n".join(out)
     if name == "divmod":
-        opts = _opts(args[2:])
         q, r = euclid_div(
             session.series(args[0]), session.series(args[1]),
             Fraction(opts.get("prec", prec)),
         )
         return f"q = {q.render()}\nr = {r.render()}"
-    if name == "gcd":
-        g, k, l, m, n = gcd_extended(session.series(args[0]), session.series(args[1]))
-        return f"g = {g.render()}\nk = {k.render()}\nl = {l.render()}"
-    raise ParseError(f"unknown command '{name}'")
-
-
-def _opts(args):
-    out = {}
-    i = 0
-    while i < len(args):
-        a = args[i]
-        if a.startswith("--"):
-            out[a[2:]] = args[i + 1]
-            i += 2
-        else:
-            i += 1
-    return out
+    # gcd, the last of _COMMANDS
+    g, k, l, m, n = gcd_extended(session.series(args[0]), session.series(args[1]))
+    return f"g = {g.render()}\nk = {k.render()}\nl = {l.render()}"
 
 
 def main(argv=None) -> int:

@@ -539,14 +539,13 @@ class CoeffElem:
     def __repr__(self):
         return self.render()
 
-    def render(self, pi_name=None, w_name="w"):
+    def render(self):
         cfg = self.cfg
-        if pi_name is None:
-            pi_name = "t" if cfg.kind == "fq" else "pi"
+        pi_name = "t" if cfg.kind == "fq" else "pi"
         if self.zero:
             return "0"
         if self.unit is None:
-            return f"O({w_name}^{self.num_val})" if self.ram > 1 else f"O({pi_name}^{self.num_val})"
+            return f"O(w^{self.num_val})" if self.ram > 1 else f"O({pi_name}^{self.num_val})"
         if self.ram == 1:
             body = cfg.exa_str(self.unit[0])
             sign = ""
@@ -568,10 +567,10 @@ class CoeffElem:
                 if i == 0:
                     terms.append(ds)
                 else:
-                    head = f"{w_name}^{i}" if i > 1 else w_name
+                    head = f"w^{i}" if i > 1 else "w"
                     terms.append(head if ds == "1" else f"{ds}*{head}")
             body = "+".join(terms) or "0"
-            s = f"{w_name}^{self.num_val}*({body})" if self.num_val else f"({body})"
+            s = f"w^{self.num_val}*({body})" if self.num_val else f"({body})"
         if not _isinf(self.prec):
             s += f" + O(^{self.num_val + self.prec})"
         return s

@@ -369,7 +369,7 @@ def _substitute(vec, T: SMat, steps, divide):
     return y, residual
 
 
-def member_pi(vec, M: SMat, prec=None, ech: EchelonPi | None = None):
+def member_pi(vec, M: SMat, prec=None):
     """Coordinates X with M.X = vec over the pi-localization, or None.
 
     None is a definite "no" for exact data: it is returned only when a
@@ -377,8 +377,7 @@ def member_pi(vec, M: SMat, prec=None, ech: EchelonPi | None = None):
     """
     if prec is None:
         prec = M.cfg.default_prec
-    if ech is None:
-        ech = echelon_pi(M, prec)
+    ech = echelon_pi(M, prec)
 
     def divide(i, e):
         if not e.has_certain_digit():
@@ -498,7 +497,7 @@ def _u_entry_val(e: SnuSeries, n_level):
     return e.certified_valuation()
 
 
-def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
+def hnf_u(M: SMat, n_level=None, hnf=True) -> EchelonU:
     """Echelon / Hermite form over the u-localization DVR.
 
     Pivots become the canonical valuation monomials mu_{m_i}; in Hermite
@@ -508,8 +507,7 @@ def hnf_u(M: SMat, n_level=None, hi_window=None, hnf=True) -> EchelonU:
     """
     if n_level is None:
         n_level = M.cfg.default_prec
-    if hi_window is None:
-        hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
+    hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     T = M.copy()
     P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
     pivot_rows, pivot_vals = [], []

@@ -62,11 +62,14 @@ class MLModule:
 
     def schedules(self):
         """Per column, the monomial generator schedule of
-        w^L[i] * (extension ring) intersected with the slope ring."""
-        out = []
-        for delta in self.L:
-            out.append(_schedule_for_exponent(self.slope, delta))
-        return out
+        w^L[i] * (extension ring) intersected with the slope ring: the
+        monomials of v_nu >= L[i]/alpha, whose pi exponents are
+        ceil(L[i]/alpha - x*nu)."""
+        alpha = self.slope.alpha
+        return [
+            GenSchedule(monomial_generators(self.slope, -delta % alpha).sequences, self.slope, -delta)
+            for delta in self.L
+        ]
 
     def expand_generators(self) -> SMat:
         """Generators of the underlying maximal module over the slope ring:
@@ -98,33 +101,6 @@ class MLModule:
     def __repr__(self):
         mat = self.as_matrix()
         return f"MLModule(M={mat!r}, L={self.L})"
-
-
-def _schedule_for_exponent(slope: Slope, delta: int) -> GenSchedule:
-    """Schedule of { x : v_nu(x) >= delta/alpha } for delta in [0, alpha):
-    pi^c times the standard staircase with delta'' = (alpha*c - delta)."""
-    alpha = slope.alpha
-    if delta == 0:
-        sched = monomial_generators(slope, 0)
-        return _ShiftedSchedule(sched, 0)
-    c = 1
-    dprime = alpha * c - delta
-    sched = monomial_generators(slope, dprime % alpha)
-    return _ShiftedSchedule(sched, c)
-
-
-class _ShiftedSchedule(GenSchedule):
-    """A generator schedule with every pi-exponent shifted by a constant."""
-
-    def __init__(self, base: GenSchedule, pi_shift: int):
-        super().__init__(base.sequences, base.slope, base.delta)
-        self.pi_shift = pi_shift
-
-    def pi_exponent(self, x: int) -> int:
-        return super().pi_exponent(x) + self.pi_shift
-
-    def level(self, x: int) -> Fraction:
-        return self.pi_exponent(x) + self.slope.nu * x
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +208,7 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
                     L[j1] += alpha * d0
                 res = euclid_div_full(R.a[j1][t], R.a[j0][t], prec)
                 q = res.q
-                for c in range(M.rows):
-                    M.a[c][j0] = M.a[c][j0] + q * M.a[c][j1]
+                M.addmul_col(j0, j1, q)
                 for c in range(R.cols):
                     R.a[j1][c] = R.a[j1][c] - q * R.a[j0][c]
                 R.a[j1][t] = res.r  # the division's own remainder, structurally

@@ -179,27 +179,21 @@ def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
 def pair_intersect(P: LocalPair, Q: LocalPair, prec=None) -> LocalPair:
     """Componentwise intersection (the intersection of maximal modules is
     maximal, so no closure pass is needed)."""
-    _check_ambient(P, Q)
-    A = module_intersect(P.A, Q.A, "pi", prec)
-    B = module_intersect(P.B, Q.B, "u", prec)
-    ep = hnf_pi(A, prec)
-    eu = hnf_u(B, prec)
-    return _pair_from_hnfs(P.cfg, P.slope, P.dim, ep, eu, P.ram)
+    return _componentwise(module_intersect, P, Q, prec)
 
 
 def pair_max_sum(P: LocalPair, Q: LocalPair, prec=None) -> LocalPair:
     """Componentwise sum: the pair of the maximal sum."""
-    _check_ambient(P, Q)
-    A = module_sum(P.A, Q.A, "pi", prec)
-    B = module_sum(P.B, Q.B, "u", prec)
-    ep = hnf_pi(A, prec)
-    eu = hnf_u(B, prec)
-    return _pair_from_hnfs(P.cfg, P.slope, P.dim, ep, eu, P.ram)
+    return _componentwise(module_sum, P, Q, prec)
 
 
-def _check_ambient(P: LocalPair, Q: LocalPair):
+def _componentwise(op, P: LocalPair, Q: LocalPair, prec) -> LocalPair:
+    """The pair of Hermite forms of op on each localization of P and Q."""
     if P.dim != Q.dim or P.slope != Q.slope:
         raise BadParameters("pairs live in different ambients")
+    ep = hnf_pi(op(P.A, Q.A, "pi", prec), prec)
+    eu = hnf_u(op(P.B, Q.B, "u", prec), prec)
+    return _pair_from_hnfs(P.cfg, P.slope, P.dim, ep, eu, P.ram)
 
 
 def saturate(P: LocalPair, prec=None) -> LocalPair:

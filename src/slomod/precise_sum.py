@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import _isinf
+from .coeffs import INF, _isinf
 from .contfrac import Slope
 from .errors import (
     BadCoefficients,
@@ -99,9 +99,7 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
                     M.a[r][j0] = M.a[r][j0].scale_pi(d0)
                 L[j0] -= alpha * d0
             res = euclid_div_full(lambdas[j1], lambdas[j0], prec)
-            q = res.q
-            for r in range(M.rows):
-                M.a[r][j0] = M.a[r][j0] + q * M.a[r][j1]
+            M.addmul_col(j0, j1, res.q)
             lambdas[j1] = res.r
             d = data()
             vt = {j: d[j][0] - Fraction(L[j], alpha) for j in d}
@@ -189,9 +187,7 @@ def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLMod
 
 def _snap_poly(e: SnuSeries) -> SnuSeries:
     """The stored-digit polynomial of a truncated representative."""
-    from .coeffs import INF as _INF
-
-    return SnuSeries(e.cfg, e.slope, dict(e.coeffs), _INF, ram=e.ram)
+    return SnuSeries(e.cfg, e.slope, dict(e.coeffs), INF, ram=e.ram)
 
 
 def _solve_pi(M: SMat, t, prec):

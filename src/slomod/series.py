@@ -102,8 +102,8 @@ class SnuSeries:
         return cls(cfg, slope, {}, INF, ram=ram)
 
     @classmethod
-    def one(cls, cfg, slope, ram=1, prec=INF):
-        return cls(cfg, slope, {0: CoeffElem.from_int(cfg, 1, ram=ram, prec=prec)})
+    def one(cls, cfg, slope, ram=1):
+        return cls(cfg, slope, {0: CoeffElem.from_int(cfg, 1, ram=ram)})
 
     @classmethod
     def monomial(cls, cfg, slope, exp: int, coeff: CoeffElem):
@@ -123,9 +123,6 @@ class SnuSeries:
     @property
     def nu(self) -> Fraction:
         return self.slope.nu
-
-    def support(self):
-        return sorted(self.coeffs)
 
     def coeff(self, i: int) -> CoeffElem:
         c = self.coeffs.get(i)
@@ -179,15 +176,6 @@ class SnuSeries:
             return self.tail_bound
         key = min(self.level_key(i, c) for i, c in self.coeffs.items())
         return min(self.tail_bound, self._level(key))
-
-    @property
-    def shift(self) -> int:
-        """Smallest lam with a certificate that the element lies in
-        w^-lam * (slope ring), in 1/alpha units."""
-        lb = self.lower_bound()
-        if _isinf(lb):
-            return 0
-        return max(0, _ceil(-self.slope.alpha * lb))
 
     # -- certified readings ---------------------------------------------------
 
@@ -295,18 +283,20 @@ class SnuSeries:
 
     def scale_pi(self, j: int) -> "SnuSeries":
         """Multiply by pi^j (exact, any sign)."""
-        out = self.map_coeffs(lambda i, c: c.scale_pi(j))
+        tb = None if _isinf(self.u_prec) else self.tail_bound + j
         return SnuSeries(
-            out.cfg, out.slope, out.coeffs, out.u_prec,
-            None if _isinf(out.u_prec) else self.tail_bound + j, ram=out.ram,
+            self.cfg, self.slope, {i: c.scale_pi(j) for i, c in self.coeffs.items()},
+            self.u_prec, tb, ram=self.ram,
         )
 
     def scale_coeff(self, k: CoeffElem) -> "SnuSeries":
         if k.is_exact_zero():
             return SnuSeries.zero(self.cfg, self.slope, self.ram)
-        out = self.map_coeffs(lambda i, c: c * k)
-        tb = None if _isinf(out.u_prec) else self.tail_bound + k.val_lower()
-        return SnuSeries(out.cfg, out.slope, out.coeffs, out.u_prec, tb, ram=out.ram)
+        tb = None if _isinf(self.u_prec) else self.tail_bound + k.val_lower()
+        return SnuSeries(
+            self.cfg, self.slope, {i: c * k for i, c in self.coeffs.items()},
+            self.u_prec, tb, ram=self.ram,
+        )
 
     def shift_u(self, j: int) -> "SnuSeries":
         """Multiply by u^j (j may be negative when the support allows)."""
@@ -426,20 +416,20 @@ class SnuSeries:
     def __repr__(self):
         return self.render()
 
-    def render(self, var="u", pi_name=None) -> str:
+    def render(self) -> str:
         parts = []
         for i in sorted(self.coeffs):
-            c = self.coeffs[i].render(pi_name=pi_name)
+            c = self.coeffs[i].render()
             if "+" in c or "-" in c[1:] or " " in c:
                 c = f"({c})"
             if i == 0:
                 parts.append(c)
             else:
-                head = var if i == 1 else f"{var}^{i}"
+                head = "u" if i == 1 else f"u^{i}"
                 parts.append(head if c == "1" else f"{c}*{head}")
         body = " + ".join(parts) if parts else "0"
         if not _isinf(self.u_prec):
-            body += f" + O({var}^{self.u_prec})"
+            body += f" + O(u^{self.u_prec})"
         return body
 
 
@@ -537,7 +527,7 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
     return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=ram)
 
 
-def invert_unit(x: SnuSeries, n, u_prec=None) -> SnuSeries:
+def invert_unit(x: SnuSeries, n) -> SnuSeries:
     """y with x*y = 1 modulo terms of Gauss valuation >= n.
 
     Requires a certified unit (deg_W = 0 and v_nu = 0).  Residue step
@@ -550,7 +540,7 @@ def invert_unit(x: SnuSeries, n, u_prec=None) -> SnuSeries:
         raise NotUnit(str(e))
     if dx != 0 or vx != 0:
         raise NotUnit(f"v_nu = {vx}, deg_W = {dx}: not a unit")
-    cap = x.u_prec if u_prec is None else min(u_prec, x.u_prec)
+    cap = x.u_prec
     if _isinf(cap):
         d_max = x.max_deg() or 0
         cap = (d_max + 1) * (max(1, _ceil(Fraction(n) * x.slope.alpha)) + 1) + 8
@@ -597,7 +587,7 @@ class DivisionResult:
         self.d = d
 
 
-def euclid_div_full(y: SnuSeries, x: SnuSeries, prec, u_cap=None) -> DivisionResult:
+def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
     """Division y = q*x + r with deg r < deg_W(x), up to v_nu >= prec.
 
     Iterates q += Hi(r,d)/Hi(x,d), r -= (Hi(r,d)/Hi(x,d))*x; each pass gains
@@ -623,11 +613,9 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec, u_cap=None) -> DivisionRes
         # degenerate: x = u^d * unit, one exact division step
         w = hi_x.shift_u(-d)
         lo_y, hi_y = hi_lo_split(y, d)
-        cap = u_cap
-        if cap is None:
-            cap = min(y.u_prec, x.u_prec)
-            if _isinf(cap):
-                cap = 2 * d + 8
+        cap = min(y.u_prec, x.u_prec)
+        if _isinf(cap):
+            cap = 2 * d + 8
         q = divide_by_unit(hi_y.shift_u(-d), w, u_prec=cap)
         return DivisionResult(q, lo_y, 0, INF, d)
     try:
@@ -640,11 +628,9 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec, u_cap=None) -> DivisionRes
     hi_y = hi_lo_split(y, d)[1]
     v_hi_y = hi_y.lower_bound()
     loops_max = max(0, _ceil((prec - min(v_hi_y, Fraction(0))) / e)) + 1
-    cap = u_cap
-    if cap is None:
-        cap = min(y.u_prec, x.u_prec)
-        if _isinf(cap):
-            cap = d * (loops_max + 2) + 8
+    cap = min(y.u_prec, x.u_prec)
+    if _isinf(cap):
+        cap = d * (loops_max + 2) + 8
     w = hi_x.shift_u(-d)  # unit of degree 0
     xt = x.truncate_u(cap)
     q = SnuSeries.zero(y.cfg, y.slope, ram=max(x.ram, y.ram))
@@ -673,8 +659,8 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec, u_cap=None) -> DivisionRes
     return DivisionResult(q, r_out, loops, e, d)
 
 
-def euclid_div(y: SnuSeries, x: SnuSeries, prec, u_cap=None):
-    res = euclid_div_full(y, x, prec, u_cap)
+def euclid_div(y: SnuSeries, x: SnuSeries, prec):
+    res = euclid_div_full(y, x, prec)
     return res.q, res.r
 
 
@@ -774,7 +760,6 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
         raise RequiresExactInput("gcd requires exactly-known polynomial operands")
     cfg, slope = x.cfg, x.slope
     ram = max(x.ram, y.ram)
-    one = CoeffElem.from_int(cfg, 1, ram=ram)
     zero_s = SnuSeries.zero(cfg, slope, ram)
     one_s = SnuSeries.one(cfg, slope, ram)
 
@@ -794,9 +779,12 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     if key(b) < key(a):
         a, b = b, a
         swapped = True
-    # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame
+    # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame; each step
+    # swaps the rows of [[s0, t0], [s1, t1]], so its determinant is
+    # (-1)^steps
     r0, s0, t0 = a, one_s, zero_s
     r1, s1, t1 = b, zero_s, one_s
+    steps = 0
     while not r1.is_exact_zero():
         qq, rr = poly_divmod(r0, r1)
         r0, s0, t0, r1, s1, t1 = (
@@ -807,20 +795,16 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
             s0 - qq * s1,
             t0 - qq * t1,
         )
+        steps += 1
     lead = r0.coeffs[r0.max_deg()]
     c = lead.inv()
     g = r0.scale_coeff(c)
     k, l = s0.scale_coeff(c), t0.scale_coeff(c)
-    m, n = s1, t1
-    # normalize det(k n - l m) to exactly 1
-    det = k * n - l * m
-    det_c = det.coeffs.get(0)
-    if det_c is None or det.coeffs.keys() - {0}:
-        raise CertificateViolation("Bezout determinant k*n - l*m is not a nonzero constant")
-    fix = det_c.inv()
-    m, n = m.scale_coeff(fix), n.scale_coeff(fix)
+    # k*t1 - l*s1 = (-1)^steps * c, and swapping back to the (x, y) frame
+    # flips its sign once more: scaling (s1, t1) by the inverse makes the
+    # determinant exactly 1
+    fix = -lead if (steps + swapped) % 2 else lead
+    m, n = s1.scale_coeff(fix), t1.scale_coeff(fix)
     if swapped:
-        k, l = l, k
-        m, n = n, m
-        m, n = -m, -n  # keep the determinant +1 after the swap
+        return g, l, k, n, m
     return g, k, l, m, n

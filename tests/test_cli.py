@@ -124,3 +124,37 @@ def test_cli_entrypoint_subprocess():
     )
     assert out.returncode == 0
     assert "[0;2,2]" in out.stdout
+
+
+HEAD = "ring zp p=5 prec=8\nslope 1/2\n"
+
+
+@pytest.mark.parametrize(
+    "session, argv, message",
+    [
+        (HEAD + "series f\n", ["max", "A"], "line 3: unexpected end of series block"),
+        (HEAD + "vector v\n", ["max", "A"], "line 3: unexpected end of vector block"),
+        (HEAD + "matrix A\n1 !\n", ["max", "A"], "line 3: matrix block needs"),
+        (HEAD + "matrix A 1 x\n1 !\n", ["max", "A"], "line 3: expected an integer"),
+        ("ring zp p=5 prec=8\nslope 1\n", ["max", "A"], "line 2: expected num/den"),
+        ("ring zp p=5 prec=8\nslope 1/0\n", ["max", "A"], "line 2: expected num/den"),
+        ("ring zp prec=8\nslope 1/2\n", ["max", "A"], "line 1: ring zp needs p="),
+        ("ring zp p=4\nslope 1/2\n", ["max", "A"], "line 1: p = 4 is not prime"),
+        (HEAD + "series f\n1/0 !\n", ["max", "A"], "line 4: zero denominator"),
+        (HEAD + "matrix A 1 1\n1 !\n", ["extend", "A"], "extend needs --to"),
+        (HEAD + "matrix A 1 1\n1 !\n", ["extend", "A", "--to"], "option --to needs a value"),
+        (HEAD + "matrix A 1 1\n1 !\n", ["sum", "A"], "sum needs 2 arguments"),
+        (None, ["cf", "10/0"], "expected num/den with den != 0, found '10/0'"),
+        (None, ["cf"], "cf needs 1 argument"),
+    ],
+)
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, message):
+    if session is not None:
+        f = tmp_path / "s.txt"
+        f.write_text(session)
+        argv = [argv[0], str(f)] + argv[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ParseError: ")
+    assert message in captured.err

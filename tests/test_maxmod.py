@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from slomod.maxmod import (
 )
 from slomod.series import SnuSeries
 
-from helpers import NU0, Z5, mono, poly, series_is_zeroish
+from helpers import NU0, Z5, divides_monomial, mono, poly, series_is_zeroish
 
 
 def worked_example_matrix():
@@ -245,3 +246,22 @@ def test_matrix_reduction_rejects_fractional_w_shift():
     R = SMat(Z5, NU0, [[u], [w]], 2)
     with pytest.raises(BadParameters, match="whole"):
         matrix_reduction(M, R)
+
+
+@pytest.mark.parametrize("slope", [Slope(1, 2), Slope(2, 3), Slope(2, 5), Slope(3, 4)])
+def test_schedules_are_the_staircase_of_each_w_exponent(slope):
+    # column j of an MLModule stands for the monomials of v_nu >= L[j]/alpha:
+    # each scheduled (a, b) lies in it with the least pi power b, and every
+    # monomial of it is a multiple of a scheduled one
+    alpha = slope.alpha
+    one = SnuSeries.one(Z5, slope)
+    A = MLModule(Z5, slope, 1, [[one]] * alpha, list(range(alpha)))
+    for delta, sched in zip(A.L, A.schedules()):
+        floor = Fraction(delta, alpha)
+        pairs = sched.pairs()
+        for a, b in pairs:
+            assert b + slope.nu * a >= floor, (delta, a, b)
+            assert b - 1 + slope.nu * a < floor, (delta, a, b)
+        for x in range(3 * alpha + 2):
+            y = math.ceil(floor - slope.nu * x)  # the least pi power at u^x
+            assert any(divides_monomial(slope, g, (x, y)) for g in pairs), (delta, x, y)

@@ -7,7 +7,7 @@ from slomod.contfrac import Slope
 from slomod import precise_sum
 from slomod.errors import BadCoefficients, CertificateViolation, NonTermination
 from slomod.localized import SMat
-from slomod.maxmod import MLModule, max_module, max_sum_ml, scalar_extend
+from slomod.maxmod import MLModule, _pick_pair, max_module, max_sum_ml, scalar_extend
 from slomod.pairrep import psi
 from slomod.precise_sum import GapCertificate, add_vector, approx_max_sum
 from slomod.series import SnuSeries
@@ -126,3 +126,31 @@ def test_approx_sum_certificate_violation():
     M2 = SMat(Z5, NU0, [[SnuSeries.one(Z5, NU0)]])
     with pytest.raises(CertificateViolation):
         approx_max_sum(M1, M2, cert, 10)
+
+
+def test_add_vector_rebalances_the_pi_power(monkeypatch):
+    # g_0 = pi C_0 (L = [1, 0]): a Euclidean pair whose j0 has the smaller
+    # scaled valuation v - L/alpha but the larger plain one v, so lambda_j0
+    # is lowered by a pi power before the division
+    one, zero = SnuSeries.one(Z5, NU0), SnuSeries.zero(Z5, NU0)
+    M = SMat(Z5, NU0, [[one, zero], [zero, one]])
+    L = [1, 0]
+    lams = [poly(Z5, NU0, [(0, 25), (1, 25), (2, 1)]),
+            poly(Z5, NU0, [(0, 5), (1, 2)]) + mono(Z5, NU0, 2, -1)]
+    rebalanced = []
+
+    def spy(data, vt):
+        pair = _pick_pair(data, vt)
+        if pair is not None and data[pair[0]][0] > data[pair[1]][0]:
+            rebalanced.append(pair)
+        return pair
+
+    monkeypatch.setattr(precise_sum, "_pick_pair", spy)
+    M1, L1 = add_vector(M, lams, L=L, prec=12)
+    assert rebalanced
+    # oracle: the maximal module of the exact span of pi^L[j] C_j and t
+    t = [M.a[i][0] * lams[0] + M.a[i][1] * lams[1] for i in range(2)]
+    gens = [[e.scale_pi(L[j]) for e in M.col(j)] for j in range(2)]
+    want, _ = max_module(SMat.from_columns(Z5, NU0, 2, gens + [t]), 12)
+    got = MLModule(Z5, NU0, 2, [[e.scale_pi(L1[j]) for e in M1.col(j)] for j in range(2)], [0, 0])
+    assert psi(got, 12).equal(psi(want, 12))

@@ -345,6 +345,50 @@ def test_gcd_common_factor():
     assert (k * n - l * m) == SnuSeries.one(Z5, NU0)
 
 
+def _assert_bezout(x, y):
+    """gcd_extended's certificate, checked by multiplying it out."""
+    g, k, l, m, n = gcd_extended(x, y)
+    one = SnuSeries.one(x.cfg, x.slope, max(x.ram, y.ram))
+    assert k * x + l * y == g, (x, y)
+    assert (m * x + n * y).is_exact_zero(), (x, y)
+    assert k * n - l * m == one, (x, y)
+    return g
+
+
+def _gcd_pairs(cfg, slope, seed):
+    """Random exact pairs, some with a common factor, in both orders."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(6):
+        x, y = (random_exact_poly(rng, cfg, slope, max_deg=2, max_pi=2) for _ in range(2))
+        f = random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1)
+        pairs += [(x, y), (y, x), (f * x, f * y)]
+    return pairs
+
+
+def test_gcd_bezout_certificate_over_f2():
+    for x, y in _gcd_pairs(F2, NU0, 12):
+        _assert_bezout(x, y)
+
+
+def test_gcd_bezout_certificate_at_ram_two():
+    # Z5 polynomials moved to slope 1/2, where every digit lives in Z5[w]
+    half = Slope(1, 2)
+    for x, y in _gcd_pairs(Z5, NU0, 13):
+        tx, ty = slope_transport(x, half), slope_transport(y, half)
+        assert tx.ram == ty.ram == 2
+        _assert_bezout(tx, ty)
+
+
+@pytest.mark.parametrize("cfg", [Z5, F2])
+def test_gcd_with_zero_operands(cfg):
+    zero = SnuSeries.zero(cfg, NU0)
+    y = poly(cfg, NU0, [(2, 1), (0, 1)])
+    assert _assert_bezout(zero, zero).is_exact_zero()
+    assert _assert_bezout(zero, y) == y
+    assert _assert_bezout(y, zero) == y
+
+
 def test_gcd_requires_exact():
     p1 = poly(Z5, NU0, [(1, 1), (0, -1)], prec=2)
     p2 = poly(Z5, NU0, [(1, 1), (0, -1)], prec=2)
