@@ -153,13 +153,13 @@ def _parse_coef(cfg, text, lineno):
     return value
 
 
-def parse_series_literal(cfg, slope, text, lineno=None, prec=None) -> SnuSeries:
+def parse_series_literal(cfg, slope, text, prec, lineno=None) -> SnuSeries:
+    """The series of one literal; without a trailing ``!`` its digits are
+    known below level ``prec``."""
     text = text.strip()
     exact = text.endswith("!")
     if exact:
         text = text[:-1].strip()
-    if prec is None:
-        prec = cfg.default_prec
     # split into signed terms at top-level +/- (minus binds to the next term)
     chunks = []
     depth = 0
@@ -301,20 +301,18 @@ def parse_session(text: str) -> SessionFile:
                         raise ParseError(
                             f"expected {cols} entries, found {len(cells)}", i
                         )
-                    entries.append(
-                        [parse_series_literal(cfg, slope, c, i) for c in cells]
-                    )
+                    entries.append([parse_series_literal(cfg, slope, c, prec, i) for c in cells])
                 blocks[name] = ("matrix", SMat(cfg, slope, entries), tag)
             elif head == "vector":
                 cells = body_line(head, lineno).split(";")
                 blocks[name] = (
                     "vector",
-                    [parse_series_literal(cfg, slope, c, i) for c in cells],
+                    [parse_series_literal(cfg, slope, c, prec, i) for c in cells],
                     tag,
                 )
             else:
                 body = body_line(head, lineno)
-                blocks[name] = ("series", parse_series_literal(cfg, slope, body, i), tag)
+                blocks[name] = ("series", parse_series_literal(cfg, slope, body, prec, i), tag)
             order.append(name)
         else:
             raise ParseError(f"unknown directive '{head}'", lineno)

@@ -118,11 +118,13 @@ class RingConfig:
     kind = ""
 
     def __init__(self, default_prec: int = 20):
+        # the precision a CLI session header declares; library calls take
+        # their working precision as an argument and never read this
         self.default_prec = default_prec
 
-    # subclasses implement: exa_zero, exa_one, exa_from_int, exa_add,
-    # exa_neg, exa_mul, exa_dot, exa_inv, exa_is_zero, exa_pi_val,
-    # exa_shift_pi, exa_reduce, exa_str, residue_size
+    # subclasses implement: same_ring, exa_zero, exa_one, exa_from_int,
+    # exa_add, exa_neg, exa_mul, exa_dot, exa_inv, exa_is_zero, exa_pi_val,
+    # exa_shift_pi, exa_reduce, exa_str
 
     def exa_sub(self, a, b):
         return self.exa_add(a, self.exa_neg(b))

@@ -108,9 +108,8 @@ class BadCoefficients(AlgebraError):
 
 
 class ParseError(AlgebraError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

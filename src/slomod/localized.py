@@ -187,7 +187,7 @@ def _unit_scale_exact(col, idx_lead):
     return [x.scale_coeff(inv) for x in col]
 
 
-def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
+def echelon_pi(M: SMat, prec, hnf=False) -> EchelonPi:
     """Column echelon (optionally Hermite) form over the pi-localization.
 
     Phase 1 eliminates with exact 2x2 Bezout transforms (entries stay exact
@@ -198,8 +198,6 @@ def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
     canonical residues of degree < d_i.
     """
     _require_exact(M, "echelon_pi")
-    if prec is None:
-        prec = M.cfg.default_prec
     T, P, pivot_rows = _echelon_pi_phase1(M)
     # phase 2: pivot normalization; pivot i sits in column i
     pivots = []
@@ -215,7 +213,10 @@ def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
             t = T.a[row][col]
         else:
             t = _weierstrass_monic(g, prec)
-            w = euclid_div_full(g, t, prec).q  # g = w * t
+            # g = w * t with v(w) = vg - v(t), which may be negative: divide
+            # pi^s g instead, s more levels deep, and shift the quotient back
+            shift = max(0, _ceil(t.certified_valuation() - vg))
+            w = euclid_div_full(g.scale_pi(shift), t, prec + shift).q.scale_pi(-shift)
             _scale_col_by_unit_inverse(T, col, w, prec)
             _scale_col_by_unit_inverse(P, col, w, prec)
             T.a[row][col] = t  # structurally exact: the true scaled pivot
@@ -225,7 +226,7 @@ def echelon_pi(M: SMat, prec=None, hnf=False) -> EchelonPi:
             t = pivots[col]
             for j in range(col):
                 e = T.a[row][j]
-                if e.is_certainly_zero() or e.is_exact_zero():
+                if e.is_exact_zero():
                     continue
                 q = _reduce_mod_monic(e, t, prec)
                 if q is None:
@@ -285,10 +286,10 @@ def _reduce_mod_monic(e: SnuSeries, t: SnuSeries, prec):
     shift = max(0, _ceil(vt - lb))
     res = euclid_div_full(e.scale_pi(shift), t, prec)
     q = res.q.scale_pi(-shift)
-    return None if q.is_certainly_zero() else q
+    return None if q.is_exact_zero() else q
 
 
-def hnf_pi(M: SMat, prec=None) -> EchelonPi:
+def hnf_pi(M: SMat, prec) -> EchelonPi:
     return echelon_pi(M, prec, hnf=True)
 
 
@@ -369,14 +370,12 @@ def _substitute(vec, T: SMat, steps, divide):
     return y, residual
 
 
-def member_pi(vec, M: SMat, prec=None):
+def member_pi(vec, M: SMat, prec):
     """Coordinates X with M.X = vec over the pi-localization, or None.
 
     None is a definite "no" for exact data: it is returned only when a
     certain nonzero digit obstructs divisibility or lies outside the span.
     """
-    if prec is None:
-        prec = M.cfg.default_prec
     ech = echelon_pi(M, prec)
 
     def divide(i, e):
@@ -454,7 +453,7 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     pw = SnuSeries.one(w.cfg, w.slope, w.ram)
     steps = max(1, (hi_window - min(t.coeffs, default=hi_window)) // alpha + 2) if t.coeffs else 1
     for _ in range(steps):
-        if pw.is_certainly_zero() or not pw.coeffs:
+        if not pw.coeffs:
             break
         pw = (-(pw * t)).truncate_u(hi_window)
         acc = acc + pw
@@ -487,7 +486,7 @@ class EchelonU:
 
 def _u_entry_val(e: SnuSeries, n_level):
     """Certified valuation, or None when the entry is zero at level n."""
-    if e.is_certainly_zero() or e.is_exact_zero():
+    if e.is_exact_zero():
         return None
     v = e.visible_valuation()
     if _isinf(v):
@@ -497,7 +496,7 @@ def _u_entry_val(e: SnuSeries, n_level):
     return e.certified_valuation()
 
 
-def hnf_u(M: SMat, n_level=None, hnf=True) -> EchelonU:
+def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
     """Echelon / Hermite form over the u-localization DVR.
 
     Pivots become the canonical valuation monomials mu_{m_i}; in Hermite
@@ -505,8 +504,6 @@ def hnf_u(M: SMat, n_level=None, hnf=True) -> EchelonU:
     of level < m_i/alpha only).  Entries count as zero when they vanish at
     the working level precision ``n_level``.
     """
-    if n_level is None:
-        n_level = M.cfg.default_prec
     hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     T = M.copy()
     P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
@@ -547,7 +544,7 @@ def hnf_u(M: SMat, n_level=None, hnf=True) -> EchelonU:
             for j in range(col):
                 e = T.a[row][j]
                 low, high = e.split_levels(bound)
-                if high.is_certainly_zero() or not high.coeffs:
+                if not high.coeffs:
                     continue
                 mu = T.a[row][col]
                 q = u_divide(high, mu, n_level, hi_window)
@@ -561,10 +558,8 @@ def hnf_u(M: SMat, n_level=None, hnf=True) -> EchelonU:
     return EchelonU(T, P, pivot_rows, pivot_vals)
 
 
-def member_u(vec, M: SMat, n_level=None, ech: EchelonU | None = None):
+def member_u(vec, M: SMat, n_level, ech: EchelonU | None = None):
     """Coordinates X with M.X = vec over the u-localization DVR, or None."""
-    if n_level is None:
-        n_level = M.cfg.default_prec
     if ech is None:
         ech = hnf_u(M, n_level)
     hi_window = _u_window([e for r in M.a for e in r] + list(vec), n_level, M.slope)
@@ -583,11 +578,9 @@ def member_u(vec, M: SMat, n_level=None, ech: EchelonU | None = None):
     return ech.P.apply_to_vector(solved[0])
 
 
-def kernel_u(M: SMat, n_level=None) -> list:
+def kernel_u(M: SMat, n_level) -> list:
     """Columns R with M.R = 0 (at the working level precision) spanning the
     u-localization syzygies."""
-    if n_level is None:
-        n_level = M.cfg.default_prec
     ech = hnf_u(M, n_level, hnf=False)
     out = []
     for j in range(M.cols):
@@ -599,15 +592,13 @@ def kernel_u(M: SMat, n_level=None) -> list:
     return out
 
 
-def smith_u(M: SMat, n_level=None):
+def smith_u(M: SMat, n_level):
     """Smith form over the u-localization DVR.
 
     Returns (vals, U_inv, rank): vals are the non-decreasing pivot
     valuations (in 1/alpha units) and the first ``rank`` columns of U_inv
     span the saturation of the column span.
     """
-    if n_level is None:
-        n_level = M.cfg.default_prec
     hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     D = M.copy()
     U_inv = SMat.identity(M.cfg, M.slope, M.rows, M.ram)
@@ -660,14 +651,14 @@ def _concat(M: SMat, M2: SMat) -> SMat:
     return SMat(M.cfg, M.slope, [M.a[i] + M2.a[i] for i in range(M.rows)], M.ram)
 
 
-def module_sum(M: SMat, M2: SMat, loc: str, prec=None) -> SMat:
+def module_sum(M: SMat, M2: SMat, loc: str, prec) -> SMat:
     """Generators of the sum: pivot columns of the echelon of (M M2)."""
     C = _concat(M, M2)
     ech = echelon_pi(C, prec) if loc == "pi" else hnf_u(C, prec)
     return SMat.from_columns(M.cfg, M.slope, M.rows, [ech.T.col(j) for j in range(ech.rank)], M.ram)
 
 
-def module_intersect(M: SMat, M2: SMat, loc: str, prec=None) -> SMat:
+def module_intersect(M: SMat, M2: SMat, loc: str, prec) -> SMat:
     """Generators of the intersection via syzygies of the concatenation."""
     C = _concat(M, M2)
     kern = kernel_pi(C) if loc == "pi" else kernel_u(C, prec)

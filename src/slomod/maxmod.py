@@ -123,14 +123,14 @@ def relations_approx(M: SMat) -> SMat:
 def _entry_data(e: SnuSeries):
     """(v, deg) of a nonzero relation entry, or None for zero (raises on
     ambiguity)."""
-    if e.is_exact_zero() or e.is_certainly_zero():
+    if e.is_exact_zero():
         return None
     if not e.has_certain_digit():
         raise PrecisionExhausted("entry is ambiguous at working precision")
     return e.certified_val_deg()
 
 
-def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=False):
+def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
     """Put the relation matrix in staircase form by quasi-isomorphisms.
 
     Returns (M1, R1, L1) with M1.R1 = 0; the columns of M1 whose R1-row is
@@ -140,8 +140,6 @@ def matrix_reduction(M: SMat, R: SMat, L=None, prec=None, trace=None, check=Fals
     """
     cfg, slope = M.cfg, M.slope
     alpha = slope.alpha
-    if prec is None:
-        prec = cfg.default_prec
     M = M.copy()
     R = R.copy()
     k = M.cols
@@ -271,7 +269,7 @@ def _iteration_budget(R: SMat, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-def max_module(M: SMat, prec=None):
+def max_module(M: SMat, prec):
     """The maximal module of the column span: an MLModule over the ramified
     extension plus the per-column monomial generator schedules realizing
     the intersection with the base ring."""
@@ -281,7 +279,7 @@ def max_module(M: SMat, prec=None):
 def _reduce_to_ml(M: SMat, L, prec):
     """Relations of the columns of M, the matrix reduction of (M, R, L) and
     the columns it frees: (MLModule, schedules)."""
-    M1, R1, L1 = matrix_reduction(M, relations_approx(M), L, prec=prec)
+    M1, R1, L1 = matrix_reduction(M, relations_approx(M), prec, L)
     return _assemble_ml(M1, R1, L1)
 
 
@@ -293,7 +291,7 @@ def _assemble_ml(M1: SMat, R1: SMat, L1):
         if any(e.has_certain_digit() for e in R1.a[j]):
             continue
         col = [M1.a[i][j] for i in range(M1.rows)]
-        if all(e.is_exact_zero() or e.is_certainly_zero() for e in col):
+        if all(e.is_exact_zero() for e in col):
             continue
         q, delta = divmod(L1[j], alpha)
         col = [e.scale_pi(q) for e in col]
@@ -303,11 +301,9 @@ def _assemble_ml(M1: SMat, R1: SMat, L1):
     return ml, ml.schedules()
 
 
-def qis_closure_member(x, M: SMat, n_budget: int, prec=None) -> bool:
+def qis_closure_member(x, M: SMat, n_budget: int, prec) -> bool:
     """Membership of x in the maximal module of the span of M, tested via
     the two localizations with the power witnesses capped at n_budget."""
-    if prec is None:
-        prec = M.cfg.default_prec
     Xp = member_pi(x, M, prec)
     if Xp is None:
         return False
@@ -331,7 +327,7 @@ def qis_closure_member(x, M: SMat, n_budget: int, prec=None) -> bool:
     return True
 
 
-def max_sum_ml(A: MLModule, B: MLModule, prec=None) -> MLModule:
+def max_sum_ml(A: MLModule, B: MLModule, prec) -> MLModule:
     """The maximal sum, computed by reducing the concatenated (M, L) data."""
     if A.slope != B.slope or A.dim != B.dim:
         raise BadParameters("summands live in different ambients")

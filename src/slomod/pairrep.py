@@ -85,7 +85,7 @@ def _pair_from_hnfs(cfg, slope, dim, ep: EchelonPi, eu: EchelonU, ram=1) -> Loca
     return LocalPair(cfg, slope, dim, A, B, ep.pivot_rows, ep.pivots, eu.pivot_rows, eu.pivot_vals, ram)
 
 
-def psi(m, prec=None) -> LocalPair:
+def psi(m, prec) -> LocalPair:
     """Localize a maximal module (MLModule, or a generator matrix which is
     first maximalized) into its canonical HNF pair."""
     if isinstance(m, SMat):
@@ -120,11 +120,9 @@ def _e_membership(vec, M: SMat, ech, prec) -> bool:
     return member_u(scaled, M, prec, ech=ech) is not None
 
 
-def verify_image_condition(P: LocalPair, prec=None) -> bool:
+def verify_image_condition(P: LocalPair, prec) -> bool:
     """Both components generate the same E-vector space: rank equality plus
     cross membership of every generator."""
-    if prec is None:
-        prec = P.cfg.default_prec
     if P.A.cols != P.B.cols:
         return False
     for X, Y in ((P.A, P.B), (P.B, P.A)):
@@ -135,14 +133,12 @@ def verify_image_condition(P: LocalPair, prec=None) -> bool:
     return True
 
 
-def psi_inverse(P: LocalPair, prec=None):
+def psi_inverse(P: LocalPair, prec):
     """Generators over the slope ring of the unique preimage A cap B.
 
     Full-rank pairs go through the determinant recipe directly; lower rank
     is reduced to the full-rank case in the coordinates of the pi basis.
     """
-    if prec is None:
-        prec = P.cfg.default_prec
     if not verify_image_condition(P, prec):
         raise NotInImage("the two components span different E-subspaces")
     if P.rank == P.dim:
@@ -176,13 +172,13 @@ def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
     return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)
 
 
-def pair_intersect(P: LocalPair, Q: LocalPair, prec=None) -> LocalPair:
+def pair_intersect(P: LocalPair, Q: LocalPair, prec) -> LocalPair:
     """Componentwise intersection (the intersection of maximal modules is
     maximal, so no closure pass is needed)."""
     return _componentwise(module_intersect, P, Q, prec)
 
 
-def pair_max_sum(P: LocalPair, Q: LocalPair, prec=None) -> LocalPair:
+def pair_max_sum(P: LocalPair, Q: LocalPair, prec) -> LocalPair:
     """Componentwise sum: the pair of the maximal sum."""
     return _componentwise(module_sum, P, Q, prec)
 
@@ -196,14 +192,12 @@ def _componentwise(op, P: LocalPair, Q: LocalPair, prec) -> LocalPair:
     return _pair_from_hnfs(P.cfg, P.slope, P.dim, ep, eu, P.ram)
 
 
-def saturate(P: LocalPair, prec=None) -> LocalPair:
+def saturate(P: LocalPair, prec) -> LocalPair:
     """The pi-divisible closure: the pi component is unchanged; the u
     component becomes the Smith-form saturation (the identity for full
     rank)."""
     from .localized import smith_u
 
-    if prec is None:
-        prec = P.cfg.default_prec
     if P.rank == P.dim:
         B = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
         return LocalPair(
@@ -219,15 +213,13 @@ def saturate(P: LocalPair, prec=None) -> LocalPair:
     )
 
 
-def pair_to_ml(P: LocalPair, prec=None) -> MLModule:
+def pair_to_ml(P: LocalPair, prec) -> MLModule:
     """The (M, L) representation of a full-rank pair: scale each side by the
     opposite determinant, concatenate, reduce.
 
     At full rank both Hermite forms are lower-triangular with a pivot on
     every row, so det A is the product of A's diagonal and
     v(det B) = sum(b_vals); a pair of any other shape is rejected."""
-    if prec is None:
-        prec = P.cfg.default_prec
     if P.rank != P.dim:
         raise NotFullRank("pair_to_ml needs a full-rank pair")
     _check_triangular(P)

@@ -47,7 +47,7 @@ class GapCertificate:
         return Slope.from_fraction(slope.nu + Fraction(self.e * self.c, self.p_u))
 
 
-def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
+def add_vector(M: SMat, lambdas, prec, p_u=None, L=None):
     """Generators of (span of M) +_max t for t = sum lambda_i C_i(M).
 
     The lambda_i are polynomials with possibly negative valuation; Euclidean
@@ -57,10 +57,7 @@ def add_vector(M: SMat, lambdas, p_u=None, L=None, prec=None):
     v_nu(lambda_j) - L[j]/alpha is >= 0, i.e. t lies in the scaled span.
     Returns the raw (M, L) pair (L integers of any sign).
     """
-    cfg, slope = M.cfg, M.slope
-    alpha = slope.alpha
-    if prec is None:
-        prec = cfg.default_prec
+    alpha = M.slope.alpha
     h = M.cols
     if len(lambdas) != h:
         raise BadParameters("one lambda per generator column")
@@ -125,7 +122,7 @@ def _addition_budget(lambdas) -> int:
     return 40 * sum((lam.max_deg() or 0) + 2 for lam in lambdas) + 60
 
 
-def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLModule:
+def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec) -> MLModule:
     """Approximation of the maximal sum of the two slope-bumped modules.
 
     Inputs are flat (p_u, p_pi) approximations; they are first reduced to
@@ -139,8 +136,6 @@ def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLMod
     if M1.slope != M2.slope:
         raise BadParameters("summands live at different slopes")
     cfg, slope = M1.cfg, M1.slope
-    if prec is None:
-        prec = cfg.default_prec
     if cert.e != M2.cols:
         raise BadParameters("certificate column count does not match")
     nu2 = cert.bumped_slope(slope)
@@ -178,7 +173,7 @@ def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec=None) -> MLMod
                 ram=lam.ram,
             )
             polys.append(poly_part)
-        cur, L = add_vector(cur, polys, p_u=cert.p_u, L=L, prec=prec)
+        cur, L = add_vector(cur, polys, prec, p_u=cert.p_u, L=L)
     k = len(L)
     R = SMat.zeros(cfg, nu2, k, 0, M1.ram)
     ml, _ = _assemble_ml(cur, R, L)
@@ -204,7 +199,7 @@ def _solve_pi(M: SMat, t, prec):
     for i in range(d):
         for j in range(i):
             e = M.a[i][j]
-            if not (e.is_exact_zero() or e.is_certainly_zero()):
+            if not e.is_exact_zero():
                 raise PrecisionExhausted("approximate solve needs an upper-triangular base")
 
     def divide(i, e):

@@ -139,11 +139,6 @@ class SnuSeries:
     def is_exact_zero(self) -> bool:
         return self.is_polynomial() and not self.coeffs
 
-    def is_certainly_zero(self) -> bool:
-        """No stored digits and an infinite tail bound: provably zero even
-        if stored with a finite u-window."""
-        return not self.coeffs and _isinf(self.tail_bound)
-
     def has_certain_digit(self) -> bool:
         """Some stored digit is certainly nonzero: the series is not zero."""
         return any(c.has_witness() for c in self.coeffs.values())
@@ -224,7 +219,7 @@ class SnuSeries:
         below it)."""
         m = self._visible_min()
         if m is None:
-            if self.is_certainly_zero() or self.is_exact_zero():
+            if self.is_exact_zero():
                 return INF
             raise PrecisionExhausted("no certain digit to anchor the valuation")
         vk = m[0]
@@ -481,12 +476,15 @@ def hi_lo_split(x: SnuSeries, d: int):
     return lo, hi
 
 
-def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
+def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec) -> SnuSeries:
     """y with x*y = z, for x of certified Weierstrass degree 0 and
     v_nu(x) <= v_nu(z).
 
     Coefficient recurrence b_j = a_0^{-1} (c_j - sum a_i b_{j-i}); the
-    output carries min(u_prec of the inputs) unless a cap is supplied.
+    output is known below the u-exponent min(u_prec, z.u_prec, x.u_prec),
+    so u_prec = INF keeps the inputs' own window.  A polynomial z over a
+    single-digit x gives the exact polynomial z/a_0; over any other
+    polynomial x it needs a finite u_prec.
     """
     x._check_compat(z)
     try:
@@ -508,7 +506,7 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec=None) -> SnuSeries:
     if not xs and z.is_polynomial():
         # single-digit divisor: the quotient is the exact polynomial z/a_0
         return z.scale_coeff(a0_inv)
-    cap = min(z.u_prec, x.u_prec) if u_prec is None else min(u_prec, z.u_prec, x.u_prec)
+    cap = min(u_prec, z.u_prec, x.u_prec)
     if _isinf(cap):
         if not xs:
             cap = z.u_prec  # finite: z not polynomial here
@@ -577,14 +575,12 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
 
 
 class DivisionResult:
-    __slots__ = ("q", "r", "loops", "e", "d")
+    __slots__ = ("q", "r", "loops")
 
-    def __init__(self, q, r, loops, e, d):
+    def __init__(self, q, r, loops):
         self.q = q
         self.r = r
         self.loops = loops
-        self.e = e
-        self.d = d
 
 
 def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
@@ -617,7 +613,7 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
         if _isinf(cap):
             cap = 2 * d + 8
         q = divide_by_unit(hi_y.shift_u(-d), w, u_prec=cap)
-        return DivisionResult(q, lo_y, 0, INF, d)
+        return DivisionResult(q, lo_y, 0)
     try:
         v_lo, _ = lo_x.certified_val_deg()
     except (PrecisionExhausted, NotDistinguishedCertificate):
@@ -639,7 +635,7 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
     exact_finish = False
     while True:
         hi_r = hi_lo_split(r, d)[1]
-        if hi_r.is_certainly_zero():
+        if hi_r.is_exact_zero():
             exact_finish = True
             break
         v_hi = hi_r.visible_valuation()
@@ -656,7 +652,7 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
         r_out = hi_lo_split(r, d)[0].reduce_levels(prec)
     else:
         r_out = hi_lo_split(r, d)[0]
-    return DivisionResult(q, r_out, loops, e, d)
+    return DivisionResult(q, r_out, loops)
 
 
 def euclid_div(y: SnuSeries, x: SnuSeries, prec):
@@ -664,7 +660,7 @@ def euclid_div(y: SnuSeries, x: SnuSeries, prec):
     return res.q, res.r
 
 
-def weierstrass_prep(x: SnuSeries, prec=None):
+def weierstrass_prep(x: SnuSeries, prec):
     """x = q*h with q invertible and h = u^d/pi^(nu d) + lower terms, all of
     strictly positive level.  Requires certified v_nu(x) = 0."""
     try:
@@ -676,8 +672,6 @@ def weierstrass_prep(x: SnuSeries, prec=None):
     nu_d = x.nu * d
     if nu_d.denominator != 1:
         raise NotDistinguished("d * nu is not an integer")
-    if prec is None:
-        prec = x.cfg.default_prec
     m = SnuSeries.monomial(
         x.cfg, x.slope, d, CoeffElem.from_int(x.cfg, 1, ram=x.ram).scale_pi(-int(nu_d))
     )

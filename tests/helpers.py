@@ -230,7 +230,7 @@ def fraction_levels(x, p):
     def certified_valuation():
         v, _ = visible()
         if _isinf(v):
-            if x.is_certainly_zero() or x.is_exact_zero():
+            if x.is_exact_zero():
                 return INF
             raise PrecisionExhausted
         if x.tail_bound < v:
@@ -261,7 +261,7 @@ def fraction_levels(x, p):
     ]
 
 
-def divide_fold(z, x, u_prec=None):
+def divide_fold(z, x, u_prec):
     """divide_by_unit by the sequential recurrence acc = z_j; acc -= x_i *
     b_{j-i}; b_j = acc * a_0^-1 (valid inputs only: no checks)."""
     vx, _ = x.certified_val_deg()
@@ -270,7 +270,7 @@ def divide_fold(z, x, u_prec=None):
     xs = sorted(i for i in x.coeffs if i > 0)
     if not xs and z.is_polynomial():
         return z.scale_coeff(a0_inv)
-    cap = min(z.u_prec, x.u_prec) if u_prec is None else min(u_prec, z.u_prec, x.u_prec)
+    cap = min(u_prec, z.u_prec, x.u_prec)
     if _isinf(cap):
         cap = z.u_prec
     b = {}

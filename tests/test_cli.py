@@ -1,5 +1,8 @@
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +161,36 @@ def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, messa
     assert captured.out == ""
     assert captured.err.startswith("ParseError: ")
     assert message in captured.err
+
+
+def _readme_session():
+    """The demo.txt of README.md's CLI session and its transcript: a list of
+    (argv, expected output lines, exit code)."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "Saved as `demo.txt`" in line) + 2
+    end = lines.index("", start)
+    demo = "".join(line[4:] + "\n" for line in lines[start:end])
+    runs = []
+    for line in lines[end:]:
+        if line.startswith("    $ slomod "):
+            command, _, comment = line[6:].partition("#")
+            code = re.fullmatch(r" exit (\d)", comment)
+            runs.append((shlex.split(command)[1:], [], int(code.group(1)) if code else 0))
+        elif runs and line.startswith("    "):
+            runs[-1][1].append(line[4:])
+        elif runs and not line:
+            break
+    return demo, runs
+
+
+def test_readme_cli_session(tmp_path, capsys):
+    demo, runs = _readme_session()
+    assert len(runs) == 5
+    (tmp_path / "demo.txt").write_text(demo)
+    for argv, expected, code in runs:
+        argv = [str(tmp_path / a) if a == "demo.txt" else a for a in argv]
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        out, err = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+        assert out.splitlines() == expected, argv
+        assert err == ""

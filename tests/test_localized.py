@@ -1,11 +1,13 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from slomod import localized, maxmod, pairrep, precise_sum, series
 from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, PrecisionExhausted, ValuationOrder
+from slomod.errors import BadParameters, PrecisionExhausted
 from slomod.localized import (
     SMat,
     echelon_pi,
@@ -200,15 +202,43 @@ def _random_members(draws=4):
             yield cfg, slope, M, M.apply_to_vector([entry(rng, cfg, slope) for _ in range(2)])
 
 
-@pytest.mark.xfail(raises=ValuationOrder, strict=True)
-def test_echelon_pi_low_valuation_pivot():
-    # pi^-1 u^2 + u^3 lies in the slope-1/2 ring (levels 0 and 3/2); its
-    # Weierstrass degree 2 is below its degree, and phase 2 of echelon_pi
-    # divides it by its monic factor (valuation 1) without a pi shift
-    one = CoeffElem.from_int(Z5, 1)
-    g = SnuSeries(Z5, HALF, {2: one.scale_pi(-1), 3: one})
-    ech = hnf_pi(SMat(Z5, HALF, [[g]]), 8)
+@pytest.mark.parametrize("cfg", [Z5, F2], ids=repr)
+def test_echelon_pi_low_valuation_pivot(cfg):
+    # pi^-1 u^2 + u^3 = pi^-1 u^2 (1 + pi u) lies in the slope-1/2 ring
+    # (levels 0 and 3/2); its Weierstrass degree 2 is below its degree, and
+    # its monic factor u^2 has valuation 1 > 0, so phase 2 of echelon_pi
+    # must pi-shift the pivot before dividing by that factor
+    one = CoeffElem.from_int(cfg, 1)
+    g = SnuSeries(cfg, HALF, {2: one.scale_pi(-1), 3: one})
+    M = SMat(cfg, HALF, [[g]])
+    ech = hnf_pi(M, 8)
     assert ech.rank == 1
+    assert ech.pivots[0] == mono(cfg, HALF, 2)
+    assert mats_agree(M.matmul(ech.P), ech.T)
+    # pi u + pi^-2 u^4 + u^5 (levels 3/2, 0, 5/2) at a low working precision:
+    # the pi-shifted division must go as many levels deeper as it shifts,
+    # or the quotient keeps no digit at all
+    h = SnuSeries(cfg, HALF, {1: one.scale_pi(1), 4: one.scale_pi(-2), 5: one})
+    H = SMat(cfg, HALF, [[h]])
+    for prec in (1, 2):
+        ech = hnf_pi(H, prec)
+        assert ech.pivots[0].max_deg() == 4
+        assert mats_agree(H.matmul(ech.P), ech.T)
+
+
+def test_echelon_pi_random_square_inputs_at_slope_half():
+    # random exact square matrices over Z5 and GF(2) at slope 1/2; many
+    # have a pivot whose valuation is below that of its monic factor
+    rng = random.Random(1)
+    for cfg in (Z5, F2):
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            M = SMat(cfg, HALF, [
+                [random_exact_poly(rng, cfg, HALF, max_deg=2, max_pi=2) for _ in range(n)]
+                for _ in range(n)
+            ])
+            ech = hnf_pi(M, 3)
+            assert mats_agree(M.matmul(ech.P), ech.T), M
 
 
 def test_hnf_u_examples():
@@ -411,3 +441,21 @@ def test_shape_mismatch_is_typed():
         SMat.from_columns(Z5, NU0, 3, [[a, b]])
     E = SMat.from_columns(Z5, NU0, 3, [])
     assert (E.rows, E.cols) == (3, 0)
+
+
+def test_working_precision_is_a_required_argument():
+    names = ("prec", "n_level", "u_prec")
+    checked = 0
+    for mod in (series, localized, maxmod, pairrep, precise_sum):
+        for fn in vars(mod).values():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__:
+                for p in inspect.signature(fn).parameters.values():
+                    if p.name in names:
+                        assert p.default is inspect.Parameter.empty, (fn.__name__, p.name)
+                        checked += 1
+    assert checked >= 25
+    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)])]])
+    with pytest.raises(TypeError):
+        hnf_pi(M)
+    with pytest.raises(TypeError):
+        hnf_u(M)

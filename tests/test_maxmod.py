@@ -89,7 +89,7 @@ def test_matrix_reduction_budget_error_names_its_rule(monkeypatch):
 def test_matrix_reduction_no_relations():
     M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)])]])
     R = SMat.zeros(Z5, NU0, 1, 0)
-    M1, R1, L1 = matrix_reduction(M, R)
+    M1, R1, L1 = matrix_reduction(M, R, 20)
     assert repr(M1) == repr(M) and L1 == [0]
 
 
@@ -124,17 +124,17 @@ def test_max_module_mk_family():
 
 def test_qis_membership():
     M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)]), poly(Z5, NU0, [(1, 1)])]])
-    assert qis_closure_member(M.col(0), M, 3)             # a column, n = 0
-    assert qis_closure_member([SnuSeries.one(Z5, NU0)], M, 3)  # 1: pi*1, u*1 in M
+    assert qis_closure_member(M.col(0), M, 3, 20)           # a column, n = 0
+    assert qis_closure_member([SnuSeries.one(Z5, NU0)], M, 3, 20)  # 1: pi*1, u*1 in M
     M2 = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)])]])
-    assert not qis_closure_member([SnuSeries.one(Z5, NU0).scale_pi(-1)], M2, 8)
+    assert not qis_closure_member([SnuSeries.one(Z5, NU0).scale_pi(-1)], M2, 8, 20)
 
 
 def test_qis_budget():
     M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5 ** 4)]), poly(Z5, NU0, [(4, 1)])]])
     with pytest.raises(BudgetExhausted):
-        qis_closure_member([SnuSeries.one(Z5, NU0)], M, 1)
-    assert qis_closure_member([SnuSeries.one(Z5, NU0)], M, 6)
+        qis_closure_member([SnuSeries.one(Z5, NU0)], M, 1, 20)
+    assert qis_closure_member([SnuSeries.one(Z5, NU0)], M, 6, 20)
 
 
 def test_max_sum_examples():
@@ -171,7 +171,7 @@ def test_max_fixed_point_random_monomial_modules():
             # fixed point: every generator is already a member, and the
             # original generators lie in the closure
             for j in range(M.cols):
-                assert qis_closure_member(M.col(j), gens, 10)
+                assert qis_closure_member(M.col(j), gens, 10, 20)
 
 
 def test_scalar_extend_identity():
@@ -233,7 +233,7 @@ def test_matrix_reduction_check_rejects_non_relations():
     M = SMat(Z5, NU0, [[one, one]])
     R = SMat(Z5, NU0, [[one], [one]])
     with pytest.raises(CertificateViolation):
-        matrix_reduction(M, R, check=True)
+        matrix_reduction(M, R, 20, check=True)
 
 
 def test_matrix_reduction_rejects_fractional_w_shift():
@@ -245,7 +245,7 @@ def test_matrix_reduction_rejects_fractional_w_shift():
     M = SMat(Z5, NU0, [[w, -u]], 2)
     R = SMat(Z5, NU0, [[u], [w]], 2)
     with pytest.raises(BadParameters, match="whole"):
-        matrix_reduction(M, R)
+        matrix_reduction(M, R, 20)
 
 
 @pytest.mark.parametrize("slope", [Slope(1, 2), Slope(2, 3), Slope(2, 5), Slope(3, 4)])

@@ -147,7 +147,7 @@ def test_intersection_is_maximal():
         # closure adds nothing
         exp = ml.expand_generators()
         for j in range(exp.cols):
-            assert qis_closure_member(exp.col(j), exp, 10)
+            assert qis_closure_member(exp.col(j), exp, 10, 20)
 
 
 def test_saturate_full_rank():

@@ -45,7 +45,7 @@ def test_add_vector_budget_error_names_its_rule(monkeypatch):
 def test_add_vector_degree_bound():
     M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)])]])
     with pytest.raises(BadCoefficients):
-        add_vector(M, [poly(Z5, NU0, [(9, 1)])], p_u=4)
+        add_vector(M, [poly(Z5, NU0, [(9, 1)])], 20, p_u=4)
 
 
 def test_add_vector_matches_exact_max_sum():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from slomod import gfq
-from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig
+from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _isinf
 from slomod.contfrac import Slope
 from slomod.errors import (
     NotDistinguishedCertificate,
@@ -89,6 +89,9 @@ def test_series_init_infinite_tail_bound_is_a_polynomial():
     assert y.u_prec == 4 and y.tail_bound == 0 and type(y.tail_bound) is Fraction
     assert SnuSeries(Z5, NU0, {0: c}, 4, Fraction(-1, 2)).tail_bound == Fraction(-1, 2)
     assert SnuSeries(Z5, NU0, {0: c}).tail_bound == INF
+    # so a digit-free series is provably zero exactly when it is the exact zero
+    assert SnuSeries(Z5, NU0, {}, 4, INF) == SnuSeries.zero(Z5, NU0)
+    assert not SnuSeries(Z5, NU0, {}, 4).is_exact_zero()
 
 
 def test_gauss_valuation_figure():
@@ -260,6 +263,21 @@ def test_euclid_div_valuation_order():
     x = poly(Z5, NU0, [(0, 5), (1, 25)])
     with pytest.raises(ValuationOrder):
         euclid_div(y, x, 4)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_euclid_div_quotient_digit_beyond_the_working_level():
+    # y = q x + r needs the digit -6 pi^5 of q at u^1 (level 11/2), beyond
+    # the quotient's working level prec - v(x); the quotient is a
+    # polynomial, so the level cap keeps that absent digit an exact zero and
+    # q x + r gets a certain digit 6 pi^5 at u^3 that y does not have
+    half = Slope(1, 2)
+    x = SnuSeries(Z5, half, {0: CoeffElem.from_int(Z5, 2).scale_pi(4), 2: CoeffElem.from_int(Z5, 1)})
+    y = SnuSeries(Z5, half, {2: CoeffElem.from_int(Z5, 1), 4: CoeffElem.from_int(Z5, 1).scale_pi(1),
+                             5: CoeffElem.from_int(Z5, 3).scale_pi(1)})
+    for prec in (4, 5, 6):
+        q, r = euclid_div(y, x, prec)
+        assert (q * x + r).digits_agree(y), prec
 
 
 def test_euclid_div_needs_certificate():
@@ -518,7 +536,23 @@ def test_divide_by_unit_matches_sequential_recurrence(cfg, ram):
         lz = z.lower_bound()
         if lz < vx:
             z = z.scale_pi(math.ceil(vx - lz))
-        cap = rng.choice([None, 4, 7])
-        if cap is None and z.is_polynomial() and x.is_polynomial() and len(x.coeffs) > 1:
+        cap = rng.choice([INF, 4, 7])
+        if cap == INF and z.is_polynomial() and x.is_polynomial() and len(x.coeffs) > 1:
             cap = 7
         assert divide_by_unit(z, x, u_prec=cap) == divide_fold(z, x, u_prec=cap), (z, x)
+
+
+@pytest.mark.parametrize("cfg", KERNEL_RINGS, ids=repr)
+def test_operations_keep_infinite_tail_bounds_on_polynomials(cfg):
+    # every result has an infinite tail bound exactly when it is a polynomial
+    rng = random.Random(4300 + KERNEL_RINGS.index(cfg))
+    for _ in range(30):
+        slope = rng.choice([NU0, Slope(1, 2)])
+        x = _kernel_series(rng, cfg, slope, rng.choice([1, 2]))
+        y = _kernel_series(rng, cfg, slope, x.ram)
+        for s in (
+            x, x + y, x * y, -x, x.truncate_u(3), x.truncate_u(8), x.shift_u(2),
+            x.scale_pi(-1), x.reduce_levels(Fraction(1, 2)), x.split_levels(1)[1],
+            hi_lo_split(x, 2)[1],
+        ):
+            assert _isinf(s.tail_bound) == s.is_polynomial(), s

@@ -169,8 +169,8 @@ def unit_divisions(draw):
     lz, vx = z.lower_bound(), x.certified_val_deg()[0]
     if lz < vx:
         z = z.scale_pi(math.ceil(vx - lz))
-    cap = draw(st.sampled_from([None, 4, 7]))
-    if cap is None and z.is_polynomial() and x.is_polynomial() and len(x.coeffs) > 1:
+    cap = draw(st.sampled_from([INF, 4, 7]))
+    if cap == INF and z.is_polynomial() and x.is_polynomial() and len(x.coeffs) > 1:
         cap = 7
     return z, x, cap
 
