@@ -67,51 +67,6 @@ class SessionFile:
             raise ParseError(f"block '{name}' is a {have}, not a {kind}")
         return value
 
-    def render(self) -> str:
-        lines = []
-        if self.cfg.kind == "zp":
-            lines.append(f"ring zp p={self.cfg.p} prec={self.cfg.default_prec}")
-        else:
-            lines.append(f"ring fq q={self.cfg.q} prec={self.cfg.default_prec}")
-        lines.append(f"slope {self.slope.beta}/{self.slope.alpha}")
-        for name in self.block_order:
-            kind, value, tag = self.blocks[name]
-            if kind == "matrix":
-                head = f"matrix {name} {value.rows} {value.cols}"
-                if tag:
-                    head += f" @{tag}"
-                lines.append(head)
-                for i in range(value.rows):
-                    lines.append(" ; ".join(_render_literal(e) for e in value.a[i]))
-            elif kind == "vector":
-                lines.append(f"vector {name}")
-                lines.append(" ; ".join(_render_literal(e) for e in value))
-            else:
-                lines.append(f"series {name}")
-                lines.append(_render_literal(value))
-        return "\n".join(lines) + "\n"
-
-
-def _render_literal(e: SnuSeries) -> str:
-    parts = []
-    cfg = e.cfg
-    for i in sorted(e.coeffs):
-        c = e.coeffs[i]
-        if not c.unit:
-            continue
-        cs = cfg.exa_str(cfg.exa_shift_pi(c.unit[0], c.num_val))
-        if "+" in cs or "*" in cs:
-            cs = f"({cs})"
-        if i == 0:
-            parts.append(cs)
-        else:
-            head = "u" if i == 1 else f"u^{i}"
-            parts.append(head if cs == "1" else f"{cs}*{head}")
-    body = " + ".join(parts) if parts else "0"
-    if e.is_exact():
-        body += " !"
-    return body
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -139,11 +94,10 @@ def _parse_coef(cfg, text, lineno):
             continue
         sign = -1 if part.startswith("-") else 1
         part = part.lstrip("+-")
-        m = re.fullmatch(r"(?:(\d+)\*?)?(?:t(?:\^(\d+))?)?", part)
-        if not m or (m.group(1) is None and "t" not in part):
-            m2 = re.fullmatch(r"(\d+)", part)
-            if not m2:
-                raise ParseError(f"bad coefficient '{text}'", lineno)
+        # c, t^k or c*t^k (the * only between a digit and t)
+        m = re.fullmatch(r"(\d+)?(?:(?<=\d)\*(?=t))?(?:t(?:\^(\d+))?)?", part)
+        if not m:
+            raise ParseError(f"bad coefficient '{text}'", lineno)
         c = int(m.group(1)) if m.group(1) else 1
         k = 0
         if "t" in part:

@@ -174,19 +174,7 @@ class ZpConfig(RingConfig):
         Raw numerators are accumulated as ints over a running lcm of the
         denominators; one ``Fraction`` is built at the end.
         """
-        p = self.p
-        num, den = 0, 1
-        for x, y, e in terms:
-            n = x.numerator * y.numerator
-            d = x.denominator * y.denominator
-            if e:
-                n *= p ** e
-            if d == den:
-                num += n
-            else:
-                g = math.gcd(den, d)
-                num = num * (d // g) + n * (den // g)
-                den *= d // g
+        num, den = _lcm_sum(self.p, terms, 0)
         return Fraction(num, den) if num else _ZERO
 
     def exa_inv(self, a):
@@ -347,14 +335,6 @@ class CoeffElem:
     def from_int(cls, cfg, n, ram=1, prec=INF):
         return cls.from_exact(cfg, cfg.exa_from_int(n), ram, prec)
 
-    @classmethod
-    def from_rational(cls, cfg, num, den=1, ram=1, prec=INF):
-        if cfg.kind == "zp":
-            val = Fraction(num, den)
-        else:
-            val = cfg.exa_mul(cfg.exa_from_int(num), cfg.exa_inv(cfg.exa_from_int(den)))
-        return cls.from_exact(cfg, val, ram, prec)
-
     # -- state predicates ---------------------------------------------------
 
     def is_exact_zero(self) -> bool:
@@ -459,7 +439,7 @@ class CoeffElem:
         out_abs = min(a.num_val + a.prec, b.num_val + b.prec)
         base = min(a.num_val, b.num_val)
         if ram == 1 and cfg.kind == "zp":
-            terms = [(x.unit[0].numerator, x.unit[0].denominator, x.num_val) for x in (a, b) if x.unit is not None]
+            terms = [(x.unit[0], 1, x.num_val) for x in (a, b) if x.unit is not None]
             return _zp_sum(cfg, terms, base, out_abs)
         if ram == 1:
             digits = [
@@ -803,9 +783,9 @@ def _zp_product(cfg, a, b, keys) -> dict:
 
 
 def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
-    """``sum_products`` at ram 1 over Z_p: each product is the int pair
-    (x.num * y.num, x.den * y.den) at p^(v_a + v_b); no ``Fraction`` and
-    no ``CoeffElem`` is built for a term."""
+    """``sum_products`` at ram 1 over Z_p: each product of unit digits
+    x*y at p^(v_a + v_b) goes to the int running-lcm sum; no ``Fraction``
+    and no ``CoeffElem`` is built for a term."""
     abs_w = base = INF
     terms = []
     if lone is not None:
@@ -815,7 +795,7 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = lone.num_val + lone.prec
             if lone.unit is not None:
                 u = lone.unit[0]
-                terms.append((u.numerator, u.denominator, lone.num_val))
+                terms.append((u, 1, lone.num_val))
                 base = lone.num_val
     for a, b in pairs:
         if a.ram != 1 or b.ram != 1:
@@ -828,22 +808,30 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = t
         if a.unit is None or b.unit is None:
             continue
-        x, y = a.unit[0], b.unit[0]
-        terms.append((x.numerator * y.numerator, x.denominator * y.denominator, v))
+        terms.append((a.unit[0], b.unit[0], v))
         if v < base:
             base = v
     return _zp_sum(cfg, terms, base, abs_w)
 
 
 def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
-    """The ram-1 Z_p element sum n/d * p^v over (n, d, v) triples (d prime
-    to p, v >= base) at absolute precision abs_w: ints over a running lcm of
-    the denominators, at p^base."""
+    """The ram-1 Z_p element sum x*y * p^v over (x, y, v) triples of units
+    (v >= base) at absolute precision abs_w: ints over a running lcm of the
+    denominators, at p^base."""
     if not terms:
         return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
-    p = cfg.p
+    num, den = _lcm_sum(cfg.p, terms, base)
+    return _zp_digit(cfg, num, den, base, abs_w)
+
+
+def _lcm_sum(p, terms, base):
+    """(num, den) with num/den = sum x*y*p^(v - base) over (x, y, v) triples
+    of rationals (``Fraction`` or int) with v >= base: ints over a running
+    lcm of the denominators."""
     num, den = 0, 1
-    for n, d, v in terms:
+    for x, y, v in terms:
+        n = x.numerator * y.numerator
+        d = x.denominator * y.denominator
         if v != base:
             n *= p ** (v - base)
         if d == den:
@@ -852,7 +840,7 @@ def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
             g = math.gcd(den, d)
             num = num * (d // g) + n * (den // g)
             den *= d // g
-    return _zp_digit(cfg, num, den, base, abs_w)
+    return num, den
 
 
 def _zp_digit(cfg, c, den, val, abs_w) -> CoeffElem:

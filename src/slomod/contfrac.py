@@ -47,18 +47,6 @@ class ContinuedFraction:
     def n(self) -> int:
         return len(self.quotients) - 1
 
-    def value(self) -> Fraction:
-        return Fraction(self.p[-1], self.q[-1])
-
-    def convergents(self):
-        return [Fraction(pk, qk) for pk, qk in zip(self.p, self.q)]
-
-    def even_quotient_sum(self, limit: int) -> int:
-        """sum of a_{2i} for i = 1..limit (0 when out of range)."""
-        return sum(
-            self.quotients[2 * i] for i in range(1, limit + 1) if 2 * i <= self.n
-        )
-
     def __eq__(self, other):
         return isinstance(other, ContinuedFraction) and self.quotients == other.quotients
 
@@ -108,14 +96,6 @@ class Slope:
     def from_fraction(cls, x) -> "Slope":
         x = Fraction(x)
         return cls(x.numerator, x.denominator)
-
-    def cf(self) -> ContinuedFraction:
-        return cf_expand(self.nu)
-
-    def generator_bound(self) -> int:
-        """2 + sum of even-index partial quotients (the tight bound form)."""
-        cf = self.cf()
-        return 2 + cf.even_quotient_sum(cf.n // 2)
 
     def __eq__(self, other):
         return (
@@ -176,9 +156,6 @@ class GenSchedule:
         for first, diff, length in self.sequences:
             out.extend(first + j * diff for j in range(length))
         return out
-
-    def count(self) -> int:
-        return sum(length for _, _, length in self.sequences)
 
     def pi_exponent(self, x: int) -> int:
         level = -Fraction(self.delta, self.slope.alpha) - x * self.slope.nu

@@ -59,10 +59,6 @@ class UncertifiedValuation(AlgebraError):
     pass
 
 
-class ZeroTruncation(AlgebraError):
-    pass
-
-
 class BadParameters(AlgebraError):
     pass
 

@@ -144,18 +144,12 @@ class GF:
     def from_int(self, n: int):
         return n % self.p
 
-    def is_zero(self, a) -> bool:
-        return not a
-
     def add(self, a, b):
         la = self._log[a]
         return self._exp[la + self._zech[self._log[b] - la]]
 
     def neg(self, a):
         return self._neg[a]
-
-    def sub(self, a, b):
-        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
         return self._exp[self._log[a] + self._log[b]]
@@ -164,9 +158,6 @@ class GF:
         if not a:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def elements(self):
-        return list(range(self.q))
 
     def elem_str(self, a) -> str:
         if self.m == 1 or a < 2:
@@ -286,7 +277,7 @@ def pshift(a, k):
     return a[-k:]
 
 
-def pstr(field: GF, a, var="t") -> str:
+def pstr(field: GF, a) -> str:
     a = ptrim(a)
     if not a:
         return "0"
@@ -298,9 +289,9 @@ def pstr(field: GF, a, var="t") -> str:
         if i == 0:
             parts.append(cs)
         elif i == 1:
-            parts.append(f"{var}" if cs == "1" else f"{cs}*{var}")
+            parts.append("t" if cs == "1" else f"{cs}*t")
         else:
-            parts.append(f"{var}^{i}" if cs == "1" else f"{cs}*{var}^{i}")
+            parts.append(f"t^{i}" if cs == "1" else f"{cs}*t^{i}")
     return "+".join(parts)
 
 

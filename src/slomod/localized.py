@@ -84,9 +84,6 @@ class SMat:
     def col(self, j):
         return [self.a[i][j] for i in range(self.rows)]
 
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
-
     def swap_cols(self, j0, j1):
         if j0 != j1:
             for r in self.a:

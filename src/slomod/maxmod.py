@@ -52,11 +52,6 @@ class MLModule:
             if not 0 <= x < slope.alpha:
                 raise BadParameters(f"w-exponent {x} outside [0, alpha)")
 
-    @classmethod
-    def from_matrix(cls, M: SMat, L=None):
-        cols = M.columns()
-        return cls(M.cfg, M.slope, M.rows, cols, L or [0] * M.cols, M.ram)
-
     def as_matrix(self) -> SMat:
         return SMat.from_columns(self.cfg, self.slope, self.dim, self.columns, self.ram)
 
@@ -83,20 +78,6 @@ class MLModule:
                 )
                 cols.append([mono * e for e in col])
         return SMat.from_columns(self.cfg, self.slope, self.dim, cols, self.ram)
-
-    def generator_count(self) -> int:
-        return sum(s.count() for s in self.schedules())
-
-    def structurally_equal(self, other: "MLModule") -> bool:
-        if self.dim != other.dim or self.L != other.L or self.slope != other.slope:
-            return False
-        if len(self.columns) != len(other.columns):
-            return False
-        for ca, cb in zip(self.columns, other.columns):
-            for ea, eb in zip(ca, cb):
-                if not ea.digits_agree(eb):
-                    return False
-        return True
 
     def __repr__(self):
         mat = self.as_matrix()

@@ -47,7 +47,7 @@ class GapCertificate:
         return Slope.from_fraction(slope.nu + Fraction(self.e * self.c, self.p_u))
 
 
-def add_vector(M: SMat, lambdas, prec, p_u=None, L=None):
+def add_vector(M: SMat, lambdas, prec, p_u, L):
     """Generators of (span of M) +_max t for t = sum lambda_i C_i(M).
 
     The lambda_i are polynomials with possibly negative valuation; Euclidean
@@ -65,10 +65,10 @@ def add_vector(M: SMat, lambdas, prec, p_u=None, L=None):
     for lam in lambdas:
         if not lam.is_polynomial():
             raise BadCoefficients("lambda coefficients must be polynomials")
-        if p_u is not None and lam.max_deg() is not None and lam.max_deg() >= p_u:
+        if lam.max_deg() is not None and lam.max_deg() >= p_u:
             raise BadCoefficients(f"lambda degree exceeds {p_u - 1}")
     M = M.copy()
-    L = list(L) if L is not None else [0] * h
+    L = list(L)
 
     def data():
         out = {j: _entry_data(lam) for j, lam in enumerate(lambdas)}

@@ -1,15 +1,15 @@
-"""Precision lattices and the rules that make finite computation sound.
+"""Precision lattices: what is unknown about a series.
 
 A lattice describes what is *unknown* about a series: the R-submodule
 
     sum_{i < u_prec} pi^{p_i} (u^i / pi^{floor(i nu)}) R
         + sum_{i >= u_prec} (u^i / pi^{floor(i nu)}) R.
 
-Internally each exponent carries its *level* bound (the smallest possible
-v(a_i) + nu*i of an unknown term, = p_i + frac(i nu)); the spec-facing
-entries p_i are recovered on demand.  Only these monomial-diagonal lattices
-are representable; the flat, jagged and division-staircase lattices all
-have this shape.
+Each exponent carries its *level* bound (the smallest possible
+v(a_i) + nu*i of an unknown term, = p_i + frac(i nu)).  Only these
+monomial-diagonal lattices are representable.  The library builds the flat
+one (p_i = p_pi for every i < p_u), and ``precise_sum.approx_max_sum``
+reduces its inputs modulo it with ``reduce_series``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .coeffs import INF, _isinf
 from .contfrac import Slope
-from .errors import BadParameters, SlopeMismatch, ZeroTruncation
-from .series import SnuSeries, _ceil, _floor
+from .errors import SlopeMismatch
+from .series import SnuSeries, _floor
 
 
 class PrecisionLattice:
@@ -33,20 +33,8 @@ class PrecisionLattice:
     @classmethod
     def flat(cls, slope: Slope, p_u: int, p_pi) -> "PrecisionLattice":
         nu = slope.nu
-        if _isinf(p_pi):
-            return cls(slope, p_u, {})
         levels = {i: p_pi + _frac(nu * i) for i in range(p_u)}
         return cls(slope, p_u, levels)
-
-    @classmethod
-    def jagged(cls, slope: Slope, entries) -> "PrecisionLattice":
-        """entries: list of per-exponent pi-precisions p_i (INF allowed)."""
-        nu = slope.nu
-        levels = {}
-        for i, p in enumerate(entries):
-            if not _isinf(p):
-                levels[i] = Fraction(p) + _frac(nu * i)
-        return cls(slope, len(entries), levels)
 
     def level(self, i: int) -> Fraction:
         """Lower bound on the level of the unknown part at exponent i."""
@@ -56,74 +44,9 @@ class PrecisionLattice:
             return INF  # exact coefficient
         return _frac(self.slope.nu * i)
 
-    def entry(self, i: int):
-        """The pi-precision exponent p_i of the spec's normalized basis."""
-        lv = self.level(i)
-        if _isinf(lv):
-            return INF
-        return lv - _frac(self.slope.nu * i)
-
-    def entries(self):
-        return [self.entry(i) for i in range(self.u_prec)] if not _isinf(self.u_prec) else []
-
-    def __eq__(self, other):
-        if not isinstance(other, PrecisionLattice):
-            return NotImplemented
-        return (
-            self.slope == other.slope
-            and self.u_prec == other.u_prec
-            and self.levels == other.levels
-        )
-
-    def __repr__(self):
-        if _isinf(self.u_prec):
-            return "P(exact)"
-        es = " ".join(str(self.entry(i)) for i in range(self.u_prec))
-        return f"P[{es}]"
-
 
 def _frac(x: Fraction) -> Fraction:
     return Fraction(x) - _floor(x)
-
-
-def lattice_for_sum(P: PrecisionLattice, P2: PrecisionLattice) -> PrecisionLattice:
-    """The lattice P + P2 governing a sum: per-exponent minimum."""
-    if P.slope != P2.slope:
-        raise SlopeMismatch("lattice slopes differ")
-    up = min(P.u_prec, P2.u_prec)
-    levels = {}
-    if not _isinf(up):
-        for i in range(up):
-            lv = min(P.level(i), P2.level(i))
-            if not _isinf(lv):
-                levels[i] = lv
-    return PrecisionLattice(P.slope, up, levels)
-
-
-def lattice_for_mul(x_val, y_val, P: PrecisionLattice, P2: PrecisionLattice) -> PrecisionLattice:
-    """The lattice y*P + x*P2 + P*P2 governing a product.
-
-    Only the (certified) valuations of the operands enter: scaling a lattice
-    by an element of valuation w shifts every reachable level by w, and the
-    product lattice takes min over splittings of each exponent.
-    """
-    if P.slope != P2.slope:
-        raise SlopeMismatch("lattice slopes differ")
-    x_val = Fraction(x_val)
-    y_val = Fraction(y_val)
-    up = min(P.u_prec, P2.u_prec)
-    if _isinf(up):
-        return PrecisionLattice(P.slope, INF, {})
-    levels = {}
-    for k in range(up):
-        best = INF
-        # y*P and x*P2: a scaled unknown can land at any exponent <= k
-        for i in range(k + 1):
-            best = min(best, y_val + P.level(i), x_val + P2.level(i))
-            best = min(best, P.level(i) + P2.level(k - i))
-        if not _isinf(best):
-            levels[k] = best
-    return PrecisionLattice(P.slope, up, levels)
 
 
 def reduce_series(x: SnuSeries, P: PrecisionLattice) -> SnuSeries:
@@ -151,59 +74,3 @@ def reduce_series(x: SnuSeries, P: PrecisionLattice) -> SnuSeries:
         out[i] = cc
     tb = None if _isinf(up) else Fraction(0)
     return SnuSeries(x.cfg, x.slope, out, up, tb, ram=x.ram)
-
-
-def guarded_valuation(xbar: SnuSeries, lam: int, target_nu: Slope):
-    """Valuation of the underlying element at a bigger slope, certified.
-
-    The caller asserts the true element lies in pi^-lam * (slope ring).
-    When  nu' - nu >= (lam + v_nu(xbar)) / (p_u - d)  the tail beyond the
-    truncation cannot reach the visible minimum at slope nu', so the
-    returned value is the true v_nu'(x); otherwise the certificate is
-    False and the value is only the valuation of the representative.
-    """
-    if _isinf(xbar.u_prec):
-        raise BadParameters("guarded_valuation expects a truncated series")
-    v = xbar.visible_valuation()
-    if _isinf(v):
-        raise ZeroTruncation("truncation has no certain nonzero digit")
-    d = xbar.visible_degree()
-    nu, nu2 = xbar.nu, target_nu.nu
-    p_u = xbar.u_prec
-    value = min(
-        c.val() + nu2 * i for i, c in xbar.coeffs.items() if c.has_witness()
-    )
-    if nu2 < nu or d >= p_u:
-        return value, False
-    certified = (nu2 - nu) * (p_u - d) >= lam + v
-    # imprecise stored digits must not be able to undercut the minimum
-    for i, c in xbar.coeffs.items():
-        if not c.has_witness() and c.val_lower() + nu2 * i < value:
-            certified = False
-    return value, certified
-
-
-def division_precision_plan(d: int, e, p_pi: int, slope: Slope):
-    """Input/output lattices for precision-stable Euclidean division.
-
-    Returns (P_y, P_q, p_x): divide repr(P_f(p_x, p_pi))(x) into
-    repr(P(P_y))(y) and the quotient is good at P_q, the remainder flat at
-    p_pi.  The staircase drops by e every d exponents; the quotient
-    staircase sits one step lower (the proof's per-step loss).
-    """
-    e = Fraction(e)
-    if d < 1 or e <= 0 or p_pi < 1:
-        raise BadParameters(f"bad division plan parameters d={d}, e={e}, p_pi={p_pi}")
-    nu = slope.nu
-    p_x = _ceil(Fraction(p_pi) / e) * d
-    y_levels = {}
-    for i in range(p_x):
-        entry = max(p_pi - (i // d) * e, Fraction(0))
-        y_levels[i] = entry + _frac(nu * i)
-    q_levels = {}
-    for i in range(max(0, p_x - d)):
-        entry = max(p_pi - (i // d + 1) * e, Fraction(0))
-        q_levels[i] = entry + _frac(nu * i)
-    P_y = PrecisionLattice(slope, p_x, y_levels)
-    P_q = PrecisionLattice(slope, max(0, p_x - d), q_levels)
-    return P_y, P_q, p_x

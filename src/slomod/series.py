@@ -316,13 +316,6 @@ class SnuSeries:
         # truncated beyond its degree): the tail is then exactly zero.
         return SnuSeries(self.cfg, self.slope, coeffs, p, tb, ram=self.ram)
 
-    def forget_beyond(self, p: int, tail_level=None) -> "SnuSeries":
-        """Truly forget all exponents >= p: the tail becomes unknown with
-        only the membership level bound (default 0)."""
-        t = self.truncate_u(p)
-        tb = Fraction(0) if tail_level is None else Fraction(tail_level)
-        return SnuSeries(self.cfg, self.slope, dict(t.coeffs), p, min(tb, t.tail_bound), ram=self.ram)
-
     def split_levels(self, bound):
         """(low, high) with self = low + high: low carries the certain
         digits of level < bound (exactly known support), high the rest."""
@@ -437,8 +430,7 @@ def gauss_valuation(x: SnuSeries):
     """Gauss valuation of the truncated representative.
 
     Equals the valuation of the underlying element only when certified (see
-    SnuSeries.certified_val_deg / precision.guarded_valuation); in general
-    it is an upper bound.  Returns INF for a representative with no certain
+    SnuSeries.certified_val_deg); in general it is an upper bound.  Returns INF for a representative with no certain
     nonzero digit.
     """
     return x.visible_valuation()
@@ -694,13 +686,6 @@ def slope_transport(x: SnuSeries, target: Slope) -> SnuSeries:
     if not _isinf(xr.u_prec):
         tb = xr.tail_bound  # v0 levels equal vnu levels under the transport
     return SnuSeries(x.cfg, target, coeffs, xr.u_prec, tb, ram=alpha)
-
-
-def slope_transport_inverse(x: SnuSeries) -> SnuSeries:
-    alpha, beta = x.slope.alpha, x.slope.beta
-    coeffs = {i: c.scale_w(beta * i) for i, c in x.coeffs.items()}
-    tb = None if _isinf(x.u_prec) else x.tail_bound
-    return SnuSeries(x.cfg, Slope(0, 1), coeffs, x.u_prec, tb, ram=x.ram)
 
 
 # ---------------------------------------------------------------------------

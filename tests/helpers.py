@@ -5,10 +5,12 @@ from fractions import Fraction
 
 from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize, sum_products
-from slomod.contfrac import Slope
-from slomod.errors import NotDistinguishedCertificate, PrecisionExhausted
+from slomod.contfrac import Slope, cf_expand
+from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionExhausted, SlopeMismatch
 from slomod.localized import SMat
-from slomod.series import SnuSeries
+from slomod.maxmod import MLModule
+from slomod.precision import PrecisionLattice, _frac
+from slomod.series import SnuSeries, _ceil
 
 Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
@@ -37,14 +39,6 @@ def assert_zero_at_precision(x, min_level=None):
         assert not c.has_witness(), f"nonzero digit at u^{i}: {c!r}"
         if min_level is not None:
             assert c.val_lower() + x.nu * i >= min_level
-
-
-def mat(cfg, slope, rows):
-    return SMat(cfg, slope, rows)
-
-
-def mat_from_cols(cfg, slope, cols):
-    return SMat.from_columns(cfg, slope, len(cols[0]), cols)
 
 
 def mats_agree(A, B) -> bool:
@@ -411,9 +405,6 @@ class CoordGF:
     def neg(self, a):
         return tuple(-x % self.p for x in a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         p, m = self.p, self.m
         prod = [0] * (2 * m - 1)
@@ -439,3 +430,135 @@ class CoordGF:
         if a == self.one:
             return "1"
         return "g" + "".join(str(x) for x in a)
+
+
+# ---------------------------------------------------------------------------
+# builders and oracles over library types that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def slope_transport_inverse(x):
+    """Back from slope nu = beta/alpha to slope 0: a_i gains w^(beta i)."""
+    alpha, beta = x.slope.alpha, x.slope.beta
+    coeffs = {i: c.scale_w(beta * i) for i, c in x.coeffs.items()}
+    tb = None if _isinf(x.u_prec) else x.tail_bound
+    return SnuSeries(x.cfg, Slope(0, 1), coeffs, x.u_prec, tb, ram=x.ram)
+
+
+def even_quotient_sum(cf, limit: int) -> int:
+    """sum of a_{2i} for i = 1..limit (0 when out of range)."""
+    return sum(cf.quotients[2 * i] for i in range(1, limit + 1) if 2 * i <= cf.n)
+
+
+def generator_bound(slope) -> int:
+    """2 + sum of even-index partial quotients (the tight bound form)."""
+    cf = cf_expand(slope.nu)
+    return 2 + even_quotient_sum(cf, cf.n // 2)
+
+
+def ml_from_matrix(M):
+    """The MLModule of the columns of M with every w-exponent 0."""
+    return MLModule(M.cfg, M.slope, M.rows, [M.col(j) for j in range(M.cols)], [0] * M.cols, M.ram)
+
+
+def generator_count(ml) -> int:
+    return sum(len(s.values()) for s in ml.schedules())
+
+
+def ml_structurally_equal(a, b) -> bool:
+    if a.dim != b.dim or a.L != b.L or a.slope != b.slope:
+        return False
+    if len(a.columns) != len(b.columns):
+        return False
+    for ca, cb in zip(a.columns, b.columns):
+        for ea, eb in zip(ca, cb):
+            if not ea.digits_agree(eb):
+                return False
+    return True
+
+
+# -- the precision-lattice calculus (sums, products, Euclidean division) ----
+
+
+def jagged_lattice(slope, entries):
+    """entries: list of per-exponent pi-precisions p_i (INF allowed)."""
+    nu = slope.nu
+    levels = {}
+    for i, p in enumerate(entries):
+        if not _isinf(p):
+            levels[i] = Fraction(p) + _frac(nu * i)
+    return PrecisionLattice(slope, len(entries), levels)
+
+
+def lattice_entry(P, i):
+    """The pi-precision exponent p_i of the spec's normalized basis."""
+    lv = P.level(i)
+    if _isinf(lv):
+        return INF
+    return lv - _frac(P.slope.nu * i)
+
+
+def lattice_for_sum(P, P2):
+    """The lattice P + P2 governing a sum: per-exponent minimum."""
+    if P.slope != P2.slope:
+        raise SlopeMismatch("lattice slopes differ")
+    up = min(P.u_prec, P2.u_prec)
+    levels = {}
+    if not _isinf(up):
+        for i in range(up):
+            lv = min(P.level(i), P2.level(i))
+            if not _isinf(lv):
+                levels[i] = lv
+    return PrecisionLattice(P.slope, up, levels)
+
+
+def lattice_for_mul(x_val, y_val, P, P2):
+    """The lattice y*P + x*P2 + P*P2 governing a product.
+
+    Only the (certified) valuations of the operands enter: scaling a lattice
+    by an element of valuation w shifts every reachable level by w, and the
+    product lattice takes min over splittings of each exponent.
+    """
+    if P.slope != P2.slope:
+        raise SlopeMismatch("lattice slopes differ")
+    x_val = Fraction(x_val)
+    y_val = Fraction(y_val)
+    up = min(P.u_prec, P2.u_prec)
+    if _isinf(up):
+        return PrecisionLattice(P.slope, INF, {})
+    levels = {}
+    for k in range(up):
+        best = INF
+        # y*P and x*P2: a scaled unknown can land at any exponent <= k
+        for i in range(k + 1):
+            best = min(best, y_val + P.level(i), x_val + P2.level(i))
+            best = min(best, P.level(i) + P2.level(k - i))
+        if not _isinf(best):
+            levels[k] = best
+    return PrecisionLattice(P.slope, up, levels)
+
+
+def division_precision_plan(d: int, e, p_pi: int, slope):
+    """Input/output lattices for precision-stable Euclidean division.
+
+    Returns (P_y, P_q, p_x): divide repr(P_f(p_x, p_pi))(x) into
+    repr(P(P_y))(y) and the quotient is good at P_q, the remainder flat at
+    p_pi.  The staircase drops by e every d exponents; the quotient
+    staircase sits one step lower (the proof's per-step loss).
+    """
+    e = Fraction(e)
+    if d < 1 or e <= 0 or p_pi < 1:
+        raise BadParameters(f"bad division plan parameters d={d}, e={e}, p_pi={p_pi}")
+    nu = slope.nu
+    p_x = _ceil(Fraction(p_pi) / e) * d
+    y_levels = {}
+    for i in range(p_x):
+        entry = max(p_pi - (i // d) * e, Fraction(0))
+        y_levels[i] = entry + _frac(nu * i)
+    q_levels = {}
+    for i in range(max(0, p_x - d)):
+        entry = max(p_pi - (i // d + 1) * e, Fraction(0))
+        q_levels[i] = entry + _frac(nu * i)
+    P_y = PrecisionLattice(slope, p_x, y_levels)
+    P_q = PrecisionLattice(slope, max(0, p_x - d), q_levels)
+    return P_y, P_q, p_x

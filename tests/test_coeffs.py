@@ -153,9 +153,9 @@ def _unit_value(rng, cfg):
             den += 1
         return Fraction(num, den)
     f = cfg.field
-    nonzero = [e for e in f.elements() if not f.is_zero(e)]
-    num = [rng.choice(nonzero)] + [rng.choice(f.elements()) for _ in range(rng.randrange(0, 3))]
-    den = [f.one] + [rng.choice(f.elements()) for _ in range(rng.randrange(0, 3))]
+    nonzero = list(range(1, f.q))
+    num = [rng.choice(nonzero)] + [rng.randrange(f.q) for _ in range(rng.randrange(0, 3))]
+    den = [f.one] + [rng.randrange(f.q) for _ in range(rng.randrange(0, 3))]
     return gfq.RatFunc(f, tuple(num), tuple(den))
 
 
@@ -224,7 +224,7 @@ def test_gf_tables_match_coordinate_oracle(q):
     # every element pair, against the schoolbook coordinate product
     f, o = gfq.GF(q), CoordGF(q)
     enc = o.to_int
-    assert sorted(enc(a) for a in o.elements) == f.elements()
+    assert sorted(enc(a) for a in o.elements) == list(range(q))
     for a in o.elements:
         x = enc(a)
         assert f.elem_str(x) == o.elem_str(a), a
@@ -234,7 +234,6 @@ def test_gf_tables_match_coordinate_oracle(q):
         for b in o.elements:
             y = enc(b)
             assert f.add(x, y) == enc(o.add(a, b)), (a, b)
-            assert f.sub(x, y) == enc(o.sub(a, b)), (a, b)
             assert f.mul(x, y) == enc(o.mul(a, b)), (a, b)
     with pytest.raises(ZeroDivisionError):
         f.inv(f.zero)
@@ -271,9 +270,9 @@ def test_ratfunc_shift_and_neg_match_construction(q):
     f = gfq.GF(q)
     rng = random.Random(q)
     for _ in range(60):
-        num = (0,) * rng.randrange(0, 3) + tuple(rng.choice(f.elements()) for _ in range(rng.randrange(0, 4)))
+        num = (0,) * rng.randrange(0, 3) + tuple(rng.randrange(f.q) for _ in range(rng.randrange(0, 4)))
         den = (0,) * rng.randrange(0, 3) + (rng.randrange(1, q),)
-        den += tuple(rng.choice(f.elements()) for _ in range(rng.randrange(0, 3)))
+        den += tuple(rng.randrange(f.q) for _ in range(rng.randrange(0, 3)))
         a = gfq.RatFunc(f, num, den)
         assert -a == gfq.RatFunc(f, gfq.pneg(f, a.num), a.den)
         assert (a + -a).is_zero()
@@ -283,14 +282,6 @@ def test_ratfunc_shift_and_neg_match_construction(q):
             else:
                 want = gfq.RatFunc(f, a.num, (0,) * -k + a.den)
             assert a.shift(k) == want, (a, k)
-
-
-@pytest.mark.parametrize("q", [2, 4, 9])
-def test_gf_sub_matches_add_neg(q):
-    f = gfq.GF(q)
-    for a in f.elements():
-        for b in f.elements():
-            assert f.sub(a, b) == f.add(a, f.neg(b)), (a, b)
 
 
 @pytest.mark.parametrize("cfg", [Z5, FqConfig(4)], ids=repr)

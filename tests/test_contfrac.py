@@ -5,7 +5,6 @@ from math import gcd
 import pytest
 
 from slomod.contfrac import (
-    GenSchedule,
     Slope,
     best_approx_denominators,
     cf_expand,
@@ -14,7 +13,7 @@ from slomod.contfrac import (
 )
 from slomod.errors import BadDelta, BadGamma
 
-from helpers import divides_monomial, oracle_pos_best_approx, oracle_staircase
+from helpers import divides_monomial, even_quotient_sum, generator_bound, oracle_pos_best_approx, oracle_staircase
 
 
 def test_slope_nu_is_stored_once():
@@ -25,7 +24,7 @@ def test_slope_nu_is_stored_once():
 def test_cf_10_7():
     cf = cf_expand(Fraction(10, 7))
     assert cf.quotients == [1, 2, 3]
-    assert cf.convergents() == [Fraction(1), Fraction(3, 2), Fraction(10, 7)]
+    assert (cf.p, cf.q) == ([1, 3, 10], [1, 2, 7])
 
 
 def test_cf_integer():
@@ -35,7 +34,7 @@ def test_cf_integer():
 def test_cf_2_5():
     cf = cf_expand(Fraction(2, 5))
     assert cf.quotients == [0, 2, 2]
-    assert cf.value() == Fraction(2, 5)
+    assert Fraction(cf.p[-1], cf.q[-1]) == Fraction(2, 5)
 
 
 def test_cf_no_trailing_one():
@@ -114,9 +113,9 @@ def test_best_approx_cardinality_bound():
         if gcd(a, b) != 1:
             continue
         cf = cf_expand(Fraction(a, b))
-        bound = 2 + cf.even_quotient_sum(cf.n // 2)
+        bound = 2 + even_quotient_sum(cf, cf.n // 2)
         sched = best_approx_denominators(Fraction(a, b), 1)
-        assert sched.count() <= bound
+        assert len(sched.values()) <= bound
 
 
 def test_bad_gamma():
@@ -190,7 +189,7 @@ def test_generator_count_bound():
             slope = Slope(beta, alpha)
             for delta in range(alpha):
                 sched = monomial_generators(slope, delta)
-                assert sched.count() <= slope.generator_bound()
+                assert len(sched.values()) <= generator_bound(slope)
 
 
 def test_levels_arithmetic_along_subsequences():

@@ -7,14 +7,12 @@ import pytest
 from slomod import localized, maxmod, pairrep, precise_sum, series
 from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, PrecisionExhausted
+from slomod.errors import BadParameters, OutOfRange, PrecisionExhausted
 from slomod.localized import (
     SMat,
-    echelon_pi,
     hnf_pi,
     hnf_u,
     kernel_pi,
-    kernel_u,
     member_pi,
     member_u,
     module_intersect,
@@ -38,10 +36,6 @@ from helpers import (
 )
 
 HALF = Slope(1, 2)
-
-
-def _zero_mat(M):
-    return all(series_is_zeroish(M.a[i][j]) for i in range(M.rows) for j in range(M.cols))
 
 
 def random_unimodular(rng, cfg, slope, n, ops=4):
@@ -334,6 +328,21 @@ def test_hnf_u_exact_input_at_slope_zero():
         [poly(Z5, NU0, [(0, 20)]), poly(Z5, NU0, [(2, 15)]), poly(Z5, NU0, [(1, 3)])],
     ])
     assert hnf_u(M, 8).rank == 3
+
+
+@pytest.mark.xfail(raises=OutOfRange, strict=True)
+def test_hnf_pi_over_f2_at_slope_zero_fails_with_more_precision():
+    # phase 3 reduces an entry of u_prec 23 by the pivot t of degree 2, and
+    # hi_lo_split inside euclid_div_full raises "split point 2 outside
+    # [0, 1]" at prec 12 and 20; max_module succeeds at every precision
+    one = CoeffElem.from_int(F2, 1)
+    t = one.scale_pi(1)
+    M = SMat(F2, NU0, [[SnuSeries(F2, NU0, {0: t, 1: t}), SnuSeries(F2, NU0, {0: t, 2: t})],
+                       [SnuSeries(F2, NU0, {0: t, 1: t, 2: t}), SnuSeries(F2, NU0, {2: one})]])
+    for prec in (2, 4, 8, 12, 20):
+        maxmod.max_module(M, prec)
+    for prec in (2, 4, 8, 12, 20):
+        hnf_pi(M, prec)
 
 
 def test_smith_u_diagonal():

@@ -7,7 +7,7 @@ from slomod import pairrep
 from slomod.contfrac import Slope
 from slomod.errors import BadParameters, NotFullRank, PrecisionExhausted
 from slomod.localized import SMat
-from slomod.maxmod import MLModule, max_module, max_sum_ml, qis_closure_member
+from slomod.maxmod import MLModule, max_sum_ml, qis_closure_member
 from slomod.pairrep import (
     LocalPair,
     pair_intersect,

