@@ -11,8 +11,10 @@ honest finite precision.
 u side (u^alpha/pi^beta inverted and completed, a DVR): pivots are the
 canonical monomials mu_m = u^a pi^b of valuation m/alpha (pure pi powers
 when the valuation is integral, matching the classical normal form), column
-elimination divides by the minimum-valuation entry, and Smith forms give
-saturations.
+elimination divides by the minimum-valuation entry, inverting each pivot's
+unit part once, and Smith forms give saturations.  hnf_u records its column
+operations; the transform P with T = M.P is built from that record on
+first read, so callers that read only T never pay for it.
 
 Normal-form routines demand exact inputs and fail loudly with
 PrecisionExhausted when a branch cannot be certified; precision-safe module
@@ -459,26 +461,48 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
 
 
-def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
-    """a / b in the u-localization (requires v_nu(a) >= v_nu(b))."""
+def _u_divider(b: SnuSeries, n_level, hi_window):
+    """The map a -> a / b in the u-localization (for v_nu(a) >= v_nu(b)).
+    b = mu * w with mu the canonical monomial of its valuation and w a unit;
+    the Newton inverse of w is computed once, for every a the map divides."""
     m = _valuation_index(b.certified_valuation(), b.slope)
     mu = mu_monomial(b.cfg, b.slope, m, b.ram)
     (i_mu,) = mu.coeffs.keys()
     mu_inv = SnuSeries.monomial(b.cfg, b.slope, -i_mu, mu.coeffs[i_mu].inv())
     w = (b * mu_inv).truncate_u(hi_window)
     w_inv = u_invert_unit(w, n_level, hi_window)
-    return (a * mu_inv * w_inv).truncate_u(hi_window)
+    return lambda a: (a * mu_inv * w_inv).truncate_u(hi_window)
+
+
+def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
+    """a / b in the u-localization (requires v_nu(a) >= v_nu(b))."""
+    return _u_divider(b, n_level, hi_window)(a)
 
 
 class EchelonU:
-    __slots__ = ("T", "P", "pivot_rows", "pivot_vals", "rank")
+    """Staircase form over the u-localization: T = M.P below the working
+    level, with pivot mu_{m_i} at (pivot_rows[i], i).  P is built on first
+    read, by replaying on the identity the column operations hnf_u
+    recorded on T."""
 
-    def __init__(self, T, P, pivot_rows, pivot_vals):
+    __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivot_vals", "rank")
+
+    def __init__(self, T, ops, pivot_rows, pivot_vals):
         self.T = T
-        self.P = P
+        self._ops = ops  # (SMat method, arguments), in the order applied to T
+        self._P = None
         self.pivot_rows = pivot_rows
         self.pivot_vals = pivot_vals  # valuations m_i in 1/alpha units
         self.rank = len(pivot_rows)
+
+    @property
+    def P(self) -> SMat:
+        if self._P is None:
+            P = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
+            for op, args in self._ops:
+                op(P, *args)
+            self._P = P
+        return self._P
 
 
 def _u_entry_val(e: SnuSeries, n_level):
@@ -503,7 +527,12 @@ def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
     """
     hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
     T = M.copy()
-    P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
+    ops = []
+
+    def op(fn, *args):  # apply a column operation to T and record it for P
+        fn(T, *args)
+        ops.append((fn, args))
+
     pivot_rows, pivot_vals = [], []
     frozen = 0
     for row in range(T.rows):
@@ -516,21 +545,18 @@ def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
             continue
         jstar = min(vals, key=lambda j: (vals[j], j))
         m = _valuation_index(vals[jstar], T.slope)
-        T.swap_cols(jstar, frozen)
-        P.swap_cols(jstar, frozen)
+        op(SMat.swap_cols, jstar, frozen)
         piv = T.a[row][frozen]
+        divide = _u_divider(piv, n_level, hi_window)
         # clear the row to the right
         for j in range(frozen + 1, T.cols):
             if _u_entry_val(T.a[row][j], n_level) is not None:
-                q = u_divide(T.a[row][j], piv, n_level, hi_window)
-                T.addmul_col(j, frozen, -q)
-                P.addmul_col(j, frozen, -q)
+                q = divide(T.a[row][j])
+                op(SMat.addmul_col, j, frozen, -q)
                 T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)
         # normalize the pivot to the canonical monomial
         mu = mu_monomial(T.cfg, T.slope, m, T.ram)
-        w_inv = u_divide(mu, piv, n_level, hi_window)
-        T.scale_col_series(frozen, w_inv)
-        P.scale_col_series(frozen, w_inv)
+        op(SMat.scale_col_series, frozen, divide(mu))
         T.a[row][frozen] = mu  # structurally exact after unit scaling
         pivot_rows.append(row)
         pivot_vals.append(Fraction(m, T.slope.alpha))
@@ -545,20 +571,25 @@ def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
                     continue
                 mu = T.a[row][col]
                 q = u_divide(high, mu, n_level, hi_window)
-                T.addmul_col(j, col, -q)
-                P.addmul_col(j, col, -q)
+                op(SMat.addmul_col, j, col, -q)
                 T.a[row][j] = low  # the canonical residue, structurally
     # tidy: reduce every entry at the working level
     for i in range(T.rows):
         for j in range(T.cols):
             T.a[i][j] = T.a[i][j].truncate_u(hi_window)
-    return EchelonU(T, P, pivot_rows, pivot_vals)
+    return EchelonU(T, ops, pivot_rows, pivot_vals)
 
 
-def member_u(vec, M: SMat, n_level, ech: EchelonU | None = None):
+def member_u(vec, M: SMat, n_level):
     """Coordinates X with M.X = vec over the u-localization DVR, or None."""
-    if ech is None:
-        ech = hnf_u(M, n_level)
+    ech = hnf_u(M, n_level)
+    y = _u_coordinates(vec, M, ech, n_level)
+    return None if y is None else ech.P.apply_to_vector(y)
+
+
+def _u_coordinates(vec, M: SMat, ech: EchelonU, n_level):
+    """Coordinates Y with ech.T.Y = vec (ech the u-side echelon of M), or
+    None: the yes/no of member_u, without reading ech.P."""
     hi_window = _u_window([e for r in M.a for e in r] + list(vec), n_level, M.slope)
 
     def divide(i, e):
@@ -572,7 +603,7 @@ def member_u(vec, M: SMat, n_level, ech: EchelonU | None = None):
     solved = _substitute(vec, ech.T, enumerate(ech.pivot_rows), divide)
     if solved is None or any(_u_entry_val(e, n_level) is not None for e in solved[1]):
         return None
-    return ech.P.apply_to_vector(solved[0])
+    return solved[0]
 
 
 def kernel_u(M: SMat, n_level) -> list:
@@ -619,16 +650,19 @@ def smith_u(M: SMat, n_level):
             U_inv.swap_cols(i, k)
         D.swap_cols(j, k)
         piv = D.a[k][k]
+        divide = None  # division by the pivot, made at its first use
         for r in range(k + 1, D.rows):
             if _u_entry_val(D.a[r][k], n_level) is not None:
-                q = u_divide(D.a[r][k], piv, n_level, hi_window)
+                divide = divide or _u_divider(piv, n_level, hi_window)
+                q = divide(D.a[r][k])
                 for c in range(D.cols):
                     D.a[r][c] = D.a[r][c] - q * D.a[k][c]
                 D.a[r][k] = SnuSeries.zero(D.cfg, D.slope, D.ram)
                 U_inv.addmul_col(k, r, q)
         for c in range(k + 1, D.cols):
             if _u_entry_val(D.a[k][c], n_level) is not None:
-                q = u_divide(D.a[k][c], piv, n_level, hi_window)
+                divide = divide or _u_divider(piv, n_level, hi_window)
+                q = divide(D.a[k][c])
                 for r in range(D.rows):
                     D.a[r][c] = D.a[r][c] - q * D.a[r][k]
                 D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)

@@ -20,10 +20,10 @@ from .localized import (
     EchelonU,
     SMat,
     _substitute,
+    _u_coordinates,
     _u_window,
     hnf_pi,
     hnf_u,
-    member_u,
     module_intersect,
     module_sum,
     mu_monomial,
@@ -117,7 +117,7 @@ def _e_membership(vec, M: SMat, ech, prec) -> bool:
     if not _isinf(lb) and lb < 0:
         shift += _ceil(-lb)
     scaled = [e.scale_pi(shift) for e in vec]
-    return member_u(scaled, M, prec, ech=ech) is not None
+    return _u_coordinates(scaled, M, ech, prec) is not None
 
 
 def verify_image_condition(P: LocalPair, prec) -> bool:
@@ -161,12 +161,7 @@ def psi_inverse(P: LocalPair, prec):
 def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
     r = P.rank
     ident = SMat.identity(P.cfg, P.slope, r, P.ram)
-    ep = EchelonPi(
-        ident,
-        SMat.identity(P.cfg, P.slope, r, P.ram),
-        list(range(r)),
-        [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)],
-    )
+    ep = EchelonPi(ident, None, list(range(r)), [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)])
     Y = SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram)
     eu = hnf_u(Y, prec)
     return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)

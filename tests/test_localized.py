@@ -265,6 +265,28 @@ def test_hnf_u_uniqueness_fuzz():
                 assert h1.T.a[i][j].digits_agree(h2.T.a[i][j])
 
 
+def test_hnf_u_transform_agrees_below_the_working_level():
+    # P is replayed from the column operations recorded on T; M.P and T
+    # differ only at or beyond the working level, where T holds exact zeros
+    # and monomials (so digits_agree, which compares those, is too strict)
+    rng = random.Random(2)
+    n = 4
+    for cfg in (Z5, F2):
+        for slope in (NU0, HALF, Slope(2, 3)):
+            for _ in range(12):
+                rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+                M = SMat(cfg, slope, [
+                    [random_exact_poly(rng, cfg, slope, max_deg=2, max_pi=2) for _ in range(cols)]
+                    for _ in range(rows)
+                ])
+                ech = hnf_u(M, n)
+                MP = M.matmul(ech.P)
+                for i in range(rows):
+                    for j in range(cols):
+                        diff = (MP.a[i][j] - ech.T.a[i][j]).reduce_levels(n)
+                        assert not diff.has_certain_digit(), (M, i, j)
+
+
 def test_hnf_u_fractional_pivot():
     # at slope 2/5 the module <u> has pivot valuation 2/5, canonical monomial u
     slope = Slope(2, 5)
@@ -371,6 +393,26 @@ def test_smith_u_invariance():
         Q = random_unimodular(rng, Z5, NU0, 2, ops=2)
         vals, _, rank = smith_u(D.matmul(Q), 8)
         assert [int(v) for v in vals] == diag
+
+
+def test_one_unit_inverse_per_u_pivot(monkeypatch):
+    # every entry a pivot clears, and the pivot's own normalisation, reuse
+    # one Newton inversion of that pivot's unit part
+    calls = []
+    real = localized.u_invert_unit
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(localized, "u_invert_unit", counting)
+    u, one, pi = poly(Z5, HALF, [(1, 1)]), SnuSeries.one(Z5, HALF), poly(Z5, HALF, [(0, 5)])
+    M = SMat(Z5, HALF, [[one + u, u, pi], [u, one, one + u], [pi, u, one + u * u]])
+    assert hnf_u(M, 6, hnf=False).rank == 3
+    assert len(calls) == 3
+    calls.clear()
+    _, _, rank = smith_u(M, 6)
+    assert rank == 3 and len(calls) <= rank
 
 
 def _sqrt_pi_matrix(slope):

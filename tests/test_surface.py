@@ -5,13 +5,14 @@ code of ``src/slomod`` and all of ``perfbench/*.py`` and ``tools/*.py``.  A
 reached body reaches what a bare name or a ``"name"``/``"Class.method"``
 string spells; ``x.m`` reaches the functions named m and the methods named m
 of classes that are not confined, and of C when x is typed C (``self`` or
-``cls`` in C, C itself, a name bound to a C).  Reading, not calling, an
-attribute that some class stores reaches no method.  A class without base
-or subclass is confined when reached code keeps its instances in typed
-names: as receivers, local values, returns annotated C, or arguments for
-parameters annotated C or not annotated (which become typed C).  Such an
-instance meets no operator, ``repr`` or hash, so only its ``__init__`` runs.
-Dunders are never reported.
+``cls`` in C, C itself, a name bound to a C).  A call ``x.m(...)`` on an
+instance or module reaches only the m that take its arguments.  Reading,
+not calling, an attribute that some class stores reaches no method.  A
+class without base or subclass is confined when reached code keeps its
+instances in typed names: as receivers, local values, returns annotated C,
+or arguments for parameters annotated C or not annotated (which become
+typed C).  Such an instance meets no operator, ``repr`` or hash, so only
+its ``__init__`` runs.  Dunders are never reported.
 """
 
 import ast
@@ -97,6 +98,15 @@ class Program:
         def called(n):
             return isinstance(parents.get(n), ast.Call) and parents[n].func is n
 
+        def shape(n):
+            """(positional count, keyword names) of the call of n, or None."""
+            if not called(n):
+                return None
+            call = parents[n]
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                return None
+            return len(call.args), frozenset(k.arg for k in call.keywords)
+
         def kinds(e):
             """The classes whose instance (for a class name: the class) e may be."""
             if isinstance(e, ast.Name):
@@ -139,15 +149,36 @@ class Program:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 names.add(n.id)
             elif isinstance(n, ast.Attribute) and (n.attr not in self.fields or called(n)):
-                attrs |= {(n.attr, c) for c in kinds(n.value) or {None}}
+                call = None if is_class(n.value) else shape(n)  # C.m(x, ...) passes self
+                attrs |= {(n.attr, c, call) for c in kinds(n.value) or {None}}
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 parts = n.value.split(".")
                 names.update(parts)
-                attrs |= {(m, c) for c, m in zip(parts, parts[1:]) if c in self.classes}
+                attrs |= {(m, c, None) for c, m in zip(parts, parts[1:]) if c in self.classes}
             ks = kinds(n) if isinstance(n, ast.Call) or isinstance(getattr(n, "ctx", None), ast.Load) else set()
             if ks and not kept(n, ks):
                 escaped |= ks
         return names, attrs, escaped
+
+    def _accepts(self, key, call):
+        """Whether the definition ``key`` takes a call of shape ``call``
+        (positional count, keyword names; None when unknown)."""
+        node, owner = self.defs[key]
+        # x.prop(...) calls what the property returns, not the property
+        if call is None or not isinstance(node, FN) or _deco(node, "property"):
+            return True
+        npos, keywords = call
+        a = node.args
+        params = (a.posonlyargs + a.args)[int(owner is not None and not _deco(node, "staticmethod")):]
+        if npos > len(params) and a.vararg is None:
+            return False
+        free = params[npos:]
+        if a.kwarg is None and not keywords <= {p.arg for p in free + a.kwonlyargs}:
+            return False
+        required = free[: max(0, len(params) - len(a.defaults) - npos)] + [
+            k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is None
+        ]
+        return {p.arg for p in required} <= keywords
 
     def _reach(self, confined):
         reached, escaped, todo = set(), set(), list(self.seeds)
@@ -156,8 +187,9 @@ class Program:
             names, attrs, esc = self._scan(node, owner, fn)
             escaped.update(esc)
             todo.extend(k for name in names for k in self.named.get(name, []) if self.defs[k][1] is None)
-            todo.extend(k for attr, recv in attrs for k in self.named.get(attr, [])
-                        if self.defs[k][1] not in confined or self.defs[k][1] == recv)
+            todo.extend(k for attr, recv, call in attrs for k in self.named.get(attr, [])
+                        if (self.defs[k][1] not in confined or self.defs[k][1] == recv)
+                        and self._accepts(k, call))
 
         for node in self.roots:
             use(node)
@@ -190,3 +222,20 @@ class Program:
 def test_every_definition_is_reached_or_exported():
     unreached = Program().unreached()
     assert not unreached, "nothing in the program reaches " + ", ".join(unreached)
+
+
+def test_a_call_reaches_only_the_definitions_that_take_its_arguments():
+    accepts = Program()._accepts
+    # RatFunc.is_zero(self): a bound call with no argument, never with one
+    assert accepts("gfq.RatFunc.is_zero", (0, frozenset()))
+    assert not accepts("gfq.RatFunc.is_zero", (1, frozenset()))
+    # hnf_u(M, n_level, hnf=True): two or three positionals, or hnf by name
+    assert not accepts("localized.hnf_u", (1, frozenset()))
+    assert accepts("localized.hnf_u", (2, frozenset({"hnf"})))
+    assert not accepts("localized.hnf_u", (4, frozenset()))
+    assert not accepts("localized.hnf_u", (2, frozenset({"prec"})))
+    assert accepts("localized.hnf_u", (3, frozenset()))
+    # a classmethod binds cls; an unknown shape (a starred call) reaches all
+    assert accepts("localized.SMat.identity", (3, frozenset()))
+    assert not accepts("localized.SMat.identity", (5, frozenset()))
+    assert accepts("gfq.RatFunc.is_zero", None)
