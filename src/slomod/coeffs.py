@@ -228,6 +228,7 @@ class FqConfig(RingConfig):
         super().__init__(default_prec)
         self.q = q
         self.field = gfq.GF(q)
+        self._zero = gfq.RatFunc(self.field, ())
 
     def same_ring(self, other):
         return isinstance(other, FqConfig) and other.q == self.q
@@ -236,7 +237,7 @@ class FqConfig(RingConfig):
         return f"FqConfig(q={self.q})"
 
     def exa_zero(self):
-        return gfq.RatFunc(self.field, ())
+        return self._zero
 
     def exa_one(self):
         return gfq.RatFunc(self.field, (self.field.one,))
@@ -256,26 +257,35 @@ class FqConfig(RingConfig):
     def exa_dot(self, terms):
         """Exact sum of x*y*t^e over (x, y, e) triples with e >= 0.
 
-        Raw numerator polynomials are accumulated over a running lcm of the
-        denominators; one ``RatFunc`` is built at the end.
+        A single term is the canonical product x*y, which cancels by cross
+        gcds only, shifted by t^e.  Otherwise the raw numerator polynomials
+        are first summed per denominator; the sums are then accumulated over
+        a running lcm of the distinct denominators, which starts at the
+        first one, and one ``RatFunc`` is built at the end.
         """
+        terms = list(terms)
+        if len(terms) == 1:
+            x, y, e = terms[0]
+            return (x * y).shift(e)
         f = self.field
         one = (f.one,)
-        num, den = (), one
+        sums = {}
         for x, y, e in terms:
-            n = (f.zero,) * e + gfq.pmul(f, x.num, y.num)
+            n = gfq.pshift(gfq.pmul(f, x.num, y.num), e)
             d = y.den if x.den == one else x.den if y.den == one else gfq.pmul(f, x.den, y.den)
-            if d == den:
-                num = gfq.padd(f, num, n)
-            elif d == one:
-                num = gfq.padd(f, num, gfq.pmul(f, n, den))
-            else:
-                g = gfq.pgcd(f, den, d)
-                dg, _ = gfq.pdivmod(f, d, g)
-                eg, _ = gfq.pdivmod(f, den, g)
-                num = gfq.padd(f, gfq.pmul(f, num, dg), gfq.pmul(f, n, eg))
-                den = gfq.pmul(f, den, dg)
-        return gfq.RatFunc(f, num, den) if num else self.exa_zero()
+            s = sums.get(d)
+            sums[d] = n if s is None else gfq.padd(f, s, n)
+        num = den = None
+        for d, n in sums.items():
+            if not n:
+                continue
+            if den is None:
+                num, den = n, d
+                continue
+            dg, eg = gfq.pcancel(f, d, den)  # the lcm of den and d is den*dg
+            num = gfq.padd(f, gfq.pmul(f, num, dg), gfq.pmul(f, n, eg))
+            den = gfq.pmul(f, den, dg)
+        return gfq.RatFunc(f, num, den) if num else self._zero
 
     def exa_inv(self, a):
         return a.inv_any()

@@ -12,6 +12,21 @@ irreducible of degree m over F_p (f = x when q is prime, so an element is its
 residue mod p).  0 is zero and 1 is one in every field, and ``from_int(n)``
 is n mod p.  ``GF`` builds its arithmetic tables once, from the powers of a
 primitive element; every field operation after that is a table lookup.
+
+Polynomial kernels: ``pmul``, ``pdivmod`` (and ``pgcd`` through it),
+``padd`` and ``pscale`` read the tables of ``GF`` directly instead of
+calling its methods.  The logs of the fixed operand (the second factor, the
+divisor) are looked up once per call, so a digit product x*y is one lookup,
+``_exp[log x + log y]``.  Digits are added by XOR when p = 2, because the
+bits of the encoding are then the coordinates over F_2; for odd p the sum
+goes through the Zech table, ``_exp[la + _zech[lb - la]]``.  There is one
+kernel per operation for every q, and polynomials stay tuples of ints.
+
+Rational functions are kept in canonical form (see ``RatFunc``), and the
+operators use that their operands already are: a product (a/b)*(c/d)
+cancels only the cross gcds gcd(a, d) and gcd(c, b), and a sum over
+g = gcd(b, d) cancels only a factor of g.  A gcd with a constant is never
+computed.
 """
 
 from __future__ import annotations
@@ -181,65 +196,115 @@ def ptrim(a):
 def padd(field: GF, a, b):
     if len(a) < len(b):
         a, b = b, a
-    add = field.add
-    return ptrim([add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+    if field.p == 2:
+        out = [x ^ y for x, y in zip(a, b)]
+    else:
+        log, exp, zech = field._log, field._exp, field._zech
+        out = [exp[(lx := log[x]) + zech[log[y] - lx]] for x, y in zip(a, b)]
+    return ptrim(out + list(a[len(b):]))
 
 
 def pneg(field: GF, a):
-    return tuple(field.neg(x) for x in a)
+    if field.p == 2:
+        return tuple(a)
+    neg = field._neg
+    return tuple(neg[x] for x in a)
 
 
 def pmul(field: GF, a, b, trunc=None):
-    if not a or not b:
-        return ()
+    """a*b, or a*b mod t^trunc.  The logs of b are looked up once; each
+    digit product is ``_exp[log x + log y]``, added in as described in the
+    module docstring."""
     n = len(a) + len(b) - 1
-    if trunc is not None:
-        n = min(n, trunc)
-    add, mul = field.add, field.mul
+    if trunc is not None and trunc < n:
+        n = trunc
+    if n <= 0:
+        return ()
+    log, exp = field._log, field._exp
+    lb = [log[y] for y in b]
     out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i], i):
-                if y:
-                    out[j] = add(out[j], mul(x, y))
+    if field.p == 2:
+        for i, x in enumerate(a[:n]):
+            if x:
+                lx = log[x]
+                for j, ly in enumerate(lb[: n - i], i):
+                    out[j] ^= exp[lx + ly]
+    else:
+        zech = field._zech
+        for i, x in enumerate(a[:n]):
+            if x:
+                lx = log[x]
+                for j, ly in enumerate(lb[: n - i], i):
+                    lo = log[out[j]]
+                    out[j] = exp[lo + zech[log[exp[lx + ly]] - lo]]
     return ptrim(out)
 
 
 def pscale(field: GF, c, a):
-    return ptrim([field.mul(c, x) for x in a])
+    log, exp = field._log, field._exp
+    lc = log[c]
+    return ptrim([exp[lc + log[x]] for x in a])
 
 
 def pdivmod(field: GF, a, b):
-    """Classical division a = q*b + r with deg r < deg b."""
+    """Classical division a = q*b + r with deg r < deg b.
+
+    From the top digit down, the quotient digit c cancels the digit of a at
+    t^(k + deg b), and c*t^k*b is subtracted from the digits below it, with
+    the logs of b looked up once."""
     b = ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(ptrim(a))
     db = len(b) - 1
+    r = list(a)
+    nq = len(r) - db
+    if nq <= 0:
+        return (), ptrim(r)
+    log, exp = field._log, field._exp
     inv_lead = field.inv(b[-1])
-    add, mul = field.add, field.mul
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = mul(a[-1], inv_lead)
-        k = len(a) - 1 - db
-        q[k] = c
-        c = field.neg(c)  # a -= c*t^k*b, as one addition per digit
-        for i, y in enumerate(b, k):
-            if y:
-                a[i] = add(a[i], mul(c, y))
-        while a and not a[-1]:
-            a.pop()
-    return ptrim(q), tuple(a)
+    l_inv, l_neg = log[inv_lead], log[field.neg(inv_lead)]  # logs of 1/lead, -1/lead
+    lb = [log[y] for y in b[:db]]
+    q = [0] * nq
+    if field.p == 2:
+        for k in range(nq - 1, -1, -1):
+            c = r[k + db]
+            if c:
+                q[k] = c = exp[log[c] + l_inv]
+                lc = log[c]
+                for j, ly in enumerate(lb, k):
+                    r[j] ^= exp[lc + ly]
+    else:
+        zech = field._zech
+        for k in range(nq - 1, -1, -1):
+            c = r[k + db]
+            if c:
+                q[k] = exp[log[c] + l_inv]
+                lc = log[exp[log[c] + l_neg]]  # log of -c, reduced below q - 1
+                for j, ly in enumerate(lb, k):
+                    lo = log[r[j]]
+                    r[j] = exp[lo + zech[log[exp[lc + ly]] - lo]]
+    return ptrim(q), ptrim(r[:db])
 
 
 def pgcd(field: GF, a, b):
+    """The monic gcd of a and b (() when both are zero)."""
     a, b = ptrim(a), ptrim(b)
     while b:
-        _, r = pdivmod(field, a, b)
-        a, b = b, r
-    if a:
-        a = pscale(field, field.inv(a[-1]), a)  # monic normalization
+        a, b = b, pdivmod(field, a, b)[1]
+    if a and a[-1] != 1:
+        a = pscale(field, field.inv(a[-1]), a)
     return a
+
+
+def pcancel(field: GF, a, b):
+    """(a/g, b/g) for g = gcd(a, b), a and b nonzero and trimmed.  The gcd
+    with a constant is a constant, so it is computed only when both have
+    a t."""
+    if len(a) > 1 and len(b) > 1:
+        g = pgcd(field, a, b)
+        if len(g) > 1:
+            return pdivmod(field, a, g)[0], pdivmod(field, b, g)[0]
+    return a, b
 
 
 def pinv_series(field: GF, a, n):
@@ -302,6 +367,15 @@ def _canonical(field: GF, num, den) -> "RatFunc":
     return r
 
 
+def _unit_low(field: GF, num, den):
+    """(num, den) scaled so that the lowest nonzero coefficient of den is 1."""
+    c = den[pt_val(den)]
+    if c == 1:
+        return num, den
+    c = field.inv(c)
+    return pscale(field, c, num), pscale(field, c, den)
+
+
 class RatFunc:
     """Rational function n(t)/d(t) over GF(q), d != 0.
 
@@ -310,7 +384,8 @@ class RatFunc:
     (d(0) != 0), but arbitrary nonzero denominators are allowed so the class
     is a field (Gaussian elimination needs intermediate divisions).
     Canonical form: gcd(n, d) = 1 and the lowest nonzero coefficient of d
-    is 1.
+    is 1.  The operators rely on their operands being canonical and cancel
+    only what can be common (see the module docstring).
     """
 
     __slots__ = ("field", "num", "den")
@@ -321,14 +396,7 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if num:
-            # the gcd with a nonzero constant is a constant: nothing to cancel
-            g = pgcd(field, num, den) if len(den) > 1 else den
-            if len(g) > 1:
-                num, _ = pdivmod(field, num, g)
-                den, _ = pdivmod(field, den, g)
-            c = field.inv(den[pt_val(den)])
-            num = pscale(field, c, num)
-            den = pscale(field, c, den)
+            num, den = _unit_low(field, *pcancel(field, num, den))
         else:
             den = (1,)
         self.field = field
@@ -357,9 +425,18 @@ class RatFunc:
         return _canonical(self.field, pshift(num, -c), pshift(den, -k - c))
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        """a/b + c/d over g = gcd(b, d): with b = g*b' and d = g*d', the sum
+        is (a*d' + c*b')/(b*d').  A common factor of that numerator and
+        b*d' is prime to b' and d', so it divides g, and with it b."""
         f = self.field
-        num = padd(f, pmul(f, self.num, other.den), pmul(f, other.num, self.den))
-        return RatFunc(f, num, pmul(f, self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFunc(f, padd(f, a, c), b)
+        bg, dg = pcancel(f, b, d)
+        num = padd(f, pmul(f, a, dg), pmul(f, c, bg))
+        if len(dg) < len(d):  # g is not 1
+            num, b = pcancel(f, num, b)
+        return _canonical(f, *_unit_low(f, num, pmul(f, b, dg)))
 
     def __neg__(self) -> "RatFunc":
         return _canonical(self.field, pneg(self.field, self.num), self.den)
@@ -368,13 +445,20 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        """(a/b)*(c/d) cancels by the cross gcds, gcd(a, d) and gcd(c, b):
+        gcd(a, b) = gcd(c, d) = 1, so no other factor is common."""
         f = self.field
-        return RatFunc(f, pmul(f, self.num, other.num), pmul(f, self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or not c:
+            return _canonical(f, (), (1,))
+        a, d = pcancel(f, a, d)
+        c, b = pcancel(f, c, b)
+        return _canonical(f, *_unit_low(f, pmul(f, a, c), pmul(f, b, d)))
 
     def inv_any(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        return RatFunc(self.field, self.den, self.num)
+        return _canonical(self.field, *_unit_low(self.field, self.den, self.num))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):

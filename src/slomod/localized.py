@@ -461,14 +461,18 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
 
 
+def _monomial_inverse(mu: SnuSeries) -> SnuSeries:
+    """c^-1 u^-a for the monomial mu = c u^a."""
+    ((i_mu, c),) = mu.coeffs.items()
+    return SnuSeries.monomial(mu.cfg, mu.slope, -i_mu, c.inv())
+
+
 def _u_divider(b: SnuSeries, n_level, hi_window):
     """The map a -> a / b in the u-localization (for v_nu(a) >= v_nu(b)).
     b = mu * w with mu the canonical monomial of its valuation and w a unit;
     the Newton inverse of w is computed once, for every a the map divides."""
     m = _valuation_index(b.certified_valuation(), b.slope)
-    mu = mu_monomial(b.cfg, b.slope, m, b.ram)
-    (i_mu,) = mu.coeffs.keys()
-    mu_inv = SnuSeries.monomial(b.cfg, b.slope, -i_mu, mu.coeffs[i_mu].inv())
+    mu_inv = _monomial_inverse(mu_monomial(b.cfg, b.slope, m, b.ram))
     w = (b * mu_inv).truncate_u(hi_window)
     w_inv = u_invert_unit(w, n_level, hi_window)
     return lambda a: (a * mu_inv * w_inv).truncate_u(hi_window)
@@ -564,13 +568,15 @@ def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
     if hnf:
         for col, row in enumerate(pivot_rows):
             bound = pivot_vals[col]
+            mu_inv = None
             for j in range(col):
                 e = T.a[row][j]
                 low, high = e.split_levels(bound)
                 if not high.coeffs:
                     continue
-                mu = T.a[row][col]
-                q = u_divide(high, mu, n_level, hi_window)
+                # the pivot is mu_m itself: dividing by it needs no unit inverse
+                mu_inv = mu_inv or _monomial_inverse(T.a[row][col])
+                q = (high * mu_inv).truncate_u(hi_window)
                 op(SMat.addmul_col, j, col, -q)
                 T.a[row][j] = low  # the canonical residue, structurally
     # tidy: reduce every entry at the working level

@@ -431,6 +431,61 @@ class CoordGF:
             return "1"
         return "g" + "".join(str(x) for x in a)
 
+    # -- schoolbook polynomials: an oracle for the ``gfq`` kernels --------
+    # Arguments and results are polynomials in the ``gfq`` form: little-endian
+    # sequences of encoded ints.  Results are trimmed tuples.
+
+    def from_int(self, n):
+        return tuple(n // self.p**i % self.p for i in range(self.m))
+
+    def _coords(self, a):
+        out = [self.from_int(x) for x in a]
+        while out and not any(out[-1]):
+            out.pop()
+        return out
+
+    def _encoded(self, a):
+        out = [self.to_int(c) for c in a]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def poly_add(self, a, b):
+        a, b = self._coords(a), self._coords(b)
+        zero = (0,) * self.m
+        n = max(len(a), len(b))
+        a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+        return self._encoded([self.add(x, y) for x, y in zip(a, b)])
+
+    def poly_mul(self, a, b, trunc=None):
+        a, b = self._coords(a), self._coords(b)
+        out = [(0,) * self.m] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return self._encoded(out if trunc is None else out[:trunc])
+
+    def poly_divmod(self, a, b):
+        a, b = self._coords(a), self._coords(b)
+        lead_inv = self.inv(b[-1])
+        r = list(a)
+        q = [(0,) * self.m] * max(0, len(a) - len(b) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            c = q[k] = self.mul(r[k + len(b) - 1], lead_inv)
+            for i, y in enumerate(b):
+                r[k + i] = self.add(r[k + i], self.neg(self.mul(c, y)))
+        return self._encoded(q), self._encoded(r)
+
+    def poly_gcd(self, a, b):
+        """The monic gcd, by Euclid's algorithm on ``poly_divmod``."""
+        a, b = self._encoded(self._coords(a)), self._encoded(self._coords(b))
+        while b:
+            a, b = b, self.poly_divmod(a, b)[1]
+        if not a:
+            return a
+        lead_inv = self.to_int(self.inv(self.from_int(a[-1])))
+        return self.poly_mul(a, (lead_inv,))
+
 
 # ---------------------------------------------------------------------------
 # builders and oracles over library types that only the tests use
