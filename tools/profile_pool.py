@@ -1,12 +1,12 @@
 """Replay a benchmark workload's pool inputs under cProfile.
 
-    python3 tools/profile_pool.py --workload fq_ramified [--limit N] [--top K]
+    python3 tools/profile_pool.py --workload fq_ramified [--limit N]
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once, as ``tools/check_reference.py`` does, with the profiler on for both
-steps.  Prints the replay's wall time, the outcome counts, and the ``K``
-functions with the largest self time (calls, self and cumulative seconds).
-``--limit N`` replays the first N inputs only.  The modules under
+steps; ``--limit N`` replays the first N inputs only.  Prints the
+replay's wall time, the outcome counts, and the ``TOP`` functions with the
+largest self time (calls, self and cumulative seconds).  The modules under
 ``perfbench/`` are imported, never written.  cProfile slows pure-Python code
 down by about 2x, so the times are for comparing replays, not for quoting
 as benchmark numbers.
@@ -28,6 +28,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import gen  # noqa: E402
 import worker  # noqa: E402
 
+TOP = 30
+
 
 def replay(pool, profiler):
     """Prepare and run every input under ``profiler``; outcome kind counts."""
@@ -47,7 +49,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(gen.WORKLOADS))
     ap.add_argument("--limit", type=int, default=None, help="replay only the first N pool inputs")
-    ap.add_argument("--top", type=int, default=25, help="functions to print, by self time")
     args = ap.parse_args(argv)
 
     pool = gen.pool(args.workload)[: args.limit]
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - t0
     outcomes = ", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
     print(f"{args.workload}: {len(pool)} inputs in {wall:.2f} s under cProfile ({outcomes})")
-    pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
+    pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(TOP)
     return 0
 
 
