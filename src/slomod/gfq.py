@@ -205,8 +205,6 @@ def padd(field: GF, a, b):
 
 
 def pneg(field: GF, a):
-    if field.p == 2:
-        return tuple(a)
     neg = field._neg
     return tuple(neg[x] for x in a)
 
@@ -279,7 +277,7 @@ def pdivmod(field: GF, a, b):
             c = r[k + db]
             if c:
                 q[k] = exp[log[c] + l_inv]
-                lc = log[exp[log[c] + l_neg]]  # log of -c, reduced below q - 1
+                lc = log[exp[log[c] + l_neg]]  # log(-c), back in [0, field.q - 1)
                 for j, ly in enumerate(lb, k):
                     lo = log[r[j]]
                     r[j] = exp[lo + zech[log[exp[lc + ly]] - lo]]
