@@ -25,8 +25,15 @@ import ops  # noqa: E402
 import worker  # noqa: E402
 
 
-def outcome(op) -> str:
+def run(op):
+    """(kind, detail) of one pool input, prepared and run under the deadline
+    as a benchmark pass does (kinds as in ``worker.run_op``)."""
     kind, detail, _ = worker.run_op(worker._prepare(op, worker.DEADLINE_S), worker.DEADLINE_S)
+    return kind, detail
+
+
+def outcome(op) -> str:
+    kind, detail = run(op)
     if kind == "ok":
         return "ok:" + ops.digest(detail)
     if kind == "error":

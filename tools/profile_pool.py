@@ -3,10 +3,11 @@
     python3 tools/profile_pool.py --workload fq_ramified [--limit N]
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
-once, as ``tools/check_reference.py`` does, with the profiler on for both
-steps; ``--limit N`` replays the first N inputs only.  Prints the
-replay's wall time, the outcome counts, and the ``TOP`` functions with the
-largest self time (calls, self and cumulative seconds).  The modules under
+once through ``check_reference.run``, with the profiler on for both steps;
+``--limit N`` replays the first N inputs only.  Prints the replay's wall
+time, the outcome counts, and the ``TOP`` functions with the largest self
+time (calls, self and cumulative seconds).  Exits 1 if an input missed its
+deadline or raised anything but a typed ``AlgebraError``.  The modules under
 ``perfbench/`` are imported, never written.  cProfile slows pure-Python code
 down by about 2x, so the times are for comparing replays, not for quoting
 as benchmark numbers.
@@ -16,29 +17,25 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import os
 import pstats
 import signal
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import gen  # noqa: E402
-import worker  # noqa: E402
+import check_reference  # puts src/ and perfbench/ on sys.path
+import gen
+import worker
 
 TOP = 30
 
 
 def replay(pool, profiler):
-    """Prepare and run every input under ``profiler``; outcome kind counts."""
+    """Run every input under ``profiler``; outcome kind counts."""
     kinds = {}
     for op in pool:
         profiler.enable()
         try:
-            call = worker._prepare(op, worker.DEADLINE_S)
-            kind, _, _ = worker.run_op(call, worker.DEADLINE_S)
+            kind, _ = check_reference.run(op)
         finally:
             profiler.disable()
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -60,7 +57,7 @@ def main(argv=None) -> int:
     outcomes = ", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
     print(f"{args.workload}: {len(pool)} inputs in {wall:.2f} s under cProfile ({outcomes})")
     pstats.Stats(profiler, stream=sys.stdout).sort_stats("tottime").print_stats(TOP)
-    return 0
+    return 0 if set(kinds) <= {"ok", "error"} else 1
 
 
 if __name__ == "__main__":
