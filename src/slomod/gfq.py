@@ -21,7 +21,7 @@ divisor) are looked up once per call, so a digit product x*y is one lookup,
 ``_exp[la + _zech[lb - la]]``, which is right for every q.  ``padd``,
 ``pmul`` and ``pdivmod`` keep a second loop for p = 2 that adds by XOR, as
 the bits of the encoding are then the coordinates over F_2; it made the
-``fq_ramified`` benchmark (GF(2) and GF(4)) about 6% faster in ``wall_s``
+``fq_ramified`` benchmark (GF(2) and GF(4)) 4 to 6% faster in ``wall_s``
 than the Zech loop alone.  There is no size threshold, and polynomials stay
 tuples of ints.
 
