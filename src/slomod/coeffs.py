@@ -48,13 +48,15 @@ and every intermediate reduction of the fold moves the value by a multiple of
 w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
 
 At ram 1 over Z_p, ``sum_products`` and ``CoeffElem.__add__`` (so also
-``__sub__``) build no ``Fraction`` per term.  A term is an int pair over its
-power of p: the unit's numerator and denominator, or for a product a*b the
-products of those of a and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs
+``__sub__``) build no ``Fraction`` per term, and ``CoeffElem.__mul__``
+builds one.  A term is an int pair over its power of p: the unit's
+numerator and denominator, or for a product a*b the products of those of a
+and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs
 over a running lcm of the denominators (prime to p) at the lowest power of
 p, and one normaliser, ``_zp_digit``, turns (c, den, val, abs) into the
 element: it strips p from c once and builds one ``Fraction``, exact or
-reduced mod p^(abs - val).  The Kronecker digits below end in it too.
+reduced mod p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair,
+and the Kronecker digits below end in it too.
 Summing the stored units is exact enough.  A unit known to finite precision
 is stored reduced, so its element's stored value differs from any value the
 element stands for by a multiple of p^abs of that element.  Times the other
@@ -62,30 +64,41 @@ factor, the difference stays at or above the product's abs, so at or above
 the sum's abs.  The stored and the exact sums agree mod p^abs of the sum,
 and a ``CoeffElem`` depends only on that residue and on abs.
 
-Whole series products go through ``series_product``.  For Z_p at ram 1 it
-is one Kronecker multiply (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 2009):
+Whole series products go through ``series_product``, which also adds them
+to an accumulator: it returns the digits of acc + q*b or acc - q*b, each
+digit normalised once (``SnuSeries.addmul``; a plain product has an empty
+acc).  For Z_p at ram 1 it is one Kronecker multiply (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 2009):
 
 * each factor becomes integers: with D the lcm of its unit denominators
   (prime to p) and v0 its lowest valuation, digit i is A_i * p^v0 / D with
   A_i = num * (D/den) * p^(num_val - v0);
 * the factors pack as sum A_i * 2^(K*(i - i_min)) with K = bits(max|A|) +
   bits(max|B|) + bits(min(len)) + 2, so |C_k| = |sum A_i B_j| < 2^(K-2)
-  and no output digit reaches the next field;
+  and no output digit reaches the next field; for acc - q*b one packed
+  factor is negated, which the signed reading below allows;
 * one multiply gives sum C_k * 2^(K*k); the signed K-bit fields are read
   from the low end, a field >= 2^(K-1) is negative and borrows 1 from the
   rest;
-* digit k is C_k * p^(v0a + v0b) / (Da*Db), normalised by ``_zp_digit``:
-  its valuation is v0a + v0b + v_p(C_k), and its unit is C_k/p^v_p(C_k)
-  over Da*Db, exact or reduced mod p^(abs - val).
+* digit k is C_k * p^(v0a + v0b) / (Da*Db).  Where acc has no digit k,
+  ``_zp_digit`` normalises it: its valuation is v0a + v0b + v_p(C_k), and
+  its unit is C_k/p^v_p(C_k) over Da*Db, exact or reduced mod
+  p^(abs - val).  Otherwise C_k and acc's unit go to ``_zp_sum`` as two
+  int pairs, over the lcm of the two denominators, at absolute precision
+  min(abs of acc_k, abs of the product digit).
 
-The absolute precision abs of a digit is the ``sum_products`` one, computed
-only over pairs with an inexact factor.  So each digit is the element that
-``sum_products`` builds: a ``CoeffElem`` is a function of its exact value
-mod w^abs and of abs, and C_k carries the exact value.  A digit that cancels
-is left out when exact and is O(w^abs) otherwise, as there.  GF(q) digits
-(``RatFunc``s) and ram > 1 digit vectors do not pack; they take one
-``sum_products`` per output digit.
+The absolute precision abs of a product digit is the ``sum_products`` one,
+computed only over pairs with an inexact factor.  So each digit is the
+element that ``sum_products`` builds: a ``CoeffElem`` is a function of its
+exact value mod w^abs and of abs, and C_k carries the exact value.  The sum
+with acc_k is then the element ``CoeffElem.__add__`` builds from acc_k and
+that product digit (or from its negative): the normalised product digit
+differs from the exact C_k value by a multiple of w^abs of that digit, so
+the two sums agree mod w^min, and both are normalised at that min.  A digit
+that cancels is left out when exact and is O(w^abs) otherwise, as there.
+GF(q) digits (``RatFunc``s) and ram > 1 digit vectors do not pack; they
+take one ``sum_products`` per output digit, with acc_k as its lone term and
+the sparser factor negated for acc - q*b, by the same argument.
 """
 
 from __future__ import annotations
@@ -174,7 +187,9 @@ class ZpConfig(RingConfig):
         Raw numerators are accumulated as ints over a running lcm of the
         denominators; one ``Fraction`` is built at the end.
         """
-        num, den = _lcm_sum(self.p, terms, 0)
+        num, den = _lcm_sum(
+            self.p, ((x.numerator * y.numerator, x.denominator * y.denominator, e) for x, y, e in terms), 0
+        )
         return Fraction(num, den) if num else _ZERO
 
     def exa_inv(self, a):
@@ -449,7 +464,9 @@ class CoeffElem:
         out_abs = min(a.num_val + a.prec, b.num_val + b.prec)
         base = min(a.num_val, b.num_val)
         if ram == 1 and cfg.kind == "zp":
-            terms = [(x.unit[0], 1, x.num_val) for x in (a, b) if x.unit is not None]
+            terms = [
+                (x.unit[0].numerator, x.unit[0].denominator, x.num_val) for x in (a, b) if x.unit is not None
+            ]
             return _zp_sum(cfg, terms, base, out_abs)
         if ram == 1:
             digits = [
@@ -489,6 +506,10 @@ class CoeffElem:
         out_abs = min(a.num_val + b.abs_w(), b.num_val + a.abs_w())
         if a.unit is None or b.unit is None:
             return CoeffElem.o_term(cfg, out_abs, ram)
+        if ram == 1 and cfg.kind == "zp":
+            x, y = a.unit[0], b.unit[0]
+            v = a.num_val + b.num_val
+            return _zp_digit(cfg, x.numerator * y.numerator, x.denominator * y.denominator, v, out_abs)
         if ram == 1:
             prec = min(a.prec, b.prec)
             digits = _reduce_digits(cfg, 1, (cfg.exa_mul(a.unit[0], b.unit[0]),), prec)
@@ -699,24 +720,32 @@ def sum_products(cfg, ram, pairs, lone=None) -> CoeffElem:
     return _normalize(cfg, ram, base * ram, digits, abs_w)
 
 
-def series_product(cfg, ram, a, b, up) -> dict:
-    """The digits of (sum a_i u^i) * (sum b_j u^j) below u^up.
+def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
+    """The digits of acc + sign * (sum a_i u^i) * (sum b_j u^j), the product
+    taken below u^up; sign is 1 or -1.
 
-    ``a`` and ``b`` map exponents to nonzero ``CoeffElem``s of this ram.
-    Returns {k: digit} for the exponents k = i + j < up in first-seen order
-    (i over a, j over b); a digit that cancels to an exact zero is left out.
-    Z_p at ram 1 takes one Kronecker multiply; GF(q) digits (``RatFunc``s)
-    and ram > 1 digit vectors do not pack, so there every digit is one
-    ``sum_products`` over the sparser factor.
+    ``a``, ``b`` and ``acc`` map exponents to nonzero ``CoeffElem``s of this
+    ram; ``acc`` is not cut at up.  Returns a new dict: acc's exponents in
+    acc's order, then the product's exponents k = i + j < up in first-seen
+    order (i over a, j over b); a digit that cancels to an exact zero is
+    left out.  Each digit is normalised once.  Z_p at ram 1 takes one
+    Kronecker multiply; GF(q) digits (``RatFunc``s) and ram > 1 digit
+    vectors do not pack, so there every digit is one ``sum_products`` over
+    the sparser factor, with acc's digit as its lone term.
     """
     keys = [k for k in dict.fromkeys([i + j for i in a for j in b]) if k < up]
+    out = dict(acc)
     if cfg.kind == "zp" and ram == 1:
-        return _zp_product(cfg, a, b, keys)
+        _zp_kronecker(cfg, a, b, keys, out, sign)
+        return out
     sa, sb = (a, b) if len(a) <= len(b) else (b, a)
-    out = {}
+    if sign < 0:
+        sa = {i: -x for i, x in sa.items()}
     for k in keys:
-        c = sum_products(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb))
-        if not c.zero:
+        c = sum_products(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb), out.get(k))
+        if c.zero:
+            out.pop(k, None)
+        else:
             out[k] = c
     return out
 
@@ -750,9 +779,11 @@ def _zp_abs_precisions(a, b):
     return out
 
 
-def _zp_product(cfg, a, b, keys) -> dict:
+def _zp_kronecker(cfg, a, b, keys, out, sign):
     """``series_product`` for ram-1 Z_p: both factors packed into one int
-    each, one multiply, signed digits unpacked with a borrow."""
+    each, one multiply, signed digits unpacked with a borrow; each digit C_k
+    is added to out[k] over the lcm of the two denominators and normalised
+    once, in place."""
     p = cfg.p
     ia, ib = _zp_integers(p, a), _zp_integers(p, b)
     digits, k0, val0, den = [], 0, 0, 1
@@ -771,7 +802,8 @@ def _zp_product(cfg, a, b, keys) -> dict:
         other = 0
         for j, y in ys:
             other += y << (width * (j - j0))
-        packed *= other
+        # the signed reading below holds for a negative product too
+        packed *= other if sign > 0 else -other
         k0 = i0 + j0
         mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
         for _ in range(max(keys) - k0 + 1):
@@ -783,13 +815,24 @@ def _zp_product(cfg, a, b, keys) -> dict:
             digits.append(c)
         val0, den = va + vb, da * db
     precs = _zp_abs_precisions(a, b)
-    out = {}
     for k in keys:
         c = digits[k - k0] if 0 <= k - k0 < len(digits) else 0
-        d = _zp_digit(cfg, c, den, val0, precs.get(k, INF))
-        if not d.zero:
+        abs_w = precs.get(k, INF)
+        x = out.get(k)
+        if x is None:
+            d = _zp_digit(cfg, c, den, val0, abs_w)
+        elif c == 0 and abs_w == INF:
+            continue  # an exact zero product digit leaves x as it is
+        else:
+            terms = [(c, den, val0)]
+            if x.unit is not None:
+                u = x.unit[0]
+                terms.append((u.numerator, u.denominator, x.num_val))
+            d = _zp_sum(cfg, terms, min(val0, x.num_val), min(abs_w, x.num_val + x.prec))
+        if d.zero:
+            out.pop(k, None)
+        else:
             out[k] = d
-    return out
 
 
 def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
@@ -805,7 +848,7 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = lone.num_val + lone.prec
             if lone.unit is not None:
                 u = lone.unit[0]
-                terms.append((u, 1, lone.num_val))
+                terms.append((u.numerator, u.denominator, lone.num_val))
                 base = lone.num_val
     for a, b in pairs:
         if a.ram != 1 or b.ram != 1:
@@ -818,16 +861,17 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = t
         if a.unit is None or b.unit is None:
             continue
-        terms.append((a.unit[0], b.unit[0], v))
+        x, y = a.unit[0], b.unit[0]
+        terms.append((x.numerator * y.numerator, x.denominator * y.denominator, v))
         if v < base:
             base = v
     return _zp_sum(cfg, terms, base, abs_w)
 
 
 def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
-    """The ram-1 Z_p element sum x*y * p^v over (x, y, v) triples of units
-    (v >= base) at absolute precision abs_w: ints over a running lcm of the
-    denominators, at p^base."""
+    """The ram-1 Z_p element sum n/d * p^v over (n, d, v) int triples, d
+    prime to p and v >= base, at absolute precision abs_w: ints over a
+    running lcm of the denominators, at p^base."""
     if not terms:
         return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
     num, den = _lcm_sum(cfg.p, terms, base)
@@ -835,13 +879,11 @@ def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
 
 
 def _lcm_sum(p, terms, base):
-    """(num, den) with num/den = sum x*y*p^(v - base) over (x, y, v) triples
-    of rationals (``Fraction`` or int) with v >= base: ints over a running
-    lcm of the denominators."""
+    """(num, den) with num/den = sum n/d * p^(v - base) over (n, d, v) int
+    triples with d > 0 and v >= base: ints over a running lcm of the
+    denominators."""
     num, den = 0, 1
-    for x, y, v in terms:
-        n = x.numerator * y.numerator
-        d = x.denominator * y.denominator
+    for n, d, v in terms:
         if v != base:
             n *= p ** (v - base)
         if d == den:

@@ -102,14 +102,14 @@ class SMat:
     def addmul_col(self, j0, j1, q: SnuSeries):
         """C_j0 += q * C_j1."""
         for i in range(self.rows):
-            self.a[i][j0] = self.a[i][j0] + q * self.a[i][j1]
+            self.a[i][j0] = self.a[i][j0].addmul(1, q, self.a[i][j1])
 
     def transform_cols_2x2(self, j0, j1, k, l, m, n):
         """(C_j0, C_j1) <- (k C_j0 + l C_j1, m C_j0 + n C_j1)."""
         for i in range(self.rows):
             x, y = self.a[i][j0], self.a[i][j1]
-            self.a[i][j0] = k * x + l * y
-            self.a[i][j1] = m * x + n * y
+            self.a[i][j0] = (k * x).addmul(1, l, y)
+            self.a[i][j1] = (m * x).addmul(1, n, y)
 
     def matmul(self, other: "SMat") -> "SMat":
         if self.cols != other.rows:
@@ -119,7 +119,7 @@ class SMat:
             for j in range(other.cols):
                 acc = SnuSeries.zero(self.cfg, self.slope, self.ram)
                 for k in range(self.cols):
-                    acc = acc + self.a[i][k] * other.a[k][j]
+                    acc = acc.addmul(1, self.a[i][k], other.a[k][j])
                 out.a[i][j] = acc
         return out
 
@@ -130,7 +130,7 @@ class SMat:
         for i in range(self.rows):
             acc = SnuSeries.zero(self.cfg, self.slope, self.ram)
             for k in range(self.cols):
-                acc = acc + self.a[i][k] * vec[k]
+                acc = acc.addmul(1, self.a[i][k], vec[k])
             out.append(acc)
         return out
 
@@ -365,7 +365,7 @@ def _substitute(vec, T: SMat, steps, divide):
         if q is not None:
             y[i] = q
             for r in range(T.rows):
-                residual[r] = residual[r] - q * T.a[r][i]
+                residual[r] = residual[r].addmul(-1, q, T.a[r][i])
     return y, residual
 
 
@@ -470,10 +470,16 @@ def _monomial_inverse(mu: SnuSeries) -> SnuSeries:
 def _u_divider(b: SnuSeries, n_level, hi_window):
     """The map a -> a / b in the u-localization (for v_nu(a) >= v_nu(b)).
     b = mu * w with mu the canonical monomial of its valuation and w a unit;
-    the Newton inverse of w is computed once, for every a the map divides."""
+    the Newton inverse of w is computed once, for every a the map divides.
+    When w is one exact digit c at u^0 (b is c*mu up to its u_prec), that
+    inverse is the exact c^-1, so the map multiplies by c^-1 mu^-1 only."""
     m = _valuation_index(b.certified_valuation(), b.slope)
     mu_inv = _monomial_inverse(mu_monomial(b.cfg, b.slope, m, b.ram))
     w = (b * mu_inv).truncate_u(hi_window)
+    c = w.coeffs.get(0)
+    if len(w.coeffs) == 1 and c is not None and c.is_exact():
+        inv = mu_inv.scale_coeff(c.inv())
+        return lambda a: (a * inv).truncate_u(hi_window)
     w_inv = u_invert_unit(w, n_level, hi_window)
     return lambda a: (a * mu_inv * w_inv).truncate_u(hi_window)
 
@@ -662,7 +668,7 @@ def smith_u(M: SMat, n_level):
                 divide = divide or _u_divider(piv, n_level, hi_window)
                 q = divide(D.a[r][k])
                 for c in range(D.cols):
-                    D.a[r][c] = D.a[r][c] - q * D.a[k][c]
+                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[k][c])
                 D.a[r][k] = SnuSeries.zero(D.cfg, D.slope, D.ram)
                 U_inv.addmul_col(k, r, q)
         for c in range(k + 1, D.cols):
@@ -670,7 +676,7 @@ def smith_u(M: SMat, n_level):
                 divide = divide or _u_divider(piv, n_level, hi_window)
                 q = divide(D.a[k][c])
                 for r in range(D.rows):
-                    D.a[r][c] = D.a[r][c] - q * D.a[r][k]
+                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[r][k])
                 D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
         vals.append(Fraction(m, D.slope.alpha))
         k += 1

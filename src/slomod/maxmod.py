@@ -189,7 +189,7 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
                 q = res.q
                 M.addmul_col(j0, j1, q)
                 for c in range(R.cols):
-                    R.a[j1][c] = R.a[j1][c] - q * R.a[j0][c]
+                    R.a[j1][c] = R.a[j1][c].addmul(-1, q, R.a[j0][c])
                 R.a[j1][t] = res.r  # the division's own remainder, structurally
                 snapshot()
             verify()

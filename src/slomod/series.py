@@ -381,25 +381,12 @@ class SnuSeries:
         return self + (-other)
 
     def __mul__(self, other: "SnuSeries") -> "SnuSeries":
-        self._check_compat(other)
-        a, b = self, other
-        if a.ram != b.ram:
-            r = max(a.ram, b.ram)
-            a, b = a.with_ram(r), b.with_ram(r)
-        # exponent k is reliable while no unknown-tail term can reach it:
-        # unknown(a) * stored(b) lands at >= a.u_prec + min supp(b), etc.
-        lo_a = min(a.coeffs, default=a.u_prec)
-        lo_b = min(b.coeffs, default=b.u_prec)
-        up = min(a.u_prec + lo_b, b.u_prec + lo_a)
-        coeffs = series_product(a.cfg, a.ram, a.coeffs, b.coeffs, up)
-        if _isinf(up):
-            tb = None
-        else:
-            # unknown(x)*y + x*unknown(y) (+ unknown*unknown, dominated)
-            tb = min(
-                a.tail_bound + b.lower_bound(), a.lower_bound() + b.tail_bound
-            )
-        return SnuSeries(a.cfg, a.slope, coeffs, up, tb, ram=a.ram)
+        return _mul_acc(None, 1, self, other)
+
+    def addmul(self, sign, x: "SnuSeries", y: "SnuSeries") -> "SnuSeries":
+        """self + sign*x*y for sign 1 or -1: the series self + x*y or
+        self - x*y, in one pass that normalises each digit once."""
+        return _mul_acc(self, sign, x, y)
 
     def __repr__(self):
         return self.render()
@@ -419,6 +406,42 @@ class SnuSeries:
         if not _isinf(self.u_prec):
             body += f" + O(u^{self.u_prec})"
         return body
+
+
+def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
+    """acc + sign*x*y (acc None: the product alone), the same series as the
+    product followed by the sum: every digit, u_prec and tail_bound.
+
+    The product is known below up_p; the sum below the smaller of up_p and
+    acc.u_prec, and the digits it drops there (of acc or of the product,
+    never of both) lower its tail bound by their levels, as truncate_u
+    does.
+    """
+    x._check_compat(y)
+    ram = max(x.ram, y.ram)
+    if acc is not None:
+        acc._check_compat(x)
+        ram = max(ram, acc.ram)
+        acc = acc.with_ram(ram)
+    x, y = x.with_ram(ram), y.with_ram(ram)
+    # exponent k is reliable while no unknown-tail term can reach it:
+    # unknown(x) * stored(y) lands at >= x.u_prec + min supp(y), etc.
+    lo_x = min(x.coeffs, default=x.u_prec)
+    lo_y = min(y.coeffs, default=y.u_prec)
+    up_p = min(x.u_prec + lo_y, y.u_prec + lo_x)
+    coeffs = series_product(x.cfg, ram, x.coeffs, y.coeffs, up_p, {} if acc is None else acc.coeffs, sign)
+    # unknown(x)*y + x*unknown(y) (+ unknown*unknown, dominated)
+    tb = INF if _isinf(up_p) else min(x.tail_bound + y.lower_bound(), x.lower_bound() + y.tail_bound)
+    up = up_p if acc is None else min(acc.u_prec, up_p)
+    if _isinf(up):
+        return SnuSeries(x.cfg, x.slope, coeffs, INF, None, ram=ram)
+    if acc is not None:
+        tb = min(acc.tail_bound, tb)
+        dropped = [acc.level_key(i, c) for i, c in coeffs.items() if i >= up]
+        if dropped:
+            tb = min(tb, acc._level(min(dropped)))
+            coeffs = {i: c for i, c in coeffs.items() if i < up}
+    return SnuSeries(x.cfg, x.slope, coeffs, up, tb, ram=ram)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +576,7 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
     one = SnuSeries.one(x.cfg, x.slope, ram=x.ram)
     steps = 0
     while True:
-        e = (one - x * y).truncate_u(window)
+        e = one.addmul(-1, x, y).truncate_u(window)
         ve = e.visible_valuation()
         if _isinf(ve) or ve >= n:
             return y
@@ -562,7 +585,7 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
                 f"unit inversion used its budget of {budget} Newton steps "
                 f"and reached level {ve} < {n}"
             )
-        y = (y + y * e).truncate_u(window)
+        y = y.addmul(1, y, e).truncate_u(window)
         steps += 1
 
 
@@ -637,7 +660,7 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
             raise NonTermination("euclidean division loop exceeded its bound")
         t = divide_by_unit(hi_r.shift_u(-d), w, u_prec=cap)
         q = q + t
-        r = r - t * xt
+        r = r.addmul(-1, t, xt)
         loops += 1
     if not exact_finish:
         q = q.reduce_levels(prec - vx)
@@ -718,7 +741,7 @@ def poly_divmod(y: SnuSeries, x: SnuSeries):
         c = r.coeffs[dr] * lead_inv
         term = SnuSeries.monomial(y.cfg, y.slope, dr - dx, c)
         q = q + term
-        r = r - term * x
+        r = r.addmul(-1, term, x)
         # the leading digit cancels exactly in value; drop its O(.) residue
         if r.max_deg() is not None and r.max_deg() >= dr:
             r = SnuSeries(
@@ -771,8 +794,8 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
             s1,
             t1,
             rr,
-            s0 - qq * s1,
-            t0 - qq * t1,
+            s0.addmul(-1, qq, s1),
+            t0.addmul(-1, qq, t1),
         )
         steps += 1
     lead = r0.coeffs[r0.max_deg()]

@@ -309,6 +309,15 @@ def zp_element(cfg, value, abs_w):
     return CoeffElem(cfg, 1, val, abs_w - val, (Fraction(num * pow(den, -1, m) % m),))
 
 
+def zp_product_oracle(a, b):
+    """a*b over ram-1 Z_p: the exact Fraction product of the stored values,
+    known to v_a + v_b + min(prec_a, prec_b)."""
+    if a.zero or b.zero:
+        return CoeffElem.exact_zero(a.cfg)
+    abs_w = a.num_val + b.num_val + min(a.prec, b.prec)
+    return zp_element(a.cfg, zp_stored_value(a) * zp_stored_value(b), abs_w)
+
+
 def zp_sum_oracle(cfg, pairs, lone=None):
     """lone + sum a*b over ram-1 Z_p elements: the exact sum of the stored
     values at the lowest absolute precision of a term (v_a + v_b +

@@ -153,7 +153,7 @@ def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
     x, y = pair
     with pytest.MonkeyPatch.context() as mp:
         per_digit = _count_calls(mp, "sum_products")
-        packed = _count_calls(mp, "_zp_product")
+        packed = _count_calls(mp, "_zp_kronecker")
         got = x * y
     up = min(x.u_prec + min(y.coeffs, default=y.u_prec), y.u_prec + min(x.coeffs, default=x.u_prec))
     assert not packed
@@ -164,9 +164,9 @@ def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
 def test_zp_ram_one_products_take_one_multiply(monkeypatch):
     x = SnuSeries.from_int_terms(Z5, NU0, [(0, 3), (1, 10), (4, -7)])
     per_digit = _count_calls(monkeypatch, "sum_products")
-    packed = _count_calls(monkeypatch, "_zp_product")
+    packed = _count_calls(monkeypatch, "_zp_kronecker")
     x * x
-    assert packed == ["_zp_product"] and not per_digit
+    assert packed == ["_zp_kronecker"] and not per_digit
 
 
 def _readings(x, p):
