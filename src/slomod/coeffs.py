@@ -51,18 +51,18 @@ At ram 1 over Z_p, ``sum_products`` and ``CoeffElem.__add__`` (so also
 ``__sub__``) build no ``Fraction`` per term, and ``CoeffElem.__mul__``
 builds one.  A term is an int pair over its power of p: the unit's
 numerator and denominator, or for a product a*b the products of those of a
-and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs
-over a running lcm of the denominators (prime to p) at the lowest power of
-p, and one normaliser, ``_zp_digit``, turns (c, den, val, abs) into the
-element: it strips p from c once and builds one ``Fraction``, exact or
-reduced mod p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair,
-and the Kronecker digits below end in it too.
-Summing the stored units is exact enough.  A unit known to finite precision
-is stored reduced, so its element's stored value differs from any value the
-element stands for by a multiple of p^abs of that element.  Times the other
-factor, the difference stays at or above the product's abs, so at or above
-the sum's abs.  The stored and the exact sums agree mod p^abs of the sum,
-and a ``CoeffElem`` depends only on that residue and on abs.
+and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
+the denominators (prime to p) at the lowest power of p, and one
+normaliser, ``_zp_digit``, turns (c, den, val, abs) into the element: it
+strips p from c once and builds one ``Fraction``, exact or reduced mod
+p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair, and the
+Kronecker digits below end in it too.  Summing the stored units is exact
+enough.  A unit known to finite precision is stored reduced, so its
+element's stored value differs from any value the element stands for by a
+multiple of p^abs of that element.  Times the other factor, the difference
+stays at or above the product's abs, so at or above the sum's abs.  The
+stored and the exact sums agree mod p^abs of the sum, and a ``CoeffElem``
+depends only on that residue and on abs.
 
 Whole series products go through ``series_product``, which also adds them
 to an accumulator: it returns the digits of acc + q*b or acc - q*b, each
