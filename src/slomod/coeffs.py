@@ -25,33 +25,27 @@ Three distinguished states:
 Invariant: a stored digit vector is reduced -- digit i is the canonical
 representative modulo pi^ceil((prec - i)/ram) -- and its lowest digit c_0 is
 a pi-unit.  For ram_index 1 the vector is the single pi-unit c_0 reduced mod
-pi^prec, which gives add and mul a shortcut:
+pi^prec, which gives mul a shortcut: the product is c_0 * c_0' at
+w^(num_val + num_val'), with relative precision min(prec, prec'), reduced
+once -- a product of pi-units is a pi-unit, so there is nothing to fold and
+no valuation to scan.
 
-* the product is c_0 * c_0' at w^(num_val + num_val'), with relative
-  precision min(prec, prec'), reduced once -- a product of pi-units is a
-  pi-unit, so there is nothing to fold and no valuation to scan;
-* the sum shifts both digits to the common base w^min(num_val, num_val'),
-  adds them and normalises that one digit.
-
-For ram_index > 1 the arithmetic runs on the exact digit lifts (vectors
-longer than ram are folded with w^ram = pi) and is then truncated to the
-precision dictated by the ultrametric lattice calculus.  Both paths give
-identical elements; the exact and approximate cases share each path.
-
-Sums of products -- a digit of a series product, a step of the unit-division
-recurrence -- go through one kernel, ``sum_products``: the exact digits of
-every product are summed at a common base (the backend's ``exa_dot``) and
-normalised once, at absolute precision min(v_a + v_b + min(prec_a, prec_b))
-over the products.  This is value-identical to folding ``acc + a*b`` term by
+Every sum -- a + b (so a - b), a digit of a series product, a step of the
+unit-division recurrence -- and every product at ram_index > 1 goes through
+one kernel, ``sum_products``: the exact digits of every product a*b and of
+every lone summand x are summed at a common base (the backend's
+``exa_dot``) and normalised once, at absolute precision the minimum of
+v_a + v_b + min(prec_a, prec_b) over the products and of v_x + prec_x over
+the lone summands.  This is value-identical to folding ``acc + a*b`` term by
 term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
 and every intermediate reduction of the fold moves the value by a multiple of
 w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
 
-At ram 1 over Z_p, ``sum_products`` and ``CoeffElem.__add__`` (so also
-``__sub__``) build no ``Fraction`` per term, and ``CoeffElem.__mul__``
-builds one.  A term is an int pair over its power of p: the unit's
-numerator and denominator, or for a product a*b the products of those of a
-and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
+At ram 1 over Z_p, ``sum_products`` (so also ``CoeffElem.__add__`` and
+``__sub__``) builds no ``Fraction`` per term, and ``CoeffElem.__mul__``
+builds one.  A term is an int pair over its power of p: a lone summand's
+unit numerator and denominator, or for a product a*b the products of those
+of a and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
 the denominators (prime to p) at the lowest power of p, and one
 normaliser, ``_zp_digit``, turns (c, den, val, abs) into the element: it
 strips p from c once and builds one ``Fraction``, exact or reduced mod
@@ -97,13 +91,13 @@ differs from the exact C_k value by a multiple of w^abs of that digit, so
 the two sums agree mod w^min, and both are normalised at that min.  A digit
 that cancels is left out when exact and is O(w^abs) otherwise, as there.
 GF(q) digits (``RatFunc``s) and ram > 1 digit vectors do not pack; they
-take one ``sum_products`` per output digit, with acc_k as its lone term and
-the sparser factor negated for acc - q*b, by the same argument.
+take one ``sum_products`` per output digit, with acc_k (where acc has one)
+as its one lone summand and the sparser factor negated for acc - q*b, by the
+same argument.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -182,14 +176,18 @@ class ZpConfig(RingConfig):
         return a * b
 
     def exa_dot(self, terms):
-        """Exact sum of x*y*p^e over (x, y, e) triples with e >= 0.
+        """Exact sum of x*y*p^e over (x, y, e) triples with e >= 0; y None
+        stands for 1, the term x*p^e.
 
         Raw numerators are accumulated as ints over a running lcm of the
         denominators; one ``Fraction`` is built at the end.
         """
-        num, den = _lcm_sum(
-            self.p, ((x.numerator * y.numerator, x.denominator * y.denominator, e) for x, y, e in terms), 0
+        ints = (
+            (x.numerator, x.denominator, e) if y is None
+            else (x.numerator * y.numerator, x.denominator * y.denominator, e)
+            for x, y, e in terms
         )
+        num, den = _lcm_sum(self.p, ints, 0)
         return Fraction(num, den) if num else _ZERO
 
     def exa_inv(self, a):
@@ -270,7 +268,8 @@ class FqConfig(RingConfig):
         return a * b
 
     def exa_dot(self, terms):
-        """Exact sum of x*y*t^e over (x, y, e) triples with e >= 0.
+        """Exact sum of x*y*t^e over (x, y, e) triples with e >= 0; y None
+        stands for 1, the term x*t^e.
 
         A single term is the canonical product x*y, which cancels by cross
         gcds only, shifted by t^e.  Otherwise the raw numerator polynomials
@@ -281,13 +280,16 @@ class FqConfig(RingConfig):
         terms = list(terms)
         if len(terms) == 1:
             x, y, e = terms[0]
-            return (x * y).shift(e)
+            return (x if y is None else x * y).shift(e)
         f = self.field
         one = (f.one,)
         sums = {}
         for x, y, e in terms:
-            n = gfq.pshift(gfq.pmul(f, x.num, y.num), e)
-            d = y.den if x.den == one else x.den if y.den == one else gfq.pmul(f, x.den, y.den)
+            if y is None:
+                n, d = gfq.pshift(x.num, e), x.den
+            else:
+                n = gfq.pshift(gfq.pmul(f, x.num, y.num), e)
+                d = y.den if x.den == one else x.den if y.den == one else gfq.pmul(f, x.den, y.den)
             s = sums.get(d)
             sums[d] = n if s is None else gfq.padd(f, s, n)
         num = den = None
@@ -370,7 +372,7 @@ class CoeffElem:
 
     def has_witness(self) -> bool:
         """A certain nonzero digit exists, so the valuation is exact."""
-        return (not self.zero) and (self.prec is not None) and self.prec >= 1
+        return not self.zero and self.prec >= 1
 
     def abs_w(self):
         """Absolute precision in w-units (INF for exact elements)."""
@@ -460,28 +462,7 @@ class CoeffElem:
             return b
         if b.zero:
             return a
-        cfg, ram = a.cfg, a.ram
-        out_abs = min(a.num_val + a.prec, b.num_val + b.prec)
-        base = min(a.num_val, b.num_val)
-        if ram == 1 and cfg.kind == "zp":
-            terms = [
-                (x.unit[0].numerator, x.unit[0].denominator, x.num_val) for x in (a, b) if x.unit is not None
-            ]
-            return _zp_sum(cfg, terms, base, out_abs)
-        if ram == 1:
-            digits = [
-                cfg.exa_shift_pi(x.unit[0], x.num_val - base) for x in (a, b) if x.unit is not None
-            ]
-            if len(digits) == 2:
-                digits = [cfg.exa_add(digits[0], digits[1])]
-            return _normalize(cfg, 1, base, digits or [cfg.exa_zero()], out_abs)
-        da = _lift(cfg, ram, a, base)
-        db = _lift(cfg, ram, b, base)
-        if len(da) < len(db):
-            da, db = db, da
-        for i, d in enumerate(db):
-            da[i] = cfg.exa_add(da[i], d)
-        return _normalize(cfg, ram, base, da, out_abs)
+        return sum_products(a.cfg, a.ram, (), (a, b))
 
     def __neg__(self) -> "CoeffElem":
         if self.zero or self.unit is None:
@@ -540,7 +521,8 @@ class CoeffElem:
         )
 
     def __hash__(self):
-        return hash((self.num_val, self.prec, self.unit, self.zero))
+        # only what ``with_ram`` keeps: equal elements of two rams hash alike
+        return hash((self.zero, Fraction(self.num_val, self.ram)))
 
     def digits_agree(self, other: "CoeffElem") -> bool:
         """True when no digit both elements claim to know disagrees."""
@@ -603,17 +585,6 @@ def _align(a: CoeffElem, b: CoeffElem):
     return a.with_ram(ram), b.with_ram(ram)
 
 
-def _lift(cfg, ram, x: CoeffElem, base: int):
-    """Digit vector of x re-based at w^base (indices may exceed ram)."""
-    shift = x.num_val - base
-    size = ram + shift
-    digits = [cfg.exa_zero()] * size
-    if x.unit is not None:
-        for i, d in enumerate(x.unit):
-            digits[i + shift] = d
-    return digits
-
-
 def _fold(cfg, ram, digits):
     """Fold indices >= ram using w^ram = pi."""
     if len(digits) == ram:
@@ -671,24 +642,40 @@ def _normalize(cfg, ram, base, digits, abs_w):
     return CoeffElem(cfg, ram, val, prec, _reduce_digits(cfg, ram, out, prec))
 
 
-def sum_products(cfg, ram, pairs, lone=None) -> CoeffElem:
-    """lone + sum of a*b over the (a, b) pairs, normalised once.
+def sum_products(cfg, ram, pairs, lone=()) -> CoeffElem:
+    """The sum of the ``lone`` elements and of a*b over the (a, b) pairs,
+    normalised once.
 
     Elements of a smaller ram are lifted with ``with_ram``.  Digit x of a
-    times digit y of b sits at w^s = w^(s mod ram) * pi^(s div ram), so the
-    exact sum is one ``exa_dot`` per w-residue and needs no fold.  The
-    absolute precision is the minimum over the terms: v_a + v_b +
-    min(prec_a, prec_b) for a product, v + prec for the lone term.
-    Z_p at ram 1 sums raw ints instead (``_zp_sum``).
+    times digit y of b sits at w^s = w^(s mod ram) * pi^(s div ram), and
+    digit i of a lone element x at w^(v_x + i), so the exact sum is one
+    ``exa_dot`` per w-residue and needs no fold.  The absolute precision is
+    the minimum over the terms: v_a + v_b + min(prec_a, prec_b) for a
+    product, v + prec for a lone element.  Z_p at ram 1 sums raw ints
+    instead (``_zp_sum``).
     """
     if ram == 1 and cfg.kind == "zp":
         return _zp_sum_products(cfg, pairs, lone)
-    if lone is not None:
-        one = CoeffElem(cfg, ram, 0, INF, (cfg.exa_one(),) + (cfg.exa_zero(),) * (ram - 1))
-        pairs = itertools.chain(pairs, ((lone, one),))
     abs_w = INF
     base = INF  # lowest pi power of a term
     terms = [[] for _ in range(ram)]
+    for x in lone:
+        if x.ram != ram:
+            x = x.with_ram(ram)
+        if x.zero:
+            continue
+        v = x.num_val
+        if v + x.prec < abs_w:
+            abs_w = v + x.prec
+        if x.unit is None:
+            continue
+        if v // ram < base:
+            base = v // ram
+        for i, d in enumerate(x.unit):
+            if cfg.exa_is_zero(d):
+                continue
+            s = v + i
+            terms[s % ram].append((d, None, s // ram))
     for a, b in pairs:
         if a.ram != ram:
             a = a.with_ram(ram)
@@ -731,7 +718,8 @@ def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
     left out.  Each digit is normalised once.  Z_p at ram 1 takes one
     Kronecker multiply; GF(q) digits (``RatFunc``s) and ram > 1 digit
     vectors do not pack, so there every digit is one ``sum_products`` over
-    the sparser factor, with acc's digit as its lone term.
+    the sparser factor, with acc's digit, where there is one, as its lone
+    summand.
     """
     keys = [k for k in dict.fromkeys([i + j for i in a for j in b]) if k < up]
     out = dict(acc)
@@ -742,7 +730,8 @@ def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
     if sign < 0:
         sa = {i: -x for i, x in sa.items()}
     for k in keys:
-        c = sum_products(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb), out.get(k))
+        lone = (out[k],) if k in out else ()
+        c = sum_products(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb), lone)
         if c.zero:
             out.pop(k, None)
         else:
@@ -841,15 +830,20 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
     and no ``CoeffElem`` is built for a term."""
     abs_w = base = INF
     terms = []
-    if lone is not None:
-        if lone.ram != 1:
-            lone.with_ram(1)  # raises: nothing lowers to ram 1
-        if not lone.zero:
-            abs_w = lone.num_val + lone.prec
-            if lone.unit is not None:
-                u = lone.unit[0]
-                terms.append((u.numerator, u.denominator, lone.num_val))
-                base = lone.num_val
+    for x in lone:
+        if x.ram != 1:
+            x.with_ram(1)  # raises: nothing lowers to ram 1
+        if x.zero:
+            continue
+        v = x.num_val
+        if v + x.prec < abs_w:
+            abs_w = v + x.prec
+        if x.unit is None:
+            continue
+        u = x.unit[0]
+        terms.append((u.numerator, u.denominator, v))
+        if v < base:
+            base = v
     for a, b in pairs:
         if a.ram != 1 or b.ram != 1:
             a, b = a.with_ram(1), b.with_ram(1)  # raises: nothing lowers to ram 1

@@ -111,7 +111,7 @@ def _entry_data(e: SnuSeries):
     return e.certified_val_deg()
 
 
-def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
+def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None):
     """Put the relation matrix in staircase form by quasi-isomorphisms.
 
     Returns (M1, R1, L1) with M1.R1 = 0; the columns of M1 whose R1-row is
@@ -131,12 +131,6 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
     def snapshot():
         if trace is not None:
             trace.append((M.copy(), R.copy()))
-
-    def verify():
-        if check:
-            prod = M.matmul(R)
-            if any(e.has_certain_digit() for row in prod.a for e in row):
-                raise CertificateViolation("M.R = 0 violated")
 
     snapshot()
     budget = _iteration_budget(R, alpha)
@@ -192,7 +186,6 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
                     R.a[j1][c] = R.a[j1][c].addmul(-1, q, R.a[j0][c])
                 R.a[j1][t] = res.r  # the division's own remainder, structurally
                 snapshot()
-            verify()
             steps += 1
             if steps > budget:
                 raise NonTermination(
@@ -209,7 +202,6 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None, check=False):
                 R.a[jstar][c] = z
             free_rows.discard(jstar)
             snapshot()
-            verify()
     return M, R, L
 
 

@@ -531,9 +531,8 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec) -> SnuSeries:
     neg_x = [(i, (-x.coeffs[i]).with_ram(ram)) for i in xs]
     b: dict = {}
     for j in range(cap):
-        acc = sum_products(
-            z.cfg, ram, ((c, b[j - i]) for i, c in neg_x if j - i in b), lone=z.coeffs.get(j)
-        )
+        lone = (z.coeffs[j],) if j in z.coeffs else ()
+        acc = sum_products(z.cfg, ram, ((c, b[j - i]) for i, c in neg_x if j - i in b), lone)
         bj = acc * a0_inv
         if not bj.is_exact_zero():
             b[j] = bj

@@ -127,6 +127,25 @@ def coeff_mul_fold(a, b):
     return _normalize(cfg, ram, a.num_val + b.num_val, prod, out_abs)
 
 
+def add_fold(a, b):
+    """CoeffElem sum by the digit vectors of both lifted to the common base
+    w^min(v_a, v_b), added, folded with w^ram = pi and normalised once at
+    min(abs_a, abs_b): the ram > 1 path of ``CoeffElem.__add__`` before the
+    sum went through ``sum_products``, here used at every ram."""
+    a, b = _align(a, b)
+    if a.zero:
+        return b
+    if b.zero:
+        return a
+    cfg, ram = a.cfg, a.ram
+    base = min(a.num_val, b.num_val)
+    digits = [cfg.exa_zero()] * (ram + max(a.num_val, b.num_val) - base)
+    for x in (a, b):
+        for i, d in enumerate(x.unit or ()):
+            digits[x.num_val - base + i] = cfg.exa_add(digits[x.num_val - base + i], d)
+    return _normalize(cfg, ram, base, digits, min(a.abs_w(), b.abs_w()))
+
+
 def mul_fold(x, y):
     """x*y by the per-pair fold coeffs[k] + ca*cb: every partial sum of every
     output digit is a normalised CoeffElem."""
@@ -332,6 +351,14 @@ def zp_sum_oracle(cfg, pairs, lone=None):
         abs_w = min(abs_w, lone.num_val + lone.prec)
         value += zp_stored_value(lone)
     return zp_element(cfg, value, abs_w)
+
+
+def assert_relations_hold(trace):
+    """M.R has no certain digit in any (M, R) snapshot of a
+    ``matrix_reduction`` trace."""
+    for step, (M, R) in enumerate(trace):
+        prod = M.matmul(R)
+        assert not any(e.has_certain_digit() for row in prod.a for e in row), f"M.R != 0 at snapshot {step}"
 
 
 def oracle_pos_best_approx(a, b, gamma):

@@ -7,7 +7,7 @@ import pytest
 from slomod.contfrac import Slope
 from slomod.coeffs import CoeffElem
 from slomod import maxmod
-from slomod.errors import BadParameters, BudgetExhausted, CertificateViolation, NonTermination, SlopeOrder
+from slomod.errors import BadParameters, BudgetExhausted, NonTermination, SlopeOrder
 from slomod.localized import SMat
 from slomod.maxmod import (
     MLModule,
@@ -20,7 +20,17 @@ from slomod.maxmod import (
 )
 from slomod.series import SnuSeries
 
-from helpers import NU0, Z5, divides_monomial, generator_bound, generator_count, mono, poly, series_is_zeroish
+from helpers import (
+    NU0,
+    Z5,
+    assert_relations_hold,
+    divides_monomial,
+    generator_bound,
+    generator_count,
+    mono,
+    poly,
+    series_is_zeroish,
+)
 
 
 def worked_example_matrix():
@@ -61,7 +71,8 @@ def test_matrix_reduction_worked_example_states():
     M = worked_example_matrix()
     R = relations_approx(M)
     trace = []
-    M1, R1, L1 = matrix_reduction(M, R, prec=12, trace=trace, check=True)
+    M1, R1, L1 = matrix_reduction(M, R, prec=12, trace=trace)
+    assert_relations_hold(trace)
     # the three displayed states, in order
     want = [
         ("[pi^2, pi*u^3]", "[u^3; -pi]"),
@@ -228,12 +239,14 @@ def test_generator_bound_on_outputs():
 
 
 def test_matrix_reduction_check_rejects_non_relations():
-    # M.R = 2 != 0: the first division step's check must fail
+    # M.R = 2 != 0: the relation check flags the input snapshot
     one = poly(Z5, NU0, [(0, 1)])
     M = SMat(Z5, NU0, [[one, one]])
     R = SMat(Z5, NU0, [[one], [one]])
-    with pytest.raises(CertificateViolation):
-        matrix_reduction(M, R, 20, check=True)
+    trace = []
+    matrix_reduction(M, R, 20, trace=trace)
+    with pytest.raises(AssertionError, match="snapshot 0"):
+        assert_relations_hold(trace[:1])
 
 
 def test_matrix_reduction_rejects_fractional_w_shift():

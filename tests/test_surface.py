@@ -224,6 +224,28 @@ def test_every_definition_is_reached_or_exported():
     assert not unreached, "nothing in the program reaches " + ", ".join(unreached)
 
 
+def _unused_imports(path):
+    """The names a module's top-level imports bind that nothing in it reads,
+    in code or in a quoted annotation."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    quoted = [a for n in ast.walk(tree) for a in (getattr(n, "annotation", None), getattr(n, "returns", None))
+              if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    read = [n for t in [tree, *(ast.parse(a.value, mode="eval") for a in quoted)] for n in ast.walk(t)]
+    return bound - {n.id for n in read if isinstance(n, ast.Name)}
+
+
+def test_every_module_level_import_is_used():
+    unused = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for name in sorted(_unused_imports(path))]
+    assert not unused, "imported and never used: " + ", ".join(unused)
+
+
 def test_a_call_reaches_only_the_definitions_that_take_its_arguments():
     accepts = Program()._accepts
     # RatFunc.is_zero(self): a bound call with no argument, never with one
