@@ -61,16 +61,22 @@ depends only on that residue and on abs.
 Whole series products go through ``series_product``, which also adds them
 to an accumulator: it returns the digits of acc + q*b or acc - q*b, each
 digit normalised once (``SnuSeries.addmul``; a plain product has an empty
-acc).  For Z_p at ram 1 it is one Kronecker multiply (Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution", JSC 2009):
+acc).  With no product exponent below the product's window it returns a
+copy of acc and packs nothing.  For Z_p at ram 1 it is one Kronecker
+multiply (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009):
 
-* each factor becomes integers: with D the lcm of its unit denominators
-  (prime to p) and v0 its lowest valuation, digit i is A_i * p^v0 / D with
-  A_i = num * (D/den) * p^(num_val - v0);
-* the factors pack as sum A_i * 2^(K*(i - i_min)) with K = bits(max|A|) +
-  bits(max|B|) + bits(min(len)) + 2, so |C_k| = |sum A_i B_j| < 2^(K-2)
-  and no output digit reaches the next field; for acc - q*b one packed
-  factor is negated, which the signed reading below allows;
+* each factor series is packed once, on its first product, and the pack is
+  kept with the series (``_zp_pack``; a series never changes, so the pack
+  never goes stale): with D the lcm of its unit denominators (prime to p)
+  and v0 its lowest valuation, digit i is A_i * p^v0 / D with A_i = num *
+  (D/den) * p^(num_val - v0); the pack also keeps i_min, bits(max|A|), the
+  valuation of every digit and v + prec of every inexact digit, which is
+  all that a later product reads of the factor;
+* per product the factors shift into sum A_i * 2^(K*(i - i_min)) with K =
+  bits(max|A|) + bits(max|B|) + bits(min(len)) + 2, so |C_k| = |sum A_i
+  B_j| < 2^(K-2) and no output digit reaches the next field; for acc - q*b
+  one packed factor is negated, which the signed reading below allows;
 * one multiply gives sum C_k * 2^(K*k); the signed K-bit fields are read
   from the low end, a field >= 2^(K-1) is negative and borrows 1 from the
   rest;
@@ -82,9 +88,10 @@ polynomial multiplication via multipoint Kronecker substitution", JSC 2009):
   min(abs of acc_k, abs of the product digit).
 
 The absolute precision abs of a product digit is the ``sum_products`` one,
-computed only over pairs with an inexact factor.  So each digit is the
-element that ``sum_products`` builds: a ``CoeffElem`` is a function of its
-exact value mod w^abs and of abs, and C_k carries the exact value.  The sum
+computed only over pairs with an inexact factor, from the two packs, and
+only when a factor has an inexact digit.  So each digit is the element
+that ``sum_products`` builds: a ``CoeffElem`` is a function of its exact
+value mod w^abs and of abs, and C_k carries the exact value.  The sum
 with acc_k is then the element ``CoeffElem.__add__`` builds from acc_k and
 that product digit (or from its negative): the normalised product digit
 differs from the exact C_k value by a multiple of w^abs of that digit, so
@@ -272,15 +279,21 @@ class FqConfig(RingConfig):
         stands for 1, the term x*t^e.
 
         A single term is the canonical product x*y, which cancels by cross
-        gcds only, shifted by t^e.  Otherwise the raw numerator polynomials
-        are first summed per denominator; the sums are then accumulated over
-        a running lcm of the distinct denominators, which starts at the
-        first one, and one ``RatFunc`` is built at the end.
+        gcds only, shifted by t^e.  Two lone terms (a ``CoeffElem`` sum) are
+        canonical, so their shifts add by ``RatFunc.__add__``, which cancels
+        only a factor of the gcd of the denominators.  Otherwise the raw
+        numerator polynomials are first summed per denominator; the sums are
+        then accumulated over a running lcm of the distinct denominators,
+        which starts at the first one, and one ``RatFunc`` is built at the
+        end.
         """
         terms = list(terms)
         if len(terms) == 1:
             x, y, e = terms[0]
             return (x if y is None else x * y).shift(e)
+        if len(terms) == 2 and terms[0][1] is None and terms[1][1] is None:
+            (x, _, e), (y, _, g) = terms
+            return x.shift(e) + y.shift(g)
         f = self.field
         one = (f.one,)
         sums = {}
@@ -708,25 +721,35 @@ def sum_products(cfg, ram, pairs, lone=()) -> CoeffElem:
 
 
 def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
-    """The digits of acc + sign * (sum a_i u^i) * (sum b_j u^j), the product
-    taken below u^up; sign is 1 or -1.
+    """The digits of acc + sign * a * b, the product taken below u^up; sign
+    is 1 or -1.
 
-    ``a``, ``b`` and ``acc`` map exponents to nonzero ``CoeffElem``s of this
-    ram; ``acc`` is not cut at up.  Returns a new dict: acc's exponents in
-    acc's order, then the product's exponents k = i + j < up in first-seen
-    order (i over a, j over b); a digit that cancels to an exact zero is
-    left out.  Each digit is normalised once.  Z_p at ram 1 takes one
-    Kronecker multiply; GF(q) digits (``RatFunc``s) and ram > 1 digit
-    vectors do not pack, so there every digit is one ``sum_products`` over
-    the sparser factor, with acc's digit, where there is one, as its lone
-    summand.
+    ``a`` and ``b`` are the factor series, of this ram: their ``coeffs`` map
+    exponents to nonzero ``CoeffElem``s.  ``acc`` maps exponents to nonzero
+    ``CoeffElem``s of this ram and is not cut at up.  Returns a new dict:
+    acc's exponents in acc's order, then the product's exponents k = i + j <
+    up in first-seen order (i over a, j over b); a digit that cancels to an
+    exact zero is left out.  Each digit is normalised once.  With no
+    product exponent below up this is a copy of acc.  Z_p at ram 1 takes
+    one Kronecker multiply of the two factors' packs, each built once per
+    series (``_zp_pack``) and kept in its ``_pack`` slot; GF(q) digits
+    (``RatFunc``s) and ram > 1 digit vectors do not pack, so there every
+    digit is one ``sum_products`` over the sparser factor, with acc's
+    digit, where there is one, as its lone summand.
     """
-    keys = [k for k in dict.fromkeys([i + j for i in a for j in b]) if k < up]
+    ca, cb = a.coeffs, b.coeffs
+    keys = [k for k in dict.fromkeys([i + j for i in ca for j in cb]) if k < up]
     out = dict(acc)
-    if cfg.kind == "zp" and ram == 1:
-        _zp_kronecker(cfg, a, b, keys, out, sign)
+    if not keys:
         return out
-    sa, sb = (a, b) if len(a) <= len(b) else (b, a)
+    if cfg.kind == "zp" and ram == 1:
+        # a series is never changed after it is built, so its pack stays valid
+        for s in (a, b):
+            if s._pack is None:
+                s._pack = _zp_pack(cfg.p, s.coeffs)
+        _zp_kronecker(cfg, a._pack, b._pack, keys, out, sign)
+        return out
+    sa, sb = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
     if sign < 0:
         sa = {i: -x for i, x in sa.items()}
     for k in keys:
@@ -739,52 +762,63 @@ def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
     return out
 
 
-def _zp_integers(p, coeffs):
-    """A ram-1 Z_p operand as integers: (v0, D, [(i, A_i)]) with digit i
-    equal to A_i * p^v0 / D, or None when no digit is known.  D is the lcm
-    of the unit denominators (prime to p) and v0 the lowest valuation."""
-    known = [(i, c.num_val, c.unit[0]) for i, c in coeffs.items() if c.unit is not None]
-    if not known:
-        return None
-    v0 = min(v for _, v, _ in known)
-    den = math.lcm(*(u.denominator for _, _, u in known))
-    return v0, den, [(i, u.numerator * (den // u.denominator) * p ** (v - v0)) for i, v, u in known]
+def _zp_pack(p, coeffs):
+    """A ram-1 Z_p factor as the Kronecker product reads it: (ints, vals,
+    inexact).
+
+    ints is (v0, D, [(i, A_i)], i0, bits) with digit i equal to A_i *
+    p^v0 / D, D the lcm of the unit denominators (prime to p), v0 the
+    lowest valuation, i0 the lowest exponent and bits the bit length of
+    the largest |A_i|; it is None when no digit is known.  vals is [(j,
+    v_j)] over every digit, O-terms too, and inexact is [(i, v_i + prec_i)]
+    over the digits of finite precision."""
+    vals, inexact, known = [], [], []
+    v0 = i0 = None
+    den = 1
+    for i, c in coeffs.items():
+        v = c.num_val
+        vals.append((i, v))
+        if c.prec != INF:
+            inexact.append((i, v + c.prec))
+        if c.unit is not None:
+            u = c.unit[0]
+            known.append((i, v, u))
+            if den % u.denominator:
+                den = math.lcm(den, u.denominator)
+            if v0 is None or v < v0:
+                v0 = v
+            if i0 is None or i < i0:
+                i0 = i
+    if v0 is None:
+        return None, vals, inexact
+    xs, top = [], 0
+    for i, v, u in known:
+        x = u.numerator * (den // u.denominator)
+        if v != v0:
+            x *= p ** (v - v0)
+        xs.append((i, x))
+        if abs(x) > top:
+            top = abs(x)
+    return (v0, den, xs, i0, top.bit_length()), vals, inexact
 
 
-def _zp_abs_precisions(a, b):
-    """{k: min over i + j = k of v_i + v_j + min(prec_i, prec_j)}, the
-    absolute precision of each product digit, over the pairs with an
-    inexact factor; a key left out is exact.  Each pair is read from both
-    sides, so min(prec_i, prec_j) is the prec of the inexact side read."""
-    out = {}
-    for x, y in ((a, b), (b, a)):
-        for i, c in x.items():
-            if _isinf(c.prec):
-                continue
-            for j, d in y.items():
-                t = c.num_val + d.num_val + c.prec
-                if t < out.get(i + j, INF):
-                    out[i + j] = t
-    return out
+def _zp_kronecker(cfg, pa, pb, keys, out, sign):
+    """``series_product`` for ram-1 Z_p, from the two factors' packs
+    (``_zp_pack``): the packed ints are shifted into one int each, one
+    multiply, signed digits unpacked with a borrow; each digit C_k is added
+    to out[k] over the lcm of the two denominators and normalised once, in
+    place.
 
-
-def _zp_kronecker(cfg, a, b, keys, out, sign):
-    """``series_product`` for ram-1 Z_p: both factors packed into one int
-    each, one multiply, signed digits unpacked with a borrow; each digit C_k
-    is added to out[k] over the lcm of the two denominators and normalised
-    once, in place."""
-    p = cfg.p
-    ia, ib = _zp_integers(p, a), _zp_integers(p, b)
+    The absolute precision of product digit k is the minimum over i + j = k
+    of v_i + v_j + min(prec_i, prec_j), over the pairs with an inexact
+    factor; a key left out is exact.  Each pair is read from both sides, an
+    inexact digit of one factor against every digit of the other, so the
+    scan runs only when a factor has an inexact digit."""
+    (ia, vals_a, inexact_a), (ib, vals_b, inexact_b) = pa, pb
     digits, k0, val0, den = [], 0, 0, 1
-    if ia is not None and ib is not None and keys:
-        (va, da, xs), (vb, db, ys) = ia, ib
-        width = (
-            max(abs(x) for _, x in xs).bit_length()
-            + max(abs(y) for _, y in ys).bit_length()
-            + min(len(xs), len(ys)).bit_length()
-            + 2
-        )
-        i0, j0 = min(i for i, _ in xs), min(j for j, _ in ys)
+    if ia is not None and ib is not None:
+        (va, da, xs, i0, bits_a), (vb, db, ys, j0, bits_b) = ia, ib
+        width = bits_a + bits_b + min(len(xs), len(ys)).bit_length() + 2
         packed = 0
         for i, x in xs:
             packed += x << (width * (i - i0))
@@ -803,7 +837,12 @@ def _zp_kronecker(cfg, a, b, keys, out, sign):
                 packed += 1
             digits.append(c)
         val0, den = va + vb, da * db
-    precs = _zp_abs_precisions(a, b)
+    precs = {}
+    for inexact, vals in ((inexact_a, vals_b), (inexact_b, vals_a)):
+        for i, t in inexact:
+            for j, v in vals:
+                if t + v < precs.get(i + j, INF):
+                    precs[i + j] = t + v
     for k in keys:
         c = digits[k - k0] if 0 <= k - k0 < len(digits) else 0
         abs_w = precs.get(k, INF)

@@ -65,7 +65,10 @@ def _floor(x) -> int:
 
 
 class SnuSeries:
-    __slots__ = ("cfg", "slope", "ram", "coeffs", "u_prec", "tail_bound")
+    # every attribute is set here once and never changed, so ``_pack``, the
+    # ram-1 Z_p Kronecker operand that ``coeffs.series_product`` builds from
+    # coeffs on first use, stays valid for the life of the series
+    __slots__ = ("cfg", "slope", "ram", "coeffs", "u_prec", "tail_bound", "_pack")
 
     def __init__(self, cfg, slope: Slope, coeffs, u_prec=INF, tail_bound=None, ram=None):
         self.cfg = cfg
@@ -94,6 +97,7 @@ class SnuSeries:
             self.tail_bound = Fraction(0)
         else:
             self.tail_bound = tail_bound
+        self._pack = None
 
     # -- constructors -------------------------------------------------------
 
@@ -415,7 +419,9 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
     The product is known below up_p; the sum below the smaller of up_p and
     acc.u_prec, and the digits it drops there (of acc or of the product,
     never of both) lower its tail bound by their levels, as truncate_u
-    does.
+    does.  An exact-zero factor (no digit, u_prec INF) makes the product
+    the exact zero, known at every exponent: the sum is acc itself, with no
+    digit dropped and its tail bound kept, so it is returned as it is.
     """
     x._check_compat(y)
     ram = max(x.ram, y.ram)
@@ -424,12 +430,14 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
         ram = max(ram, acc.ram)
         acc = acc.with_ram(ram)
     x, y = x.with_ram(ram), y.with_ram(ram)
+    if not x.coeffs and _isinf(x.u_prec) or not y.coeffs and _isinf(y.u_prec):
+        return SnuSeries(x.cfg, x.slope, {}, INF, ram=ram) if acc is None else acc
     # exponent k is reliable while no unknown-tail term can reach it:
     # unknown(x) * stored(y) lands at >= x.u_prec + min supp(y), etc.
     lo_x = min(x.coeffs, default=x.u_prec)
     lo_y = min(y.coeffs, default=y.u_prec)
     up_p = min(x.u_prec + lo_y, y.u_prec + lo_x)
-    coeffs = series_product(x.cfg, ram, x.coeffs, y.coeffs, up_p, {} if acc is None else acc.coeffs, sign)
+    coeffs = series_product(x.cfg, ram, x, y, up_p, {} if acc is None else acc.coeffs, sign)
     # unknown(x)*y + x*unknown(y) (+ unknown*unknown, dominated)
     tb = INF if _isinf(up_p) else min(x.tail_bound + y.lower_bound(), x.lower_bound() + y.tail_bound)
     up = up_p if acc is None else min(acc.u_prec, up_p)

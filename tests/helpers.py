@@ -161,6 +161,16 @@ def mul_fold(x, y):
     return _product_series(a, b, up, coeffs)
 
 
+def series_strict(s):
+    """Everything a series is: ram, u_prec, tail bound (with its type) and
+    every digit in key order, its field values and their types."""
+    digits = [
+        (k, c.zero, c.num_val, c.prec, c.unit, None if c.unit is None else [type(d) for d in c.unit])
+        for k, c in s.coeffs.items()
+    ]
+    return s.ram, s.u_prec, type(s.tail_bound), s.tail_bound, digits
+
+
 def mul_per_digit(x, y):
     """x*y with one ``sum_products`` per output exponent over the sparser
     factor, keys in first-seen order: the product loop before the Kronecker

@@ -131,6 +131,22 @@ def test_sum_products_matches_the_fold_of_lone_summands_and_products(data):
     assert _strict(sum_products(cfg, ram, pairs, lone)) == _strict(want)
 
 
+@PROPERTY
+@given(st.data(), st.sampled_from([(F2, 1), (F2, 2), (F4, 1), (F4, 2)]))
+def test_gf_sum_of_two_lone_digits_is_the_ratfunc_sum(data, case):
+    """The two-lone dot of a GF(q) sum equals ``RatFunc.__add__`` of the
+    shifted digits and the n-ary running-lcm dot; the element sums built
+    on it equal the digit fold at ram 1 and 2."""
+    cfg, ram = case
+    x, y = data.draw(values(cfg)), data.draw(values(cfg))
+    e, g = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    got = cfg.exa_dot([(x, None, e), (y, None, g)])
+    assert got == x.shift(e) + y.shift(g)
+    assert got == cfg.exa_dot([(x, None, e), (y, None, g), (cfg.exa_zero(), None, 0)])
+    a, b = data.draw(elements(cfg, ram)), data.draw(elements(cfg, ram))
+    assert _strict(a + b) == _strict(add_fold(a, b))
+
+
 @pytest.mark.parametrize(
     "c",
     [

@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slomod import gfq, localized
+from slomod import series as series_layer
 from slomod.coeffs import INF, CoeffElem, FqConfig
 from slomod.contfrac import Slope
 from slomod.series import SnuSeries
 
-from helpers import F2, NU0, Z3, Z5, mul_per_digit, zp_product_oracle
+from helpers import F2, NU0, Z3, Z5, mul_per_digit, series_strict, zp_product_oracle
 
 PROPERTY = settings(
     max_examples=300,
@@ -124,6 +125,62 @@ def test_addmul_cancels_to_an_exact_zero(cfg, prec):
         assert got.is_exact_zero()
     else:
         assert got.coeffs and not got.has_certain_digit()
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = series_layer.series_product
+    monkeypatch.setattr(series_layer, "series_product", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _factor(cfg, ram=1):
+    one = CoeffElem.from_int(cfg, 1, ram=ram)
+    return SnuSeries(cfg, NU0, {0: one, 2: one.scale_pi(1).reduce_prec(3)}, 4, Fraction(1), ram=ram)
+
+
+@pytest.mark.parametrize("cfg", RINGS, ids=repr)
+@pytest.mark.parametrize("ram", [1, 2])
+def test_an_exact_zero_factor_returns_acc_unchanged(cfg, ram, monkeypatch):
+    one = CoeffElem.from_int(cfg, 1, ram=ram)
+    y = _factor(cfg, ram)
+    zero = SnuSeries.zero(cfg, NU0, ram)
+    accs = [
+        SnuSeries(cfg, NU0, {-1: one, 3: one.reduce_prec(2)}, ram=ram),
+        SnuSeries(cfg, NU0, {0: one.scale_pi(2)}, 5, Fraction(3, 2), ram=ram),
+        SnuSeries(cfg, NU0, {1: one}, 3, 2, ram=ram),
+        SnuSeries(cfg, NU0, {1: one}, 3, ram=ram),
+        SnuSeries(cfg, NU0, {}, 2, Fraction(-1), ram=ram),
+    ]
+    calls = _count_products(monkeypatch)
+    for acc in accs:
+        for sign in (1, -1):
+            for got in (acc.addmul(sign, zero, y), acc.addmul(sign, y, zero), acc.addmul(sign, zero, zero)):
+                assert series_strict(got) == series_strict(acc)
+    for got in (zero * y, y * zero, zero * zero):
+        assert series_strict(got) == series_strict(zero)
+    # a smaller ram is lifted first: the sum is the lifted acc
+    acc1 = SnuSeries(cfg, NU0, {1: CoeffElem.from_int(cfg, 1)}, 3, Fraction(1, 2))
+    assert series_strict(acc1.addmul(1, zero, y)) == series_strict(acc1.with_ram(ram))
+    assert not calls
+
+
+@pytest.mark.parametrize("cfg", RINGS, ids=repr)
+def test_a_zero_factor_with_finite_u_prec_takes_the_full_path(cfg, monkeypatch):
+    """O(u^k) is no exact zero: the product is unknown from u^k on."""
+    one = CoeffElem.from_int(cfg, 1)
+    y = _factor(cfg)
+    acc = SnuSeries(cfg, NU0, {0: one.scale_pi(2), 3: one}, 5, Fraction(3, 2))
+    calls = _count_products(monkeypatch)
+    for k in (0, 2, 5):
+        o = SnuSeries(cfg, NU0, {}, k, Fraction(1))
+        for a, b in ((o, y), (y, o)):
+            p = mul_per_digit(a, b)
+            assert series_strict(a * b) == series_strict(p)
+            for sign, want in ((1, acc + p), (-1, acc - p)):
+                got = acc.addmul(sign, a, b)
+                assert got == want and list(got.coeffs) == list(want.coeffs)
+    assert len(calls) == 3 * 2 * 3
 
 
 def _zp_elements(cfg):

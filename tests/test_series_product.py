@@ -13,7 +13,7 @@ from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
 from slomod.series import SnuSeries
 
-from helpers import F2, NU0, Z3, Z5, Z7, fraction_levels, mul_per_digit
+from helpers import F2, NU0, Z3, Z5, Z7, fraction_levels, mul_per_digit, series_strict
 
 PROPERTY = settings(
     max_examples=150,
@@ -96,21 +96,11 @@ def zp_pairs(draw):
     return x, draw(series(cfg, slope, zp_values()))
 
 
-def _strict(s):
-    """Everything a product is: u_prec, tail bound (with its type) and every
-    digit in key order, its field values and their types."""
-    digits = [
-        (k, c.zero, c.num_val, c.prec, c.unit, None if c.unit is None else [type(d) for d in c.unit])
-        for k, c in s.coeffs.items()
-    ]
-    return s.ram, s.u_prec, type(s.tail_bound), s.tail_bound, digits
-
-
 @PROPERTY
 @given(zp_pairs())
 def test_kronecker_product_matches_per_digit_loop(pair):
     x, y = pair
-    assert _strict(x * y) == _strict(mul_per_digit(x, y))
+    assert series_strict(x * y) == series_strict(mul_per_digit(x, y))
 
 
 @pytest.mark.parametrize("cfg", [Z3, Z5, Z7], ids=repr)
@@ -120,7 +110,7 @@ def test_cancelling_digits(cfg, prec):
     c = CoeffElem.from_exact(cfg, Fraction(-(2**205) - 1, 2**203 + 3), prec=prec).scale_w(-2)
     x = SnuSeries(cfg, NU0, {-1: c, 0: c})
     got = x * _mirror(x)
-    assert _strict(got) == _strict(mul_per_digit(x, _mirror(x)))
+    assert series_strict(got) == series_strict(mul_per_digit(x, _mirror(x)))
     assert list(got.coeffs) == ([-2, 0] if prec == INF else [-2, -1, 0])
     if prec != INF:
         assert not got.coeffs[-1].has_witness()
@@ -158,15 +148,62 @@ def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
     up = min(x.u_prec + min(y.coeffs, default=y.u_prec), y.u_prec + min(x.coeffs, default=x.u_prec))
     assert not packed
     assert len(per_digit) == len({i + j for i in x.coeffs for j in y.coeffs if i + j < up})
-    assert _strict(got) == _strict(mul_per_digit(x, y))
+    assert series_strict(got) == series_strict(mul_per_digit(x, y))
 
 
 def test_zp_ram_one_products_take_one_multiply(monkeypatch):
     x = SnuSeries.from_int_terms(Z5, NU0, [(0, 3), (1, 10), (4, -7)])
+    y = SnuSeries.from_int_terms(Z5, NU0, [(0, 2), (2, -5)])
     per_digit = _count_calls(monkeypatch, "sum_products")
     packed = _count_calls(monkeypatch, "_zp_kronecker")
+    built = []
+    real = coeffs._zp_pack
+    monkeypatch.setattr(coeffs, "_zp_pack", lambda p, digits: built.append(digits) or real(p, digits))
     x * x
     assert packed == ["_zp_kronecker"] and not per_digit
+    x * y
+    y.addmul(1, x, y)
+    assert len(packed) == 3 and not per_digit
+    # one pack per series, built from its own digits on first use
+    assert [id(d) for d in built] == [id(x.coeffs), id(y.coeffs)]
+
+
+def _fresh(s):
+    """A structurally equal copy of s that has never been a factor."""
+    return SnuSeries(s.cfg, s.slope, dict(s.coeffs), s.u_prec, s.tail_bound, ram=s.ram)
+
+
+@st.composite
+def reused_factors(draw):
+    """(x, y, acc) over Z3, Z5 or Z7 at slope 0, 1/2 or 2/3, with exact,
+    finite-precision and O-term digits."""
+    cfg = draw(st.sampled_from([Z3, Z5, Z7]))
+    slope = draw(st.sampled_from(SLOPES[:3]))
+    x, y, acc = (draw(series(cfg, slope, zp_values())) for _ in range(3))
+    return x, y, acc
+
+
+@PROPERTY
+@given(reused_factors(), st.sampled_from([1, -1]))
+def test_a_packed_factor_gives_what_a_fresh_copy_gives(data, sign):
+    """x and y are factors again and again, in both places, inside addmul
+    and after a no-op ``with_ram``, so their packs are built once and then
+    read; every result is the one fresh copies without a pack give."""
+    x, y, acc = data
+    uses = [
+        lambda a, b, c: a * b,
+        lambda a, b, c: b * a,
+        lambda a, b, c: a * a,
+        lambda a, b, c: c.addmul(sign, a, b),
+        lambda a, b, c: c.addmul(sign, b, a),
+        lambda a, b, c: a.with_ram(1) * b.with_ram(1),
+        lambda a, b, c: b.addmul(sign, a, a),
+        lambda a, b, c: a * b,
+    ]
+    for use in uses:
+        want = use(_fresh(x), _fresh(y), _fresh(acc))
+        assert series_strict(use(x, y, acc)) == series_strict(want)
+    assert (x._pack is None) == (not x.coeffs)
 
 
 def _readings(x, p):
