@@ -1,7 +1,8 @@
 """Property tests of the multiply-accumulate kernel ``SnuSeries.addmul``
-against the product followed by the sum, of the ram-1 Z_p ``CoeffElem``
-product against the exact Fraction product, and of the u-side divider's
-constant-unit shortcut against the Newton inverse it skips."""
+against the product followed by the sum, and of its exact-zero-factor
+shortcut; of the ram-1 Z_p ``CoeffElem`` product against the exact Fraction
+product; and of the u-side divider's constant-unit shortcut against the
+Newton inverse it skips."""
 
 from fractions import Fraction
 

@@ -1,6 +1,7 @@
 """Property tests of the L1 integer kernels: the Kronecker product of ram-1
-Z_p series against the per-digit ``sum_products`` loop, and the integer
-level keys against the Fraction level formula."""
+Z_p series against the per-digit ``sum_products`` loop, the packs it keeps
+with each series against fresh copies, and the integer level keys against
+the Fraction level formula."""
 
 from fractions import Fraction
 
