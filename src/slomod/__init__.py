@@ -8,7 +8,7 @@ localizations, maximal modules up to quasi-isomorphism, continued-fraction
 generator schedules, and precision-tracked module sums.
 """
 
-from .coeffs import CoeffElem, FqConfig, RingConfig, ZpConfig, coeff_add, coeff_inv, coeff_mul
+from .coeffs import CoeffElem, FqConfig, RingConfig, ZpConfig
 from .contfrac import (
     ContinuedFraction,
     GenSchedule,
@@ -16,20 +16,15 @@ from .contfrac import (
     best_approx_denominators,
     cf_expand,
     monomial_generators,
-    nearest_ops,
 )
 from .series import (
     SnuSeries,
     divide_by_unit,
     euclid_div,
-    gauss_valuation,
     gcd_extended,
     hi_lo_split,
     invert_unit,
-    series_add,
-    series_mul,
     slope_transport,
-    weierstrass_degree,
     weierstrass_prep,
 )
 
@@ -44,20 +39,12 @@ __all__ = [
     "ZpConfig",
     "best_approx_denominators",
     "cf_expand",
-    "coeff_add",
-    "coeff_inv",
-    "coeff_mul",
     "divide_by_unit",
     "euclid_div",
-    "gauss_valuation",
     "gcd_extended",
     "hi_lo_split",
     "invert_unit",
     "monomial_generators",
-    "nearest_ops",
-    "series_add",
-    "series_mul",
     "slope_transport",
-    "weierstrass_degree",
     "weierstrass_prep",
 ]

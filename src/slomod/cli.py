@@ -248,6 +248,8 @@ def parse_session(text: str) -> SessionFile:
                     tag = w[1:]
             if head == "matrix":
                 rows, cols = _int(words[2], lineno), _int(words[3], lineno)
+                if rows < 1 or cols < 1:
+                    raise ParseError(f"matrix dimensions below 1: {rows} x {cols}", lineno)
                 entries = []
                 for r in range(rows):
                     cells = body_line(head, lineno).split(";")

@@ -979,20 +979,3 @@ def _unit_poly_inverse(cfg, ram, digits):
                 A[r] = [cfg.exa_sub(x, cfg.exa_mul(f, y)) for x, y in zip(A[r], A[c])]
                 rhs[r] = cfg.exa_sub(rhs[r], cfg.exa_mul(f, rhs[c]))
     return tuple(rhs)
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation names
-# ---------------------------------------------------------------------------
-
-
-def coeff_add(a: CoeffElem, b: CoeffElem) -> CoeffElem:
-    return a + b
-
-
-def coeff_mul(a: CoeffElem, b: CoeffElem) -> CoeffElem:
-    return a * b
-
-
-def coeff_inv(a: CoeffElem) -> CoeffElem:
-    return a.inv()

@@ -111,32 +111,6 @@ class Slope:
         return f"{self.beta}/{self.alpha}"
 
 
-def nearest_ops(x, b: int):
-    """(min(x,b), min+(x,b), <x>_b, <x>+_b) for rational x and b >= 1.
-
-    min(x,b) minimizes |b*x - k| over integers k (ties broken toward the
-    smaller k); min+(x,b) minimizes b*x - k among k with b*x - k > 0.  The
-    brackets are the corresponding residues b*x - k.
-    """
-    if b < 1:
-        raise ValueError("b must be a positive integer")
-    bx = Fraction(x) * b
-    fl = bx.numerator // bx.denominator
-    if bx == fl:
-        k_min = fl
-        k_plus = fl - 1
-    else:
-        lo, hi = fl, fl + 1
-        if bx - lo < hi - bx:
-            k_min = lo
-        elif hi - bx < bx - lo:
-            k_min = hi
-        else:
-            k_min = lo  # exact tie: smaller k
-        k_plus = fl
-    return k_min, k_plus, bx - k_min, bx - k_plus
-
-
 class GenSchedule:
     """A union of finite arithmetic sequences of integers.
 

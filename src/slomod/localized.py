@@ -1,22 +1,28 @@
 """Euclidean linear algebra over the two localizations of the slope ring.
 
-pi side (pi inverted, Euclidean via the Weierstrass degree): exact column
-echelon by extended-gcd 2x2 unimodular transforms, pivots normalized to the
-canonical monic Weierstrass polynomial, rows above reduced by classical
-division.  The elimination phase is exact on exact polynomial inputs; pivot
-normalization may need a working pi-precision when the gcd has a nontrivial
-unit part (its roots need not be rational), so normalized entries carry
-honest finite precision.
+Both localizations run one column-echelon loop, ``_echelon``, over a side
+object that supplies its five ring-dependent steps: the pivot key, the
+clearing of a row, the canonical pivot, the canonical residue and a last
+tidy of T.
 
-u side (u^alpha/pi^beta inverted and completed, a DVR): pivots are the
-canonical monomials mu_m = u^a pi^b of valuation m/alpha (pure pi powers
-when the valuation is integral, matching the classical normal form), column
-elimination divides by the minimum-valuation entry, inverting each pivot's
-unit part once, and Smith forms give saturations.  hnf_u records its column
-operations; the transform P with T = M.P is built from that record on
-first read, so callers that read only T never pay for it.
+pi side (pi inverted, Euclidean via the Weierstrass degree): pivots of
+least (deg_W, v), cleared by exact extended-gcd 2x2 unimodular transforms,
+normalized to the canonical monic Weierstrass polynomial, residues by
+classical division.  Elimination is exact on exact polynomial inputs; pivot
+normalization may need a working pi-precision when the gcd has a
+nontrivial unit part (its roots need not be rational), so normalized
+entries carry honest finite precision.
 
-Normal-form routines demand exact inputs and fail loudly with
+u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
+valuation, cleared by division by the pivot (its unit part inverted once),
+normalized to the canonical monomials mu_m = u^a pi^b of valuation m/alpha
+(pure pi powers when the valuation is integral, matching the classical
+normal form), all work truncated at one u-window.  Smith forms give
+saturations.
+
+The loop records its column operations; the transform P with T = M.P is
+built from that record on first read, so callers that read only T never
+pay for it.  Normal-form routines demand exact inputs and fail loudly with
 PrecisionExhausted when a branch cannot be certified; precision-safe module
 arithmetic lives in ``precise_sum``.
 """
@@ -146,27 +152,96 @@ class SMat:
 
 
 # ---------------------------------------------------------------------------
-# pi-localization: echelon, HNF, kernel, membership
+# the column echelon over either localization
 # ---------------------------------------------------------------------------
 
 
-class EchelonPi:
-    """Staircase form over the pi-localization: T = M.P with pivot t_i at
-    (l{i}, i), pivots canonical monic Weierstrass polynomials."""
+class Echelon:
+    """Column echelon form T = M.P over one localization: the pivot of
+    column i is pivots[i], on row pivot_rows[i], and pivot_vals[i] is the
+    key it was chosen by (on the u side, its valuation m_i/alpha).  P is
+    built on first read, by replaying on the identity the column operations
+    recorded on T."""
 
-    __slots__ = ("T", "P", "pivot_rows", "pivots", "rank")
+    __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivots", "pivot_vals", "rank")
 
-    def __init__(self, T, P, pivot_rows, pivots):
+    def __init__(self, T, ops, pivot_rows, pivots, pivot_vals=()):
         self.T = T
-        self.P = P
+        self._ops = ops  # (function, arguments), in the order applied to T
+        self._P = None
         self.pivot_rows = pivot_rows
         self.pivots = pivots
+        self.pivot_vals = pivot_vals
         self.rank = len(pivot_rows)
 
+    @property
+    def P(self) -> SMat:
+        if self._P is None:
+            P = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
+            for op, args in self._ops:
+                op(P, *args)
+            self._P = P
+        return self._P
 
-def _entry_key(e: SnuSeries):
-    v, d = e.certified_val_deg()
-    return (d, v)
+
+def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
+    """The column echelon (``hnf``: Hermite) form of M over the localization
+    of ``side``.  Row by row, the nonzero entry of least key right of the
+    pivots found so far is swapped into place, the rest of the row is
+    cleared against it and it is made canonical; later rows touch only the
+    columns right of it.  Every column operation goes through ``op``, which
+    applies it to T and records it for P."""
+    T = M.copy()
+    ops = []
+
+    def op(fn, *args):
+        fn(T, *args)
+        ops.append((fn, args))
+
+    zero = SnuSeries.zero(T.cfg, T.slope, T.ram)
+    pivot_rows, pivots, pivot_vals = [], [], []
+    for row in range(T.rows):
+        col = len(pivot_rows)
+        keys = {}
+        for j in range(col, T.cols):
+            k = side.key(T.a[row][j])
+            if k is not None:
+                keys[j] = k
+        if not keys:
+            continue
+        jstar, *rest = sorted(keys, key=lambda j: (keys[j], j))
+        op(SMat.swap_cols, jstar, col)
+        rest = [jstar if j == col else j for j in rest]
+        side.clear(op, T, row, col, rest)
+        for j in rest:
+            T.a[row][j] = zero  # structurally: the clearing made it zero
+        if normalize:
+            side.normalize(op, T, row, col, keys[jstar])
+        pivot_rows.append(row)
+        pivots.append(T.a[row][col])
+        pivot_vals.append(keys[jstar])
+    if hnf:
+        for col, row in enumerate(pivot_rows):
+            side.reduce(op, T, row, col, pivot_vals[col])
+    side.finish(T)
+    return Echelon(T, ops, pivot_rows, pivots, pivot_vals)
+
+
+def _kernel(M: SMat, ech: Echelon, is_zero) -> list:
+    """The columns of P under the zero columns of the echelon T = M.P of M,
+    those with an entry that is not ``is_zero``: the syzygies of M."""
+    out = []
+    for j in range(M.cols):
+        if all(is_zero(ech.T.a[i][j]) for i in range(M.rows)):
+            col = ech.P.col(j)
+            if not all(is_zero(e) for e in col):
+                out.append(col)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pi-localization: echelon, HNF, kernel, membership
+# ---------------------------------------------------------------------------
 
 
 def _require_exact(M: SMat, who: str):
@@ -186,53 +261,75 @@ def _unit_scale_exact(col, idx_lead):
     return [x.scale_coeff(inv) for x in col]
 
 
-def echelon_pi(M: SMat, prec, hnf=False) -> EchelonPi:
-    """Column echelon (optionally Hermite) form over the pi-localization.
+class _PiSide:
+    """The pi-localization's steps of ``_echelon`` on exact input: pivots of
+    least (deg_W, v), exact 2x2 Bezout clearing, canonical monic Weierstrass
+    pivots and residues of lower degree, both at working precision ``prec``
+    (None when neither is asked for)."""
 
-    Phase 1 eliminates with exact 2x2 Bezout transforms (entries stay exact
-    polynomials), phase 2 rescales each pivot column so the pivot becomes
-    the canonical monic polynomial with all lower terms of positive
-    relative level (exact when deg_W = deg, otherwise computed at working
-    precision ``prec``), phase 3 (hnf) reduces pivot-row entries to
-    canonical residues of degree < d_i.
-    """
-    _require_exact(M, "echelon_pi")
-    T, P, pivot_rows = _echelon_pi_phase1(M)
-    # phase 2: pivot normalization; pivot i sits in column i
-    pivots = []
-    for col, row in enumerate(pivot_rows):
+    def __init__(self, prec):
+        self.prec = prec
+
+    @staticmethod
+    def key(e: SnuSeries):
+        if e.is_exact_zero():
+            return None
+        v, d = e.certified_val_deg()
+        return d, v
+
+    @staticmethod
+    def clear(op, T: SMat, row, col, rest):
+        for j in rest:
+            _, k, l, m, n = gcd_extended(T.a[row][col], T.a[row][j])
+            op(SMat.transform_cols_2x2, col, j, k, l, m, n)  # m x + n y = 0
+
+    def normalize(self, op, T: SMat, row, col, key):
+        """Rescale the pivot column so the pivot becomes the canonical monic
+        polynomial with all lower terms of positive relative level: exact
+        when deg_W = deg, otherwise at working precision."""
         g = T.a[row][col]
         vg, d = g.certified_val_deg()
         deg = g.max_deg()
         if d == deg:
-            lead = g.coeffs[deg]
-            inv = lead.inv()
-            T.scale_col(col, inv)
-            P.scale_col(col, inv)
-            t = T.a[row][col]
-        else:
-            t = _weierstrass_monic(g, prec)
-            # g = w * t with v(w) = vg - v(t), which may be negative: divide
-            # pi^s g instead, s more levels deep, and shift the quotient back
-            shift = max(0, _ceil(t.certified_valuation() - vg))
-            w = euclid_div_full(g.scale_pi(shift), t, prec + shift).q.scale_pi(-shift)
-            _scale_col_by_unit_inverse(T, col, w, prec)
-            _scale_col_by_unit_inverse(P, col, w, prec)
-            T.a[row][col] = t  # structurally exact: the true scaled pivot
-        pivots.append(T.a[row][col])
-    if hnf:
-        for col, row in enumerate(pivot_rows):
-            t = pivots[col]
-            for j in range(col):
-                e = T.a[row][j]
-                if e.is_exact_zero():
-                    continue
-                q = _reduce_mod_monic(e, t, prec)
-                if q is None:
-                    continue
-                T.addmul_col(j, col, -q)
-                P.addmul_col(j, col, -q)
-    return EchelonPi(T, P, pivot_rows, pivots)
+            op(SMat.scale_col, col, g.coeffs[deg].inv())
+            return
+        t = _weierstrass_monic(g, self.prec)
+        # g = w * t with v(w) = vg - v(t), which may be negative: divide
+        # pi^s g instead, s more levels deep, and shift the quotient back
+        shift = max(0, _ceil(t.certified_valuation() - vg))
+        w = euclid_div_full(g.scale_pi(shift), t, self.prec + shift).q.scale_pi(-shift)
+        op(_scale_col_by_unit_inverse, col, w, self.prec)
+        T.a[row][col] = t  # structurally exact: the true scaled pivot
+
+    def reduce(self, op, T: SMat, row, col, key):
+        """Entries left of the pivot to canonical residues of degree < d."""
+        t = T.a[row][col]
+        for j in range(col):
+            e = T.a[row][j]
+            if not e.is_exact_zero():
+                q = _reduce_mod_monic(e, t, self.prec)
+                if q is not None:
+                    op(SMat.addmul_col, j, col, -q)
+
+    @staticmethod
+    def finish(T: SMat):
+        pass
+
+
+def echelon_pi(M: SMat, prec, hnf=False) -> Echelon:
+    """Column echelon (optionally Hermite) form over the pi-localization.
+
+    Elimination is exact (entries stay exact polynomials); pivots are the
+    canonical monic polynomials and, with ``hnf``, pivot-row entries are
+    canonical residues, both at working precision ``prec`` when a pivot's
+    Weierstrass degree is below its degree.
+    """
+    _require_exact(M, "echelon_pi")
+    ech = _echelon(M, _PiSide(prec), hnf=hnf)
+    # P is still built here, not on first read: the tracer self-test counts
+    # the coefficient products it costs (ROADMAP items 8 and 12)
+    ech.P
+    return ech
 
 
 def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
@@ -276,7 +373,6 @@ def _reduce_mod_monic(e: SnuSeries, t: SnuSeries, prec):
 
     e may be a series: split off the polynomial part of degree >= deg t via
     Euclidean division by the monic t."""
-    d = t.max_deg()
     if e.is_polynomial():
         q, _ = poly_divmod(e, t)
         return None if q.is_exact_zero() else q
@@ -288,7 +384,7 @@ def _reduce_mod_monic(e: SnuSeries, t: SnuSeries, prec):
     return None if q.is_exact_zero() else q
 
 
-def hnf_pi(M: SMat, prec) -> EchelonPi:
+def hnf_pi(M: SMat, prec) -> Echelon:
     return echelon_pi(M, prec, hnf=True)
 
 
@@ -296,42 +392,8 @@ def kernel_pi(M: SMat) -> list:
     """Columns spanning the syzygies of M over the pi-localization, exact,
     normalized (pi-cleared, first entry monic)."""
     _require_exact(M, "kernel")
-    T, P, _ = _echelon_pi_phase1(M)
-    out = []
-    for j in range(M.cols):
-        if all(T.a[i][j].is_exact_zero() for i in range(M.rows)):
-            col = P.col(j)
-            if all(e.is_exact_zero() for e in col):
-                continue
-            out.append(_normalize_kernel_col(col))
-    return out
-
-
-def _echelon_pi_phase1(M: SMat):
-    """Exact staircase T = M.P without pivot normalization (enough for
-    kernels): returns (T, P, pivot_rows), the pivot of row pivot_rows[i]
-    in column i; M must be exact."""
-    T = M.copy()
-    P = SMat.identity(M.cfg, M.slope, M.cols, M.ram)
-    pivot_rows = []
-    frozen = 0
-    for row in range(T.rows):
-        active = [j for j in range(frozen, T.cols) if not T.a[row][j].is_exact_zero()]
-        if not active:
-            continue
-        active.sort(key=lambda j: _entry_key(T.a[row][j]) + (j,))
-        acc = active[0]
-        for j in active[1:]:
-            x, y = T.a[row][acc], T.a[row][j]
-            g, k, l, m, n = gcd_extended(x, y)
-            T.transform_cols_2x2(acc, j, k, l, m, n)
-            P.transform_cols_2x2(acc, j, k, l, m, n)
-            T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)  # m x + n y = 0
-        T.swap_cols(acc, frozen)
-        P.swap_cols(acc, frozen)
-        pivot_rows.append(row)
-        frozen += 1
-    return T, P, pivot_rows
+    ech = _echelon(M, _PiSide(None), normalize=False)
+    return [_normalize_kernel_col(col) for col in _kernel(M, ech, SnuSeries.is_exact_zero)]
 
 
 def _normalize_kernel_col(col):
@@ -489,32 +551,6 @@ def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
     return _u_divider(b, n_level, hi_window)(a)
 
 
-class EchelonU:
-    """Staircase form over the u-localization: T = M.P below the working
-    level, with pivot mu_{m_i} at (pivot_rows[i], i).  P is built on first
-    read, by replaying on the identity the column operations hnf_u
-    recorded on T."""
-
-    __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivot_vals", "rank")
-
-    def __init__(self, T, ops, pivot_rows, pivot_vals):
-        self.T = T
-        self._ops = ops  # (SMat method, arguments), in the order applied to T
-        self._P = None
-        self.pivot_rows = pivot_rows
-        self.pivot_vals = pivot_vals  # valuations m_i in 1/alpha units
-        self.rank = len(pivot_rows)
-
-    @property
-    def P(self) -> SMat:
-        if self._P is None:
-            P = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
-            for op, args in self._ops:
-                op(P, *args)
-            self._P = P
-        return self._P
-
-
 def _u_entry_val(e: SnuSeries, n_level):
     """Certified valuation, or None when the entry is zero at level n."""
     if e.is_exact_zero():
@@ -527,7 +563,49 @@ def _u_entry_val(e: SnuSeries, n_level):
     return e.certified_valuation()
 
 
-def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
+class _USide:
+    """The u-localization's steps of ``_echelon``: pivots of least
+    valuation, clearing by the pivot's one divider, canonical monomial
+    pivots mu_m and residues of level below theirs.  Entries count as zero
+    when they vanish at level ``n_level``, and every product is truncated
+    at the u-window of M."""
+
+    def __init__(self, M: SMat, n_level):
+        self.n_level = n_level
+        self.window = _u_window([e for r in M.a for e in r], n_level, M.slope)
+        self.divide = None  # division by the pivot of the current row
+
+    def key(self, e: SnuSeries):
+        return _u_entry_val(e, self.n_level)
+
+    def clear(self, op, T: SMat, row, col, rest):
+        self.divide = _u_divider(T.a[row][col], self.n_level, self.window)
+        for j in rest:
+            op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]))
+
+    def normalize(self, op, T: SMat, row, col, v):
+        mu = mu_monomial(T.cfg, T.slope, _valuation_index(v, T.slope), T.ram)
+        op(SMat.scale_col_series, col, self.divide(mu))
+        T.a[row][col] = mu  # structurally exact after unit scaling
+
+    def reduce(self, op, T: SMat, row, col, v):
+        """Entries left of the pivot to canonical residues: certain digits
+        of level < v only."""
+        mu_inv = None
+        for j in range(col):
+            low, high = T.a[row][j].split_levels(v)
+            if high.coeffs:
+                # the pivot is mu_m itself: dividing by it needs no unit inverse
+                mu_inv = mu_inv or _monomial_inverse(T.a[row][col])
+                op(SMat.addmul_col, j, col, -(high * mu_inv).truncate_u(self.window))
+                T.a[row][j] = low  # the canonical residue, structurally
+
+    def finish(self, T: SMat):
+        for r in T.a:
+            r[:] = [e.truncate_u(self.window) for e in r]
+
+
+def hnf_u(M: SMat, n_level, hnf=True) -> Echelon:
     """Echelon / Hermite form over the u-localization DVR.
 
     Pivots become the canonical valuation monomials mu_{m_i}; in Hermite
@@ -535,61 +613,7 @@ def hnf_u(M: SMat, n_level, hnf=True) -> EchelonU:
     of level < m_i/alpha only).  Entries count as zero when they vanish at
     the working level precision ``n_level``.
     """
-    hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
-    T = M.copy()
-    ops = []
-
-    def op(fn, *args):  # apply a column operation to T and record it for P
-        fn(T, *args)
-        ops.append((fn, args))
-
-    pivot_rows, pivot_vals = [], []
-    frozen = 0
-    for row in range(T.rows):
-        vals = {}
-        for j in range(frozen, T.cols):
-            v = _u_entry_val(T.a[row][j], n_level)
-            if v is not None:
-                vals[j] = v
-        if not vals:
-            continue
-        jstar = min(vals, key=lambda j: (vals[j], j))
-        m = _valuation_index(vals[jstar], T.slope)
-        op(SMat.swap_cols, jstar, frozen)
-        piv = T.a[row][frozen]
-        divide = _u_divider(piv, n_level, hi_window)
-        # clear the row to the right
-        for j in range(frozen + 1, T.cols):
-            if _u_entry_val(T.a[row][j], n_level) is not None:
-                q = divide(T.a[row][j])
-                op(SMat.addmul_col, j, frozen, -q)
-                T.a[row][j] = SnuSeries.zero(T.cfg, T.slope, T.ram)
-        # normalize the pivot to the canonical monomial
-        mu = mu_monomial(T.cfg, T.slope, m, T.ram)
-        op(SMat.scale_col_series, frozen, divide(mu))
-        T.a[row][frozen] = mu  # structurally exact after unit scaling
-        pivot_rows.append(row)
-        pivot_vals.append(Fraction(m, T.slope.alpha))
-        frozen += 1
-    if hnf:
-        for col, row in enumerate(pivot_rows):
-            bound = pivot_vals[col]
-            mu_inv = None
-            for j in range(col):
-                e = T.a[row][j]
-                low, high = e.split_levels(bound)
-                if not high.coeffs:
-                    continue
-                # the pivot is mu_m itself: dividing by it needs no unit inverse
-                mu_inv = mu_inv or _monomial_inverse(T.a[row][col])
-                q = (high * mu_inv).truncate_u(hi_window)
-                op(SMat.addmul_col, j, col, -q)
-                T.a[row][j] = low  # the canonical residue, structurally
-    # tidy: reduce every entry at the working level
-    for i in range(T.rows):
-        for j in range(T.cols):
-            T.a[i][j] = T.a[i][j].truncate_u(hi_window)
-    return EchelonU(T, ops, pivot_rows, pivot_vals)
+    return _echelon(M, _USide(M, n_level), hnf=hnf)
 
 
 def member_u(vec, M: SMat, n_level):
@@ -599,7 +623,7 @@ def member_u(vec, M: SMat, n_level):
     return None if y is None else ech.P.apply_to_vector(y)
 
 
-def _u_coordinates(vec, M: SMat, ech: EchelonU, n_level):
+def _u_coordinates(vec, M: SMat, ech: Echelon, n_level):
     """Coordinates Y with ech.T.Y = vec (ech the u-side echelon of M), or
     None: the yes/no of member_u, without reading ech.P."""
     hi_window = _u_window([e for r in M.a for e in r] + list(vec), n_level, M.slope)
@@ -621,15 +645,7 @@ def _u_coordinates(vec, M: SMat, ech: EchelonU, n_level):
 def kernel_u(M: SMat, n_level) -> list:
     """Columns R with M.R = 0 (at the working level precision) spanning the
     u-localization syzygies."""
-    ech = hnf_u(M, n_level, hnf=False)
-    out = []
-    for j in range(M.cols):
-        if all(_u_entry_val(ech.T.a[i][j], n_level) is None for i in range(M.rows)):
-            col = ech.P.col(j)
-            if all(_u_entry_val(e, n_level) is None for e in col):
-                continue
-            out.append(col)
-    return out
+    return _kernel(M, hnf_u(M, n_level, hnf=False), lambda e: _u_entry_val(e, n_level) is None)
 
 
 def smith_u(M: SMat, n_level):

@@ -16,8 +16,7 @@ from fractions import Fraction
 from .coeffs import CoeffElem, _isinf
 from .errors import BadParameters, NotFullRank, NotInImage
 from .localized import (
-    EchelonPi,
-    EchelonU,
+    Echelon,
     SMat,
     _substitute,
     _u_coordinates,
@@ -79,7 +78,7 @@ class LocalPair:
         return f"LocalPair(A={self.A!r}, B={self.B!r})"
 
 
-def _pair_from_hnfs(cfg, slope, dim, ep: EchelonPi, eu: EchelonU, ram=1) -> LocalPair:
+def _pair_from_hnfs(cfg, slope, dim, ep: Echelon, eu: Echelon, ram=1) -> LocalPair:
     A = SMat.from_columns(cfg, slope, dim, [ep.T.col(j) for j in range(ep.rank)], ram)
     B = SMat.from_columns(cfg, slope, dim, [eu.T.col(j) for j in range(eu.rank)], ram)
     return LocalPair(cfg, slope, dim, A, B, ep.pivot_rows, ep.pivots, eu.pivot_rows, eu.pivot_vals, ram)
@@ -161,7 +160,7 @@ def psi_inverse(P: LocalPair, prec):
 def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
     r = P.rank
     ident = SMat.identity(P.cfg, P.slope, r, P.ram)
-    ep = EchelonPi(ident, None, list(range(r)), [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)])
+    ep = Echelon(ident, [], list(range(r)), [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)])
     Y = SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram)
     eu = hnf_u(Y, prec)
     return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)
@@ -204,7 +203,7 @@ def saturate(P: LocalPair, prec) -> LocalPair:
     eu = hnf_u(Bs, prec)
     return _pair_from_hnfs(
         P.cfg, P.slope, P.dim,
-        EchelonPi(P.A, None, P.a_rows, P.a_pivots), eu, P.ram,
+        Echelon(P.A, [], P.a_rows, P.a_pivots), eu, P.ram,
     )
 
 

@@ -51,8 +51,6 @@ from .errors import (
     ValuationOrder,
 )
 
-NEG_INF = -INF
-
 
 def _ceil(x) -> int:
     x = Fraction(x)
@@ -183,10 +181,6 @@ class SnuSeries:
         no certain nonzero digit).  Upper bound for the true valuation."""
         m = self._visible_min()
         return INF if m is None else self._level(m[0])
-
-    def visible_degree(self):
-        m = self._visible_min()
-        return NEG_INF if m is None else m[1]
 
     def certified_val_deg(self):
         """(v_nu, deg_W) of the underlying element, or raise.
@@ -450,35 +444,6 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
             tb = min(tb, acc._level(min(dropped)))
             coeffs = {i: c for i, c in coeffs.items() if i < up}
     return SnuSeries(x.cfg, x.slope, coeffs, up, tb, ram=ram)
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-# ---------------------------------------------------------------------------
-
-
-def gauss_valuation(x: SnuSeries):
-    """Gauss valuation of the truncated representative.
-
-    Equals the valuation of the underlying element only when certified (see
-    SnuSeries.certified_val_deg); in general it is an upper bound.  Returns INF for a representative with no certain
-    nonzero digit.
-    """
-    return x.visible_valuation()
-
-
-def weierstrass_degree(x: SnuSeries):
-    """Smallest stored exponent attaining the Gauss valuation; -inf for a
-    representative with no certain nonzero digit."""
-    return x.visible_degree()
-
-
-def series_add(x: SnuSeries, y: SnuSeries) -> SnuSeries:
-    return x + y
-
-
-def series_mul(x: SnuSeries, y: SnuSeries) -> SnuSeries:
-    return x * y
 
 
 def hi_lo_split(x: SnuSeries, d: int):

@@ -371,6 +371,39 @@ def assert_relations_hold(trace):
         assert not any(e.has_certain_digit() for row in prod.a for e in row), f"M.R != 0 at snapshot {step}"
 
 
+def nearest_ops(x, b: int):
+    """(min(x,b), min+(x,b), <x>_b, <x>+_b) for rational x and b >= 1.
+
+    min(x,b) minimizes |b*x - k| over integers k (ties broken toward the
+    smaller k); min+(x,b) minimizes b*x - k among k with b*x - k > 0.  The
+    brackets are the corresponding residues b*x - k.
+    """
+    if b < 1:
+        raise ValueError("b must be a positive integer")
+    bx = Fraction(x) * b
+    fl = bx.numerator // bx.denominator
+    if bx == fl:
+        k_min = fl
+        k_plus = fl - 1
+    else:
+        lo, hi = fl, fl + 1
+        if bx - lo < hi - bx:
+            k_min = lo
+        elif hi - bx < bx - lo:
+            k_min = hi
+        else:
+            k_min = lo  # exact tie: smaller k
+        k_plus = fl
+    return k_min, k_plus, bx - k_min, bx - k_plus
+
+
+def visible_degree(x):
+    """Smallest stored exponent attaining the Gauss valuation of the
+    truncated representative x; -inf when x has no certain nonzero digit."""
+    m = x._visible_min()
+    return -INF if m is None else m[1]
+
+
 def oracle_pos_best_approx(a, b, gamma):
     """Denominators q in [gamma, b] passing the defining inequality against
     every smaller admissible denominator, plus the b endpoint (the descent

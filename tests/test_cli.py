@@ -144,6 +144,8 @@ FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
         (None, ["cf"], "cf needs 1 argument"),
         (FQ_HEAD + "series f\n(t^x) + u !\n", ["max", "A"], "line 4: bad coefficient 't^x'"),
         (FQ_HEAD + "series f\n(2*) + u !\n", ["max", "A"], "line 4: bad coefficient '2*'"),
+        (HEAD + "matrix A -3 2\n", ["hnf", "A"], "line 3: matrix dimensions below 1: -3 x 2"),
+        (HEAD + "matrix A 0 2\n", ["pair", "A"], "line 3: matrix dimensions below 1: 0 x 2"),
     ],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, message):
@@ -176,6 +178,21 @@ def _readme_session():
         elif runs and not line:
             break
     return demo, runs
+
+
+def test_readme_library_snippet():
+    """README's "Library use" snippet runs and does what its comments say."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("## Library use")
+    start = next(i for i in range(start, len(lines)) if lines[i].startswith("    "))
+    end = next(i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith("    "))
+    snippet = "".join(line[4:] + "\n" for line in lines[start:end])
+    assert "# ml.as_matrix() is [pi], ml.L is [0]" in snippet
+    names = {}
+    exec(snippet, names)
+    ml = names["ml"]
+    assert repr(ml.as_matrix()) == "[pi]"
+    assert ml.L == [0]
 
 
 def test_readme_cli_session(tmp_path, capsys):

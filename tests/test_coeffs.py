@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from slomod import gfq
-from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, coeff_add, coeff_inv, coeff_mul
+from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig
 from slomod.errors import ConfigMismatch, NotDivisible, NotInvertible
 
 from helpers import CoordGF
@@ -20,73 +20,73 @@ def test_add_forced_carry():
     # (pi*1 at prec 3) + (pi*4 at prec 3) = pi^2 with relative precision cut by 1
     a = CoeffElem(Z5, 1, 1, 3, (Fraction(1),))
     b = CoeffElem(Z5, 1, 1, 3, (Fraction(4),))
-    s = coeff_add(a, b)
+    s = a + b
     assert s.num_val == 2
     assert s.prec == 2
     assert s.unit == (Fraction(1),)
     # 1 + 4 = pi at mixed precision
-    s = coeff_add(c_int(1, prec=3), c_int(4, prec=4))
+    s = c_int(1, prec=3) + c_int(4, prec=4)
     assert (s.num_val, s.prec, s.unit) == (1, 2, (Fraction(1),))
 
 
 def test_add_exact_zero_identity():
     x = c_int(7, prec=4)
-    assert coeff_add(x, CoeffElem.exact_zero(Z5)) == x
-    assert coeff_add(CoeffElem.exact_zero(Z5), x) == x
+    assert x + CoeffElem.exact_zero(Z5) == x
+    assert CoeffElem.exact_zero(Z5) + x == x
 
 
 def test_add_mod_25():
-    s = coeff_add(c_int(1, 2), c_int(5, 2))
+    s = c_int(1, 2) + c_int(5, 2)
     assert s.num_val == 0
     assert s.unit == (Fraction(6),)
 
 
 def test_mul_ramified_square_root():
     w = CoeffElem(Z5, 2, 1, INF, (Fraction(1), Fraction(0)))
-    sq = coeff_mul(w, w)
+    sq = w * w
     assert sq.ram == 2 and sq.num_val == 2  # w^2 = pi
     assert sq.unit == (Fraction(1), Fraction(0))
 
 
 def test_mul_identity():
     a = c_int(13, prec=5)
-    assert coeff_mul(a, c_int(1)) == a
+    assert a * c_int(1) == a
 
 
 def test_mul_mod_25():
-    p = coeff_mul(c_int(2, 2), c_int(3, 2))
+    p = c_int(2, 2) * c_int(3, 2)
     assert p.unit == (Fraction(6),) and p.num_val == 0 and p.prec == 2
 
 
 def test_inv_one():
-    assert coeff_inv(c_int(1)) == c_int(1)
+    assert c_int(1).inv() == c_int(1)
 
 
 def test_inv_6_mod_125():
     # oracle: 6 * 21 = 126 = 1 mod 125
-    inv = coeff_inv(c_int(6, 3))
+    inv = c_int(6, 3).inv()
     assert inv.unit == (Fraction(21),)
-    assert coeff_mul(inv, c_int(6, 3)).digits_agree(c_int(1, 3))
+    assert (inv * c_int(6, 3)).digits_agree(c_int(1, 3))
 
 
 def test_inv_negates_valuation():
     a = c_int(3, prec=4).scale_pi(2)
     assert a.num_val == 2
-    inv = coeff_inv(a)
+    inv = a.inv()
     assert inv.num_val == -2
-    assert coeff_mul(a, inv).digits_agree(c_int(1, 4))
+    assert (a * inv).digits_agree(c_int(1, 4))
 
 
 def test_config_mismatch():
     with pytest.raises(ConfigMismatch):
-        coeff_add(c_int(1), CoeffElem.from_int(ZpConfig(7), 1))
+        c_int(1) + CoeffElem.from_int(ZpConfig(7), 1)
 
 
 def test_not_invertible():
     with pytest.raises(NotInvertible):
-        coeff_inv(CoeffElem.exact_zero(Z5))
+        CoeffElem.exact_zero(Z5).inv()
     with pytest.raises(NotInvertible):
-        coeff_inv(CoeffElem.o_term(Z5, 3))
+        CoeffElem.o_term(Z5, 3).inv()
 
 
 def _random_elem(rng, cfg, ram=1, prec=4):

@@ -9,11 +9,17 @@ from slomod.contfrac import (
     best_approx_denominators,
     cf_expand,
     monomial_generators,
-    nearest_ops,
 )
 from slomod.errors import BadDelta, BadGamma
 
-from helpers import divides_monomial, even_quotient_sum, generator_bound, oracle_pos_best_approx, oracle_staircase
+from helpers import (
+    divides_monomial,
+    even_quotient_sum,
+    generator_bound,
+    nearest_ops,
+    oracle_pos_best_approx,
+    oracle_staircase,
+)
 
 
 def test_slope_nu_is_stored_once():

@@ -13,6 +13,7 @@ from slomod.localized import (
     hnf_pi,
     hnf_u,
     kernel_pi,
+    kernel_u,
     member_pi,
     member_u,
     module_intersect,
@@ -285,6 +286,31 @@ def test_hnf_u_transform_agrees_below_the_working_level():
                     for j in range(cols):
                         diff = (MP.a[i][j] - ech.T.a[i][j]).reduce_levels(n)
                         assert not diff.has_certain_digit(), (M, i, j)
+
+
+def test_kernel_u_syzygies_of_rank_deficient_input():
+    # the last column is a polynomial multiple of the first, so each input
+    # has a syzygy; every returned R is one (M.R of valuation >= n, read off
+    # the lower bound, since a certain digit may sit above the level) and
+    # primitive (a unit entry), one for each column the echelon leaves zero
+    rng = random.Random(3)
+    n = 6
+    for cfg in (Z5, F2):
+        for slope in (HALF, Slope(2, 3)):
+            for rows, cols in ((2, 2), (2, 3), (3, 3)):
+                for _ in range(12):
+                    columns = [
+                        [random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1) for _ in range(rows)]
+                        for _ in range(cols - 1)
+                    ]
+                    q = random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1)
+                    columns.append([q * e for e in columns[0]])
+                    M = SMat.from_columns(cfg, slope, rows, columns)
+                    K = kernel_u(M, n)
+                    assert len(K) == cols - hnf_u(M, n, hnf=False).rank, M
+                    for R in K:
+                        assert all(e.lower_bound() >= n for e in M.apply_to_vector(R)), (M, R)
+                        assert min(e.certified_valuation() for e in R) == 0, (M, R)
 
 
 def test_hnf_u_fractional_pivot():

@@ -21,13 +21,11 @@ from slomod.series import (
     _newton_refine,
     divide_by_unit,
     euclid_div,
-    gauss_valuation,
     gcd_extended,
     hi_lo_split,
     invert_unit,
     poly_divmod,
     slope_transport,
-    weierstrass_degree,
     weierstrass_prep,
 )
 
@@ -42,6 +40,7 @@ from helpers import (
     random_exact_poly,
     random_unit,
     slope_transport_inverse,
+    visible_degree,
 )
 
 
@@ -95,19 +94,19 @@ def test_series_init_infinite_tail_bound_is_a_polynomial():
 def test_gauss_valuation_figure():
     # v_{1/3}(pi^2 u^4) = 10/3
     x = poly(Z5, Slope(1, 3), [(4, 25)])
-    assert gauss_valuation(x) == Fraction(10, 3)
-    assert weierstrass_degree(x) == 4
+    assert x.visible_valuation() == Fraction(10, 3)
+    assert visible_degree(x) == 4
 
 
 def test_gauss_valuation_zero():
-    assert gauss_valuation(SnuSeries.zero(Z5, NU0)) == INF
+    assert SnuSeries.zero(Z5, NU0).visible_valuation() == INF
 
 
 def test_truncation_lies_about_valuation():
     x = poly(Z5, NU0, [(0, 5), (10, 1)])
-    assert gauss_valuation(x) == 0 and weierstrass_degree(x) == 10
+    assert x.visible_valuation() == 0 and visible_degree(x) == 10
     t = x.truncate_u(9)
-    assert gauss_valuation(t) == 1  # the truncated representative reports pi
+    assert t.visible_valuation() == 1  # the truncated representative reports pi
     with pytest.raises(PrecisionExhausted):
         t.certified_val_deg()
 
@@ -119,8 +118,8 @@ def test_degree_multiplicative():
             x = random_exact_poly(rng, Z5, slope)
             y = random_exact_poly(rng, Z5, slope)
             xy = x * y
-            assert gauss_valuation(xy) == gauss_valuation(x) + gauss_valuation(y)
-            assert weierstrass_degree(xy) == weierstrass_degree(x) + weierstrass_degree(y)
+            assert xy.visible_valuation() == x.visible_valuation() + y.visible_valuation()
+            assert visible_degree(xy) == visible_degree(x) + visible_degree(y)
 
 
 def test_mul_identity_and_expansion():
@@ -138,7 +137,7 @@ def test_ultrametric_additivity():
         y = random_exact_poly(rng, Z5, Slope(2, 5))
         s = x + y
         if not s.is_exact_zero():
-            assert gauss_valuation(s) >= min(gauss_valuation(x), gauss_valuation(y))
+            assert s.visible_valuation() >= min(x.visible_valuation(), y.visible_valuation())
 
 
 def test_hi_lo():
@@ -305,10 +304,10 @@ def test_weierstrass_prep_random_degree_matches():
     rng = random.Random(31)
     for _ in range(15):
         x = random_exact_poly(rng, Z5, NU0)
-        v = gauss_valuation(x)
+        v = x.visible_valuation()
         if v != 0:
             x = x.scale_pi(-int(v))
-        d = weierstrass_degree(x)
+        d = visible_degree(x)
         q, h = weierstrass_prep(x, 6)
         assert h.max_deg() == d
         resid = q * h - x.truncate_u(q.u_prec)
@@ -321,13 +320,13 @@ def test_slope_transport():
     assert slope_transport(one, target).digits_agree(SnuSeries.one(Z5, target, ram=5))
     u = poly(Z5, Slope(0, 1), [(1, 1)])
     tu = slope_transport(u, target)
-    assert gauss_valuation(tu) == 0 == gauss_valuation(u)
+    assert tu.visible_valuation() == 0 == u.visible_valuation()
     rng = random.Random(8)
     for _ in range(15):
         x = random_exact_poly(rng, Z5, Slope(0, 1))
         t = slope_transport(x, target)
-        assert gauss_valuation(t) == gauss_valuation(x)
-        assert weierstrass_degree(t) == weierstrass_degree(x)
+        assert t.visible_valuation() == x.visible_valuation()
+        assert visible_degree(t) == visible_degree(x)
         back = slope_transport_inverse(t)
         assert back.digits_agree(x.with_ram(5))
 

@@ -14,7 +14,7 @@ from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
 from slomod.series import SnuSeries
 
-from helpers import F2, NU0, Z3, Z5, Z7, fraction_levels, mul_per_digit, series_strict
+from helpers import F2, NU0, Z3, Z5, Z7, fraction_levels, mul_per_digit, series_strict, visible_degree
 
 PROPERTY = settings(
     max_examples=150,
@@ -220,7 +220,7 @@ def _readings(x, p):
     return [
         outcome(x.lower_bound),
         outcome(x.visible_valuation),
-        outcome(x.visible_degree),
+        outcome(lambda: visible_degree(x)),
         outcome(x.certified_val_deg),
         outcome(x.certified_valuation),
         outcome(lambda: x.truncate_u(p).tail_bound),
