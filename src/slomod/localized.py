@@ -11,7 +11,11 @@ normalized to the canonical monic Weierstrass polynomial, residues by
 classical division.  Elimination is exact on exact polynomial inputs; pivot
 normalization may need a working pi-precision when the gcd has a
 nontrivial unit part (its roots need not be rational), so normalized
-entries carry honest finite precision.
+entries carry honest finite precision.  The monic factor is the remainder
+of a division at level P = prec + max(0, s) + 1 (s the pi-shift of the
+dividend), and its divisor's high digits are reduced to level P before
+the division: no digit below P is lost, and the division's digits stay
+below p^P.
 
 u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
 valuation, cleared by division by the pivot (its unit part inverted once),
@@ -42,6 +46,7 @@ from .series import (
     divide_by_unit,
     euclid_div_full,
     gcd_extended,
+    hi_lo_split,
     poly_divmod,
 )
 
@@ -334,13 +339,25 @@ def echelon_pi(M: SMat, prec, hnf=False) -> Echelon:
 
 def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
     """The canonical monic degree-deg_W factor of an exact polynomial g:
-    t = (pi^s u^d - r)/pi^s from the Euclidean division of pi^s u^d by g."""
+    t = (pi^s u^d - r)/pi^s from the Euclidean division of pi^s u^d by g
+    at level P = prec + max(0, s) + 1.
+
+    The division runs on Lo(g, d) + Hi(g, d) reduced to level P, not on g:
+    Lo stays exact, so the loop, its bound and its u-cap are those of the
+    exact g.  Every pass divides by w = Hi(g)/u^d and multiplies by g, both
+    known to relative level P - v_nu(g) once capped at P; so each digit of
+    r is known to level v(Hi r) + P - v_nu(g) >= P, as v(Hi r) >=
+    v(pi^s u^d) = s + nu*d >= v_nu(g).  The cap loses no digit below P,
+    and the loop's digits stay below p^P instead of growing with it.
+    """
     vg, d = g.certified_val_deg()
     s = _ceil(vg - g.nu * d)
     m = SnuSeries.monomial(
         g.cfg, g.slope, d, CoeffElem.from_int(g.cfg, 1, ram=g.ram).scale_pi(s)
     )
-    res = euclid_div_full(m, g, prec + max(0, s) + 1)
+    level = prec + max(0, s) + 1
+    lo, hi = hi_lo_split(g, d)
+    res = euclid_div_full(m, lo + hi.reduce_levels(level), level)
     t = (m - res.r).scale_pi(-s)
     return t
 
