@@ -474,10 +474,12 @@ class RatFunc:
         f = self.field
         if not self.num:
             return (0,) * n
-        if pt_val(self.den) != 0:
+        if self.den == (1,):
+            s = self.num[:n]
+        elif pt_val(self.den) != 0:
             raise ZeroDivisionError("series expansion of an element with a pole")
-        dinv = pinv_series(f, self.den, n)
-        s = pmul(f, self.num, dinv, trunc=n)
+        else:
+            s = pmul(f, self.num, pinv_series(f, self.den, n), trunc=n)
         return s + (0,) * (n - len(s))
 
     def __repr__(self):

@@ -98,6 +98,19 @@ def test_pgcd_matches_schoolbook(data):
             assert o.poly_divmod(x, g)[1] == ()
 
 
+@PROPERTY
+@given(pairs(), st.booleans(), st.integers(0, MAX_LEN + 4))
+def test_ratfunc_series_times_the_denominator_is_the_numerator(data, polynomial, n):
+    # the expansion mod t^n, by its polynomial shortcut (denominator 1) or
+    # by the power-series inverse of the denominator 1 + t*b
+    q, a, b = data
+    f, o = FIELDS[q]
+    den = (1,) if polynomial else (1,) + b
+    s = gfq.RatFunc(f, a, den).series(n)
+    assert len(s) == n
+    assert o.poly_mul(s, den, trunc=n) == gfq.ptrim(o.poly_mul(a, (1,), trunc=n))
+
+
 def test_kernels_on_zero_operands():
     f = gfq.GF(9)
     assert gfq.pmul(f, (), (1, 2)) == gfq.pmul(f, (1, 2), (0, 0)) == ()
