@@ -11,11 +11,11 @@ normalized to the canonical monic Weierstrass polynomial, residues by
 classical division.  Elimination is exact on exact polynomial inputs; pivot
 normalization may need a working pi-precision when the gcd has a
 nontrivial unit part (its roots need not be rational), so normalized
-entries carry honest finite precision.  The monic factor is the remainder
-of a division at level P = prec + max(0, s) + 1 (s the pi-shift of the
-dividend), and its divisor's high digits are reduced to level P before
-the division: no digit below P is lost, and the division's digits stay
-below p^P.
+entries carry honest finite precision.  The monic factor comes from the
+remainder of a division at level P = prec + max(0, s) + 1 (s the pi-shift
+of the dividend), and its divisor's high digits are reduced to level P
+before the division: no digit below P is lost, and the division's digits
+stay below p^P.
 
 u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
 valuation, cleared by division by the pivot (its unit part inverted once),
@@ -348,7 +348,7 @@ def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
     known to relative level P - v_nu(g) once capped at P; so each digit of
     r is known to level v(Hi r) + P - v_nu(g) >= P, as v(Hi r) >=
     v(pi^s u^d) = s + nu*d >= v_nu(g).  The cap loses no digit below P,
-    and the loop's digits stay below p^P instead of growing with it.
+    and the loop's digits stay below p^P instead of growing with each pass.
     """
     vg, d = g.certified_val_deg()
     s = _ceil(vg - g.nu * d)

@@ -10,7 +10,7 @@ from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionE
 from slomod.localized import SMat
 from slomod.maxmod import MLModule
 from slomod.precision import PrecisionLattice, _frac
-from slomod.series import SnuSeries, _ceil
+from slomod.series import SnuSeries, _ceil, euclid_div_full
 
 Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
@@ -308,6 +308,17 @@ def divide_fold(z, x, u_prec):
         if not bj.is_exact_zero():
             b[j] = bj
     return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=max(z.ram, x.ram))
+
+
+def weierstrass_monic_exact(g, prec):
+    """``localized._weierstrass_monic`` run on the exact pivot: the Euclidean
+    division of pi^s u^d by g itself, every digit exact until the remainder
+    is cut at level P = prec + max(0, s) + 1."""
+    vg, d = g.certified_val_deg()
+    s = _ceil(vg - g.nu * d)
+    m = SnuSeries.monomial(g.cfg, g.slope, d, CoeffElem.from_int(g.cfg, 1, ram=g.ram).scale_pi(s))
+    res = euclid_div_full(m, g, prec + max(0, s) + 1)
+    return (m - res.r).scale_pi(-s)
 
 
 def zp_stored_value(x):

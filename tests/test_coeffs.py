@@ -140,6 +140,16 @@ def test_reduce_precision():
     assert r.unit == (Fraction(1),)  # 126 mod 25 = 1
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_reduce_abs_w_below_the_valuation_keeps_only_the_bound():
+    # reduce_prec(k <= 0) returns O(w^num_val), not O(w^(num_val + k)): 125
+    # capped at absolute precision 1 reads O(pi^3), which claims the digits
+    # at pi^1 and pi^2 that the cap dropped, and reduce_levels inherits it
+    c = c_int(125).reduce_abs_w(1)
+    assert not c.has_witness()
+    assert c.abs_w() == 1
+
+
 def _unit_value(rng, cfg):
     """A random exact pi-unit: n/d with p dividing neither, or a rational
     function whose numerator and denominator have nonzero constant terms."""

@@ -378,6 +378,29 @@ def test_hnf_u_exact_input_at_slope_zero():
     assert hnf_u(M, 8).rank == 3
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_hnf_u_rank_of_a_column_multiple():
+    # the second column is 4 times the first, so the rank is 1; hnf_u takes
+    # an entry whose certain digits all lie above the level 6 as a second
+    # pivot (pi^8), and kernel_u returns no syzygy where kernel_pi finds one
+    M = SMat(Z5, HALF, [[poly(Z5, HALF, [(0, 1), (1, 2)]), poly(Z5, HALF, [(0, 4), (1, 8)])],
+                        [poly(Z5, HALF, [(0, 3), (1, 4)]), poly(Z5, HALF, [(0, 12), (1, 16)])]])
+    assert len(kernel_pi(M)) == 1
+    assert hnf_u(M, 6).rank == 1
+    assert len(kernel_u(M, 6)) == 1
+
+
+@pytest.mark.xfail(raises=PrecisionExhausted, strict=True)
+def test_hnf_pi_pivot_with_a_constant_beyond_the_working_level():
+    # g = 5^k + u^2 + u^3 has Weierstrass degree 2 < 3; at k >= 17 its monic
+    # factor t has only O-terms below u^2, and the second division of the
+    # pi-side normalisation, g by t, raises "Lo(x, d) has no certified
+    # valuation"; k = 16 succeeds
+    for k in (16, 17, 20):
+        g = poly(Z5, NU0, [(0, 5**k), (2, 1), (3, 1)])
+        assert hnf_pi(SMat(Z5, NU0, [[g]]), 16).rank == 1
+
+
 @pytest.mark.xfail(raises=OutOfRange, strict=True)
 def test_hnf_pi_over_f2_at_slope_zero_fails_with_more_precision():
     # phase 3 reduces an entry of u_prec 23 by the pivot t of degree 2, and

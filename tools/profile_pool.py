@@ -1,6 +1,7 @@
 """Replay a benchmark workload's pool inputs under cProfile.
 
     python3 tools/profile_pool.py --workload fq_ramified [--limit N] [--sort cumulative]
+    python3 tools/profile_pool.py --workload pi_exact --within localized._weierstrass_monic
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once through ``check_reference.run``, with the profiler on for both steps;
@@ -8,6 +9,9 @@ once through ``check_reference.run``, with the profiler on for both steps;
 time, the outcome counts, and the ``TOP`` functions with the largest self
 time (calls, self and cumulative seconds); ``--sort cumulative`` ranks them
 by cumulative time instead, which shows the callers a cost sits under.
+``--within MODULE.FUNC`` profiles only inside calls of that ``slomod``
+function: it is wrapped in its module and in every loaded module that
+imported it by name, and the count of its outermost calls is printed.
 Exits 1 if an input missed its deadline or raised anything but a typed
 ``AlgebraError``.  The modules under ``perfbench/`` are imported, never
 written.  cProfile slows pure-Python code down by about 2x, so the times are
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import functools
+import importlib
 import pstats
 import signal
 import sys
@@ -31,16 +37,46 @@ TOP = 30
 
 
 def replay(pool, profiler):
-    """Run every input under ``profiler``; outcome kind counts."""
+    """Run every input under ``profiler`` (None: the profiler is switched by
+    a ``within`` wrapper); outcome kind counts."""
     kinds = {}
     for op in pool:
-        profiler.enable()
+        if profiler is not None:
+            profiler.enable()
         try:
             kind, _ = check_reference.run(op)
         finally:
-            profiler.disable()
+            if profiler is not None:
+                profiler.disable()
         kinds[kind] = kinds.get(kind, 0) + 1
     return kinds
+
+
+def profile_within(target: str, profiler):
+    """Wrap ``slomod.<target>`` so that ``profiler`` runs only inside its
+    outermost calls; rebinds it in every loaded module that holds it by
+    name.  Returns a one-item list that counts those calls."""
+    mod_name, _, func_name = target.rpartition(".")
+    fn = getattr(importlib.import_module(f"slomod.{mod_name}"), func_name)
+    calls, depth = [0], [0]
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        depth[0] += 1
+        if depth[0] == 1:
+            calls[0] += 1
+            profiler.enable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+            if depth[0] == 0:
+                profiler.disable()
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, func_name, None) is fn:
+            setattr(mod, func_name, wrapper)
+    return calls
 
 
 def main(argv=None) -> int:
@@ -49,17 +85,26 @@ def main(argv=None) -> int:
     ap.add_argument("--limit", type=int, default=None, help="replay only the first N pool inputs")
     ap.add_argument("--sort", choices=["tottime", "cumulative"], default="tottime",
                     help="rank the functions by self time (default) or by cumulative time")
+    ap.add_argument("--within", metavar="MODULE.FUNC", default=None,
+                    help="profile only inside calls of this slomod function, e.g. localized._weierstrass_monic")
     args = ap.parse_args(argv)
 
     pool = gen.pool(args.workload)[: args.limit]
     signal.signal(signal.SIGALRM, worker._on_alarm)
     profiler = cProfile.Profile()
+    try:
+        calls = profile_within(args.within, profiler) if args.within else None
+    except (ImportError, AttributeError) as e:
+        ap.error(f"--within {args.within}: {e}")
     t0 = time.perf_counter()
-    kinds = replay(pool, profiler)
+    kinds = replay(pool, None if args.within else profiler)
     wall = time.perf_counter() - t0
     outcomes = ", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
     print(f"{args.workload}: {len(pool)} inputs in {wall:.2f} s under cProfile ({outcomes})")
-    pstats.Stats(profiler, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
+    if calls is not None:
+        print(f"profiled within {args.within}: {calls[0]} calls")
+    if calls != [0]:
+        pstats.Stats(profiler, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
     return 0 if set(kinds) <= {"ok", "error"} else 1
 
 
