@@ -224,6 +224,8 @@ def parse_session(text: str) -> SessionFile:
             if key not in params:
                 raise ParseError(f"ring {words[1]} needs {key}=", lineno)
             prec = _int(params.get("prec", "20"), lineno)
+            if prec < 1:
+                raise ParseError(f"prec = {prec} is below 1", lineno)
             make = ZpConfig if words[1] == "zp" else FqConfig
             try:
                 cfg = make(_int(params[key], lineno), prec)
@@ -386,10 +388,10 @@ def run_command(cmd, session: SessionFile) -> str:
             )
         return "\n".join(out)
     if name == "divmod":
-        q, r = euclid_div(
-            session.series(args[0]), session.series(args[1]),
-            Fraction(opts.get("prec", prec)),
-        )
+        level = Fraction(opts.get("prec", prec))
+        if level <= 0:
+            raise ParseError(f"--prec {level} is not above 0")
+        q, r = euclid_div(session.series(args[0]), session.series(args[1]), level)
         return f"q = {q.render()}\nr = {r.render()}"
     # gcd, the last of _COMMANDS
     g, k, l, m, n = gcd_extended(session.series(args[0]), session.series(args[1]))
@@ -407,6 +409,8 @@ def main(argv=None) -> int:
     parser.add_argument("--prec", type=int, default=None, help="override default precision")
     ns, extra = parser.parse_known_args(argv)
     try:
+        if ns.prec is not None and ns.prec < 1:
+            raise ParseError(f"--prec {ns.prec} is below 1")
         if ns.command == "cf":
             tail = ([ns.session] if ns.session else []) + ns.args + extra
             session = SessionFile(ZpConfig(2, 20), Slope(0, 1), {}, [])

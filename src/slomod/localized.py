@@ -21,8 +21,8 @@ u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
 valuation, cleared by division by the pivot (its unit part inverted once),
 normalized to the canonical monomials mu_m = u^a pi^b of valuation m/alpha
 (pure pi powers when the valuation is integral, matching the classical
-normal form), all work truncated at one u-window.  Smith forms give
-saturations.
+normal form), all work truncated at one u-window.  The echelon of B^t gives
+the saturation of B's span, read off the inverse of its transform.
 
 The loop records its column operations; the transform P with T = M.P is
 built from that record on first read, so callers that read only T never
@@ -187,6 +187,19 @@ class Echelon:
                 op(P, *args)
             self._P = P
         return self._P
+
+    def inverse_transpose(self) -> SMat:
+        """(P^-1)^t, replayed on the identity from the same record: a swap
+        stays a swap and C_j0 += q C_j1 becomes C_j1 -= q C_j0.  The record
+        must hold only those two (an echelon without normalize or hnf)."""
+        Q = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
+        for op, args in self._ops:
+            if op is SMat.swap_cols:
+                Q.swap_cols(*args)
+            else:
+                j0, j1, q = args
+                Q.addmul_col(j1, j0, -q)
+        return Q
 
 
 def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
@@ -494,9 +507,10 @@ def mu_monomial(cfg, slope: Slope, m: int, ram=1) -> SnuSeries:
 
 def _u_window(entries, n_level, slope: Slope) -> int:
     """The one u-exponent window of DVR-side work on ``entries`` at level
-    precision n_level (hnf_u, smith_u, member_u, psi_inverse): the entries'
-    largest |degree| plus 2 + 2*ceil(n_level) blocks of alpha exponents,
-    plus 4.  A margin kept from the Hermite form, not a proven bound."""
+    precision n_level (hnf_u, saturation_u, member_u, psi_inverse): the
+    entries' largest |degree| plus 2 + 2*ceil(n_level) blocks of alpha
+    exponents, plus 4.  A margin kept from the Hermite form, not a proven
+    bound."""
     base = max((abs(e.max_deg() or 0) for e in entries), default=1)
     return (base + 2 + 2 * _ceil(n_level)) * slope.alpha + 4
 
@@ -596,13 +610,16 @@ class _USide:
         return _u_entry_val(e, self.n_level)
 
     def clear(self, op, T: SMat, row, col, rest):
-        self.divide = _u_divider(T.a[row][col], self.n_level, self.window)
+        # made only for a use: a pivot with nothing to clear and no
+        # normalization costs no unit inverse
+        self.divide = _u_divider(T.a[row][col], self.n_level, self.window) if rest else None
         for j in rest:
             op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]))
 
     def normalize(self, op, T: SMat, row, col, v):
         mu = mu_monomial(T.cfg, T.slope, _valuation_index(v, T.slope), T.ram)
-        op(SMat.scale_col_series, col, self.divide(mu))
+        divide = self.divide or _u_divider(T.a[row][col], self.n_level, self.window)
+        op(SMat.scale_col_series, col, divide(mu))
         T.a[row][col] = mu  # structurally exact after unit scaling
 
     def reduce(self, op, T: SMat, row, col, v):
@@ -665,55 +682,15 @@ def kernel_u(M: SMat, n_level) -> list:
     return _kernel(M, hnf_u(M, n_level, hnf=False), lambda e: _u_entry_val(e, n_level) is None)
 
 
-def smith_u(M: SMat, n_level):
-    """Smith form over the u-localization DVR.
-
-    Returns (vals, U_inv, rank): vals are the non-decreasing pivot
-    valuations (in 1/alpha units) and the first ``rank`` columns of U_inv
-    span the saturation of the column span.
-    """
-    hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
-    D = M.copy()
-    U_inv = SMat.identity(M.cfg, M.slope, M.rows, M.ram)
-    vals = []
-    k = 0
-    limit = min(D.rows, D.cols)
-    while k < limit:
-        best = None
-        for i in range(k, D.rows):
-            for j in range(k, D.cols):
-                v = _u_entry_val(D.a[i][j], n_level)
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        v, i, j = best
-        m = _valuation_index(v, D.slope)
-        # move pivot to (k, k): row swap mirrored on U_inv columns
-        if i != k:
-            D.a[i], D.a[k] = D.a[k], D.a[i]
-            U_inv.swap_cols(i, k)
-        D.swap_cols(j, k)
-        piv = D.a[k][k]
-        divide = None  # division by the pivot, made at its first use
-        for r in range(k + 1, D.rows):
-            if _u_entry_val(D.a[r][k], n_level) is not None:
-                divide = divide or _u_divider(piv, n_level, hi_window)
-                q = divide(D.a[r][k])
-                for c in range(D.cols):
-                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[k][c])
-                D.a[r][k] = SnuSeries.zero(D.cfg, D.slope, D.ram)
-                U_inv.addmul_col(k, r, q)
-        for c in range(k + 1, D.cols):
-            if _u_entry_val(D.a[k][c], n_level) is not None:
-                divide = divide or _u_divider(piv, n_level, hi_window)
-                q = divide(D.a[k][c])
-                for r in range(D.rows):
-                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[r][k])
-                D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
-        vals.append(Fraction(m, D.slope.alpha))
-        k += 1
-    return vals, U_inv, k
+def saturation_u(B: SMat, n_level) -> SMat:
+    """Columns spanning the saturation of the column span of B over the
+    u-localization DVR, E-span cap O^d.  With T = B^t.P the column echelon
+    of B^t, U = P^t is invertible and U.B vanishes below its first ``rank``
+    rows, so the first ``rank`` columns of U^-1 = (P^-1)^t span it."""
+    Bt = SMat(B.cfg, B.slope, [list(r) for r in zip(*B.a)], B.ram)
+    ech = _echelon(Bt, _USide(Bt, n_level), normalize=False)
+    Q = ech.inverse_transpose()
+    return SMat.from_columns(B.cfg, B.slope, B.rows, [Q.col(j) for j in range(ech.rank)], B.ram)
 
 
 # ---------------------------------------------------------------------------

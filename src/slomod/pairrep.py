@@ -26,6 +26,7 @@ from .localized import (
     module_intersect,
     module_sum,
     mu_monomial,
+    saturation_u,
     u_divide,
 )
 from .maxmod import MLModule, _reduce_to_ml, max_module
@@ -188,19 +189,15 @@ def _componentwise(op, P: LocalPair, Q: LocalPair, prec) -> LocalPair:
 
 def saturate(P: LocalPair, prec) -> LocalPair:
     """The pi-divisible closure: the pi component is unchanged; the u
-    component becomes the Smith-form saturation (the identity for full
-    rank)."""
-    from .localized import smith_u
-
+    component becomes the saturation of its span, E-span cap O^d (the
+    identity for full rank)."""
     if P.rank == P.dim:
         B = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
         return LocalPair(
             P.cfg, P.slope, P.dim, P.A, B, P.a_rows, P.a_pivots,
             list(range(P.dim)), [Fraction(0)] * P.dim, P.ram,
         )
-    vals, U_inv, rank = smith_u(P.B, prec)
-    Bs = SMat.from_columns(P.cfg, P.slope, P.dim, [U_inv.col(j) for j in range(rank)], P.ram)
-    eu = hnf_u(Bs, prec)
+    eu = hnf_u(saturation_u(P.B, prec), prec)
     return _pair_from_hnfs(
         P.cfg, P.slope, P.dim,
         Echelon(P.A, [], P.a_rows, P.a_pivots), eu, P.ram,

@@ -7,7 +7,7 @@ from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize, sum_products
 from slomod.contfrac import Slope, cf_expand
 from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionExhausted, SlopeMismatch
-from slomod.localized import SMat
+from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index
 from slomod.maxmod import MLModule
 from slomod.precision import PrecisionLattice, _frac
 from slomod.series import SnuSeries, _ceil, euclid_div_full
@@ -308,6 +308,52 @@ def divide_fold(z, x, u_prec):
         if not bj.is_exact_zero():
             b[j] = bj
     return SnuSeries(z.cfg, z.slope, b, cap, lz - vx, ram=max(z.ram, x.ram))
+
+
+def smith_saturation(M, n_level):
+    """The saturation of the column span of M over the u-localization DVR
+    by a Smith form: rows and columns are swapped to put the entry of least
+    valuation of the lower-right block at (k, k), its column below and its
+    row right of it are cleared, and each row operation is mirrored on
+    U_inv.  The first ``rank`` columns of U_inv span the saturation."""
+    hi_window = _u_window([e for r in M.a for e in r], n_level, M.slope)
+    D = M.copy()
+    U_inv = SMat.identity(M.cfg, M.slope, M.rows, M.ram)
+    k = 0
+    while k < min(D.rows, D.cols):
+        best = None
+        for i in range(k, D.rows):
+            for j in range(k, D.cols):
+                v = _u_entry_val(D.a[i][j], n_level)
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            break
+        v, i, j = best
+        _valuation_index(v, D.slope)  # BadParameters off the 1/alpha grid
+        if i != k:
+            D.a[i], D.a[k] = D.a[k], D.a[i]
+            U_inv.swap_cols(i, k)
+        D.swap_cols(j, k)
+        piv = D.a[k][k]
+        divide = None  # division by the pivot, made at its first use
+        for r in range(k + 1, D.rows):
+            if _u_entry_val(D.a[r][k], n_level) is not None:
+                divide = divide or _u_divider(piv, n_level, hi_window)
+                q = divide(D.a[r][k])
+                for c in range(D.cols):
+                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[k][c])
+                D.a[r][k] = SnuSeries.zero(D.cfg, D.slope, D.ram)
+                U_inv.addmul_col(k, r, q)
+        for c in range(k + 1, D.cols):
+            if _u_entry_val(D.a[k][c], n_level) is not None:
+                divide = divide or _u_divider(piv, n_level, hi_window)
+                q = divide(D.a[k][c])
+                for r in range(D.rows):
+                    D.a[r][c] = D.a[r][c].addmul(-1, q, D.a[r][k])
+                D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
+        k += 1
+    return SMat.from_columns(M.cfg, M.slope, M.rows, [U_inv.col(j) for j in range(k)], M.ram)
 
 
 def weierstrass_monic_exact(g, prec):

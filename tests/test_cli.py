@@ -78,6 +78,40 @@ def test_divmod_report():
     out = run_command(["divmod", "y", "x", "--prec", "8"], s)
     assert "q = pi + u" in out
     assert "r = pi^2" in out
+    for level in ("0", "-1/2"):
+        with pytest.raises(ParseError, match=f"--prec {level} is not above 0"):
+            run_command(["divmod", "y", "x", "--prec", level], s)
+
+
+# saturate below full rank: stdout recorded from the Smith-form saturation
+SATURATE_GOLDEN = [
+    (
+        "ring zp p=5 prec=8\nslope 0/1\nmatrix B 2 1\n5 !\n1 + u !\n",
+        (
+            'A = [1; (pi^-1) + (pi^-1)*u]\n'
+            'B = [pi; 1 + u + -1*u^23 + -1*u^24 + O(u^44)]\n'
+            'pivots_u = [1]\n'
+        ),
+    ),
+    (
+        "ring zp p=5 prec=8\nslope 0/1\nmatrix B 3 2\n5 ! ; u !\nu ! ; 5 !\n1 ! ; 1 !\n",
+        (
+            'A = [1, 0; (pi^-1)*u, -pi^2 + u^2; (pi^-1), -pi + u]\n'
+            'B = [1, 0; 0, 1; pi^8*u^-9 + -pi^7*u^-8 + pi^6*u^-7 + -pi^5*u^-6 + pi^4*u^-5'
+            ' + -pi^3*u^-4 + pi^2*u^-3 + -pi*u^-2 + u^-1, -pi^7*u^-8 + pi^6*u^-7 + -pi^5*u^-6'
+            ' + pi^4*u^-5 + -pi^3*u^-4 + pi^2*u^-3 + -pi*u^-2 + u^-1]\n'
+            'pivots_u = [0 0]\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("session, expected", SATURATE_GOLDEN, ids=["2x1", "3x2"])
+def test_saturate_golden_session(tmp_path, capsys, session, expected):
+    f = tmp_path / "s.txt"
+    f.write_text(session)
+    assert main(["saturate", str(f), "B"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_sum_and_eq_reports():
@@ -105,6 +139,11 @@ def test_main_exit_codes(tmp_path):
     f = tmp_path / "s.txt"
     f.write_text(EXAMPLE)
     assert main(["max", str(f), "M"]) == 0
+    # a working precision below 1 certifies no digit: usage error, exit 1
+    assert main(["pair", str(f), "M", "--prec", "0"]) == 1
+    z = tmp_path / "prec0.txt"
+    z.write_text(PREC0)
+    assert main(["saturate", str(z), "B"]) == 1
     # inexact gcd operands: certified-precision failure, exit 2
     g = tmp_path / "inexact.txt"
     g.write_text("ring zp p=5 prec=6\nslope 0/1\nseries a\nu - 1\nseries b\nu - 1\n")
@@ -122,6 +161,7 @@ def test_cli_entrypoint_subprocess():
 
 
 HEAD = "ring zp p=5 prec=8\nslope 1/2\n"
+PREC0 = "ring zp p=5 prec=0\nslope 1/2\nmatrix B 2 1\n5 + u !\n1 + u !\n"
 FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
 
 
@@ -146,6 +186,10 @@ FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
         (FQ_HEAD + "series f\n(2*) + u !\n", ["max", "A"], "line 4: bad coefficient '2*'"),
         (HEAD + "matrix A -3 2\n", ["hnf", "A"], "line 3: matrix dimensions below 1: -3 x 2"),
         (HEAD + "matrix A 0 2\n", ["pair", "A"], "line 3: matrix dimensions below 1: 0 x 2"),
+        (PREC0, ["saturate", "B"], "line 1: prec = 0 is below 1"),
+        (PREC0, ["pair", "B"], "line 1: prec = 0 is below 1"),
+        (PREC0.replace("prec=0", "prec=8"), ["saturate", "B", "--prec", "0"], "--prec 0 is below 1"),
+        (PREC0.replace("prec=0", "prec=8"), ["pair", "B", "--prec", "-2"], "--prec -2 is below 1"),
     ],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, message):

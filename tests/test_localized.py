@@ -19,7 +19,7 @@ from slomod.localized import (
     module_intersect,
     module_sum,
     mu_monomial,
-    smith_u,
+    saturation_u,
 )
 from slomod.series import SnuSeries
 
@@ -416,37 +416,10 @@ def test_hnf_pi_over_f2_at_slope_zero_fails_with_more_precision():
         hnf_pi(M, prec)
 
 
-def test_smith_u_diagonal():
-    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 25)]), SnuSeries.zero(Z5, NU0)],
-                       [SnuSeries.zero(Z5, NU0), poly(Z5, NU0, [(0, 1)])]])
-    vals, U_inv, rank = smith_u(M, 8)
-    assert vals == [Fraction(0), Fraction(2)]
-    assert rank == 2
-
-
-def test_smith_u_2x2():
-    # det/gcd oracle: s1 = v(gcd of entries) = 1, s1 + s2 = v(det) = 2
-    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)]), poly(Z5, NU0, [(0, 5)])],
-                       [poly(Z5, NU0, [(0, 5)]), poly(Z5, NU0, [(0, 25)])]])
-    vals, _, rank = smith_u(M, 8)
-    assert rank == 2
-    assert vals == [Fraction(1), Fraction(1)]
-
-
-def test_smith_u_invariance():
-    rng = random.Random(81)
-    for _ in range(10):
-        diag = sorted(rng.randrange(0, 3) for _ in range(2))
-        D = SMat(Z5, NU0, [[mono(Z5, NU0, 0, diag[0]), SnuSeries.zero(Z5, NU0)],
-                           [SnuSeries.zero(Z5, NU0), mono(Z5, NU0, 0, diag[1])]])
-        Q = random_unimodular(rng, Z5, NU0, 2, ops=2)
-        vals, _, rank = smith_u(D.matmul(Q), 8)
-        assert [int(v) for v in vals] == diag
-
-
 def test_one_unit_inverse_per_u_pivot(monkeypatch):
     # every entry a pivot clears, and the pivot's own normalisation, reuse
-    # one Newton inversion of that pivot's unit part
+    # one Newton inversion of that pivot's unit part; a pivot with nothing
+    # to clear and no normalisation makes none
     calls = []
     real = localized.u_invert_unit
 
@@ -460,23 +433,17 @@ def test_one_unit_inverse_per_u_pivot(monkeypatch):
     assert hnf_u(M, 6, hnf=False).rank == 3
     assert len(calls) == 3
     calls.clear()
-    _, _, rank = smith_u(M, 6)
-    assert rank == 3 and len(calls) <= rank
+    assert saturation_u(M, 6).cols == 3
+    assert len(calls) == 2  # the last pivot has nothing left to clear
+    calls.clear()
+    assert saturation_u(SMat(Z5, HALF, [[one + u], [SnuSeries.zero(Z5, HALF)]]), 6).cols == 1
+    assert calls == []
 
 
 def _sqrt_pi_matrix(slope):
     """The 1x1 matrix [pi^(1/2)] over ram-2 coefficients."""
     w = CoeffElem.from_int(Z5, 1, ram=2).scale_w(1)
     return SMat(Z5, slope, [[SnuSeries.monomial(Z5, slope, 0, w)]], ram=2)
-
-
-def test_smith_u_ramified_valuation():
-    # v = 1/2 is off the 1/alpha grid at slope 0: no canonical pivot exists
-    # (it used to truncate to 0 and report vals == [0])
-    with pytest.raises(BadParameters, match="1/2"):
-        smith_u(_sqrt_pi_matrix(NU0), 8)
-    vals, _, rank = smith_u(_sqrt_pi_matrix(Slope(1, 2)), 8)
-    assert rank == 1 and vals == [Fraction(1, 2)]
 
 
 def test_hnf_u_ramified_valuation():

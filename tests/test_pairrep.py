@@ -5,8 +5,8 @@ import pytest
 
 from slomod import pairrep
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, NotFullRank, PrecisionExhausted
-from slomod.localized import SMat
+from slomod.errors import AlgebraError, BadParameters, NotFullRank, PrecisionExhausted
+from slomod.localized import Echelon, SMat, hnf_u, saturation_u
 from slomod.maxmod import MLModule, max_sum_ml, qis_closure_member
 from slomod.pairrep import (
     LocalPair,
@@ -20,7 +20,7 @@ from slomod.pairrep import (
 )
 from slomod.series import SnuSeries
 
-from helpers import NU0, Z5, det_cofactor, mono, poly
+from helpers import F2, NU0, Z3, Z5, det_cofactor, mono, poly, random_exact_poly, smith_saturation
 
 
 def random_maximal_ml(rng, slope, d, upper=True):
@@ -173,6 +173,65 @@ def test_saturate_scaling_membership():
     for j in range(S.B.cols):
         scaled = [e.scale_pi(N) for e in S.B.col(j)]
         assert member_u(scaled, P.B, 10) is not None
+
+
+def _smith_saturate(P, n):
+    """``saturate`` below full rank with the Smith-form oracle."""
+    eu = hnf_u(smith_saturation(P.B, n), n)
+    return pairrep._pair_from_hnfs(
+        P.cfg, P.slope, P.dim, Echelon(P.A, [], P.a_rows, P.a_pivots), eu, P.ram
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the AlgebraError it raised."""
+    try:
+        return fn(*args)
+    except AlgebraError as e:
+        return type(e)
+
+
+# two draws of degree <= 1 per cell: wider draws run into the u side's digit
+# growth (ROADMAP item 1; a third draw of the Z5 4x3 cell at slope 1/2 runs
+# over 20 s)
+DRAWS, MAX_DEG, MAX_PI = 2, 1, 1
+
+
+@pytest.mark.parametrize("cfg", [Z5, Z3, F2], ids=["Z5", "Z3", "GF2"])
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2), Slope(2, 3)], ids=str)
+@pytest.mark.parametrize("rows, cols", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+def test_saturate_below_full_rank_matches_the_smith_oracle(cfg, slope, rows, cols):
+    # the saturation from the echelon of B^t and the one from a Smith form
+    # are two bases of one module: the same Hermite form below level n
+    n = 8
+    rng = random.Random(f"{cfg!r}/{slope}/{rows}x{cols}")
+    for _ in range(DRAWS):
+        B = SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, MAX_DEG, MAX_PI) for _ in range(cols)]
+                              for _ in range(rows)])
+        P = _outcome(psi, B, n)
+        if isinstance(P, type):
+            continue
+        assert P.rank < P.dim
+        got, want = _outcome(saturate, P, n), _outcome(_smith_saturate, P, n)
+        if isinstance(got, type) or isinstance(want, type):
+            assert got is want
+            continue
+        assert (got.b_rows, got.b_vals) == (want.b_rows, want.b_vals)
+        assert repr(got.A) == repr(P.A) and got.a_rows == P.a_rows
+        assert (got.B.rows, got.B.cols) == (want.B.rows, want.B.cols)
+        for x, y in zip(sum(got.B.a, []), sum(want.B.a, [])):
+            assert x.reduce_levels(n).digits_agree(y.reduce_levels(n))
+
+
+def test_saturate_rank_zero():
+    # B is 3x0, stored with a 0x0 transpose: the saturation of 0 is 0
+    z = SMat.from_columns(Z5, NU0, 3, [])
+    for S in (saturation_u(z, 8), smith_saturation(z, 8)):
+        assert (S.rows, S.cols) == (3, 0)
+    P = LocalPair(Z5, NU0, 3, z, z, [], [], [], [])
+    S = saturate(P, 8)
+    assert S.rank == 0 and (S.B.rows, S.B.cols) == (3, 0) and S.b_rows == S.b_vals == []
+    assert S.equal(_smith_saturate(P, 8))
 
 
 def test_pair_to_ml_requires_full_rank():

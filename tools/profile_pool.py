@@ -5,10 +5,10 @@
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once through ``check_reference.run``, with the profiler on for both steps;
-``--limit N`` replays the first N inputs only.  Prints the replay's wall
-time, the outcome counts, and the ``TOP`` functions with the largest self
-time (calls, self and cumulative seconds); ``--sort cumulative`` ranks them
-by cumulative time instead, which shows the callers a cost sits under.
+``--limit N`` (N >= 1) replays the first N inputs only.  Prints the replay's
+wall time, the outcome counts, and the ``TOP`` functions with the largest
+self time (calls, self and cumulative seconds); ``--sort cumulative`` ranks
+them by cumulative time instead, which shows the callers a cost sits under.
 ``--within MODULE.FUNC`` profiles only inside calls of that ``slomod``
 function: it is wrapped in its module and in every loaded module that
 imported it by name, and the count of its outermost calls is printed.
@@ -79,10 +79,18 @@ def profile_within(target: str, profiler):
     return calls
 
 
+def _count(text) -> int:
+    """An argparse type: an int of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(gen.WORKLOADS))
-    ap.add_argument("--limit", type=int, default=None, help="replay only the first N pool inputs")
+    ap.add_argument("--limit", type=_count, default=None, help="replay only the first N pool inputs")
     ap.add_argument("--sort", choices=["tottime", "cumulative"], default="tottime",
                     help="rank the functions by self time (default) or by cumulative time")
     ap.add_argument("--within", metavar="MODULE.FUNC", default=None,
