@@ -398,32 +398,45 @@ def run_command(cmd, session: SessionFile) -> str:
     return f"g = {g.render()}\nk = {k.render()}\nl = {l.render()}"
 
 
+def _usage_error(message):
+    """argparse's usage errors as a ``ParseError`` (exit 1): exit 2 is kept
+    for certified-precision failures."""
+    raise ParseError(message)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="slomod",
         description="exact linear algebra over pi-adically convergent series rings",
     )
+    parser.error = _usage_error
     parser.add_argument("command", help="hnf max sum intersect pair eq saturate extend approx-sum cf divmod gcd")
     parser.add_argument("session", nargs="?", help="session file (not needed for cf)")
     parser.add_argument("args", nargs="*", help="block names and options")
-    parser.add_argument("--prec", type=int, default=None, help="override default precision")
-    ns, extra = parser.parse_known_args(argv)
+    parser.add_argument("--prec", default=None,
+                        help="override default precision (divmod: the level of its remainder, e.g. 1/2)")
     try:
-        if ns.prec is not None and ns.prec < 1:
-            raise ParseError(f"--prec {ns.prec} is below 1")
+        ns, extra = parser.parse_known_args(argv)
+        args, prec = ns.args + extra, None
+        if ns.command == "divmod" and ns.prec is not None:
+            args += ["--prec", ns.prec]  # the level of the remainder, checked by run_command
+        elif ns.prec is not None:
+            prec = _int(ns.prec)
+            if prec < 1:
+                raise ParseError(f"--prec {prec} is below 1")
         if ns.command == "cf":
-            tail = ([ns.session] if ns.session else []) + ns.args + extra
+            tail = [ns.session] if ns.session else []
             session = SessionFile(ZpConfig(2, 20), Slope(0, 1), {}, [])
-            print(run_command(["cf"] + tail, session))
+            print(run_command(["cf"] + tail + args, session))
             return 0
         if not ns.session:
             print("error: session file required", file=sys.stderr)
             return 1
         with open(ns.session, encoding="utf-8") as fh:
             session = parse_session(fh.read())
-        if ns.prec is not None:
-            session.cfg.default_prec = ns.prec
-        print(run_command([ns.command] + ns.args + extra, session))
+        if prec is not None:
+            session.cfg.default_prec = prec
+        print(run_command([ns.command] + args, session))
         return 0
     except (PrecisionExhausted, RequiresExactInput) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

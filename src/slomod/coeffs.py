@@ -3,12 +3,13 @@ totally ramified extension K' = K[w] with w^a = pi.
 
 Two backends are supported:
 
-* ``ZpConfig(p)``   -- R = Z_p, pi = p.  Exact elements are ``Fraction``s.
+* ``ZpConfig(p)``   -- R = Z_p, pi = p.  An exact digit is a ``Fraction``;
+  a digit known only modulo p^n is stored as its int residue in [0, p^n).
 * ``FqConfig(q)``   -- R = GF(q)[[t]], pi = t.  Exact elements are rational
   functions in t (``gfq.RatFunc``).
 
 A ``CoeffElem`` stores a value as  w^num_val * (c_0 + c_1 w + ... + c_{a-1}
-w^{a-1})  where a = ram_index and the digits c_i are exact field elements.
+w^{a-1})  where a = ram_index and the digits c_i are field elements.
 Valuations are exact integers (numerator over ram_index); only the digit
 vector carries finite precision: ``prec`` is the *relative* precision in
 w-units, i.e. the value is known modulo w^(num_val + prec) * R'.  For
@@ -41,15 +42,22 @@ term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
 and every intermediate reduction of the fold moves the value by a multiple of
 w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
 
-At ram 1 over Z_p, ``sum_products`` (so also ``CoeffElem.__add__`` and
-``__sub__``) builds no ``Fraction`` per term, and ``CoeffElem.__mul__``
-builds one.  A term is an int pair over its power of p: a lone summand's
-unit numerator and denominator, or for a product a*b the products of those
-of a and b at p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
+At ram 1 over Z_p the unit of an element of finite ``prec`` is a plain int
+in [0, p^prec) and the unit of an exact element a ``Fraction``; both expose
+``numerator`` and ``denominator``, which is all the int kernels read.  No
+digit reaches Python's ``/``, which would make a float of two ints:
+``ZpConfig.exa_inv`` and the negative shifts of ``exa_shift_pi`` build their
+``Fraction`` explicitly, and ``split_at_abs_w`` turns the residues of its exact
+low part into ``Fraction``s (``exa_exact``).  ``sum_products`` (so also
+``CoeffElem.__add__`` and ``__sub__``) and ``CoeffElem.__mul__`` build no
+``Fraction`` per term, and one per result only when it is exact.  A term is
+an int pair over its power of p: a lone summand's unit numerator and
+denominator, or for a product a*b the products of those of a and b at
+p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
 the denominators (prime to p) at the lowest power of p, and one
 normaliser, ``_zp_digit``, turns (c, den, val, abs) into the element: it
-strips p from c once and builds one ``Fraction``, exact or reduced mod
-p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair, and the
+strips p from c once and builds the exact ``Fraction`` or the int residue
+mod p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair, and the
 Kronecker digits below end in it too.  Summing the stored units is exact
 enough.  A unit known to finite precision is stored reduced, so its
 element's stored value differs from any value the element stands for by a
@@ -82,7 +90,7 @@ Kronecker substitution", JSC 2009):
   rest;
 * digit k is C_k * p^(v0a + v0b) / (Da*Db).  Where acc has no digit k,
   ``_zp_digit`` normalises it: its valuation is v0a + v0b + v_p(C_k), and
-  its unit is C_k/p^v_p(C_k) over Da*Db, exact or reduced mod
+  its unit is C_k/p^v_p(C_k) over Da*Db, exact or its int residue mod
   p^(abs - val).  Otherwise C_k and acc's unit go to ``_zp_sum`` as two
   int pairs, over the lcm of the two denominators, at absolute precision
   min(abs of acc_k, abs of the product digit).
@@ -138,7 +146,7 @@ class RingConfig:
 
     # subclasses implement: same_ring, exa_zero, exa_one, exa_from_int,
     # exa_add, exa_neg, exa_mul, exa_dot, exa_inv, exa_is_zero, exa_pi_val,
-    # exa_shift_pi, exa_reduce, exa_str
+    # exa_shift_pi, exa_reduce, exa_exact, exa_str
 
     def exa_sub(self, a, b):
         return self.exa_add(a, self.exa_neg(b))
@@ -200,7 +208,8 @@ class ZpConfig(RingConfig):
     def exa_inv(self, a):
         if a == 0:
             raise ZeroDivisionError
-        return 1 / a
+        # an int residue has no true division of its own: 1 / a is a float
+        return Fraction(a.denominator, a.numerator)
 
     def exa_is_zero(self, a):
         return a == 0
@@ -222,16 +231,20 @@ class ZpConfig(RingConfig):
         if j > 0:
             return a * self.p ** j
         if j < 0:
-            return a / self.p ** -j
+            return Fraction(a.numerator, a.denominator * self.p ** -j)
         return a
 
     def exa_reduce(self, a, n):
-        """Canonical representative of a (with v_p >= 0) modulo p^n."""
+        """Canonical representative of a (with v_p >= 0) modulo p^n: an int
+        in [0, p^n)."""
         if n <= 0:
-            return _ZERO
+            return 0
         m = self.p ** n
-        den = a.denominator % m
-        return Fraction(a.numerator * pow(den, -1, m) % m)
+        return a.numerator * pow(a.denominator, -1, m) % m
+
+    def exa_exact(self, a):
+        """a as an exact element: a reduced int residue becomes a Fraction."""
+        return Fraction(a)
 
     def exa_str(self, a):
         if a.denominator == 1:
@@ -333,6 +346,9 @@ class FqConfig(RingConfig):
         if n <= 0:
             return self.exa_zero()
         return gfq.RatFunc(self.field, a.series(n))
+
+    def exa_exact(self, a):
+        return a
 
     def exa_str(self, a):
         return repr(a)
@@ -437,8 +453,9 @@ class CoeffElem:
         if self.unit is None:
             return CoeffElem.exact_zero(self.cfg, self.ram), self
         rel = cut - self.num_val
-        low_digits = _reduce_digits(self.cfg, self.ram, self.unit, min(rel, self.prec))
-        low = _normalize(self.cfg, self.ram, self.num_val, list(low_digits), INF)
+        cfg = self.cfg
+        low_digits = _reduce_digits(cfg, self.ram, self.unit, min(rel, self.prec))
+        low = _normalize(cfg, self.ram, self.num_val, [cfg.exa_exact(d) for d in low_digits], INF)
         return low, self - low
 
     def with_ram(self, ram: int) -> "CoeffElem":
@@ -590,7 +607,7 @@ class CoeffElem:
 
 
 def _align(a: CoeffElem, b: CoeffElem):
-    if not a.cfg.same_ring(b.cfg):
+    if a.cfg is not b.cfg and not a.cfg.same_ring(b.cfg):
         raise ConfigMismatch(f"mixed rings {a.cfg!r} / {b.cfg!r}")
     if a.ram == b.ram:
         return a, b
@@ -930,8 +947,8 @@ def _lcm_sum(p, terms, base):
 
 def _zp_digit(cfg, c, den, val, abs_w) -> CoeffElem:
     """The ram-1 Z_p element c/den * p^val (den prime to p) at absolute
-    precision abs_w: p is stripped from c once, and the unit is one
-    ``Fraction``, exact or reduced mod p^(abs_w - val)."""
+    precision abs_w: p is stripped from c once, and the unit is the exact
+    ``Fraction`` or, at finite abs_w, the int residue mod p^(abs_w - val)."""
     if c == 0:
         return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
     p = cfg.p
@@ -944,7 +961,7 @@ def _zp_digit(cfg, c, den, val, abs_w) -> CoeffElem:
         return CoeffElem.o_term(cfg, abs_w)
     m = p ** (abs_w - val)
     unit = c * pow(den, -1, m) if den != 1 else c
-    return CoeffElem(cfg, 1, val, abs_w - val, (Fraction(unit % m),))
+    return CoeffElem(cfg, 1, val, abs_w - val, (unit % m,))
 
 
 def _unit_poly_inverse(cfg, ram, digits):

@@ -38,6 +38,7 @@ from .contfrac import Slope
 from .errors import (
     BadParameters,
     CertificateViolation,
+    ConfigMismatch,
     NotDistinguished,
     NotDistinguishedCertificate,
     NotDivisible,
@@ -352,10 +353,10 @@ class SnuSeries:
     # -- ring operations -----------------------------------------------------
 
     def _check_compat(self, other: "SnuSeries"):
-        if self.slope != other.slope:
+        if self.slope is not other.slope and self.slope != other.slope:
             raise SlopeMismatch(f"slopes {self.slope} vs {other.slope}")
-        if not self.cfg.same_ring(other.cfg):
-            raise SlopeMismatch("mixed coefficient rings")
+        if self.cfg is not other.cfg and not self.cfg.same_ring(other.cfg):
+            raise ConfigMismatch(f"mixed coefficient rings {self.cfg!r} / {other.cfg!r}")
 
     def __add__(self, other: "SnuSeries") -> "SnuSeries":
         self._check_compat(other)

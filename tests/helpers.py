@@ -378,7 +378,8 @@ def zp_stored_value(x):
 def zp_element(cfg, value, abs_w):
     """The ram-1 Z_p element of the exact Fraction value known modulo
     p^abs_w (INF: exact), from the definition: the valuation of value, its
-    unit part reduced mod p^(abs_w - val), an O-term when val >= abs_w."""
+    unit part reduced mod p^(abs_w - val), an O-term when val >= abs_w.  The
+    unit is a Fraction when exact and an int residue otherwise."""
     p = cfg.p
     if value == 0:
         return CoeffElem.exact_zero(cfg) if _isinf(abs_w) else CoeffElem.o_term(cfg, abs_w)
@@ -392,7 +393,7 @@ def zp_element(cfg, value, abs_w):
     if val >= abs_w:
         return CoeffElem.o_term(cfg, abs_w)
     m = p ** (abs_w - val)
-    return CoeffElem(cfg, 1, val, abs_w - val, (Fraction(num * pow(den, -1, m) % m),))
+    return CoeffElem(cfg, 1, val, abs_w - val, (num * pow(den, -1, m) % m,))
 
 
 def zp_product_oracle(a, b):

@@ -114,6 +114,20 @@ def test_saturate_golden_session(tmp_path, capsys, session, expected):
     assert capsys.readouterr().out == expected
 
 
+def test_main_divmod_takes_a_fractional_prec(tmp_path, capsys):
+    """divmod's --prec is the level of its remainder, so 1/2 reaches it
+    from the shell, with the output of the same call through run_command."""
+    f = tmp_path / "s.txt"
+    f.write_text(EXAMPLE)
+    for level in ("1/2", "8"):
+        assert main(["divmod", str(f), "y", "x", "--prec", level]) == 0
+        expected = run_command(["divmod", "y", "x", "--prec", level], parse_session(EXAMPLE))
+        assert capsys.readouterr().out == expected + "\n"
+    for level in ("0", "-1/2"):
+        assert main(["divmod", str(f), "y", "x", f"--prec={level}"]) == 1
+        assert capsys.readouterr().err == f"ParseError: --prec {level} is not above 0\n"
+
+
 def test_sum_and_eq_reports():
     s = parse_session(EXAMPLE)
     assert "M = [1]" in run_command(["sum", "U", "P"], s)
@@ -190,6 +204,12 @@ FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
         (PREC0, ["pair", "B"], "line 1: prec = 0 is below 1"),
         (PREC0.replace("prec=0", "prec=8"), ["saturate", "B", "--prec", "0"], "--prec 0 is below 1"),
         (PREC0.replace("prec=0", "prec=8"), ["pair", "B", "--prec", "-2"], "--prec -2 is below 1"),
+        # only divmod takes a fractional level
+        (PREC0.replace("prec=0", "prec=8"), ["pair", "B", "--prec", "1/2"], "expected an integer, found '1/2'"),
+        (None, ["cf", "10/7", "--prec", "1/2"], "expected an integer, found '1/2'"),
+        # argparse's own usage errors exit 1 too, not 2
+        (None, ["cf", "10/7", "--prec"], "argument --prec: expected one argument"),
+        (None, [], "the following arguments are required: command"),
     ],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, message):

@@ -2,6 +2,7 @@
 
     python3 tools/profile_pool.py --workload fq_ramified [--limit N] [--sort cumulative]
     python3 tools/profile_pool.py --workload pi_exact --within localized._weierstrass_monic
+    python3 tools/profile_pool.py --workload pi_exact --within coeffs.CoeffElem.__mul__
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once through ``check_reference.run``, with the profiler on for both steps;
@@ -12,6 +13,8 @@ them by cumulative time instead, which shows the callers a cost sits under.
 ``--within MODULE.FUNC`` profiles only inside calls of that ``slomod``
 function: it is wrapped in its module and in every loaded module that
 imported it by name, and the count of its outermost calls is printed.
+``--within MODULE.CLASS.METHOD`` does the same for a method, wrapped in its
+class.
 Exits 1 if an input missed its deadline or raised anything but a typed
 ``AlgebraError``.  The modules under ``perfbench/`` are imported, never
 written.  cProfile slows pure-Python code down by about 2x, so the times are
@@ -24,6 +27,7 @@ import argparse
 import cProfile
 import functools
 import importlib
+import inspect
 import pstats
 import signal
 import sys
@@ -53,11 +57,18 @@ def replay(pool, profiler):
 
 
 def profile_within(target: str, profiler):
-    """Wrap ``slomod.<target>`` so that ``profiler`` runs only inside its
-    outermost calls; rebinds it in every loaded module that holds it by
-    name.  Returns a one-item list that counts those calls."""
-    mod_name, _, func_name = target.rpartition(".")
-    fn = getattr(importlib.import_module(f"slomod.{mod_name}"), func_name)
+    """Wrap ``slomod.<target>``, a module function or a method of a class,
+    so that ``profiler`` runs only inside its outermost calls; a function is
+    rebound in every loaded module that holds it by name, a method in its
+    class.  Returns a one-item list that counts those calls."""
+    mod_name, _, path = target.partition(".")
+    owner = importlib.import_module(f"slomod.{mod_name}")
+    *classes, func_name = path.split(".")
+    for name in classes:
+        owner = getattr(owner, name)
+    fn = getattr(owner, func_name)
+    if not inspect.isfunction(fn):
+        raise AttributeError(f"{target} is not a function or a plain method")
     calls, depth = [0], [0]
 
     @functools.wraps(fn)
@@ -73,6 +84,9 @@ def profile_within(target: str, profiler):
             if depth[0] == 0:
                 profiler.disable()
 
+    if classes:
+        setattr(owner, func_name, wrapper)
+        return calls
     for mod in list(sys.modules.values()):
         if getattr(mod, func_name, None) is fn:
             setattr(mod, func_name, wrapper)
@@ -94,7 +108,8 @@ def main(argv=None) -> int:
     ap.add_argument("--sort", choices=["tottime", "cumulative"], default="tottime",
                     help="rank the functions by self time (default) or by cumulative time")
     ap.add_argument("--within", metavar="MODULE.FUNC", default=None,
-                    help="profile only inside calls of this slomod function, e.g. localized._weierstrass_monic")
+                    help="profile only inside calls of this slomod function or method (MODULE.CLASS.METHOD),"
+                         " e.g. localized._weierstrass_monic or coeffs.CoeffElem.__mul__")
     args = ap.parse_args(argv)
 
     pool = gen.pool(args.workload)[: args.limit]
