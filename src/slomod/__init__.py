@@ -3,8 +3,8 @@
 The package computes with finitely generated modules over the rings of
 power series sum a_i u^i whose coefficients satisfy v(a_i) + nu*i >= 0 for a
 rational slope nu = beta/alpha: Euclidean division and Weierstrass
-preparation, Hermite/Smith normal forms over the two Euclidean
-localizations, maximal modules up to quasi-isomorphism, continued-fraction
+preparation, Hermite forms over the two Euclidean localizations and the
+u-side saturation, maximal modules up to quasi-isomorphism, continued-fraction
 generator schedules, and precision-tracked module sums.
 """
 

@@ -25,7 +25,6 @@ codes: 0 success, 2 certified-precision failure, 1 usage error.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from fractions import Fraction
@@ -103,7 +102,7 @@ def _parse_coef(cfg, text, lineno):
         if "t" in part:
             k = int(m.group(2)) if m.group(2) else 1
         mono = cfg.exa_shift_pi(cfg.exa_from_int(sign * c), k)
-        value = cfg.exa_add(value, mono)
+        value = value + mono
     return value
 
 
@@ -157,7 +156,7 @@ def parse_series_literal(cfg, slope, text, prec, lineno=None) -> SnuSeries:
             coef_text = body
         val = _parse_coef(cfg, coef_text, lineno)
         if negate:
-            val = cfg.exa_neg(val)
+            val = -val
         if cfg.exa_is_zero(val):
             continue
         c = CoeffElem.from_exact(cfg, val)
@@ -305,35 +304,65 @@ _COMMANDS = {
 }
 
 
-def _split_args(name, args):
-    """(positional arguments, {option: value}) of one command, or a
-    ParseError naming what is missing."""
-    if name not in _COMMANDS:
-        raise ParseError(f"unknown command '{name}'")
-    arity, required = _COMMANDS[name]
+_USAGE = (
+    "usage: slomod COMMAND SESSION NAME... [--OPTION VALUE | --OPTION=VALUE]...,"
+    " or slomod cf NUM/DEN; COMMAND is one of " + " ".join(_COMMANDS)
+)
+
+
+def _split_args(args):
+    """(positional arguments, {option: value}) of a command line; an option
+    is ``--opt value`` or ``--opt=value``."""
     names, opts = [], {}
     rest = iter(args)
     for a in rest:
         if a.startswith("--"):
-            value = next(rest, None)
-            if value is None:
-                raise ParseError(f"option {a} needs a value")
-            opts[a[2:]] = value
+            key, eq, value = a[2:].partition("=")
+            if not eq:
+                value = next(rest, None)
+                if value is None:
+                    raise ParseError(f"option {a} needs a value")
+            opts[key] = value
         else:
             names.append(a)
-    if len(names) < arity:
+    return names, opts
+
+
+def _prec(name, text):
+    """A command's ``--prec``: for divmod the level of its remainder, a
+    number above 0; for every other command the working precision, an
+    integer of at least 1."""
+    if name != "divmod":
+        prec = _int(text)
+        if prec < 1:
+            raise ParseError(f"--prec {prec} is below 1")
+        return prec
+    try:
+        level = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--prec {text} is not a number") from None
+    if level <= 0:
+        raise ParseError(f"--prec {level} is not above 0")
+    return level
+
+
+def run_command(cmd, session: SessionFile | None) -> str:
+    """Execute one command against a parsed session (none for cf),
+    returning the report."""
+    name = cmd[0]
+    if name not in _COMMANDS:
+        raise ParseError(f"unknown command '{name}'")
+    args, opts = _split_args(cmd[1:])
+    arity, required = _COMMANDS[name]
+    if len(args) < arity:
         raise ParseError(f"{name} needs {arity} argument{'s' if arity > 1 else ''}")
     for key in required:
         if key not in opts:
             raise ParseError(f"{name} needs --{key}")
-    return names, opts
-
-
-def run_command(cmd, session: SessionFile) -> str:
-    """Execute one command against a parsed session, returning the report."""
-    name = cmd[0]
-    args, opts = _split_args(name, cmd[1:])
-    prec = session.cfg.default_prec
+    if "prec" in opts:
+        prec = _prec(name, opts["prec"])
+    elif session is not None:
+        prec = session.cfg.default_prec
     if name == "hnf":
         M = session.matrix(args[0])
         tag = session.tag(args[0]) or "pi"
@@ -345,11 +374,10 @@ def run_command(cmd, session: SessionFile) -> str:
         vals = ", ".join(str(v) for v in ech.pivot_vals)
         return f"T = {ech.T!r}\nrows = {ech.pivot_rows}\npivots_u = [{vals}]"
     if name == "max":
-        ml, _ = max_module(session.matrix(args[0]), prec)
-        return _fmt_ml(ml)
+        return _fmt_ml(max_module(session.matrix(args[0]), prec))
     if name == "sum":
-        a, _ = max_module(session.matrix(args[0]), prec)
-        b, _ = max_module(session.matrix(args[1]), prec)
+        a = max_module(session.matrix(args[0]), prec)
+        b = max_module(session.matrix(args[1]), prec)
         return _fmt_ml(max_sum_ml(a, b, prec))
     if name == "intersect":
         Pa = psi(session.matrix(args[0]), prec)
@@ -365,13 +393,10 @@ def run_command(cmd, session: SessionFile) -> str:
         P = psi(session.matrix(args[0]), prec)
         return _fmt_pair(saturate(P, prec))
     if name == "extend":
-        ml, _ = max_module(session.matrix(args[0]), prec)
+        ml = max_module(session.matrix(args[0]), prec)
         return _fmt_ml(scalar_extend(ml, _slope(opts["to"])))
     if name == "approx-sum":
-        cert = GapCertificate(
-            _int(opts["c"]), _int(opts["pu"]), _int(opts["ppi"]),
-            session.matrix(args[1]).cols,
-        )
+        cert = GapCertificate(_int(opts["c"]), _int(opts["pu"]), _int(opts["ppi"]))
         ml = approx_max_sum(
             session.matrix(args[0]), session.matrix(args[1]), cert, prec
         )
@@ -388,55 +413,31 @@ def run_command(cmd, session: SessionFile) -> str:
             )
         return "\n".join(out)
     if name == "divmod":
-        level = Fraction(opts.get("prec", prec))
-        if level <= 0:
-            raise ParseError(f"--prec {level} is not above 0")
-        q, r = euclid_div(session.series(args[0]), session.series(args[1]), level)
+        q, r = euclid_div(session.series(args[0]), session.series(args[1]), Fraction(prec))
         return f"q = {q.render()}\nr = {r.render()}"
     # gcd, the last of _COMMANDS
     g, k, l, m, n = gcd_extended(session.series(args[0]), session.series(args[1]))
     return f"g = {g.render()}\nk = {k.render()}\nl = {l.render()}"
 
 
-def _usage_error(message):
-    """argparse's usage errors as a ``ParseError`` (exit 1): exit 2 is kept
-    for certified-precision failures."""
-    raise ParseError(message)
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="slomod",
-        description="exact linear algebra over pi-adically convergent series rings",
-    )
-    parser.error = _usage_error
-    parser.add_argument("command", help="hnf max sum intersect pair eq saturate extend approx-sum cf divmod gcd")
-    parser.add_argument("session", nargs="?", help="session file (not needed for cf)")
-    parser.add_argument("args", nargs="*", help="block names and options")
-    parser.add_argument("--prec", default=None,
-                        help="override default precision (divmod: the level of its remainder, e.g. 1/2)")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE)
+        return 0
     try:
-        ns, extra = parser.parse_known_args(argv)
-        args, prec = ns.args + extra, None
-        if ns.command == "divmod" and ns.prec is not None:
-            args += ["--prec", ns.prec]  # the level of the remainder, checked by run_command
-        elif ns.prec is not None:
-            prec = _int(ns.prec)
-            if prec < 1:
-                raise ParseError(f"--prec {prec} is below 1")
-        if ns.command == "cf":
-            tail = [ns.session] if ns.session else []
-            session = SessionFile(ZpConfig(2, 20), Slope(0, 1), {}, [])
-            print(run_command(["cf"] + tail + args, session))
-            return 0
-        if not ns.session:
-            print("error: session file required", file=sys.stderr)
-            return 1
-        with open(ns.session, encoding="utf-8") as fh:
-            session = parse_session(fh.read())
-        if prec is not None:
-            session.cfg.default_prec = prec
-        print(run_command([ns.command] + args, session))
+        if not argv:
+            raise ParseError("no command given; " + _USAGE)
+        name, rest = argv[0], argv[1:]
+        session = None
+        if name in _COMMANDS and name != "cf":
+            names, opts = _split_args(rest)
+            if not names:
+                raise ParseError(f"{name} needs a session file")
+            with open(names[0], encoding="utf-8") as fh:
+                session = parse_session(fh.read())
+            rest = names[1:] + [f"--{k}={v}" for k, v in opts.items()]
+        print(run_command([name] + rest, session))
         return 0
     except (PrecisionExhausted, RequiresExactInput) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -145,11 +145,9 @@ class RingConfig:
         self.default_prec = default_prec
 
     # subclasses implement: same_ring, exa_zero, exa_one, exa_from_int,
-    # exa_add, exa_neg, exa_mul, exa_dot, exa_inv, exa_is_zero, exa_pi_val,
-    # exa_shift_pi, exa_reduce, exa_exact, exa_str
-
-    def exa_sub(self, a, b):
-        return self.exa_add(a, self.exa_neg(b))
+    # exa_dot, exa_inv, exa_is_zero, exa_pi_val, exa_shift_pi, exa_reduce,
+    # exa_exact, exa_str; exact elements of both backends (Fraction, int
+    # residues, RatFunc) add, negate and multiply by their own operators
 
     def same_ring(self, other: "RingConfig") -> bool:
         raise NotImplementedError
@@ -180,15 +178,6 @@ class ZpConfig(RingConfig):
 
     def exa_from_int(self, n):
         return Fraction(n)
-
-    def exa_add(self, a, b):
-        return a + b
-
-    def exa_neg(self, a):
-        return -a
-
-    def exa_mul(self, a, b):
-        return a * b
 
     def exa_dot(self, terms):
         """Exact sum of x*y*p^e over (x, y, e) triples with e >= 0; y None
@@ -277,15 +266,6 @@ class FqConfig(RingConfig):
 
     def exa_from_int(self, n):
         return gfq.RatFunc(self.field, (self.field.from_int(n),))
-
-    def exa_add(self, a, b):
-        return a + b
-
-    def exa_neg(self, a):
-        return -a
-
-    def exa_mul(self, a, b):
-        return a * b
 
     def exa_dot(self, terms):
         """Exact sum of x*y*t^e over (x, y, e) triples with e >= 0; y None
@@ -503,7 +483,7 @@ class CoeffElem:
             self.ram,
             self.num_val,
             self.prec,
-            _reduce_digits(cfg, self.ram, tuple(cfg.exa_neg(d) for d in self.unit), self.prec),
+            _reduce_digits(cfg, self.ram, tuple(-d for d in self.unit), self.prec),
         )
 
     def __sub__(self, other: "CoeffElem") -> "CoeffElem":
@@ -523,7 +503,7 @@ class CoeffElem:
             return _zp_digit(cfg, x.numerator * y.numerator, x.denominator * y.denominator, v, out_abs)
         if ram == 1:
             prec = min(a.prec, b.prec)
-            digits = _reduce_digits(cfg, 1, (cfg.exa_mul(a.unit[0], b.unit[0]),), prec)
+            digits = _reduce_digits(cfg, 1, (a.unit[0] * b.unit[0],), prec)
             return CoeffElem(cfg, 1, a.num_val + b.num_val, prec, digits)
         return sum_products(cfg, ram, ((a, b),))
 
@@ -624,7 +604,7 @@ def _fold(cfg, ram, digits):
         d = digits[i]
         if cfg.exa_is_zero(d):
             continue
-        out[i % ram] = cfg.exa_add(out[i % ram], cfg.exa_shift_pi(d, i // ram))
+        out[i % ram] = out[i % ram] + cfg.exa_shift_pi(d, i // ram)
     return out
 
 
@@ -988,11 +968,11 @@ def _unit_poly_inverse(cfg, ram, digits):
         A[c], A[piv] = A[piv], A[c]
         rhs[c], rhs[piv] = rhs[piv], rhs[c]
         inv_p = cfg.exa_inv(A[c][c])
-        A[c] = [cfg.exa_mul(inv_p, x) for x in A[c]]
-        rhs[c] = cfg.exa_mul(inv_p, rhs[c])
+        A[c] = [inv_p * x for x in A[c]]
+        rhs[c] = inv_p * rhs[c]
         for r in range(ram):
             if r != c and not cfg.exa_is_zero(A[r][c]):
                 f = A[r][c]
-                A[r] = [cfg.exa_sub(x, cfg.exa_mul(f, y)) for x, y in zip(A[r], A[c])]
-                rhs[r] = cfg.exa_sub(rhs[r], cfg.exa_mul(f, rhs[c]))
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+                rhs[r] = rhs[r] - f * rhs[c]
     return tuple(rhs)

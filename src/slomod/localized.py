@@ -125,14 +125,8 @@ class SMat:
     def matmul(self, other: "SMat") -> "SMat":
         if self.cols != other.rows:
             raise BadParameters(f"matmul of {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = SMat.zeros(self.cfg, self.slope, self.rows, other.cols, self.ram)
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = SnuSeries.zero(self.cfg, self.slope, self.ram)
-                for k in range(self.cols):
-                    acc = acc.addmul(1, self.a[i][k], other.a[k][j])
-                out.a[i][j] = acc
-        return out
+        cols = [self.apply_to_vector(other.col(j)) for j in range(other.cols)]
+        return SMat.from_columns(self.cfg, self.slope, self.rows, cols, self.ram)
 
     def apply_to_vector(self, vec):
         if self.cols != len(vec):
@@ -163,21 +157,24 @@ class SMat:
 
 class Echelon:
     """Column echelon form T = M.P over one localization: the pivot of
-    column i is pivots[i], on row pivot_rows[i], and pivot_vals[i] is the
+    column i is T's entry on row pivot_rows[i], and pivot_vals[i] is the
     key it was chosen by (on the u side, its valuation m_i/alpha).  P is
     built on first read, by replaying on the identity the column operations
     recorded on T."""
 
-    __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivots", "pivot_vals", "rank")
+    __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivot_vals", "rank")
 
-    def __init__(self, T, ops, pivot_rows, pivots, pivot_vals=()):
+    def __init__(self, T, ops, pivot_rows, pivot_vals=()):
         self.T = T
         self._ops = ops  # (function, arguments), in the order applied to T
         self._P = None
         self.pivot_rows = pivot_rows
-        self.pivots = pivots
         self.pivot_vals = pivot_vals
         self.rank = len(pivot_rows)
+
+    @property
+    def pivots(self) -> list:
+        return [self.T.a[row][i] for i, row in enumerate(self.pivot_rows)]
 
     @property
     def P(self) -> SMat:
@@ -217,7 +214,7 @@ def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
         ops.append((fn, args))
 
     zero = SnuSeries.zero(T.cfg, T.slope, T.ram)
-    pivot_rows, pivots, pivot_vals = [], [], []
+    pivot_rows, pivot_vals = [], []
     for row in range(T.rows):
         col = len(pivot_rows)
         keys = {}
@@ -236,13 +233,12 @@ def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
         if normalize:
             side.normalize(op, T, row, col, keys[jstar])
         pivot_rows.append(row)
-        pivots.append(T.a[row][col])
         pivot_vals.append(keys[jstar])
     if hnf:
         for col, row in enumerate(pivot_rows):
             side.reduce(op, T, row, col, pivot_vals[col])
     side.finish(T)
-    return Echelon(T, ops, pivot_rows, pivots, pivot_vals)
+    return Echelon(T, ops, pivot_rows, pivot_vals)
 
 
 def _kernel(M: SMat, ech: Echelon, is_zero) -> list:

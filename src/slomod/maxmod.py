@@ -242,21 +242,21 @@ def _iteration_budget(R: SMat, alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-def max_module(M: SMat, prec):
-    """The maximal module of the column span: an MLModule over the ramified
-    extension plus the per-column monomial generator schedules realizing
-    the intersection with the base ring."""
+def max_module(M: SMat, prec) -> MLModule:
+    """The maximal module of the column span, as an MLModule over the
+    ramified extension; its ``schedules()`` realize the intersection with
+    the base ring."""
     return _reduce_to_ml(M, None, prec)
 
 
-def _reduce_to_ml(M: SMat, L, prec):
+def _reduce_to_ml(M: SMat, L, prec) -> MLModule:
     """Relations of the columns of M, the matrix reduction of (M, R, L) and
-    the columns it frees: (MLModule, schedules)."""
+    the columns it frees."""
     M1, R1, L1 = matrix_reduction(M, relations_approx(M), prec, L)
     return _assemble_ml(M1, R1, L1)
 
 
-def _assemble_ml(M1: SMat, R1: SMat, L1):
+def _assemble_ml(M1: SMat, R1: SMat, L1) -> MLModule:
     cfg, slope = M1.cfg, M1.slope
     alpha = slope.alpha
     cols, Ls = [], []
@@ -270,8 +270,20 @@ def _assemble_ml(M1: SMat, R1: SMat, L1):
         col = [e.scale_pi(q) for e in col]
         cols.append(col)
         Ls.append(delta)
-    ml = MLModule(cfg, slope, M1.rows, cols, Ls, M1.ram)
-    return ml, ml.schedules()
+    return MLModule(cfg, slope, M1.rows, cols, Ls, M1.ram)
+
+
+def _pi_denominator(entries) -> int:
+    """The least n >= 0 with no negative level left in pi^n times any entry."""
+    lows = (e.lower_bound() for e in entries)
+    return max((_ceil(-lb) for lb in lows if lb < 0), default=0)
+
+
+def _u_denominator(entries, alpha) -> int:
+    """The least n >= 0 with no negative u exponent left in u^(alpha*n)
+    times any entry."""
+    lows = (e.min_exp() for e in entries)
+    return max((_ceil(Fraction(-lo, alpha)) for lo in lows if lo is not None and lo < 0), default=0)
 
 
 def qis_closure_member(x, M: SMat, n_budget: int, prec) -> bool:
@@ -280,21 +292,10 @@ def qis_closure_member(x, M: SMat, n_budget: int, prec) -> bool:
     Xp = member_pi(x, M, prec)
     if Xp is None:
         return False
-    n_pi = 0
-    for e in Xp:
-        lb = e.lower_bound()
-        if not _isinf(lb) and lb < 0:
-            n_pi = max(n_pi, _ceil(-lb))
     Xu = member_u(x, M, prec)
     if Xu is None:
         return False
-    alpha = M.slope.alpha
-    n_u = 0
-    for e in Xu:
-        lo = e.min_exp()
-        if lo is not None and lo < 0:
-            n_u = max(n_u, _ceil(Fraction(-lo, alpha)))
-    n = max(n_pi, n_u)
+    n = max(_pi_denominator(Xp), _u_denominator(Xu, M.slope.alpha))
     if n > n_budget:
         raise BudgetExhausted(f"membership witness needs power {n} > {n_budget}")
     return True
@@ -305,7 +306,7 @@ def max_sum_ml(A: MLModule, B: MLModule, prec) -> MLModule:
     if A.slope != B.slope or A.dim != B.dim:
         raise BadParameters("summands live in different ambients")
     M = SMat.from_columns(A.cfg, A.slope, A.dim, A.columns + B.columns, A.ram)
-    return _reduce_to_ml(M, A.L + B.L, prec)[0]
+    return _reduce_to_ml(M, A.L + B.L, prec)
 
 
 def scalar_extend(A: MLModule, nu2: Slope) -> MLModule:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import CoeffElem, _isinf
+from .coeffs import CoeffElem
 from .errors import BadParameters, NotFullRank, NotInImage
 from .localized import (
     Echelon,
@@ -29,23 +29,22 @@ from .localized import (
     saturation_u,
     u_divide,
 )
-from .maxmod import MLModule, _reduce_to_ml, max_module
+from .maxmod import MLModule, _pi_denominator, _reduce_to_ml, _u_denominator, max_module
 from .series import SnuSeries, _ceil
 
 
 class LocalPair:
     """HNF matrices of the two localizations of one maximal module."""
 
-    __slots__ = ("cfg", "slope", "dim", "A", "B", "a_rows", "a_pivots", "b_rows", "b_vals", "ram")
+    __slots__ = ("cfg", "slope", "dim", "A", "B", "a_rows", "b_rows", "b_vals", "ram")
 
-    def __init__(self, cfg, slope, dim, A, B, a_rows, a_pivots, b_rows, b_vals, ram=1):
+    def __init__(self, cfg, slope, dim, A, B, a_rows, b_rows, b_vals, ram=1):
         self.cfg = cfg
         self.slope = slope
         self.dim = dim
         self.A = A
         self.B = B
         self.a_rows = list(a_rows)
-        self.a_pivots = list(a_pivots)
         self.b_rows = list(b_rows)
         self.b_vals = list(b_vals)
         self.ram = ram
@@ -82,14 +81,14 @@ class LocalPair:
 def _pair_from_hnfs(cfg, slope, dim, ep: Echelon, eu: Echelon, ram=1) -> LocalPair:
     A = SMat.from_columns(cfg, slope, dim, [ep.T.col(j) for j in range(ep.rank)], ram)
     B = SMat.from_columns(cfg, slope, dim, [eu.T.col(j) for j in range(eu.rank)], ram)
-    return LocalPair(cfg, slope, dim, A, B, ep.pivot_rows, ep.pivots, eu.pivot_rows, eu.pivot_vals, ram)
+    return LocalPair(cfg, slope, dim, A, B, ep.pivot_rows, eu.pivot_rows, eu.pivot_vals, ram)
 
 
 def psi(m, prec) -> LocalPair:
     """Localize a maximal module (MLModule, or a generator matrix which is
     first maximalized) into its canonical HNF pair."""
     if isinstance(m, SMat):
-        m, _ = max_module(m, prec)
+        m = max_module(m, prec)
     plain = m.as_matrix()
     ep = hnf_pi(plain, prec)
     u_cols = []
@@ -112,10 +111,7 @@ def _e_membership(vec, M: SMat, ech, prec) -> bool:
     """Is vec in the E-span of the columns of M (u-side echelon ``ech``)?
     Tested over the DVR after clearing a pi power bounded by the total
     pivot valuation."""
-    shift = _ceil(sum(ech.pivot_vals, Fraction(0))) + 1
-    lb = min((e.lower_bound() for e in vec), default=Fraction(0))
-    if not _isinf(lb) and lb < 0:
-        shift += _ceil(-lb)
+    shift = _ceil(sum(ech.pivot_vals, Fraction(0))) + 1 + _pi_denominator(vec)
     scaled = [e.scale_pi(shift) for e in vec]
     return _u_coordinates(scaled, M, ech, prec) is not None
 
@@ -148,20 +144,19 @@ def psi_inverse(P: LocalPair, prec):
     hi_window = _u_window([e for M in (P.A, P.B) for r in M.a for e in r], prec, P.slope)
 
     def divide(i, e):
-        return _e_divide(e, P.a_pivots[i], prec, hi_window) if e.has_certain_digit() else None
+        return _e_divide(e, P.A.a[P.a_rows[i]][i], prec, hi_window) if e.has_certain_digit() else None
 
     Y_cols = [_substitute(P.B.col(j), P.A, enumerate(P.a_rows), divide)[0] for j in range(P.B.cols)]
     ml_c = pair_to_ml(_coordinate_pair(P, Y_cols, prec), prec)
     # map coordinate generators back through the basis
     M = P.A.matmul(ml_c.expand_generators())
-    ml, _ = max_module(M, prec)
-    return M, ml
+    return M, max_module(M, prec)
 
 
 def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
     r = P.rank
     ident = SMat.identity(P.cfg, P.slope, r, P.ram)
-    ep = Echelon(ident, [], list(range(r)), [SnuSeries.one(P.cfg, P.slope, P.ram) for _ in range(r)])
+    ep = Echelon(ident, [], list(range(r)))
     Y = SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram)
     eu = hnf_u(Y, prec)
     return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)
@@ -194,13 +189,13 @@ def saturate(P: LocalPair, prec) -> LocalPair:
     if P.rank == P.dim:
         B = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
         return LocalPair(
-            P.cfg, P.slope, P.dim, P.A, B, P.a_rows, P.a_pivots,
+            P.cfg, P.slope, P.dim, P.A, B, P.a_rows,
             list(range(P.dim)), [Fraction(0)] * P.dim, P.ram,
         )
     eu = hnf_u(saturation_u(P.B, prec), prec)
     return _pair_from_hnfs(
         P.cfg, P.slope, P.dim,
-        Echelon(P.A, [], P.a_rows, P.a_pivots), eu, P.ram,
+        Echelon(P.A, [], P.a_rows), eu, P.ram,
     )
 
 
@@ -216,24 +211,14 @@ def pair_to_ml(P: LocalPair, prec) -> MLModule:
     _check_triangular(P)
     alpha = P.slope.alpha
     # clear denominators
-    a_shift = 0
-    for row in P.A.a:
-        for e in row:
-            lb = e.lower_bound()
-            if not _isinf(lb) and lb < 0:
-                a_shift = max(a_shift, _ceil(-lb))
+    a_shift = _pi_denominator(e for row in P.A.a for e in row)
     A = P.A.map(lambda e: e.scale_pi(a_shift))
-    u_shift = 0
-    for row in P.B.a:
-        for e in row:
-            lo = e.min_exp()
-            if lo is not None and lo < 0:
-                u_shift = max(u_shift, _ceil(Fraction(-lo, alpha)))
-    xa = mu_monomial(P.cfg, P.slope, 0, P.ram)
+    u_shift = _u_denominator((e for row in P.B.a for e in row), alpha)
+    B = P.B
     if u_shift:
         c = CoeffElem.from_int(P.cfg, 1, ram=P.ram).scale_pi(-P.slope.beta * u_shift)
         xa = SnuSeries.monomial(P.cfg, P.slope, alpha * u_shift, c)
-    B = P.B.map(lambda e: e * xa if u_shift else e)
+        B = B.map(lambda e: e * xa)
     # the u-side determinant only enters through a pi power that pushes the
     # pi-basis into the u-span; with monomial pivots we take the power
     # directly (ceil of the determinant valuation; xa has valuation 0)
@@ -252,7 +237,7 @@ def pair_to_ml(P: LocalPair, prec) -> MLModule:
         cols.append([D_pi_raw * B.a[i][j] for i in range(B.rows)])
         L.append(-w_exp)
     M = SMat.from_columns(P.cfg, P.slope, P.dim, cols, P.ram)
-    return _reduce_to_ml(M, L, prec)[0]
+    return _reduce_to_ml(M, L, prec)
 
 
 def _check_triangular(P: LocalPair):

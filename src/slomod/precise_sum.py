@@ -30,21 +30,20 @@ from .series import SnuSeries, _ceil, divide_by_unit, euclid_div_full
 
 class GapCertificate:
     """Caller-supplied promise that the second module lies in pi^-c times
-    the first, at flat input precision (p_u, p_pi) with e generator
-    columns.  The working slope becomes nu + e*c/p_u."""
+    the first, at flat input precision (p_u, p_pi).  With e generator
+    columns in the second module, the working slope becomes nu + e*c/p_u."""
 
-    __slots__ = ("c", "p_u", "p_pi", "e")
+    __slots__ = ("c", "p_u", "p_pi")
 
-    def __init__(self, c: int, p_u: int, p_pi: int, e: int):
-        if c < 0 or p_u < 1 or p_pi < 1 or e < 1:
+    def __init__(self, c: int, p_u: int, p_pi: int):
+        if c < 0 or p_u < 1 or p_pi < 1:
             raise BadParameters("inconsistent gap certificate")
         self.c = c
         self.p_u = p_u
         self.p_pi = p_pi
-        self.e = e
 
-    def bumped_slope(self, slope: Slope) -> Slope:
-        return Slope.from_fraction(slope.nu + Fraction(self.e * self.c, self.p_u))
+    def bumped_slope(self, slope: Slope, e: int) -> Slope:
+        return Slope.from_fraction(slope.nu + Fraction(e * self.c, self.p_u))
 
 
 def add_vector(M: SMat, lambdas, prec, p_u, L):
@@ -136,9 +135,7 @@ def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec) -> MLModule:
     if M1.slope != M2.slope:
         raise BadParameters("summands live at different slopes")
     cfg, slope = M1.cfg, M1.slope
-    if cert.e != M2.cols:
-        raise BadParameters("certificate column count does not match")
-    nu2 = cert.bumped_slope(slope)
+    nu2 = cert.bumped_slope(slope, M2.cols)
     flat = PrecisionLattice.flat(slope, cert.p_u, cert.p_pi)
     M1 = M1.map(lambda e: reduce_series(e, flat))
     M2 = M2.map(lambda e: reduce_series(e, flat))
@@ -176,8 +173,7 @@ def approx_max_sum(M1: SMat, M2: SMat, cert: GapCertificate, prec) -> MLModule:
         cur, L = add_vector(cur, polys, prec, p_u=cert.p_u, L=L)
     k = len(L)
     R = SMat.zeros(cfg, nu2, k, 0, M1.ram)
-    ml, _ = _assemble_ml(cur, R, L)
-    return ml
+    return _assemble_ml(cur, R, L)
 
 
 def _snap_poly(e: SnuSeries) -> SnuSeries:

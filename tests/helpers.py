@@ -123,7 +123,7 @@ def coeff_mul_fold(a, b):
     prod = [cfg.exa_zero()] * (2 * ram - 1)
     for i, x in enumerate(a.unit):
         for j, y in enumerate(b.unit):
-            prod[i + j] = cfg.exa_add(prod[i + j], cfg.exa_mul(x, y))
+            prod[i + j] = prod[i + j] + x * y
     return _normalize(cfg, ram, a.num_val + b.num_val, prod, out_abs)
 
 
@@ -142,7 +142,7 @@ def add_fold(a, b):
     digits = [cfg.exa_zero()] * (ram + max(a.num_val, b.num_val) - base)
     for x in (a, b):
         for i, d in enumerate(x.unit or ()):
-            digits[x.num_val - base + i] = cfg.exa_add(digits[x.num_val - base + i], d)
+            digits[x.num_val - base + i] = digits[x.num_val - base + i] + d
     return _normalize(cfg, ram, base, digits, min(a.abs_w(), b.abs_w()))
 
 

@@ -174,9 +174,26 @@ def test_cli_entrypoint_subprocess():
     assert "[0;2,2]" in out.stdout
 
 
+def test_main_help_and_option_spellings(tmp_path, capsys):
+    for flag in ("-h", "--help"):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: slomod ") and out.count("\n") == 1
+    f = tmp_path / "s.txt"
+    f.write_text(EXAMPLE)
+    # --opt value and --opt=value are one option; cf needs no session file
+    expected = run_command(["max", "M", "--prec", "12"], parse_session(EXAMPLE)) + "\n"
+    for argv in (["max", str(f), "M", "--prec", "12"], ["max", str(f), "--prec=12", "M"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+    assert main(["cf", "10/7", "--gamma=3"]) == 0
+    assert capsys.readouterr().out == run_command(["cf", "10/7", "--gamma", "3"], None) + "\n"
+
+
 HEAD = "ring zp p=5 prec=8\nslope 1/2\n"
 PREC0 = "ring zp p=5 prec=0\nslope 1/2\nmatrix B 2 1\n5 + u !\n1 + u !\n"
 FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
+DIVMOD = "series y\nu^2 !\nseries x\nu - 5 !\n"
 
 
 @pytest.mark.parametrize(
@@ -207,9 +224,16 @@ FQ_HEAD = "ring fq q=3 prec=8\nslope 0/1\n"
         # only divmod takes a fractional level
         (PREC0.replace("prec=0", "prec=8"), ["pair", "B", "--prec", "1/2"], "expected an integer, found '1/2'"),
         (None, ["cf", "10/7", "--prec", "1/2"], "expected an integer, found '1/2'"),
-        # argparse's own usage errors exit 1 too, not 2
-        (None, ["cf", "10/7", "--prec"], "argument --prec: expected one argument"),
-        (None, [], "the following arguments are required: command"),
+        # a malformed command line exits 1 too, not 2
+        (None, ["cf", "10/7", "--prec"], "option --prec needs a value"),
+        (None, [], "no command given"),
+        (None, ["cf", "10/7", "--prec=0"], "--prec 0 is below 1"),
+        # divmod's level may be written with a leading minus after a space
+        (HEAD + DIVMOD, ["divmod", "y", "x", "--prec", "-1/2"], "--prec -1/2 is not above 0"),
+        (HEAD + DIVMOD, ["divmod", "y", "x", "--prec", "abc"], "--prec abc is not a number"),
+        (HEAD + DIVMOD, ["divmod", "y", "x", "--prec=1/0"], "--prec 1/0 is not a number"),
+        (None, ["max"], "max needs a session file"),
+        (None, ["nope", "s.txt"], "unknown command 'nope'"),
     ],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, session, argv, message):

@@ -65,7 +65,7 @@ def negations(draw, c):
     if how == "neg" or c.zero or c.unit is None:
         return -c
     cfg, ram = c.cfg, c.ram
-    stored = _normalize(cfg, ram, c.num_val, [cfg.exa_neg(d) for d in c.unit], INF)
+    stored = _normalize(cfg, ram, c.num_val, [-d for d in c.unit], INF)
     if how == "stored":
         return stored
     digits = [draw(values(cfg))] + [cfg.exa_zero()] * (ram - 1)

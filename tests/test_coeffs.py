@@ -217,8 +217,8 @@ def test_exa_shift_pi(cfg):
         assert cfg.exa_shift_pi(Fraction(3, 2), -1) == Fraction(3, 10)
     else:
         pi = cfg.exa_shift_pi(cfg.exa_one(), 1)
-        assert cfg.exa_shift_pi(a, 2) == cfg.exa_mul(cfg.exa_mul(a, pi), pi)
-        assert cfg.exa_shift_pi(a, -1) == cfg.exa_mul(a, cfg.exa_inv(pi))
+        assert cfg.exa_shift_pi(a, 2) == a * pi * pi
+        assert cfg.exa_shift_pi(a, -1) == a * cfg.exa_inv(pi)
 
 
 def test_pshift_negative_needs_divisibility():
@@ -301,7 +301,7 @@ def test_exa_dot_matches_mul_add_fold(cfg):
         terms = [(_unit_value(rng, cfg), _unit_value(rng, cfg), rng.randrange(0, 4)) for _ in range(n)]
         want = cfg.exa_zero()
         for x, y, e in terms:
-            want = cfg.exa_add(want, cfg.exa_shift_pi(cfg.exa_mul(x, y), e))
+            want = want + cfg.exa_shift_pi(x * y, e)
         assert cfg.exa_dot(terms) == want
     x = _unit_value(rng, cfg)
-    assert cfg.exa_is_zero(cfg.exa_dot([(x, cfg.exa_one(), 1), (cfg.exa_neg(x), cfg.exa_one(), 1)]))
+    assert cfg.exa_is_zero(cfg.exa_dot([(x, cfg.exa_one(), 1), (-x, cfg.exa_one(), 1)]))

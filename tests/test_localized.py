@@ -390,6 +390,21 @@ def test_hnf_u_rank_of_a_column_multiple():
     assert len(kernel_u(M, 6)) == 1
 
 
+def test_hnf_u_entry_without_digits_counts_as_zero_at_the_level():
+    # O(pi^8) has no certain digit and lies above the level 6: hnf_u counts
+    # it as zero, so the 1 of column 1 is the only pivot and the O-term stays
+    # beside it; O(pi^3) might be nonzero below the level and is refused
+    one = SnuSeries.one(Z5, HALF)
+    o8 = SnuSeries(Z5, HALF, {0: CoeffElem.o_term(Z5, 8)})
+    ech = hnf_u(SMat(Z5, HALF, [[o8, one]]), 6)
+    assert (ech.rank, ech.pivot_rows, ech.pivot_vals) == (1, [0], [0])
+    assert ech.T.a[0] == [one, o8]
+    assert ech.P.a == [[SnuSeries.zero(Z5, HALF), one], [one, SnuSeries.zero(Z5, HALF)]]
+    o3 = SnuSeries(Z5, HALF, {0: CoeffElem.o_term(Z5, 3)})
+    with pytest.raises(PrecisionExhausted, match="ambiguous at the working level"):
+        hnf_u(SMat(Z5, HALF, [[o3, one]]), 6)
+
+
 @pytest.mark.xfail(raises=PrecisionExhausted, strict=True)
 def test_hnf_pi_pivot_with_a_constant_beyond_the_working_level():
     # g = 5^k + u^2 + u^3 has Weierstrass degree 2 < 3; at k >= 17 its monic

@@ -75,7 +75,7 @@ def test_image_condition_negative():
     z = SnuSeries.zero(Z5, NU0)
     A = SMat(Z5, NU0, [[one, z], [z, one]])
     B = SMat(Z5, NU0, [[one], [z]])
-    P = LocalPair(Z5, NU0, 2, A, B, [0, 1], [one, one], [0], [Fraction(0)])
+    P = LocalPair(Z5, NU0, 2, A, B, [0, 1], [0], [Fraction(0)])
     assert not verify_image_condition(P, 8)
 
 
@@ -179,7 +179,7 @@ def _smith_saturate(P, n):
     """``saturate`` below full rank with the Smith-form oracle."""
     eu = hnf_u(smith_saturation(P.B, n), n)
     return pairrep._pair_from_hnfs(
-        P.cfg, P.slope, P.dim, Echelon(P.A, [], P.a_rows, P.a_pivots), eu, P.ram
+        P.cfg, P.slope, P.dim, Echelon(P.A, [], P.a_rows), eu, P.ram
     )
 
 
@@ -228,7 +228,7 @@ def test_saturate_rank_zero():
     z = SMat.from_columns(Z5, NU0, 3, [])
     for S in (saturation_u(z, 8), smith_saturation(z, 8)):
         assert (S.rows, S.cols) == (3, 0)
-    P = LocalPair(Z5, NU0, 3, z, z, [], [], [], [])
+    P = LocalPair(Z5, NU0, 3, z, z, [], [], [])
     S = saturate(P, 8)
     assert S.rank == 0 and (S.B.rows, S.B.cols) == (3, 0) and S.b_rows == S.b_vals == []
     assert S.equal(_smith_saturate(P, 8))
@@ -239,7 +239,7 @@ def test_pair_to_ml_requires_full_rank():
     z = SnuSeries.zero(Z5, NU0)
     A = SMat(Z5, NU0, [[one], [z]])
     B = SMat(Z5, NU0, [[one], [z]])
-    P = LocalPair(Z5, NU0, 2, A, B, [0], [one], [0], [Fraction(0)])
+    P = LocalPair(Z5, NU0, 2, A, B, [0], [0], [Fraction(0)])
     with pytest.raises(NotFullRank):
         pair_to_ml(P, 10)
 
@@ -276,7 +276,7 @@ def test_pair_to_ml_rejects_non_triangular():
     u = poly(Z5, NU0, [(1, 1)])
     ident = SMat(Z5, NU0, [[one, z], [z, one]])
     upper = SMat(Z5, NU0, [[one, u], [z, one]])
-    P = LocalPair(Z5, NU0, 2, upper, ident, [0, 1], [one, one], [0, 1], [Fraction(0)] * 2)
+    P = LocalPair(Z5, NU0, 2, upper, ident, [0, 1], [0, 1], [Fraction(0)] * 2)
     with pytest.raises(BadParameters):
         pair_to_ml(P, 10)
     # the same pair without the entry above the diagonal is accepted

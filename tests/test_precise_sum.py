@@ -3,6 +3,7 @@ import random
 import pytest
 
 from slomod import precise_sum
+from slomod.contfrac import Slope
 from slomod.errors import BadCoefficients, CertificateViolation, NonTermination
 from slomod.localized import SMat
 from slomod.maxmod import MLModule, _pick_pair, max_module, max_sum_ml, scalar_extend
@@ -70,13 +71,13 @@ def test_add_vector_matches_exact_max_sum():
             L_out.append(delta)
         got = MLModule(Z5, NU0, d, cols_out, L_out)
         A = ml_from_matrix(M)
-        B_m, _ = max_module(SMat.from_columns(Z5, NU0, d, [t]), 12)
+        B_m = max_module(SMat.from_columns(Z5, NU0, d, [t]), 12)
         want = max_sum_ml(A, B_m, 12)
         assert psi(got, 12).equal(psi(want, 12)), (lams,)
 
 
 def test_approx_sum_c0_matches_scalar_extension():
-    cert = GapCertificate(c=0, p_u=8, p_pi=8, e=1)
+    cert = GapCertificate(c=0, p_u=8, p_pi=8)
     M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1)]])
     M2 = SMat(Z5, NU0, [[mono(Z5, NU0, 1, 1)]])  # pi*u in <pi>
     out = approx_max_sum(M1, M2, cert, 10)
@@ -87,20 +88,34 @@ def test_approx_sum_c0_matches_scalar_extension():
 
 def test_approx_sum_exact_path_cross_check():
     # on exact inputs the bumped sum equals the exact max-sum scalar-extended
-    cert = GapCertificate(c=2, p_u=8, p_pi=10, e=1)
+    cert = GapCertificate(c=2, p_u=8, p_pi=10)
     M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 2)]])
     M2 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1)]])
     out = approx_max_sum(M1, M2, cert, 12)
-    nu2 = cert.bumped_slope(NU0)
+    nu2 = cert.bumped_slope(NU0, M2.cols)
     exact = max_sum_ml(ml_from_matrix(M1), ml_from_matrix(M2), 12)
     want = scalar_extend(exact, nu2)
     assert out.L == want.L
     assert out.columns[0][0].digits_agree(want.columns[0][0])
 
 
+def test_approx_sum_two_column_second_module():
+    # e = 2 generator columns bump the slope by 2c/p_u = 1/4
+    cert = GapCertificate(c=1, p_u=8, p_pi=10)
+    M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 2)]])
+    M2 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1), mono(Z5, NU0, 1, 1)]])
+    out = approx_max_sum(M1, M2, cert, 12)
+    assert out.slope == Slope(1, 4)
+    exact = max_sum_ml(ml_from_matrix(M1), ml_from_matrix(M2), 12)
+    want = scalar_extend(exact, Slope(1, 4))
+    assert out.L == want.L
+    assert len(out.columns) == len(want.columns) == 1
+    assert out.columns[0][0].digits_agree(want.columns[0][0])
+
+
 def test_approx_sum_representative_independence():
     rng = random.Random(9)
-    cert = GapCertificate(c=1, p_u=8, p_pi=6, e=1)
+    cert = GapCertificate(c=1, p_u=8, p_pi=6)
     M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1), SnuSeries.zero(Z5, NU0)],
                         [SnuSeries.zero(Z5, NU0), mono(Z5, NU0, 0, 1)]])
     t = [SnuSeries.one(Z5, NU0), poly(Z5, NU0, [(1, 1)])]
@@ -119,7 +134,7 @@ def test_approx_sum_representative_independence():
 
 def test_approx_sum_certificate_violation():
     # claim c = 0 but the true gap needs c = 1
-    cert = GapCertificate(c=0, p_u=8, p_pi=8, e=1)
+    cert = GapCertificate(c=0, p_u=8, p_pi=8)
     M1 = SMat(Z5, NU0, [[mono(Z5, NU0, 0, 1)]])
     M2 = SMat(Z5, NU0, [[SnuSeries.one(Z5, NU0)]])
     with pytest.raises(CertificateViolation):
@@ -149,6 +164,6 @@ def test_add_vector_rebalances_the_pi_power(monkeypatch):
     # oracle: the maximal module of the exact span of pi^L[j] C_j and t
     t = [M.a[i][0] * lams[0] + M.a[i][1] * lams[1] for i in range(2)]
     gens = [[e.scale_pi(L[j]) for e in M.col(j)] for j in range(2)]
-    want, _ = max_module(SMat.from_columns(Z5, NU0, 2, gens + [t]), 12)
+    want = max_module(SMat.from_columns(Z5, NU0, 2, gens + [t]), 12)
     got = MLModule(Z5, NU0, 2, [[e.scale_pi(L1[j]) for e in M1.col(j)] for j in range(2)], [0, 0])
     assert psi(got, 12).equal(psi(want, 12))

@@ -8,12 +8,16 @@ from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _isinf
 from slomod.contfrac import Slope
 from slomod.errors import (
+    BadParameters,
+    NotDistinguished,
     NotDistinguishedCertificate,
     NotDivisible,
     NotUnit,
+    NotUnitDegree,
     OutOfRange,
     PrecisionExhausted,
     RequiresExactInput,
+    SlopeMismatch,
     ValuationOrder,
 )
 from slomod.series import (
@@ -35,6 +39,7 @@ from helpers import (
     Z5,
     assert_zero_at_precision,
     divide_fold,
+    mono,
     mul_fold,
     poly,
     random_exact_poly,
@@ -553,3 +558,48 @@ def test_operations_keep_infinite_tail_bounds_on_polynomials(cfg):
             hi_lo_split(x, 2)[1],
         ):
             assert _isinf(s.tail_bound) == s.is_polynomial(), s
+
+
+# an element with no certain digit: O(pi) at u^0, nothing anchors its valuation
+UNCERTIFIED = SnuSeries(Z5, NU0, {0: CoeffElem.o_term(Z5, 1)}, 4)
+
+
+def test_divide_by_unit_rejections():
+    one = SnuSeries.one(Z5, NU0)
+    with pytest.raises(NotUnitDegree, match="no certified Weierstrass data"):
+        divide_by_unit(one, SnuSeries.zero(Z5, NU0), u_prec=8)
+    # O(pi^-1) might lie below v(x) = 0 or not: no certain digit decides it
+    ambiguous = SnuSeries(Z5, NU0, {0: CoeffElem.o_term(Z5, -1)}, 4)
+    with pytest.raises(PrecisionExhausted, match="cannot certify"):
+        divide_by_unit(ambiguous, one, u_prec=8)
+    with pytest.raises(BadParameters, match="non-negative supports"):
+        divide_by_unit(mono(Z5, NU0, -1), one, u_prec=8)
+    # an exact divisor of two digits has an infinite quotient series
+    with pytest.raises(BadParameters, match="needs a u-precision cap"):
+        divide_by_unit(one, poly(Z5, NU0, [(0, 1), (1, 1)]), u_prec=INF)
+
+
+def test_invert_unit_rejects_an_uncertified_input():
+    with pytest.raises(NotUnit, match="no certain digit"):
+        invert_unit(UNCERTIFIED, 4)
+
+
+def test_weierstrass_prep_rejections():
+    with pytest.raises(NotDistinguished, match="no certain digit"):
+        weierstrass_prep(UNCERTIFIED, 4)
+    with pytest.raises(NotDistinguished, match="!= 0"):
+        weierstrass_prep(poly(Z5, NU0, [(0, 5)]), 4)
+    # w^-1*u + u^2 at slope 1/2 (w^2 = pi): level 0 first reached at u^1,
+    # and 1 * 1/2 is not an integer
+    half = Slope(1, 2)
+    x = SnuSeries(Z5, half, {1: CoeffElem.from_int(Z5, 1, ram=2).scale_w(-1),
+                             2: CoeffElem.from_int(Z5, 1, ram=2)}, ram=2)
+    assert x.certified_val_deg() == (0, 1)
+    with pytest.raises(NotDistinguished, match="not an integer"):
+        weierstrass_prep(x, 4)
+
+
+def test_slope_transport_starts_from_slope_zero():
+    x = poly(Z5, Slope(1, 2), [(0, 1)])
+    with pytest.raises(SlopeMismatch):
+        slope_transport(x, Slope(2, 3))
