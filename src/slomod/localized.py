@@ -521,8 +521,10 @@ def _valuation_index(v, slope: Slope) -> int:
 
 def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     """Inverse of a u-localization unit (certified v_nu = 0) with every
-    certain digit of 1 - w*y at level >= n_level, support below hi_window."""
-    alpha = w.slope.alpha
+    certain digit of 1 - w*y at level >= n_level, support below hi_window.
+    The start is the exact inverse of w's level-0 part modulo u^hi_window,
+    by one ``divide_by_unit`` recurrence on that part shifted to u^0 and
+    cut there; Newton steps then lift it to level n_level."""
     lvl0 = {
         i: c
         for i, c in w.coeffs.items()
@@ -534,19 +536,10 @@ def u_invert_unit(w: SnuSeries, n_level, hi_window) -> SnuSeries:
     c0 = lvl0[i0]
     base = SnuSeries.monomial(w.cfg, w.slope, -i0, c0.inv())
     lvl0_s = SnuSeries(w.cfg, w.slope, lvl0, ram=w.ram)
-    t = (lvl0_s * base) - SnuSeries.one(w.cfg, w.slope, w.ram)  # x-powers >= 1
-    t = t.truncate_u(hi_window)
-    # geometric series for the residue-field inverse
-    acc = SnuSeries.one(w.cfg, w.slope, w.ram)
-    pw = SnuSeries.one(w.cfg, w.slope, w.ram)
-    steps = max(1, (hi_window - min(t.coeffs, default=hi_window)) // alpha + 2) if t.coeffs else 1
-    for _ in range(steps):
-        if not pw.coeffs:
-            break
-        pw = (-(pw * t)).truncate_u(hi_window)
-        acc = acc + pw
-    y = (acc * base).truncate_u(hi_window)
-    budget = 2 * (_ceil(Fraction(n_level) * alpha).bit_length() + 3)
+    unit = (lvl0_s * base).truncate_u(hi_window)
+    one = SnuSeries.one(w.cfg, w.slope, w.ram)
+    y = (divide_by_unit(one, unit, u_prec=hi_window) * base).truncate_u(hi_window)
+    budget = 2 * (_ceil(Fraction(n_level) * w.slope.alpha).bit_length() + 3)
     return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
 
 

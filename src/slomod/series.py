@@ -473,7 +473,9 @@ def divide_by_unit(z: SnuSeries, x: SnuSeries, u_prec) -> SnuSeries:
     output is known below the u-exponent min(u_prec, z.u_prec, x.u_prec),
     so u_prec = INF keeps the inputs' own window.  A polynomial z over a
     single-digit x gives the exact polynomial z/a_0; over any other
-    polynomial x it needs a finite u_prec.
+    polynomial x it needs a finite u_prec.  Both unit inverses,
+    invert_unit and localized.u_invert_unit, start from this recurrence on
+    the unit's level-0 part.
     """
     x._check_compat(z)
     try:
@@ -545,7 +547,8 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
     """Newton steps y <- y + y(1 - x*y), every result cut below the
     u-exponent ``window`` (INF: no cut), until each certain digit of 1 - x*y
     has level >= n; PrecisionExhausted after ``budget`` steps.  The one
-    refinement loop of invert_unit and localized.u_invert_unit."""
+    refinement loop of invert_unit and localized.u_invert_unit, both of
+    which start y from the divide_by_unit recurrence on x's level-0 part."""
     one = SnuSeries.one(x.cfg, x.slope, ram=x.ram)
     steps = 0
     while True:

@@ -10,7 +10,7 @@ from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionE
 from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index
 from slomod.maxmod import MLModule
 from slomod.precision import PrecisionLattice, _frac
-from slomod.series import SnuSeries, _ceil, euclid_div_full
+from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full
 
 Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
@@ -354,6 +354,32 @@ def smith_saturation(M, n_level):
                 D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
         k += 1
     return SMat.from_columns(M.cfg, M.slope, M.rows, [U_inv.col(j) for j in range(k)], M.ram)
+
+
+def geometric_u_invert_unit(w, n_level, hi_window):
+    """``localized.u_invert_unit`` with the start it had before the
+    ``divide_by_unit`` recurrence: the inverse of w's level-0 part as the
+    geometric series sum (-t)^k, t = (level-0 part)/(first digit) - 1, of
+    (hi_window - min t)/alpha + 2 steps, then the same Newton refinement."""
+    alpha = w.slope.alpha
+    lvl0 = {i: c for i, c in w.coeffs.items() if c.has_witness() and w.level_key(i, c) == 0}
+    if not lvl0:
+        raise PrecisionExhausted("unit has no certain level-zero digit")
+    i0 = min(lvl0)
+    base = SnuSeries.monomial(w.cfg, w.slope, -i0, lvl0[i0].inv())
+    lvl0_s = SnuSeries(w.cfg, w.slope, lvl0, ram=w.ram)
+    t = ((lvl0_s * base) - SnuSeries.one(w.cfg, w.slope, w.ram)).truncate_u(hi_window)
+    acc = SnuSeries.one(w.cfg, w.slope, w.ram)
+    pw = SnuSeries.one(w.cfg, w.slope, w.ram)
+    steps = max(1, (hi_window - min(t.coeffs, default=hi_window)) // alpha + 2) if t.coeffs else 1
+    for _ in range(steps):
+        if not pw.coeffs:
+            break
+        pw = (-(pw * t)).truncate_u(hi_window)
+        acc = acc + pw
+    y = (acc * base).truncate_u(hi_window)
+    budget = 2 * (_ceil(Fraction(n_level) * alpha).bit_length() + 3)
+    return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
 
 
 def weierstrass_monic_exact(g, prec):

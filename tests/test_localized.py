@@ -1,11 +1,13 @@
 import inspect
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from slomod import localized, maxmod, pairrep, precise_sum, series
-from slomod.coeffs import CoeffElem
+from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
 from slomod.errors import BadParameters, OutOfRange, PrecisionExhausted
 from slomod.localized import (
@@ -29,6 +31,7 @@ from helpers import (
     Z3,
     Z5,
     _unit_range,
+    geometric_u_invert_unit,
     mats_agree,
     mono,
     poly,
@@ -453,6 +456,84 @@ def test_one_unit_inverse_per_u_pivot(monkeypatch):
     calls.clear()
     assert saturation_u(SMat(Z5, HALF, [[one + u], [SnuSeries.zero(Z5, HALF)]]), 6).cols == 1
     assert calls == []
+
+
+def _level_unit(rng, cfg, ram, slope, exps, prec):
+    """A u-localization unit: a random digit of level 0 at each exponent in
+    ``exps`` (relative precision ``prec`` in w-units), and random digits or
+    O-terms of level > 0 at some other exponents in [-1, 10)."""
+    a, r = slope.alpha, ram * slope.beta
+
+    def digit(w_val, p):
+        c = CoeffElem.from_int(cfg, rng.randrange(1, _unit_range(cfg)), ram=ram)
+        c = c + CoeffElem.from_int(cfg, rng.randrange(_unit_range(cfg)), ram=ram).scale_w(1)
+        return c.reduce_prec(p).scale_w(w_val)
+
+    coeffs = {i: digit(-r * i // a, prec) for i in exps}
+    for i in range(-1, 10):
+        if i not in coeffs and rng.random() < 0.4:
+            v = -r * i // a + 1 + rng.randrange(3)  # level above 0
+            coeffs[i] = CoeffElem.o_term(cfg, v + 1, ram) if rng.random() < 0.2 else digit(v, rng.choice([3, INF]))
+    return SnuSeries(cfg, slope, coeffs, ram=ram)
+
+
+def _u_inverse_or_error(fn, w, n_level, window):
+    try:
+        y = fn(w, n_level, window)
+    except PrecisionExhausted as e:
+        return type(e)
+    return y.coeffs, y.u_prec, y.tail_bound
+
+
+def test_u_invert_unit_matches_the_geometric_start():
+    # the divide_by_unit start is the inverse of the level-0 part modulo
+    # u^window, as the geometric series was whenever its steps reached the
+    # window: level-0 digits alpha or more exponents apart
+    rng = random.Random(2212)
+    cells = itertools.product((Z5, Z3, F2), (1, 2), (NU0, HALF, Slope(2, 3)), (INF, 2), (1, 2, 3, 4))
+    for cfg, ram, slope, prec, k in cells:
+        a = slope.alpha
+        step = a // math.gcd(a, ram * slope.beta)  # the level-0 exponents are multiples of it
+        i0 = step * rng.choice([-1, 0, 1, 2])
+        exps = [i0] + [i0 + a * j for j in sorted(rng.sample(range(1, k + 2), k - 1))]
+        w = _level_unit(rng, cfg, ram, slope, exps, prec)
+        n_level = rng.choice([2, 3, Fraction(7, 2)])
+        window = localized._u_window([w], n_level, slope)
+        got = _u_inverse_or_error(localized.u_invert_unit, w, n_level, window)
+        assert got == _u_inverse_or_error(geometric_u_invert_unit, w, n_level, window), (cfg, ram, slope, prec, k)
+    # ram 2 at slope 1/2: level-0 digits one exponent apart, closer than the
+    # geometric series' step count assumed
+    c = [CoeffElem.from_int(Z5, d, ram=2).scale_w(-i) for i, d in enumerate((1, 1, 3))]
+    w = SnuSeries(Z5, HALF, dict(enumerate(c)), ram=2)
+    for n_level in (2, 3, 6):
+        window = localized._u_window([w], n_level, HALF)
+        got = _u_inverse_or_error(localized.u_invert_unit, w, n_level, window)
+        assert got == _u_inverse_or_error(geometric_u_invert_unit, w, n_level, window)
+
+
+def test_u_invert_unit_with_level_zero_digits_closer_than_alpha():
+    # where the geometric series stopped short of the window its Newton
+    # refinement ended elsewhere: both inverses meet the contract and agree
+    # on every digit below the working level
+    rng = random.Random(1053)
+    for _ in range(12):
+        exps = [0, 1] + sorted(rng.sample(range(2, 6), rng.randrange(3)))
+        w = _level_unit(rng, Z5, 2, HALF, exps, rng.choice([INF, 2]))
+        n_level = rng.choice([2, 3])
+        window = localized._u_window([w], n_level, HALF)
+        y, y_old = (f(w, n_level, window) for f in (localized.u_invert_unit, geometric_u_invert_unit))
+        e = SnuSeries.one(Z5, HALF, 2).addmul(-1, w.truncate_u(window), y).truncate_u(window)
+        assert e.visible_valuation() >= n_level
+        d = y - y_old
+        assert all(d._level(d.level_key(i, c)) >= n_level for i, c in d.coeffs.items() if c.has_witness())
+
+
+def test_u_invert_unit_without_a_certain_level_zero_digit():
+    # O(pi) + 5u at slope 1/2: the u^0 digit has no witness and 5u sits at
+    # level 3/2, so no digit of level 0 is certain
+    w = SnuSeries(Z5, HALF, {0: CoeffElem.o_term(Z5, 1), 1: CoeffElem.from_int(Z5, 5)})
+    with pytest.raises(PrecisionExhausted, match="no certain level-zero digit"):
+        localized.u_invert_unit(w, 6, 20)
 
 
 def _sqrt_pi_matrix(slope):

@@ -1,0 +1,45 @@
+"""``tools/profile_pool.profile_within`` wraps a function, a method or a
+property and puts each original back."""
+
+import cProfile
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import profile_pool  # noqa: E402
+from slomod import localized  # noqa: E402
+from slomod.localized import SMat, hnf_pi, hnf_u  # noqa: E402
+
+from helpers import NU0, Z5, poly  # noqa: E402
+
+
+def _matrix():
+    return SMat(Z5, NU0, [[poly(Z5, NU0, [(1, 1)]), poly(Z5, NU0, [(0, 5)])],
+                          [poly(Z5, NU0, [(0, 5)]), poly(Z5, NU0, [(0, 1), (1, 1)])]])
+
+
+def test_within_a_property_counts_its_getter_and_restores_it():
+    original = vars(localized.Echelon)["P"]
+    calls, restore = profile_pool.profile_within("localized.Echelon.P", cProfile.Profile())
+    try:
+        wrapped = vars(localized.Echelon)["P"]
+        assert isinstance(wrapped, property) and wrapped is not original
+        assert hnf_pi(_matrix(), 8).P.rows == 2
+        assert calls[0] >= 1
+    finally:
+        restore()
+    assert vars(localized.Echelon)["P"] is original
+
+
+def test_within_a_function_and_a_method_restores_them():
+    fn, method = localized.u_invert_unit, vars(SMat)["col"]
+    for target in ("localized.u_invert_unit", "localized.SMat.col"):
+        calls, restore = profile_pool.profile_within(target, cProfile.Profile())
+        try:
+            assert localized.u_invert_unit is not fn or vars(SMat)["col"] is not method
+            hnf_u(_matrix(), 4).T.col(0)
+            assert calls[0] >= 1
+        finally:
+            restore()
+        assert localized.u_invert_unit is fn and vars(SMat)["col"] is method

@@ -3,6 +3,7 @@
     python3 tools/profile_pool.py --workload fq_ramified [--limit N] [--sort cumulative]
     python3 tools/profile_pool.py --workload pi_exact --within localized._weierstrass_monic
     python3 tools/profile_pool.py --workload pi_exact --within coeffs.CoeffElem.__mul__
+    python3 tools/profile_pool.py --workload pi_exact --within localized.Echelon.P
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once through ``check_reference.run``, with the profiler on for both steps;
@@ -14,7 +15,9 @@ them by cumulative time instead, which shows the callers a cost sits under.
 function: it is wrapped in its module and in every loaded module that
 imported it by name, and the count of its outermost calls is printed.
 ``--within MODULE.CLASS.METHOD`` does the same for a method, wrapped in its
-class.
+class, and ``--within MODULE.CLASS.PROP`` for a property's getter (e.g.
+``localized.Echelon.P``); every wrapped original is put back after the
+replay.
 Exits 1 if an input missed its deadline or raised anything but a typed
 ``AlgebraError``.  The modules under ``perfbench/`` are imported, never
 written.  cProfile slows pure-Python code down by about 2x, so the times are
@@ -57,18 +60,23 @@ def replay(pool, profiler):
 
 
 def profile_within(target: str, profiler):
-    """Wrap ``slomod.<target>``, a module function or a method of a class,
-    so that ``profiler`` runs only inside its outermost calls; a function is
-    rebound in every loaded module that holds it by name, a method in its
-    class.  Returns a one-item list that counts those calls."""
+    """Wrap ``slomod.<target>``, a module function or a method or property
+    of a class, so that ``profiler`` runs only inside its outermost calls; a
+    function is rebound in every loaded module that holds it by name, a
+    method in its class, and a property is replaced in its class by one
+    whose getter is wrapped.  Returns a one-item list that counts those
+    calls and a function that puts every original back."""
     mod_name, _, path = target.partition(".")
     owner = importlib.import_module(f"slomod.{mod_name}")
     *classes, func_name = path.split(".")
     for name in classes:
         owner = getattr(owner, name)
     fn = getattr(owner, func_name)
-    if not inspect.isfunction(fn):
-        raise AttributeError(f"{target} is not a function or a plain method")
+    prop = inspect.getattr_static(owner, func_name) if classes else None
+    if isinstance(prop, property) and prop.fget is not None:
+        fn = prop.fget
+    elif not inspect.isfunction(fn):
+        raise AttributeError(f"{target} is not a function, a plain method or a property")
     calls, depth = [0], [0]
 
     @functools.wraps(fn)
@@ -85,12 +93,18 @@ def profile_within(target: str, profiler):
                 profiler.disable()
 
     if classes:
-        setattr(owner, func_name, wrapper)
-        return calls
-    for mod in list(sys.modules.values()):
-        if getattr(mod, func_name, None) is fn:
+        holders = [(owner, prop)]
+        setattr(owner, func_name, prop.getter(wrapper) if isinstance(prop, property) else wrapper)
+    else:
+        holders = [(mod, fn) for mod in list(sys.modules.values()) if getattr(mod, func_name, None) is fn]
+        for mod, _ in holders:
             setattr(mod, func_name, wrapper)
-    return calls
+
+    def restore():
+        for holder, original in holders:
+            setattr(holder, func_name, original)
+
+    return calls, restore
 
 
 def _count(text) -> int:
@@ -108,19 +122,25 @@ def main(argv=None) -> int:
     ap.add_argument("--sort", choices=["tottime", "cumulative"], default="tottime",
                     help="rank the functions by self time (default) or by cumulative time")
     ap.add_argument("--within", metavar="MODULE.FUNC", default=None,
-                    help="profile only inside calls of this slomod function or method (MODULE.CLASS.METHOD),"
-                         " e.g. localized._weierstrass_monic or coeffs.CoeffElem.__mul__")
+                    help="profile only inside calls of this slomod function, method or property"
+                         " (MODULE.CLASS.METHOD or MODULE.CLASS.PROP), e.g. localized._weierstrass_monic,"
+                         " coeffs.CoeffElem.__mul__ or localized.Echelon.P")
     args = ap.parse_args(argv)
 
     pool = gen.pool(args.workload)[: args.limit]
     signal.signal(signal.SIGALRM, worker._on_alarm)
     profiler = cProfile.Profile()
-    try:
-        calls = profile_within(args.within, profiler) if args.within else None
-    except (ImportError, AttributeError) as e:
-        ap.error(f"--within {args.within}: {e}")
+    calls, restore = None, lambda: None
+    if args.within:
+        try:
+            calls, restore = profile_within(args.within, profiler)
+        except (ImportError, AttributeError) as e:
+            ap.error(f"--within {args.within}: {e}")
     t0 = time.perf_counter()
-    kinds = replay(pool, None if args.within else profiler)
+    try:
+        kinds = replay(pool, None if args.within else profiler)
+    finally:
+        restore()
     wall = time.perf_counter() - t0
     outcomes = ", ".join(f"{k} {n}" for k, n in sorted(kinds.items()))
     print(f"{args.workload}: {len(pool)} inputs in {wall:.2f} s under cProfile ({outcomes})")
