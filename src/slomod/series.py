@@ -380,6 +380,8 @@ class SnuSeries:
         return self + (-other)
 
     def __mul__(self, other: "SnuSeries") -> "SnuSeries":
+        """self*other; by a factor c*u^j with c exact and u_prec INF it is
+        one coefficient product per digit of the other factor."""
         return _mul_acc(None, 1, self, other)
 
     def addmul(self, sign, x: "SnuSeries", y: "SnuSeries") -> "SnuSeries":
@@ -417,6 +419,9 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
     does.  An exact-zero factor (no digit, u_prec INF) makes the product
     the exact zero, known at every exponent: the sum is acc itself, with no
     digit dropped and its tail bound kept, so it is returned as it is.
+    With no acc, a factor that is one exact digit c at u^j with u_prec INF
+    makes each digit of the product one coefficient product d*c
+    (``_monomial_product``); every other product is ``series_product``.
     """
     x._check_compat(y)
     ram = max(x.ram, y.ram)
@@ -432,7 +437,9 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
     lo_x = min(x.coeffs, default=x.u_prec)
     lo_y = min(y.coeffs, default=y.u_prec)
     up_p = min(x.u_prec + lo_y, y.u_prec + lo_x)
-    coeffs = series_product(x.cfg, ram, x, y, up_p, {} if acc is None else acc.coeffs, sign)
+    coeffs = None if acc is not None else _monomial_product(x, y)
+    if coeffs is None:
+        coeffs = series_product(x.cfg, ram, x, y, up_p, {} if acc is None else acc.coeffs, sign)
     # unknown(x)*y + x*unknown(y) (+ unknown*unknown, dominated)
     tb = INF if _isinf(up_p) else min(x.tail_bound + y.lower_bound(), x.lower_bound() + y.tail_bound)
     up = up_p if acc is None else min(acc.u_prec, up_p)
@@ -445,6 +452,19 @@ def _mul_acc(acc, sign, x: SnuSeries, y: SnuSeries) -> SnuSeries:
             tb = min(tb, acc._level(min(dropped)))
             coeffs = {i: c for i, c in coeffs.items() if i < up}
     return SnuSeries(x.cfg, x.slope, coeffs, up, tb, ram=ram)
+
+
+def _monomial_product(x: SnuSeries, y: SnuSeries):
+    """The digits of x*y when one factor is c*u^j with c exact and nothing
+    unknown: d*c at u^(i+j) for each digit d at u^i of the other factor,
+    one coefficient product per digit as in ``scale_coeff``, with no pack
+    built; None when neither factor is such a monomial."""
+    for m, other in ((y, x), (x, y)):
+        if len(m.coeffs) == 1 and _isinf(m.u_prec):
+            ((j, c),) = m.coeffs.items()
+            if _isinf(c.prec):
+                return {i + j: d * c for i, d in other.coeffs.items()}
+    return None
 
 
 def hi_lo_split(x: SnuSeries, d: int):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from slomod import coeffs, gfq
+from slomod import series as l1
 from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
 from slomod.series import SnuSeries
@@ -138,9 +139,18 @@ def fallback_pairs(draw):
     return x, draw(series(cfg, slope, values, ram))
 
 
+def _exact_monomial(s):
+    """s is c*u^j with c exact and nothing unknown."""
+    return len(s.coeffs) == 1 and s.u_prec == INF and all(c.is_exact() for c in s.coeffs.values())
+
+
 @PROPERTY
 @given(fallback_pairs())
 def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
+    """One ``sum_products`` per product exponent, unless a factor is an
+    exact monomial: that product is one ``CoeffElem`` product per digit,
+    which over GF(q) at ram 1 is a ``RatFunc`` product, not a
+    ``sum_products`` (see the next test)."""
     x, y = pair
     with pytest.MonkeyPatch.context() as mp:
         per_digit = _count_calls(mp, "sum_products")
@@ -148,8 +158,39 @@ def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
         got = x * y
     up = min(x.u_prec + min(y.coeffs, default=y.u_prec), y.u_prec + min(x.coeffs, default=x.u_prec))
     assert not packed
-    assert len(per_digit) == len({i + j for i in x.coeffs for j in y.coeffs if i + j < up})
+    if not (_exact_monomial(x) or _exact_monomial(y)):
+        assert len(per_digit) == len({i + j for i in x.coeffs for j in y.coeffs if i + j < up})
     assert series_strict(got) == series_strict(mul_per_digit(x, y))
+
+
+@st.composite
+def monomial_pairs(draw):
+    """(c*u^j, x): c exact, j in [-4, 4]; x with exact, finite-precision and
+    O-term digits, possibly below u^0, a polynomial or of finite u_prec;
+    over Z3, Z5 or GF(2) at ram 1 or 2."""
+    cfg, values = draw(st.sampled_from([(Z3, zp_values()), (Z5, zp_values()), (F2, f2_values())]))
+    ram = draw(st.sampled_from([1, 2]))
+    slope = draw(st.sampled_from(SLOPES[:3]))
+    c = draw(coeff_elems(cfg, values, ram).filter(lambda c: c.is_exact() and not c.is_exact_zero()))
+    m = SnuSeries(cfg, slope, {draw(st.integers(-4, 4)): c}, ram=ram)
+    return m, draw(series(cfg, slope, values, ram))
+
+
+@PROPERTY
+@given(monomial_pairs(), st.booleans())
+def test_an_exact_monomial_factor_is_one_coefficient_product_per_digit(pair, first):
+    m, x = pair
+    a, b = (m, x) if first else (x, m)
+    with pytest.MonkeyPatch.context() as mp:
+        packed = _count_calls(mp, "_zp_kronecker")
+        built = _count_calls(mp, "_zp_pack")
+        looped = []
+        real = l1.series_product
+        mp.setattr(l1, "series_product", lambda *args: looped.append(args) or real(*args))
+        got = a * b
+    assert not packed and not built and not looped
+    assert m._pack is None and x._pack is None
+    assert series_strict(got) == series_strict(mul_per_digit(a, b))
 
 
 def test_zp_ram_one_products_take_one_multiply(monkeypatch):
