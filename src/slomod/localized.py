@@ -336,14 +336,11 @@ def echelon_pi(M: SMat, prec, hnf=False) -> Echelon:
     Elimination is exact (entries stay exact polynomials); pivots are the
     canonical monic polynomials and, with ``hnf``, pivot-row entries are
     canonical residues, both at working precision ``prec`` when a pivot's
-    Weierstrass degree is below its degree.
+    Weierstrass degree is below its degree.  The transform P is built on
+    first read (``Echelon.P``), so callers that need only T never replay it.
     """
     _require_exact(M, "echelon_pi")
-    ech = _echelon(M, _PiSide(prec), hnf=hnf)
-    # P is still built here, not on first read: the tracer self-test counts
-    # the coefficient products it costs (ROADMAP items 8 and 12)
-    ech.P
-    return ech
+    return _echelon(M, _PiSide(prec), hnf=hnf)
 
 
 def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:

@@ -224,6 +224,27 @@ def test_echelon_pi_low_valuation_pivot(cfg):
         assert mats_agree(H.matmul(ech.P), ech.T)
 
 
+def test_echelon_pi_builds_p_on_first_read():
+    # callers that read only T (psi, module_sum, the CLI hnf) never replay
+    # the column operations; member_pi and kernel_pi read P and still work
+    rng = random.Random(7)
+    for cfg in (Z5, F2):
+        a, b = ([random_exact_poly(rng, cfg, HALF, max_deg=2, max_pi=2) for _ in range(3)] for _ in range(2))
+        q = random_exact_poly(rng, cfg, HALF, max_deg=1, max_pi=1)
+        c = [x + y * q for x, y in zip(a, b)]
+        M = SMat.from_columns(cfg, HALF, 3, [a, b, c])
+        ech = hnf_pi(M, 6)
+        assert ech._P is None
+        assert mats_agree(M.matmul(ech.P), ech.T)
+        assert ech._P is ech.P
+        (k,) = kernel_pi(M)
+        assert all(series_is_zeroish(e) for e in M.apply_to_vector(k))
+        X = member_pi(c, M, 6)
+        assert X is not None
+        for e, want in zip(M.apply_to_vector(X), c):
+            assert series_is_zeroish((e - want).truncate_u(6))
+
+
 def test_echelon_pi_random_square_inputs_at_slope_half():
     # random exact square matrices over Z5 and GF(2) at slope 1/2; many
     # have a pivot whose valuation is below that of its monic factor

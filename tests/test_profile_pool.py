@@ -43,3 +43,14 @@ def test_within_a_function_and_a_method_restores_them():
         finally:
             restore()
         assert localized.u_invert_unit is fn and vars(SMat)["col"] is method
+
+
+def test_a_within_target_that_is_never_called_fails_the_run(capsys):
+    # the first pi_exact pool input reads no transform P, since hnf_pi
+    # builds it only on first read
+    original = vars(localized.Echelon)["P"]
+    argv = ["--workload", "pi_exact", "--limit", "1", "--within", "localized.Echelon.P"]
+    assert profile_pool.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "0 calls" in out and "no input called localized.Echelon.P" in err
+    assert vars(localized.Echelon)["P"] is original

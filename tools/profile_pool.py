@@ -19,7 +19,7 @@ class, and ``--within MODULE.CLASS.PROP`` for a property's getter (e.g.
 ``localized.Echelon.P``); every wrapped original is put back after the
 replay.
 Exits 1 if an input missed its deadline or raised anything but a typed
-``AlgebraError``.  The modules under ``perfbench/`` are imported, never
+``AlgebraError``, or if the ``--within`` target was never called.  The modules under ``perfbench/`` are imported, never
 written.  cProfile slows pure-Python code down by about 2x, so the times are
 for comparing replays, not for quoting as benchmark numbers.
 """
@@ -146,8 +146,10 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(pool)} inputs in {wall:.2f} s under cProfile ({outcomes})")
     if calls is not None:
         print(f"profiled within {args.within}: {calls[0]} calls")
-    if calls != [0]:
-        pstats.Stats(profiler, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
+    if calls == [0]:
+        print(f"{args.workload}: no input called {args.within}", file=sys.stderr)
+        return 1
+    pstats.Stats(profiler, stream=sys.stdout).sort_stats(args.sort).print_stats(TOP)
     return 0 if set(kinds) <= {"ok", "error"} else 1
 
 
