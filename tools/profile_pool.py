@@ -19,9 +19,10 @@ class, and ``--within MODULE.CLASS.PROP`` for a property's getter (e.g.
 ``localized.Echelon.P``); every wrapped original is put back after the
 replay.
 Exits 1 if an input missed its deadline or raised anything but a typed
-``AlgebraError``, or if the ``--within`` target was never called.  The modules under ``perfbench/`` are imported, never
-written.  cProfile slows pure-Python code down by about 2x, so the times are
-for comparing replays, not for quoting as benchmark numbers.
+``AlgebraError``, or if the ``--within`` target was never called.  The
+modules under ``perfbench/`` are imported, never written.  cProfile slows
+pure-Python code down by about 2x, so the times are for comparing replays,
+not for quoting as benchmark numbers.
 """
 
 from __future__ import annotations
