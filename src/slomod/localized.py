@@ -11,11 +11,10 @@ normalized to the canonical monic Weierstrass polynomial, residues by
 classical division.  Elimination is exact on exact polynomial inputs; pivot
 normalization may need a working pi-precision when the gcd has a
 nontrivial unit part (its roots need not be rational), so normalized
-entries carry honest finite precision.  The monic factor comes from the
-remainder of a division at level P = prec + max(0, s) + 1 (s the pi-shift
-of the dividend), and its divisor's high digits are reduced to level P
-before the division: no digit below P is lost, and the division's digits
-stay below p^P.
+entries carry honest finite precision.  The monic factor is lifted
+quadratically to level P = prec + max(0, s) + 1 (s the pi-shift that
+makes it integral) against the pivot with its high digits reduced to level
+P: no digit below P is lost, and the lifting's digits stay below p^P.
 
 u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
 valuation, cleared by division by the pivot (its unit part inverted once),
@@ -34,6 +33,7 @@ arithmetic lives in ``precise_sum``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .coeffs import CoeffElem, _isinf
 from .contfrac import Slope
@@ -344,28 +344,52 @@ def echelon_pi(M: SMat, prec, hnf=False) -> Echelon:
 
 
 def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
-    """The canonical monic degree-deg_W factor of an exact polynomial g:
-    t = (pi^s u^d - r)/pi^s from the Euclidean division of pi^s u^d by g
-    at level P = prec + max(0, s) + 1.
-
-    The division runs on Lo(g, d) + Hi(g, d) reduced to level P, not on g:
-    Lo stays exact, so the loop, its bound and its u-cap are those of the
-    exact g.  Every pass divides by w = Hi(g)/u^d and multiplies by g, both
-    known to relative level P - v_nu(g) once capped at P; so each digit of
-    r is known to level v(Hi r) + P - v_nu(g) >= P, as v(Hi r) >=
-    v(pi^s u^d) = s + nu*d >= v_nu(g).  The cap loses no digit below P,
-    and the loop's digits stay below p^P instead of growing with each pass.
-    """
+    """The canonical monic degree-deg_W factor t of an exact polynomial g,
+    pi^s t known to level P = prec + max(0, s) + 1, s = ceil(v_nu(g) - nu*d),
+    lifted quadratically (von zur Gathen and Gerhard, "Modern Computer
+    Algebra", 15.4) against g' = Lo(g, d) + Hi(g, d) reduced to level P, so
+    that digits stay below p^P.  From t = u^d and y = W^-1 mod u^d, a step
+    sets t += R*y mod t, (W, R) = divmod(g', t), y += y*(1 - W*y) mod t.  If
+    g' = W*t + R with v(R) >= lam, the Weierstrass factor of g' agrees with
+    t to level lam - v(W), so the lift stops, after one step at least, at
+    v(R) >= (P - s) + v(W) (O-terms count).  v(R) gains e = v(Lo g) - v(g),
+    then doubles (``_lifting_budget``).  For g = u^k h(u^G), G the gcd of
+    its exponent differences, the digits i >= k with i = d mod G are cut at
+    level P (an O-term where the lift left none), the others exact zeros."""
     vg, d = g.certified_val_deg()
     s = _ceil(vg - g.nu * d)
-    m = SnuSeries.monomial(
-        g.cfg, g.slope, d, CoeffElem.from_int(g.cfg, 1, ram=g.ram).scale_pi(s)
-    )
-    level = prec + max(0, s) + 1
+    one = CoeffElem.from_int(g.cfg, 1, ram=g.ram)
+    m = SnuSeries.monomial(g.cfg, g.slope, d, one.scale_pi(s))
     lo, hi = hi_lo_split(g, d)
-    res = euclid_div_full(m, lo + hi.reduce_levels(level), level)
-    t = (m - res.r).scale_pi(-s)
-    return t
+    if lo.is_exact_zero():
+        return m.scale_pi(-s)
+    level = prec + max(0, s) + 1
+    gp = lo + hi.reduce_levels(level)
+    t = SnuSeries.monomial(g.cfg, g.slope, d, one)
+    w, rem = poly_divmod(gp, t)
+    y = divide_by_unit(m.shift_u(-d), w, u_prec=d)  # pi^s / W mod u^d
+    y = SnuSeries(g.cfg, g.slope, y.coeffs, ram=y.ram).scale_pi(-s)
+    target, v0 = level - s + vg - g.nu * d, rem.lower_bound()
+    budget, steps = _lifting_budget(target - v0, v0 - vg), 0
+    unit = SnuSeries.one(g.cfg, g.slope, ram=g.ram)
+    while not steps or rem.lower_bound() < target:
+        if steps == budget:
+            raise PrecisionExhausted(f"Weierstrass lifting exceeded its budget "
+                                     f"ceil(log2(gain/e))+2 = {budget} steps")
+        if steps:
+            y = poly_divmod(y.addmul(1, y, poly_divmod(unit.addmul(-1, w, y), t)[1]), t)[1]
+        t = t + poly_divmod(rem * y, t)[1]
+        w, rem = poly_divmod(gp, t)
+        steps += 1
+    k, r = g.min_exp(), m - t.scale_pi(s)
+    keep = range(k, d, gcd(*(i - k for i in g.coeffs)))
+    r = {i: r.coeff(i).reduce_abs_w(_ceil(g.ram * (level - g.nu * i))) for i in keep}
+    return (m - SnuSeries(g.cfg, g.slope, r, ram=g.ram)).scale_pi(-s)
+
+
+def _lifting_budget(gain, e) -> int:
+    """ceil(log2(gain/e)) + 2 steps: v(R) gains e, then doubles."""
+    return (max(1, _ceil(gain / e)) - 1).bit_length() + 2
 
 
 def _scale_col_by_unit_inverse(M: SMat, col, w: SnuSeries, prec):

@@ -1,8 +1,8 @@
 """The pi-side Weierstrass normalisation at its working level:
-``localized._weierstrass_monic`` divides by the pivot with its high digits
-reduced to level P = prec + max(0, s) + 1.  Checked against the exact-pivot
+``localized._weierstrass_monic`` lifts the monic factor against the pivot
+with its high digits reduced to level P = prec + max(0, s) + 1.  Checked against the exact-pivot
 run (``helpers.weierstrass_monic_exact``) digit by digit, and for the size
-of the digits inside the division."""
+of the digits inside the lifting, the digits it keeps and its budget."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from slomod import localized, series
 from slomod.coeffs import CoeffElem, FqConfig
 from slomod.contfrac import Slope
-from slomod.errors import AlgebraError
+from slomod.errors import AlgebraError, PrecisionExhausted
 from slomod.localized import SMat, hnf_pi
 from slomod.series import SnuSeries, _ceil
 
@@ -36,28 +36,30 @@ def level_of(g, prec):
 
 
 @st.composite
-def exact_polys(draw, cfg, slope, max_deg):
-    """A nonzero exact polynomial of the slope ring: each digit absent or a
-    unit times pi^v, v at most 3 above the least the slope allows."""
+def exact_polys(draw, cfg, slope, max_deg, ram=1):
+    """A nonzero exact polynomial of the slope ring over K[w], w^ram = pi:
+    each digit absent or a unit times w^j, j at most 3*ram above the least
+    the slope allows."""
     coeffs = {}
     for i in range(max_deg + 1):
         if draw(st.booleans()):
-            vmin = -int(slope.nu * i)
-            c = CoeffElem.from_int(cfg, draw(st.integers(1, _unit_range(cfg) - 1)))
-            coeffs[i] = c.scale_pi(vmin + draw(st.integers(0, 3)))
+            jmin = _ceil(-ram * slope.nu * i)
+            c = CoeffElem.from_int(cfg, draw(st.integers(1, _unit_range(cfg) - 1)), ram=ram)
+            coeffs[i] = c.scale_w(jmin + draw(st.integers(0, 3 * ram)))
     assume(coeffs)
-    return SnuSeries(cfg, slope, coeffs)
+    return SnuSeries(cfg, slope, coeffs, ram=ram)
 
 
 @st.composite
 def pivots(draw):
     """(g, prec): an exact polynomial of Weierstrass degree below its degree,
-    half of them a product with a unit polynomial."""
+    ram 1 or 2, half of them a product with a unit polynomial."""
     cfg = draw(st.sampled_from([Z3, Z5, F2, F4]))
     slope = draw(st.sampled_from([NU0, Slope(1, 2), Slope(2, 3)]))
-    g = draw(exact_polys(cfg, slope, draw(st.integers(2, 4))))
+    ram = draw(st.sampled_from([1, 2]))
+    g = draw(exact_polys(cfg, slope, draw(st.integers(2, 4)), ram))
     if draw(st.booleans()):
-        unit = draw(exact_polys(cfg, slope, 2))
+        unit = draw(exact_polys(cfg, slope, 2, ram))
         assume(0 in unit.coeffs and unit.coeffs[0].num_val == 0)
         g = g * unit.map_coeffs(lambda i, c: c if i == 0 else c.scale_pi(1))
     try:
@@ -106,7 +108,8 @@ def test_weierstrass_monic_keeps_o_terms_for_a_constant_beyond_the_level():
 
 def test_weierstrass_division_digits_stay_at_the_working_level(monkeypatch):
     # a slope-0 3x3 whose exact-pivot divisions reach 1233-bit digits: every
-    # unit division inside the normalisation stays within p^P and a few bits
+    # polynomial division and unit division inside the lifting stays within
+    # p^P and a few bits
     M = SMat(Z5, NU0, [
         [poly(Z5, NU0, [(0, 10), (1, 4), (2, 10)]), poly(Z5, NU0, [(0, 15), (1, 20)]), poly(Z5, NU0, [(0, 5)])],
         [poly(Z5, NU0, [(2, 20)]), poly(Z5, NU0, [(0, 3), (1, 10)]), poly(Z5, NU0, [(1, 2), (2, 3)])],
@@ -114,7 +117,7 @@ def test_weierstrass_division_digits_stay_at_the_working_level(monkeypatch):
     ])
     prec = 16
     levels, outputs = [], []
-    weierstrass_monic, divide_by_unit = localized._weierstrass_monic, series.divide_by_unit
+    weierstrass_monic = localized._weierstrass_monic
 
     def recording_monic(g, p):
         vg, d = g.certified_val_deg()
@@ -124,14 +127,17 @@ def test_weierstrass_division_digits_stay_at_the_working_level(monkeypatch):
         finally:
             levels.pop()
 
-    def recording_divide(z, x, u_prec):
-        q = divide_by_unit(z, x, u_prec)
-        if levels:
-            outputs.append((levels[-1], q))
-        return q
+    def recording(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if levels:
+                outputs.extend((levels[-1], x) for x in (out if isinstance(out, tuple) else (out,)))
+            return out
+        return run
 
     monkeypatch.setattr(localized, "_weierstrass_monic", recording_monic)
-    monkeypatch.setattr(series, "divide_by_unit", recording_divide)
+    monkeypatch.setattr(localized, "poly_divmod", recording(localized.poly_divmod))
+    monkeypatch.setattr(localized, "divide_by_unit", recording(localized.divide_by_unit))
     hnf_pi(M, prec)
     assert outputs
     for level, q in outputs:
@@ -139,3 +145,31 @@ def test_weierstrass_division_digits_stay_at_the_working_level(monkeypatch):
         for c in q.coeffs.values():
             for f in c.unit or ():
                 assert max(abs(f.numerator), f.denominator).bit_length() <= bound, (level, c)
+
+
+def test_weierstrass_monic_keeps_only_the_digits_its_pivot_allows():
+    # g = pi^3 + 2u^2 + 2u^4 is a polynomial in u^2: its monic factor has no
+    # u^1 digit, not even an O-term
+    g = poly(Z5, NU0, [(0, 125), (2, 2), (4, 2)])
+    t = localized._weierstrass_monic(g, 6)
+    assert t.render() == "(pi^3*188 + O(^7)) + u^2"
+    assert 1 not in t.coeffs
+    # the same over GF(4) at ram 2, w^2 = t: digits at u^0 and u^2 only
+    one = CoeffElem.from_int(F4, 1, ram=2)
+    g = SnuSeries(F4, NU0, {0: one.scale_w(3), 2: one, 4: one.scale_w(-2)}, ram=2)
+    t = localized._weierstrass_monic(g, 10)
+    assert t.render() == "(w^5*(1) + O(^24)) + (w^2*(1) + O(^24))*u^2 + (1)*u^4"
+    # with a u^3 digit every digit below u^2 may be nonzero, so both are
+    # O-terms; R = pi^20 is already beyond the level, and the one step the
+    # lifting always takes puts them at pi^20, as the Euclidean division did
+    t = localized._weierstrass_monic(poly(Z5, NU0, [(0, 5**20), (2, 1), (3, 1)]), 6)
+    assert t.render() == "O(pi^20) + O(pi^20)*u + u^2"
+
+
+def test_weierstrass_lifting_budget_error_names_its_rule(monkeypatch):
+    monkeypatch.setattr(localized, "_lifting_budget", lambda gain, e: 0)
+    g = poly(Z5, NU0, [(0, 5), (1, 1), (2, 1)])
+    with pytest.raises(PrecisionExhausted, match=r"budget ceil\(log2\(gain/e\)\)\+2 = 0 steps"):
+        localized._weierstrass_monic(g, 8)
+    monkeypatch.undo()
+    assert localized._weierstrass_monic(g, 8).max_deg() == 1
