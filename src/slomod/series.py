@@ -568,7 +568,9 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
     u-exponent ``window`` (INF: no cut), until each certain digit of 1 - x*y
     has level >= n; PrecisionExhausted after ``budget`` steps.  The one
     refinement loop of invert_unit and localized.u_invert_unit, both of
-    which start y from the divide_by_unit recurrence on x's level-0 part."""
+    which start y from the divide_by_unit recurrence on x's level-0 part.
+    With a finite window a step leaves out the digits of 1 - x*y at u^<0
+    already at level >= n, which would only push y's support down."""
     one = SnuSeries.one(x.cfg, x.slope, ram=x.ram)
     steps = 0
     while True:
@@ -581,6 +583,10 @@ def _newton_refine(x: SnuSeries, y: SnuSeries, n, window, budget: int) -> SnuSer
                 f"unit inversion used its budget of {budget} Newton steps "
                 f"and reached level {ve} < {n}"
             )
+        if not _isinf(window):
+            nk = n * e.ram * e.slope.alpha  # the level n as a level_key
+            low = {i: c for i, c in e.coeffs.items() if i >= 0 or e.level_key(i, c) < nk}
+            e = SnuSeries(e.cfg, e.slope, low, e.u_prec, e.tail_bound, ram=e.ram)
         y = y.addmul(1, y, e).truncate_u(window)
         steps += 1
 

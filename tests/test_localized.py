@@ -549,6 +549,30 @@ def test_u_invert_unit_with_level_zero_digits_closer_than_alpha():
         assert all(d._level(d.level_key(i, c)) >= n_level for i, c in d.coeffs.items() if c.has_witness())
 
 
+def test_u_invert_unit_keeps_its_support_above_the_units(monkeypatch):
+    # digits of positive level down to u^-16: the Newton steps leave out
+    # the digits of 1 - w*y at negative exponents already at level >= n, so
+    # y's lowest exponent stays above the unit's own instead of doubling
+    # each step (u^-16, then u^-48), and y stays known at u^0
+    w = poly(Z5, NU0, [(-16, 5**9), (-8, 5**6), (-1, 25), (0, 1), (1, 1)])
+    n_level, window = 8, 40
+    lows, addmul = [], SnuSeries.addmul
+
+    def recording_addmul(acc, sign, x, y):
+        out = addmul(acc, sign, x, y)
+        if acc is x:  # the Newton step y + y*e
+            lows.append(min(out.coeffs))
+        return out
+
+    monkeypatch.setattr(SnuSeries, "addmul", recording_addmul)
+    y = localized.u_invert_unit(w, n_level, window)
+    monkeypatch.undo()
+    e = SnuSeries.one(Z5, NU0).addmul(-1, w, y).truncate_u(window)
+    assert e.visible_valuation() >= n_level
+    assert len(lows) >= 2 and all(lo > -16 for lo in lows), lows
+    assert y.u_prec >= 0
+
+
 def test_u_invert_unit_without_a_certain_level_zero_digit():
     # O(pi) + 5u at slope 1/2: the u^0 digit has no witness and 5u sits at
     # level 3/2, so no digit of level 0 is certain
