@@ -1,14 +1,15 @@
 """The pi-side Weierstrass normalisation at its working level:
 ``localized._weierstrass_monic`` lifts the monic factor against the pivot
-with its high digits reduced to level P = prec + max(0, s) + 1.  Checked against the exact-pivot
-run (``helpers.weierstrass_monic_exact``) digit by digit, and for the size
-of the digits inside the lifting, the digits it keeps and its budget."""
+with its high digits reduced to level P = prec + max(0, s) + 1.  Checked
+against the exact-pivot run (``helpers.weierstrass_monic_exact``) digit by
+digit, and for the size of the digits inside the lifting, the digits it
+keeps and its budget."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from slomod import localized, series
+from slomod import localized
 from slomod.coeffs import CoeffElem, FqConfig
 from slomod.contfrac import Slope
 from slomod.errors import AlgebraError, PrecisionExhausted
