@@ -25,9 +25,13 @@ the saturation of B's span, read off the inverse of its transform.
 
 The loop records its column operations; the transform P with T = M.P is
 built from that record on first read, so callers that read only T never
-pay for it.  Normal-form routines demand exact inputs and fail loudly with
-PrecisionExhausted when a branch cannot be certified; precision-safe module
-arithmetic lives in ``precise_sum``.
+pay for it.  On T an operation skips the entries the loop already knows:
+on the pivot row the cleared entries (zero), the pivot (the gcd, then t or
+mu) and the u-side residues (their low parts); on the pi side also every
+row above the pivot row, which holds exact zeros in the columns a step
+combines.  P replays every operation in full.  Normal-form routines demand
+exact inputs and fail loudly with PrecisionExhausted when a branch cannot
+be certified; precision-safe module arithmetic lives in ``precise_sum``.
 """
 
 from __future__ import annotations
@@ -97,27 +101,30 @@ class SMat:
     def col(self, j):
         return [self.a[i][j] for i in range(self.rows)]
 
+    # the column operations below act on the rows ``rows`` (all when None);
+    # ``_echelon`` passes fewer for the entries of T it already knows
+
     def swap_cols(self, j0, j1):
         if j0 != j1:
             for r in self.a:
                 r[j0], r[j1] = r[j1], r[j0]
 
-    def scale_col(self, j, k: CoeffElem):
-        for i in range(self.rows):
+    def scale_col(self, j, k: CoeffElem, rows=None):
+        for i in range(self.rows) if rows is None else rows:
             self.a[i][j] = self.a[i][j].scale_coeff(k)
 
-    def scale_col_series(self, j, s: SnuSeries):
-        for i in range(self.rows):
+    def scale_col_series(self, j, s: SnuSeries, rows=None):
+        for i in range(self.rows) if rows is None else rows:
             self.a[i][j] = self.a[i][j] * s
 
-    def addmul_col(self, j0, j1, q: SnuSeries):
+    def addmul_col(self, j0, j1, q: SnuSeries, rows=None):
         """C_j0 += q * C_j1."""
-        for i in range(self.rows):
+        for i in range(self.rows) if rows is None else rows:
             self.a[i][j0] = self.a[i][j0].addmul(1, q, self.a[i][j1])
 
-    def transform_cols_2x2(self, j0, j1, k, l, m, n):
+    def transform_cols_2x2(self, j0, j1, k, l, m, n, rows=None):
         """(C_j0, C_j1) <- (k C_j0 + l C_j1, m C_j0 + n C_j1)."""
-        for i in range(self.rows):
+        for i in range(self.rows) if rows is None else rows:
             x, y = self.a[i][j0], self.a[i][j1]
             self.a[i][j0] = (k * x).addmul(1, l, y)
             self.a[i][j1] = (m * x).addmul(1, n, y)
@@ -188,14 +195,18 @@ class Echelon:
     def inverse_transpose(self) -> SMat:
         """(P^-1)^t, replayed on the identity from the same record: a swap
         stays a swap and C_j0 += q C_j1 becomes C_j1 -= q C_j0.  The record
-        must hold only those two (an echelon without normalize or hnf)."""
+        must hold only those two (a u-side echelon without normalize or
+        hnf); any other operation raises BadParameters."""
         Q = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
         for op, args in self._ops:
             if op is SMat.swap_cols:
                 Q.swap_cols(*args)
-            else:
+            elif op is SMat.addmul_col:
                 j0, j1, q = args
                 Q.addmul_col(j1, j0, -q)
+            else:
+                raise BadParameters(f"inverse_transpose replays swaps and column additions only, "
+                                    f"not {op.__name__}")
         return Q
 
 
@@ -205,12 +216,23 @@ def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
     pivots found so far is swapped into place, the rest of the row is
     cleared against it and it is made canonical; later rows touch only the
     columns right of it.  Every column operation goes through ``op``, which
-    applies it to T and records it for P."""
+    records it for P and applies it to T, on the rows that ``rows=`` names
+    when it is given.
+
+    No entry of T is computed just to be overwritten.  On the pivot row the
+    steps set what they already know: the cleared entries are zero, the
+    pi-side pivot is the gcd that the clearing returns and then the monic
+    factor t, the u-side pivot is mu, a u-side residue is its low part.  On
+    the pi side the rows above the pivot row are not touched either: a key
+    there is None only for an exact zero, so those rows hold exact zeros in
+    every column the step combines, and stay so.  On the u side an entry
+    above counts as zero only at the level n_level and keeps its digits, so
+    those rows are updated.  P replays every operation on all its rows."""
     T = M.copy()
     ops = []
 
-    def op(fn, *args):
-        fn(T, *args)
+    def op(fn, *args, **rows):
+        fn(T, *args, **rows)
         ops.append((fn, args))
 
     zero = SnuSeries.zero(T.cfg, T.slope, T.ram)
@@ -293,9 +315,11 @@ class _PiSide:
 
     @staticmethod
     def clear(op, T: SMat, row, col, rest):
+        below = range(row + 1, T.rows)
         for j in rest:
-            _, k, l, m, n = gcd_extended(T.a[row][col], T.a[row][j])
-            op(SMat.transform_cols_2x2, col, j, k, l, m, n)  # m x + n y = 0
+            g, k, l, m, n = gcd_extended(T.a[row][col], T.a[row][j])
+            op(SMat.transform_cols_2x2, col, j, k, l, m, n, rows=below)
+            T.a[row][col] = g  # k x + l y, exactly; m x + n y = 0
 
     def normalize(self, op, T: SMat, row, col, key):
         """Rescale the pivot column so the pivot becomes the canonical monic
@@ -305,14 +329,14 @@ class _PiSide:
         vg, d = g.certified_val_deg()
         deg = g.max_deg()
         if d == deg:
-            op(SMat.scale_col, col, g.coeffs[deg].inv())
+            op(SMat.scale_col, col, g.coeffs[deg].inv(), rows=range(row, T.rows))
             return
         t = _weierstrass_monic(g, self.prec)
         # g = w * t with v(w) = vg - v(t), which may be negative: divide
         # pi^s g instead, s more levels deep, and shift the quotient back
         shift = max(0, _ceil(t.certified_valuation() - vg))
         w = euclid_div_full(g.scale_pi(shift), t, self.prec + shift).q.scale_pi(-shift)
-        op(_scale_col_by_unit_inverse, col, w, self.prec)
+        op(_scale_col_by_unit_inverse, col, w, self.prec, rows=range(row + 1, T.rows))
         T.a[row][col] = t  # structurally exact: the true scaled pivot
 
     def reduce(self, op, T: SMat, row, col, key):
@@ -323,7 +347,7 @@ class _PiSide:
             if not e.is_exact_zero():
                 q = _reduce_mod_monic(e, t, self.prec)
                 if q is not None:
-                    op(SMat.addmul_col, j, col, -q)
+                    op(SMat.addmul_col, j, col, -q, rows=range(row, T.rows))
 
     @staticmethod
     def finish(T: SMat):
@@ -392,10 +416,11 @@ def _lifting_budget(gain, e) -> int:
     return (max(1, _ceil(gain / e)) - 1).bit_length() + 2
 
 
-def _scale_col_by_unit_inverse(M: SMat, col, w: SnuSeries, prec):
-    """Column *= w^{-1} for w of Weierstrass degree 0 (any valuation)."""
+def _scale_col_by_unit_inverse(M: SMat, col, w: SnuSeries, prec, rows=None):
+    """Column *= w^{-1} for w of Weierstrass degree 0 (any valuation), on
+    ``rows`` (all when None)."""
     vw = w.certified_valuation()
-    for i in range(M.rows):
+    for i in range(M.rows) if rows is None else rows:
         e = M.a[i][col]
         if e.is_exact_zero():
             continue
@@ -623,30 +648,37 @@ class _USide:
         # made only for a use: a pivot with nothing to clear and no
         # normalization costs no unit inverse
         self.divide = _u_divider(T.a[row][col], self.n_level, self.window) if rest else None
+        others = _other_rows(T, row)
         for j in rest:
-            op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]))
+            op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]), rows=others)
 
     def normalize(self, op, T: SMat, row, col, v):
         mu = mu_monomial(T.cfg, T.slope, _valuation_index(v, T.slope), T.ram)
         divide = self.divide or _u_divider(T.a[row][col], self.n_level, self.window)
-        op(SMat.scale_col_series, col, divide(mu))
+        op(SMat.scale_col_series, col, divide(mu), rows=_other_rows(T, row))
         T.a[row][col] = mu  # structurally exact after unit scaling
 
     def reduce(self, op, T: SMat, row, col, v):
         """Entries left of the pivot to canonical residues: certain digits
         of level < v only."""
         mu_inv = None
+        others = _other_rows(T, row)
         for j in range(col):
             low, high = T.a[row][j].split_levels(v)
             if high.coeffs:
                 # the pivot is mu_m itself: dividing by it needs no unit inverse
                 mu_inv = mu_inv or _monomial_inverse(T.a[row][col])
-                op(SMat.addmul_col, j, col, -(high * mu_inv).truncate_u(self.window))
+                op(SMat.addmul_col, j, col, -(high * mu_inv).truncate_u(self.window), rows=others)
                 T.a[row][j] = low  # the canonical residue, structurally
 
     def finish(self, T: SMat):
         for r in T.a:
             r[:] = [e.truncate_u(self.window) for e in r]
+
+
+def _other_rows(T: SMat, row) -> list:
+    """Every row of T but the pivot row, whose entries the step sets."""
+    return [r for r in range(T.rows) if r != row]
 
 
 def hnf_u(M: SMat, n_level, hnf=True) -> Echelon:

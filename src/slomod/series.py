@@ -756,8 +756,21 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     """Extended gcd over the pi-localization for exactly-known polynomials.
 
     Returns (g, k, l, m, n) with k*x + l*y = g, m*x + n*y = 0 and
-    k*n - l*m = 1.  Finite-precision operands are rejected: the Euclidean
-    algorithm is not stable, so no approximate gcd is offered.
+    k*n - l*m = 1; g is monic in its actual degree.  Finite-precision
+    operands are rejected: the Euclidean algorithm is not stable, so no
+    approximate gcd is offered.
+
+    The operands are ordered by (deg_W, v_nu) and run through one Euclidean
+    loop on dense coefficient lists of exact elements: the backend's field
+    elements at ram 1 (``Fraction`` on Z_p, ``RatFunc`` on GF(q)), exact
+    ``CoeffElem``s of the common ram otherwise.  A quotient has no negative
+    exponent, so every remainder is a list from the lowest exponent of
+    either operand (Laurent input comes from the CLI) and every cofactor a
+    list from u^0.  Each quotient digit, the remainder's top digit over the
+    divisor's leading one, is subtracted at once from the remainder and
+    from both cofactor rows, as classical division by actual degree does;
+    only the five results are built as series.  Exact arithmetic is
+    canonical, so every digit is the one the same loop on series gives.
     """
     x._check_compat(y)
     if not (x.is_exact() and y.is_exact()):
@@ -783,32 +796,80 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     if key(b) < key(a):
         a, b = b, a
         swapped = True
+    if ram == 1:
+        zero, one, is_zero, inv = cfg.exa_zero(), cfg.exa_one(), cfg.exa_is_zero, cfg.exa_inv
+
+        def exact(c):
+            return cfg.exa_shift_pi(c.unit[0], c.num_val)
+
+        def elem(e):
+            return CoeffElem.from_exact(cfg, e)
+    else:
+        zero, one, inv = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram), CoeffElem.inv
+
+        def is_zero(c):
+            return c.zero
+
+        def exact(c):
+            return c.with_ram(ram)
+
+        def elem(e):
+            return e
+
+    lo = min(x.min_exp(), y.min_exp())
+
+    def dense(s):
+        out = [zero] * (s.max_deg() - lo + 1)
+        for i, c in s.coeffs.items():
+            out[i - lo] = exact(c)
+        return out
+
+    def submul(acc, e, c, by):
+        """acc -= c*u^e*by, acc grown with zeros where by reaches past it."""
+        if len(acc) < e + len(by):
+            acc.extend([zero] * (e + len(by) - len(acc)))
+        for j, f in enumerate(by):
+            if not is_zero(f):
+                acc[e + j] = acc[e + j] - c * f
+
+    def trim(cs):
+        while cs and is_zero(cs[-1]):
+            cs.pop()
+        return cs
+
     # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame; each step
     # swaps the rows of [[s0, t0], [s1, t1]], so its determinant is
     # (-1)^steps
-    r0, s0, t0 = a, one_s, zero_s
-    r1, s1, t1 = b, zero_s, one_s
+    r0, s0, t0 = dense(a), [one], []
+    r1, s1, t1 = dense(b), [], [one]
     steps = 0
-    while not r1.is_exact_zero():
-        qq, rr = poly_divmod(r0, r1)
-        r0, s0, t0, r1, s1, t1 = (
-            r1,
-            s1,
-            t1,
-            rr,
-            s0.addmul(-1, qq, s1),
-            t0.addmul(-1, qq, t1),
-        )
+    while r1:
+        top, lead_inv = len(r1) - 1, inv(r1[-1])
+        below = r1[:top]  # the top digit of each subtraction cancels exactly
+        r, s, t = r0[:], s0[:], t0[:]
+        for e in range(len(r) - 1 - top, -1, -1):
+            c = r[e + top]
+            if is_zero(c):
+                continue
+            c = c * lead_inv
+            submul(r, e, c, below)
+            submul(s, e, c, s1)
+            submul(t, e, c, t1)
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, trim(r[:top]), trim(s), trim(t)
         steps += 1
-    lead = r0.coeffs[r0.max_deg()]
-    c = lead.inv()
-    g = r0.scale_coeff(c)
-    k, l = s0.scale_coeff(c), t0.scale_coeff(c)
+    lead = r0[-1]
+    c = inv(lead)
     # k*t1 - l*s1 = (-1)^steps * c, and swapping back to the (x, y) frame
     # flips its sign once more: scaling (s1, t1) by the inverse makes the
     # determinant exactly 1
     fix = -lead if (steps + swapped) % 2 else lead
-    m, n = s1.scale_coeff(fix), t1.scale_coeff(fix)
+
+    def as_series(cs, f, base=0):
+        digits = {base + i: elem(e * f) for i, e in enumerate(cs) if not is_zero(e)}
+        return SnuSeries(cfg, slope, digits, ram=ram)
+
+    g, k, l = as_series(r0, c, lo), as_series(s0, c), as_series(t0, c)
+    m, n = as_series(s1, fix), as_series(t1, fix)
     if swapped:
         return g, l, k, n, m
     return g, k, l, m, n

@@ -10,7 +10,7 @@ from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionE
 from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index
 from slomod.maxmod import MLModule
 from slomod.precision import PrecisionLattice, _frac
-from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full
+from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full, poly_divmod
 
 Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
@@ -391,6 +391,64 @@ def weierstrass_monic_exact(g, prec):
     m = SnuSeries.monomial(g.cfg, g.slope, d, CoeffElem.from_int(g.cfg, 1, ram=g.ram).scale_pi(s))
     res = euclid_div_full(m, g, prec + max(0, s) + 1)
     return (m - res.r).scale_pi(-s)
+
+
+def gcd_extended_series(x, y):
+    """``series.gcd_extended`` as a loop on series: each Euclidean step is
+    one ``poly_divmod`` and two ``addmul`` updates of the cofactor rows."""
+    x._check_compat(y)
+    if not (x.is_exact() and y.is_exact()):
+        raise AssertionError("exact operands only")
+    cfg, slope = x.cfg, x.slope
+    ram = max(x.ram, y.ram)
+    zero_s = SnuSeries.zero(cfg, slope, ram)
+    one_s = SnuSeries.one(cfg, slope, ram)
+
+    if y.is_exact_zero() and x.is_exact_zero():
+        return zero_s, one_s, zero_s, zero_s, one_s
+    if y.is_exact_zero():
+        return x, one_s, zero_s, zero_s, one_s
+    if x.is_exact_zero():
+        return y, zero_s, one_s, -one_s, zero_s
+
+    def key(s):
+        v, d = s.certified_val_deg()
+        return (d, v)
+
+    swapped = False
+    a, b = x, y
+    if key(b) < key(a):
+        a, b = b, a
+        swapped = True
+    # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame; each step
+    # swaps the rows of [[s0, t0], [s1, t1]], so its determinant is
+    # (-1)^steps
+    r0, s0, t0 = a, one_s, zero_s
+    r1, s1, t1 = b, zero_s, one_s
+    steps = 0
+    while not r1.is_exact_zero():
+        qq, rr = poly_divmod(r0, r1)
+        r0, s0, t0, r1, s1, t1 = (
+            r1,
+            s1,
+            t1,
+            rr,
+            s0.addmul(-1, qq, s1),
+            t0.addmul(-1, qq, t1),
+        )
+        steps += 1
+    lead = r0.coeffs[r0.max_deg()]
+    c = lead.inv()
+    g = r0.scale_coeff(c)
+    k, l = s0.scale_coeff(c), t0.scale_coeff(c)
+    # k*t1 - l*s1 = (-1)^steps * c, and swapping back to the (x, y) frame
+    # flips its sign once more: scaling (s1, t1) by the inverse makes the
+    # determinant exactly 1
+    fix = -lead if (steps + swapped) % 2 else lead
+    m, n = s1.scale_coeff(fix), t1.scale_coeff(fix)
+    if swapped:
+        return g, l, k, n, m
+    return g, k, l, m, n
 
 
 def zp_stored_value(x):

@@ -455,6 +455,28 @@ def test_hnf_pi_over_f2_at_slope_zero_fails_with_more_precision():
         hnf_pi(M, prec)
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_hnf_pi_t_agrees_with_m_p_over_f2_at_slope_half():
+    # at prec 2, T's entries (1,0) and (1,1) are polynomials that stop at
+    # u^1, where M.P has the certain digit t at u^3 (level 5/2, above the
+    # working level); they agree at prec 3, 4 and 8
+    one = CoeffElem.from_int(F2, 1)
+    t = one.scale_pi(1)
+    M = SMat(F2, HALF, [[SnuSeries(F2, HALF, {0: one}), SnuSeries(F2, HALF, {1: one})],
+                        [SnuSeries(F2, HALF, {0: t, 1: t, 2: one}), SnuSeries(F2, HALF, {0: t, 1: one, 2: t})]])
+    for prec in (8, 4, 3, 2):
+        ech = hnf_pi(M, prec)
+        assert mats_agree(M.matmul(ech.P), ech.T), prec
+
+
+def test_inverse_transpose_of_a_normalized_echelon_is_refused():
+    # the pi-side record holds a Bezout 2x2 transform and a scale_col,
+    # whose transposed inverses are not replayed
+    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 2)]), poly(Z5, NU0, [(1, 1)])]])
+    with pytest.raises(BadParameters, match="not transform_cols_2x2"):
+        hnf_pi(M, 8).inverse_transpose()
+
+
 def test_one_unit_inverse_per_u_pivot(monkeypatch):
     # every entry a pivot clears, and the pivot's own normalisation, reuse
     # one Newton inversion of that pivot's unit part; a pivot with nothing

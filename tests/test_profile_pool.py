@@ -54,3 +54,25 @@ def test_a_within_target_that_is_never_called_fails_the_run(capsys):
     out, err = capsys.readouterr()
     assert "0 calls" in out and "no input called localized.Echelon.P" in err
     assert vars(localized.Echelon)["P"] is original
+
+
+def test_within_a_static_method_stays_static_and_is_restored():
+    # _PiSide.clear is called on an instance: a plain function in its place
+    # would take that instance as its first argument
+    original = vars(localized._PiSide)["clear"]
+    calls, restore = profile_pool.profile_within("localized._PiSide.clear", cProfile.Profile())
+    try:
+        wrapped = vars(localized._PiSide)["clear"]
+        assert isinstance(wrapped, staticmethod) and wrapped is not original
+        assert hnf_pi(_matrix(), 8).rank == 2
+        assert calls[0] >= 1
+    finally:
+        restore()
+    assert vars(localized._PiSide)["clear"] is original
+
+
+def test_within_a_static_method_profiles_every_pool_input(capsys):
+    argv = ["--workload", "pi_exact", "--limit", "5", "--within", "localized._PiSide.clear"]
+    assert profile_pool.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert "crash" not in out and "late" not in out

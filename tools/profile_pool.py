@@ -4,6 +4,7 @@
     python3 tools/profile_pool.py --workload pi_exact --within localized._weierstrass_monic
     python3 tools/profile_pool.py --workload pi_exact --within coeffs.CoeffElem.__mul__
     python3 tools/profile_pool.py --workload pi_exact --within localized.Echelon.P
+    python3 tools/profile_pool.py --workload pi_exact --within localized._PiSide.clear
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
 once through ``check_reference.run``, with the profiler on for both steps;
@@ -15,9 +16,10 @@ them by cumulative time instead, which shows the callers a cost sits under.
 function: it is wrapped in its module and in every loaded module that
 imported it by name, and the count of its outermost calls is printed.
 ``--within MODULE.CLASS.METHOD`` does the same for a method, wrapped in its
-class, and ``--within MODULE.CLASS.PROP`` for a property's getter (e.g.
-``localized.Echelon.P``); every wrapped original is put back after the
-replay.
+class (a static or class method stays one, e.g.
+``localized._PiSide.clear``), and ``--within MODULE.CLASS.PROP`` for a
+property's getter (e.g. ``localized.Echelon.P``); every wrapped original is
+put back after the replay.
 Exits 1 if an input missed its deadline or raised anything but a typed
 ``AlgebraError``, or if the ``--within`` target was never called.  The
 modules under ``perfbench/`` are imported, never written.  cProfile slows
@@ -64,20 +66,23 @@ def profile_within(target: str, profiler):
     """Wrap ``slomod.<target>``, a module function or a method or property
     of a class, so that ``profiler`` runs only inside its outermost calls; a
     function is rebound in every loaded module that holds it by name, a
-    method in its class, and a property is replaced in its class by one
-    whose getter is wrapped.  Returns a one-item list that counts those
-    calls and a function that puts every original back."""
+    method in its class (a static or class method re-wrapped as one), and
+    a property is replaced in its class by one whose getter is wrapped.
+    Returns a one-item list that counts those calls and a function that
+    puts every original back."""
     mod_name, _, path = target.partition(".")
     owner = importlib.import_module(f"slomod.{mod_name}")
     *classes, func_name = path.split(".")
     for name in classes:
         owner = getattr(owner, name)
     fn = getattr(owner, func_name)
-    prop = inspect.getattr_static(owner, func_name) if classes else None
-    if isinstance(prop, property) and prop.fget is not None:
-        fn = prop.fget
+    raw = inspect.getattr_static(owner, func_name) if classes else None
+    if isinstance(raw, property) and raw.fget is not None:
+        fn = raw.fget
+    elif isinstance(raw, (staticmethod, classmethod)):
+        fn = raw.__func__
     elif not inspect.isfunction(fn):
-        raise AttributeError(f"{target} is not a function, a plain method or a property")
+        raise AttributeError(f"{target} is not a function, a method or a property")
     calls, depth = [0], [0]
 
     @functools.wraps(fn)
@@ -94,8 +99,13 @@ def profile_within(target: str, profiler):
                 profiler.disable()
 
     if classes:
-        holders = [(owner, prop)]
-        setattr(owner, func_name, prop.getter(wrapper) if isinstance(prop, property) else wrapper)
+        holders = [(owner, raw)]
+        if isinstance(raw, property):
+            setattr(owner, func_name, raw.getter(wrapper))
+        elif isinstance(raw, (staticmethod, classmethod)):
+            setattr(owner, func_name, type(raw)(wrapper))
+        else:
+            setattr(owner, func_name, wrapper)
     else:
         holders = [(mod, fn) for mod in list(sys.modules.values()) if getattr(mod, func_name, None) is fn]
         for mod, _ in holders:
