@@ -220,14 +220,15 @@ def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
     when it is given.
 
     No entry of T is computed just to be overwritten.  On the pivot row the
-    steps set what they already know: the cleared entries are zero, the
-    pi-side pivot is the gcd that the clearing returns and then the monic
-    factor t, the u-side pivot is mu, a u-side residue is its low part.  On
-    the pi side the rows above the pivot row are not touched either: a key
-    there is None only for an exact zero, so those rows hold exact zeros in
-    every column the step combines, and stay so.  On the u side an entry
-    above counts as zero only at the level n_level and keeps its digits, so
-    those rows are updated.  P replays every operation on all its rows."""
+    steps set what they already know: the cleared entries are zero; the
+    pi-side pivot is the gcd that the clearing returns, then the monic
+    factor t when its Weierstrass degree is below its degree; the u-side
+    pivot is mu, and a u-side residue is its low part.  On the pi side the
+    rows above the pivot row are not touched either: a key there is None
+    only for an exact zero, so those rows hold exact zeros in every column
+    the step combines, and stay so.  On the u side an entry above counts as
+    zero only at the level n_level and keeps its digits, so those rows are
+    updated.  P replays every operation on all its rows."""
     T = M.copy()
     ops = []
 

@@ -760,17 +760,14 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     operands are rejected: the Euclidean algorithm is not stable, so no
     approximate gcd is offered.
 
-    The operands are ordered by (deg_W, v_nu) and run through one Euclidean
-    loop on dense coefficient lists of exact elements: the backend's field
-    elements at ram 1 (``Fraction`` on Z_p, ``RatFunc`` on GF(q)), exact
-    ``CoeffElem``s of the common ram otherwise.  A quotient has no negative
-    exponent, so every remainder is a list from the lowest exponent of
-    either operand (Laurent input comes from the CLI) and every cofactor a
-    list from u^0.  Each quotient digit, the remainder's top digit over the
-    divisor's leading one, is subtracted at once from the remainder and
-    from both cofactor rows, as classical division by actual degree does;
-    only the five results are built as series.  Exact arithmetic is
-    canonical, so every digit is the one the same loop on series gives.
+    One Euclidean loop, by actual degree, runs on dense lists of exact
+    elements: the backend's (``Fraction`` on Z_p, ``RatFunc`` on GF(q)) at
+    ram 1, exact ``CoeffElem``s of the common ram otherwise.  Quotients have
+    no negative exponent, so remainders are lists from the lowest exponent
+    of either operand (the CLI passes Laurent input) and cofactors lists
+    from u^0.  Each quotient digit is subtracted from the remainder and both
+    cofactor rows at once; only the five results become series.  Exact
+    elements are canonical, so the digits are those of the loop on series.
     """
     x._check_compat(y)
     if not (x.is_exact() and y.is_exact()):

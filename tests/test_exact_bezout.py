@@ -86,6 +86,17 @@ def test_gcd_extended_of_laurent_operands():
     assert (m * f + n * h).is_exact_zero()
 
 
+def test_gcd_extended_of_mixed_ram_operands_is_at_the_common_ram():
+    # the loop ends on y = u itself; g is still lifted to ram 2
+    x = SnuSeries(Z5, NU0, {2: CoeffElem.from_int(Z5, 1, ram=2)}, ram=2)
+    y = poly(Z5, NU0, [(1, 1)])
+    g, k, l, m, n = gcd_extended(x, y)
+    assert [s.ram for s in (g, k, l, m, n)] == [2] * 5
+    assert g == y.with_ram(2)
+    assert k * x + l * y == g
+    assert (m * x + n * y).is_exact_zero()
+
+
 def _random_matrices(cfg, slope, seed, count=8):
     """Exact matrices of shapes 2x2, 2x3, 3x2 and 3x3, a few entries zero."""
     rng = random.Random(seed)
