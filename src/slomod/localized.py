@@ -7,14 +7,15 @@ tidy of T.
 
 pi side (pi inverted, Euclidean via the Weierstrass degree): pivots of
 least (deg_W, v), cleared by exact extended-gcd 2x2 unimodular transforms,
-normalized to the canonical monic Weierstrass polynomial, residues by
-classical division.  Elimination is exact on exact polynomial inputs; pivot
-normalization may need a working pi-precision when the gcd has a
-nontrivial unit part (its roots need not be rational), so normalized
-entries carry honest finite precision.  The monic factor is lifted
-quadratically to level P = prec + max(0, s) + 1 (s the pi-shift that
-makes it integral) against the pivot with its high digits reduced to level
-P: no digit below P is lost, and the lifting's digits stay below p^P.
+normalized to the canonical monic Weierstrass factor t of g = W*t (the
+column divided by the unit W), residues by classical division.
+Elimination is exact on exact polynomial inputs; pivot normalization may
+need a working pi-precision when the gcd has a nontrivial unit part (its
+roots need not be rational), so normalized entries carry honest finite
+precision.  t and W are lifted quadratically to level P = prec +
+max(0, s) + 1 (s the pi-shift that makes t integral) against the pivot
+with its high digits reduced to level P: no digit below P is lost, and
+the lifting's digits stay below p^P.
 
 u side (u^alpha/pi^beta inverted and completed, a DVR): pivots of least
 valuation, cleared by division by the pivot (its unit part inverted once),
@@ -325,18 +326,14 @@ class _PiSide:
     def normalize(self, op, T: SMat, row, col, key):
         """Rescale the pivot column so the pivot becomes the canonical monic
         polynomial with all lower terms of positive relative level: exact
-        when deg_W = deg, otherwise at working precision."""
+        when deg_W = deg, otherwise at working precision, by the inverse of
+        the unit W = g/t that ``_weierstrass_monic`` returns with t."""
         g = T.a[row][col]
-        vg, d = g.certified_val_deg()
         deg = g.max_deg()
-        if d == deg:
+        if g.certified_val_deg()[1] == deg:
             op(SMat.scale_col, col, g.coeffs[deg].inv(), rows=range(row, T.rows))
             return
-        t = _weierstrass_monic(g, self.prec)
-        # g = w * t with v(w) = vg - v(t), which may be negative: divide
-        # pi^s g instead, s more levels deep, and shift the quotient back
-        shift = max(0, _ceil(t.certified_valuation() - vg))
-        w = euclid_div_full(g.scale_pi(shift), t, self.prec + shift).q.scale_pi(-shift)
+        t, w = _weierstrass_monic(g, self.prec)
         op(_scale_col_by_unit_inverse, col, w, self.prec, rows=range(row + 1, T.rows))
         T.a[row][col] = t  # structurally exact: the true scaled pivot
 
@@ -368,26 +365,30 @@ def echelon_pi(M: SMat, prec, hnf=False) -> Echelon:
     return _echelon(M, _PiSide(prec), hnf=hnf)
 
 
-def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
-    """The canonical monic degree-deg_W factor t of an exact polynomial g,
-    pi^s t known to level P = prec + max(0, s) + 1, s = ceil(v_nu(g) - nu*d),
-    lifted quadratically (von zur Gathen and Gerhard, "Modern Computer
-    Algebra", 15.4) against g' = Lo(g, d) + Hi(g, d) reduced to level P, so
-    that digits stay below p^P.  From t = u^d and y = W^-1 mod u^d, a step
-    sets t += R*y mod t, (W, R) = divmod(g', t), y += y*(1 - W*y) mod t.  If
-    g' = W*t + R with v(R) >= lam, the Weierstrass factor of g' agrees with
-    t to level lam - v(W), so the lift stops, after one step at least, at
-    v(R) >= (P - s) + v(W) (O-terms count).  v(R) gains e = v(Lo g) - v(g),
-    then doubles (``_lifting_budget``).  For g = u^k h(u^G), G the gcd of
-    its exponent differences, the digits i >= k with i = d mod G are cut at
-    level P (an O-term where the lift left none), the others exact zeros."""
+def _weierstrass_monic(g: SnuSeries, prec):
+    """(t, W) with g = W*t: the canonical monic degree-deg_W factor t of an
+    exact polynomial g, pi^s t known to level P = prec + max(0, s) + 1,
+    s = ceil(v_nu(g) - nu*d), and the unit W.  t is lifted quadratically
+    (von zur Gathen and Gerhard, "Modern Computer Algebra", 15.4) against
+    g' = Lo(g, d) + Hi(g, d) reduced to level P, so that digits stay below
+    p^P.  From t = u^d and y = W^-1 mod u^d, a step sets t += R*y mod t,
+    (W, R) = divmod(g', t), y += y*(1 - W*y) mod t.  The digits hold
+    g = W*t + R (those of g' carry g - g'), so if v(R) >= lam, g = W_g*t_g
+    has t_g = t to level lam - v(W) and, as (W_g - W)*t_g = R - W*(t_g - t),
+    W_g = W to level lam - nu*d.  The lift stops, after one step at least,
+    at v(R) >= (P - s) + v(W) (O-terms count); v(R) gains e = v(Lo g) -
+    v(g), then doubles (``_lifting_budget``).  For g = u^k h(u^G), G the
+    gcd of its exponent differences, the digits of pi^s t at i >= k with
+    i = d mod G are cut at level P and those of W at i = 0 mod G at level
+    v(R) - nu*d (O-terms where the lift left none), the others exact zeros.
+    If Lo(g, d) = 0, t = u^d and W = Hi(g, d)/u^d exactly."""
     vg, d = g.certified_val_deg()
     s = _ceil(vg - g.nu * d)
     one = CoeffElem.from_int(g.cfg, 1, ram=g.ram)
     m = SnuSeries.monomial(g.cfg, g.slope, d, one.scale_pi(s))
     lo, hi = hi_lo_split(g, d)
     if lo.is_exact_zero():
-        return m.scale_pi(-s)
+        return m.scale_pi(-s), hi.shift_u(-d)
     level = prec + max(0, s) + 1
     gp = lo + hi.reduce_levels(level)
     t = SnuSeries.monomial(g.cfg, g.slope, d, one)
@@ -406,10 +407,15 @@ def _weierstrass_monic(g: SnuSeries, prec) -> SnuSeries:
         t = t + poly_divmod(rem * y, t)[1]
         w, rem = poly_divmod(gp, t)
         steps += 1
-    k, r = g.min_exp(), m - t.scale_pi(s)
-    keep = range(k, d, gcd(*(i - k for i in g.coeffs)))
-    r = {i: r.coeff(i).reduce_abs_w(_ceil(g.ram * (level - g.nu * i))) for i in keep}
-    return (m - SnuSeries(g.cfg, g.slope, r, ram=g.ram)).scale_pi(-s)
+    k = g.min_exp()
+    G = gcd(*(i - k for i in g.coeffs))
+
+    def cut(x, lvl, exps):
+        digits = {i: x.coeff(i).reduce_abs_w(_ceil(g.ram * (lvl - g.nu * i))) for i in exps}
+        return SnuSeries(g.cfg, g.slope, digits, ram=g.ram)
+
+    w = cut(w, rem.lower_bound() - g.nu * d, range(0, w.max_deg() + 1, G))
+    return (m - cut(m - t.scale_pi(s), level, range(k, d, G))).scale_pi(-s), w
 
 
 def _lifting_budget(gain, e) -> int:

@@ -32,6 +32,7 @@ operations specific to the non-localized ring assert non-negative support.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .coeffs import INF, CoeffElem, _isinf, series_product, sum_products
 from .contfrac import Slope
@@ -718,13 +719,50 @@ def slope_transport(x: SnuSeries, target: Slope) -> SnuSeries:
 # ---------------------------------------------------------------------------
 
 
-def poly_divmod(y: SnuSeries, x: SnuSeries):
-    """Classical polynomial division by actual degree: y = q*x + r,
-    deg r < deg x.
+def _dense(s: SnuSeries, lo, zero, digit):
+    """The digits of the polynomial s as a list from u^lo to its top, each
+    made a list digit by ``digit``."""
+    out = [zero] * (s.max_deg() - lo + 1)
+    for i, c in s.coeffs.items():
+        out[i - lo] = digit(c)
+    return out
 
-    Both operands must be polynomials and the leading digit of x exact
-    (then c*lead - lead*c cancellation is structurally exact and the
-    degree strictly drops even for imprecise dividends)."""
+
+def _divmod_dense(r, x, zero, is_zero, inv, rows=()):
+    """The one classical division by actual degree in K[u]: r = q*x + rem on
+    dense digit lists from one base exponent, x's last digit exact and
+    nonzero.  Returns (q, rem), q from u^0 and rem the first len(x) - 1
+    digits of r (changed in place) less its top exact zeros.  The top digit
+    of each step cancels exactly and is not computed, so the degree drops
+    even for finite-precision digits of r.  Each pair (acc, by) of ``rows``
+    takes the same steps in place: acc -= q*by."""
+    top = len(x) - 1
+    lead_inv, below = inv(x[top]), x[:top]
+    q = [zero] * max(0, len(r) - top)
+    for e in range(len(r) - 1 - top, -1, -1):
+        c = r[e + top]
+        if is_zero(c):
+            continue
+        c = q[e] = c * lead_inv
+        for acc, by in ((r, below), *rows):
+            if len(acc) < e + len(by):
+                acc.extend([zero] * (e + len(by) - len(acc)))
+            for j, f in enumerate(by):
+                if not is_zero(f):
+                    acc[e + j] = acc[e + j] - c * f
+    rem = r[:top]
+    while rem and is_zero(rem[-1]):
+        rem.pop()
+    return q, rem
+
+
+def poly_divmod(y: SnuSeries, x: SnuSeries):
+    """Classical polynomial division by actual degree, y = q*x + r with
+    deg r < deg x: ``_divmod_dense`` on ``CoeffElem``s of the common ram.
+
+    Both operands must be polynomials and the leading digit of x exact; the
+    digits of y may have finite precision.  When deg y < deg x (an exact
+    zero y included) the remainder is y itself, at its own ram."""
     x._check_compat(y)
     if not (x.is_polynomial() and y.is_polynomial()):
         raise RequiresExactInput("classical division needs polynomial operands")
@@ -733,23 +771,15 @@ def poly_divmod(y: SnuSeries, x: SnuSeries):
         raise ZeroDivisionError("polynomial division by zero")
     if not x.coeffs[dx].is_exact():
         raise RequiresExactInput("divisor leading coefficient must be exact")
-    lead_inv = x.coeffs[dx].inv()
-    q = SnuSeries.zero(y.cfg, y.slope, ram=max(x.ram, y.ram))
-    r = y
-    while True:
-        dr = r.max_deg()
-        if dr is None or dr < dx:
-            return q, r
-        c = r.coeffs[dr] * lead_inv
-        term = SnuSeries.monomial(y.cfg, y.slope, dr - dx, c)
-        q = q + term
-        r = r.addmul(-1, term, x)
-        # the leading digit cancels exactly in value; drop its O(.) residue
-        if r.max_deg() is not None and r.max_deg() >= dr:
-            r = SnuSeries(
-                r.cfg, r.slope, {i: cc for i, cc in r.coeffs.items() if i < dr},
-                INF, ram=r.ram,
-            )
+    cfg, slope, ram = y.cfg, y.slope, max(x.ram, y.ram)
+    if y.is_exact_zero() or y.max_deg() < dx:
+        return SnuSeries.zero(cfg, slope, ram), y
+    zero, lo = CoeffElem.exact_zero(cfg, ram), min(x.min_exp(), y.min_exp())
+    digit = partial(CoeffElem.with_ram, ram=ram)
+    q, r = _divmod_dense(_dense(y, lo, zero, digit), _dense(x, lo, zero, digit),
+                         zero, CoeffElem.is_exact_zero, CoeffElem.inv)
+    return (SnuSeries(cfg, slope, dict(enumerate(q)), ram=ram),
+            SnuSeries(cfg, slope, {lo + i: c for i, c in enumerate(r)}, ram=ram))
 
 
 def gcd_extended(x: SnuSeries, y: SnuSeries):
@@ -760,14 +790,14 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     operands are rejected: the Euclidean algorithm is not stable, so no
     approximate gcd is offered.
 
-    One Euclidean loop, by actual degree, runs on dense lists of exact
-    elements: the backend's (``Fraction`` on Z_p, ``RatFunc`` on GF(q)) at
-    ram 1, exact ``CoeffElem``s of the common ram otherwise.  Quotients have
-    no negative exponent, so remainders are lists from the lowest exponent
-    of either operand (the CLI passes Laurent input) and cofactors lists
-    from u^0.  Each quotient digit is subtracted from the remainder and both
-    cofactor rows at once; only the five results become series.  Exact
-    elements are canonical, so the digits are those of the loop on series.
+    Each Euclidean step is one ``_divmod_dense`` with the two cofactor rows
+    mirrored, on dense lists of exact elements: the backend's (``Fraction``
+    on Z_p, ``RatFunc`` on GF(q)) at ram 1, exact ``CoeffElem``s of the
+    common ram otherwise.  Quotients have no negative exponent, so
+    remainders are lists from the lowest exponent of either operand (the
+    CLI passes Laurent input) and cofactors lists from u^0; only the five
+    results become series.  Exact elements are canonical, so the digits are
+    those of the loop on series.
     """
     x._check_compat(y)
     if not (x.is_exact() and y.is_exact()):
@@ -802,57 +832,20 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
         def elem(e):
             return CoeffElem.from_exact(cfg, e)
     else:
-        zero, one, inv = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram), CoeffElem.inv
-
-        def is_zero(c):
-            return c.zero
-
-        def exact(c):
-            return c.with_ram(ram)
-
-        def elem(e):
-            return e
+        zero, one = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram)
+        is_zero, inv = CoeffElem.is_exact_zero, CoeffElem.inv
+        exact = elem = partial(CoeffElem.with_ram, ram=ram)
 
     lo = min(x.min_exp(), y.min_exp())
-
-    def dense(s):
-        out = [zero] * (s.max_deg() - lo + 1)
-        for i, c in s.coeffs.items():
-            out[i - lo] = exact(c)
-        return out
-
-    def submul(acc, e, c, by):
-        """acc -= c*u^e*by, acc grown with zeros where by reaches past it."""
-        if len(acc) < e + len(by):
-            acc.extend([zero] * (e + len(by) - len(acc)))
-        for j, f in enumerate(by):
-            if not is_zero(f):
-                acc[e + j] = acc[e + j] - c * f
-
-    def trim(cs):
-        while cs and is_zero(cs[-1]):
-            cs.pop()
-        return cs
-
     # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame; each step
     # swaps the rows of [[s0, t0], [s1, t1]], so its determinant is
     # (-1)^steps
-    r0, s0, t0 = dense(a), [one], []
-    r1, s1, t1 = dense(b), [], [one]
+    r0, s0, t0 = _dense(a, lo, zero, exact), [one], []
+    r1, s1, t1 = _dense(b, lo, zero, exact), [], [one]
     steps = 0
     while r1:
-        top, lead_inv = len(r1) - 1, inv(r1[-1])
-        below = r1[:top]  # the top digit of each subtraction cancels exactly
-        r, s, t = r0[:], s0[:], t0[:]
-        for e in range(len(r) - 1 - top, -1, -1):
-            c = r[e + top]
-            if is_zero(c):
-                continue
-            c = c * lead_inv
-            submul(r, e, c, below)
-            submul(s, e, c, s1)
-            submul(t, e, c, t1)
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, trim(r[:top]), trim(s), trim(t)
+        rem = _divmod_dense(r0, r1, zero, is_zero, inv, rows=((s0, s1), (t0, t1)))[1]
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, rem, s0, t0
         steps += 1
     lead = r0[-1]
     c = inv(lead)

@@ -10,7 +10,7 @@ from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionE
 from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index
 from slomod.maxmod import MLModule
 from slomod.precision import PrecisionLattice, _frac
-from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full, poly_divmod
+from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full
 
 Z3 = ZpConfig(3, 20)
 Z5 = ZpConfig(5, 20)
@@ -393,9 +393,31 @@ def weierstrass_monic_exact(g, prec):
     return (m - res.r).scale_pi(-s)
 
 
+def poly_divmod_series(y, x):
+    """``series.poly_divmod`` as a loop on series: each step subtracts one
+    quotient monomial times x with ``addmul`` and drops the O-term the
+    exactly cancelling top digit leaves."""
+    x._check_compat(y)
+    dx = x.max_deg()
+    lead_inv = x.coeffs[dx].inv()
+    q = SnuSeries.zero(y.cfg, y.slope, ram=max(x.ram, y.ram))
+    r = y
+    while True:
+        dr = r.max_deg()
+        if dr is None or dr < dx:
+            return q, r
+        c = r.coeffs[dr] * lead_inv
+        term = SnuSeries.monomial(y.cfg, y.slope, dr - dx, c)
+        q = q + term
+        r = r.addmul(-1, term, x)
+        if r.max_deg() is not None and r.max_deg() >= dr:
+            r = SnuSeries(r.cfg, r.slope, {i: cc for i, cc in r.coeffs.items() if i < dr}, INF, ram=r.ram)
+
+
 def gcd_extended_series(x, y):
     """``series.gcd_extended`` as a loop on series: each Euclidean step is
-    one ``poly_divmod`` and two ``addmul`` updates of the cofactor rows."""
+    one ``poly_divmod_series`` and two ``addmul`` updates of the cofactor
+    rows."""
     x._check_compat(y)
     if not (x.is_exact() and y.is_exact()):
         raise AssertionError("exact operands only")
@@ -427,7 +449,7 @@ def gcd_extended_series(x, y):
     r1, s1, t1 = b, zero_s, one_s
     steps = 0
     while not r1.is_exact_zero():
-        qq, rr = poly_divmod(r0, r1)
+        qq, rr = poly_divmod_series(r0, r1)
         r0, s0, t0, r1, s1, t1 = (
             r1,
             s1,

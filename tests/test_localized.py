@@ -429,12 +429,10 @@ def test_hnf_u_entry_without_digits_counts_as_zero_at_the_level():
         hnf_u(SMat(Z5, HALF, [[o3, one]]), 6)
 
 
-@pytest.mark.xfail(raises=PrecisionExhausted, strict=True)
 def test_hnf_pi_pivot_with_a_constant_beyond_the_working_level():
     # g = 5^k + u^2 + u^3 has Weierstrass degree 2 < 3; at k >= 17 its monic
-    # factor t has only O-terms below u^2, and the second division of the
-    # pi-side normalisation, g by t, raises "Lo(x, d) has no certified
-    # valuation"; k = 16 succeeds
+    # factor t has only O-terms below u^2, so a division of g by t could not
+    # certify v(Lo(t, 2)); the unit g/t is the lifting's own cofactor W
     for k in (16, 17, 20):
         g = poly(Z5, NU0, [(0, 5**k), (2, 1), (3, 1)])
         assert hnf_pi(SMat(Z5, NU0, [[g]]), 16).rank == 1
@@ -455,11 +453,10 @@ def test_hnf_pi_over_f2_at_slope_zero_fails_with_more_precision():
         hnf_pi(M, prec)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True)
 def test_hnf_pi_t_agrees_with_m_p_over_f2_at_slope_half():
-    # at prec 2, T's entries (1,0) and (1,1) are polynomials that stop at
-    # u^1, where M.P has the certain digit t at u^3 (level 5/2, above the
-    # working level); they agree at prec 3, 4 and 8
+    # at prec 2, T's entries (1,0) and (1,1) stopped at u^1 while M.P had
+    # the certain digit t at u^3 (level 5/2, above the working level) when
+    # the unit g/t came from a second division of g by t
     one = CoeffElem.from_int(F2, 1)
     t = one.scale_pi(1)
     M = SMat(F2, HALF, [[SnuSeries(F2, HALF, {0: one}), SnuSeries(F2, HALF, {1: one})],

@@ -2,8 +2,8 @@
 ``localized._weierstrass_monic`` lifts the monic factor against the pivot
 with its high digits reduced to level P = prec + max(0, s) + 1.  Checked
 against the exact-pivot run (``helpers.weierstrass_monic_exact``) digit by
-digit, and for the size of the digits inside the lifting, the digits it
-keeps and its budget."""
+digit, its unit W against g = W*t and a lift, and for the size of the
+digits inside the lifting, the digits it keeps and its budget."""
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -81,8 +81,15 @@ def test_weierstrass_monic_matches_the_exact_pivot_below_its_level(case):
         with pytest.raises(type(e)):
             localized._weierstrass_monic(g, prec)
         return
-    got = localized._weierstrass_monic(g, prec)
+    got, w = localized._weierstrass_monic(g, prec)
     level = level_of(g, prec)
+    # the lifting's cofactor W is the unit of g = W*t: Weierstrass degree 0,
+    # W*t equals g to the level of t's digits shifted by v(W), and each
+    # digit W certifies is that of W lifted 12 levels further
+    vw, dw = w.certified_val_deg()
+    assert dw == 0
+    assert (g - w * got).lower_bound() >= vw + level
+    assert w.digits_agree(localized._weierstrass_monic(g, prec + 12)[1])
     for i in sorted(set(got.coeffs) | set(want.coeffs)):
         a, b = got.coeff(i), want.coeff(i)
         cut = _ceil(g.ram * (level - g.nu * i))
@@ -101,7 +108,7 @@ def test_weierstrass_monic_keeps_o_terms_for_a_constant_beyond_the_level():
     # valuation and raise PrecisionExhausted; capping Hi(g, 2) alone gives
     # the exact run's answer, u^2 with O-terms below it
     g = poly(Z5, NU0, [(0, 5**17), (2, 1), (3, 1)])
-    t = localized._weierstrass_monic(g, 16)
+    t = localized._weierstrass_monic(g, 16)[0]
     assert t == weierstrass_monic_exact(g, 16)
     assert t.coeff(2) == CoeffElem.from_int(Z5, 1)
     assert all(not t.coeff(i).has_witness() for i in (0, 1))
@@ -152,18 +159,18 @@ def test_weierstrass_monic_keeps_only_the_digits_its_pivot_allows():
     # g = pi^3 + 2u^2 + 2u^4 is a polynomial in u^2: its monic factor has no
     # u^1 digit, not even an O-term
     g = poly(Z5, NU0, [(0, 125), (2, 2), (4, 2)])
-    t = localized._weierstrass_monic(g, 6)
+    t = localized._weierstrass_monic(g, 6)[0]
     assert t.render() == "(pi^3*188 + O(^7)) + u^2"
     assert 1 not in t.coeffs
     # the same over GF(4) at ram 2, w^2 = t: digits at u^0 and u^2 only
     one = CoeffElem.from_int(F4, 1, ram=2)
     g = SnuSeries(F4, NU0, {0: one.scale_w(3), 2: one, 4: one.scale_w(-2)}, ram=2)
-    t = localized._weierstrass_monic(g, 10)
+    t = localized._weierstrass_monic(g, 10)[0]
     assert t.render() == "(w^5*(1) + O(^24)) + (w^2*(1) + O(^24))*u^2 + (1)*u^4"
     # with a u^3 digit every digit below u^2 may be nonzero, so both are
     # O-terms; R = pi^20 is already beyond the level, and the one step the
     # lifting always takes puts them at pi^20, as the Euclidean division did
-    t = localized._weierstrass_monic(poly(Z5, NU0, [(0, 5**20), (2, 1), (3, 1)]), 6)
+    t = localized._weierstrass_monic(poly(Z5, NU0, [(0, 5**20), (2, 1), (3, 1)]), 6)[0]
     assert t.render() == "O(pi^20) + O(pi^20)*u + u^2"
 
 
@@ -173,4 +180,4 @@ def test_weierstrass_lifting_budget_error_names_its_rule(monkeypatch):
     with pytest.raises(PrecisionExhausted, match=r"budget ceil\(log2\(gain/e\)\)\+2 = 0 steps"):
         localized._weierstrass_monic(g, 8)
     monkeypatch.undo()
-    assert localized._weierstrass_monic(g, 8).max_deg() == 1
+    assert localized._weierstrass_monic(g, 8)[0].max_deg() == 1
