@@ -34,81 +34,95 @@ no valuation to scan.
 Every sum -- a + b (so a - b), a digit of a series product, a step of the
 unit-division recurrence -- and every product at ram_index > 1 goes through
 one kernel, ``sum_products``: the exact digits of every product a*b and of
-every lone summand x are summed at a common base (the backend's
-``exa_dot``) and normalised once, at absolute precision the minimum of
-v_a + v_b + min(prec_a, prec_b) over the products and of v_x + prec_x over
-the lone summands.  This is value-identical to folding ``acc + a*b`` term by
-term: a ``CoeffElem`` is a function of (its exact value mod w^abs, abs) only,
-and every intermediate reduction of the fold moves the value by a multiple of
-w^abs' with abs' >= abs, so both reach the same (num_val, prec, unit).
+every lone summand x are summed at a common base and normalised once, at
+absolute precision the minimum of v_a + v_b + min(prec_a, prec_b) over the
+products and of v_x + prec_x over the lone summands.  This is value-identical
+to folding ``acc + a*b`` term by term: a ``CoeffElem`` is a function of (its
+exact value mod w^abs, abs) only, and every intermediate reduction of the
+fold moves the value by a multiple of w^abs' with abs' >= abs, so both reach
+the same (num_val, prec, unit).  GF(q) sums ``RatFunc``s, one ``exa_dot``
+per w-residue, and normalises them with ``_normalize``.
 
-At ram 1 over Z_p the unit of an element of finite ``prec`` is a plain int
-in [0, p^prec) and the unit of an exact element a ``Fraction``; both expose
-``numerator`` and ``denominator``, which is all the int kernels read.  No
-digit reaches Python's ``/``, which would make a float of two ints:
-``ZpConfig.exa_inv`` and the negative shifts of ``exa_shift_pi`` build their
-``Fraction`` explicitly, and ``split_at_abs_w`` turns the residues of its exact
-low part into ``Fraction``s (``exa_exact``).  ``sum_products`` (so also
-``CoeffElem.__add__`` and ``__sub__``) and ``CoeffElem.__mul__`` build no
-``Fraction`` per term, and one per result only when it is exact.  A term is
-an int pair over its power of p: a lone summand's unit numerator and
-denominator, or for a product a*b the products of those of a and b at
-p^(v_a + v_b).  ``_zp_sum`` adds the pairs over a running lcm of
-the denominators (prime to p) at the lowest power of p, and one
-normaliser, ``_zp_digit``, turns (c, den, val, abs) into the element: it
-strips p from c once and builds the exact ``Fraction`` or the int residue
-mod p^(abs - val).  ``CoeffElem.__mul__`` hands it its one pair, and the
-Kronecker digits below end in it too.  Summing the stored units is exact
-enough.  A unit known to finite precision is stored reduced, so its
-element's stored value differs from any value the element stands for by a
-multiple of p^abs of that element.  Times the other factor, the difference
-stays at or above the product's abs, so at or above the sum's abs.  The
-stored and the exact sums agree mod p^abs of the sum, and a ``CoeffElem``
-depends only on that residue and on abs.
+Over Z_p, at every ram, the sums run on ints.  A unit digit of an element of
+finite ``prec`` is a plain int residue and one of an exact element a
+``Fraction``; the int kernels read both through ``as_integer_ratio`` (one
+call where a ``Fraction``'s ``numerator`` and ``denominator`` are two
+property calls).  No digit reaches Python's ``/``, which would make a float
+of two ints: ``ZpConfig.exa_inv`` and the negative shifts of
+``exa_shift_pi`` build their ``Fraction`` explicitly, and ``split_at_abs_w``
+turns the residues of its exact low part into ``Fraction``s
+(``exa_exact``).  ``sum_products`` (so also ``CoeffElem.__add__``,
+``__sub__`` and, at ram > 1, ``__mul__``) builds no ``Fraction`` per term,
+and one per unit digit of the result only when it is exact.  A term is an
+int triple (n, d, e), n/d at w^e: unit digit t of a lone summand x gives its
+numerator and denominator at w^(v_x + t), and the unit digits x_s of a and
+y_t of b give the products of theirs at w^(v_a + v_b + s + t).  ``_zp_sum``
+adds the terms over a running lcm of the denominators (prime to p) at the
+lowest exponent, into one int per w-residue: w^e = w^(e mod ram) * p^(e div
+ram), as w^ram = p.  One normaliser, ``_zp_digit``, turns such a residue
+vector (cs, den, val, abs) into the element: its grade is the minimum over j
+of ram * v_p(cs_j) + j, its valuation val + grade, and dividing by w^grade
+moves the residues round and divides each exactly by a power of p; each unit
+digit is then the exact ``Fraction`` or its int residue mod p^ceil((prec -
+t)/ram).  At ram 1 the vector is one int, stripped of p once.
+``CoeffElem.__mul__`` at ram 1 and ``from_exact`` (which strips p from the
+denominator first) hand it one residue, and the Kronecker digits below end
+in it too.  Summing the stored units is exact enough.  A unit known to finite
+precision is stored reduced, so its element's stored value differs from any
+value the element stands for by a multiple of w^abs of that element.  Times
+the other factor, the difference stays at or above the product's abs, so at
+or above the sum's abs.  The stored and the exact sums agree mod w^abs of the
+sum, and a ``CoeffElem`` depends only on that residue and on abs.
 
 Whole series products go through ``series_product``, which also adds them
 to an accumulator: it returns the digits of acc + q*b or acc - q*b, each
 digit normalised once (``SnuSeries.addmul``; a plain product has an empty
 acc).  With no product exponent below the product's window it returns a
-copy of acc and packs nothing.  For Z_p at ram 1 it is one Kronecker
+copy of acc and packs nothing.  For Z_p, at every ram, it is one Kronecker
 multiply (Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", JSC 2009):
 
 * each factor series is packed once, on its first product, and the pack is
   kept with the series (``_zp_pack``; a series never changes, so the pack
-  never goes stale): with D the lcm of its unit denominators (prime to p)
-  and v0 its lowest valuation, digit i is A_i * p^v0 / D with A_i = num *
-  (D/den) * p^(num_val - v0); the pack also keeps i_min, bits(max|A|), the
+  never goes stale): with D the lcm of its unit digits' denominators (prime
+  to p) and W0 its lowest w-valuation, unit digit t = num/den of the digit
+  at u^i of valuation v is A * w^W0 / D * w^(m mod ram), m = v - W0 + t,
+  with A = num * (D/den) * p^(m div ram), and A goes to field (i - i_min) *
+  (2*ram - 1) + m mod ram; the pack also keeps i_min, bits(max|A|), the
   valuation of every digit and v + prec of every inexact digit, which is
   all that a later product reads of the factor;
-* per product the factors shift into sum A_i * 2^(K*(i - i_min)) with K =
-  bits(max|A|) + bits(max|B|) + bits(min(len)) + 2, so |C_k| = |sum A_i
-  B_j| < 2^(K-2) and no output digit reaches the next field; for acc - q*b
-  one packed factor is negated, which the signed reading below allows;
-* one multiply gives sum C_k * 2^(K*k); the signed K-bit fields are read
+* per product the factors shift into sum A * 2^(K*f) over their fields f,
+  with K = bits(max|A|) + bits(max|B|) + bits(n) + 2 and n the smaller
+  count of entries: a product field sums at most n terms A*B, since an entry
+  of either factor fixes its partner, so |C| < 2^(K-2) and no field reaches
+  the next; for acc - q*b one packed factor is negated, which the signed
+  reading below allows;
+* one multiply gives sum C_f * 2^(K*f); the signed K-bit fields are read
   from the low end, a field >= 2^(K-1) is negative and borrows 1 from the
   rest;
-* digit k is C_k * p^(v0a + v0b) / (Da*Db).  Where acc has no digit k,
-  ``_zp_digit`` normalises it: its valuation is v0a + v0b + v_p(C_k), and
-  its unit is C_k/p^v_p(C_k) over Da*Db, exact or its int residue mod
-  p^(abs - val).  Otherwise C_k and acc's unit go to ``_zp_sum`` as two
-  int pairs, over the lcm of the two denominators, at absolute precision
-  min(abs of acc_k, abs of the product digit).
+* product digit k is its 2*ram - 1 fields from k*(2*ram - 1) on, field s
+  the sum over residues j + j' = s; with w^ram = p a field s >= ram folds
+  onto residue s - ram times p, and the residue vector over Da*Db at
+  w^(W0a + W0b) is the digit.  Where acc has no digit k, ``_zp_digit``
+  normalises it.  Otherwise the residues and acc's unit digits go to
+  ``_zp_sum`` as int terms, at absolute precision min(abs of acc_k, abs of
+  the product digit).  At ram 1 a digit is one field, and a pack entry
+  digit i's A_i * p^(v - W0) at field i - i_min.
 
 The absolute precision abs of a product digit is the ``sum_products`` one,
 computed only over pairs with an inexact factor, from the two packs, and
 only when a factor has an inexact digit.  So each digit is the element
 that ``sum_products`` builds: a ``CoeffElem`` is a function of its exact
-value mod w^abs and of abs, and C_k carries the exact value.  The sum
+value mod w^abs and of abs, and the fields carry the exact value.  The sum
 with acc_k is then the element ``CoeffElem.__add__`` builds from acc_k and
 that product digit (or from its negative): the normalised product digit
-differs from the exact C_k value by a multiple of w^abs of that digit, so
-the two sums agree mod w^min, and both are normalised at that min.  A digit
+differs from the exact value by a multiple of w^abs of that digit, so the
+two sums agree mod w^min, and both are normalised at that min.  A digit
 that cancels is left out when exact and is O(w^abs) otherwise, as there.
-GF(q) digits (``RatFunc``s) and ram > 1 digit vectors do not pack; they
-take one ``sum_products`` per output digit, with acc_k (where acc has one)
-as its one lone summand and the sparser factor negated for acc - q*b, by the
-same argument.
+GF(q) digits (``RatFunc``s) do not pack: they take one ``sum_products`` per
+output digit, with acc_k (where acc has one) as its one lone summand and the
+sparser factor negated for acc - q*b, by the same argument; a Kronecker
+product of ``RatFunc`` digits was measured slower than this loop.
 """
 
 from __future__ import annotations
@@ -191,7 +205,7 @@ class ZpConfig(RingConfig):
             else (x.numerator * y.numerator, x.denominator * y.denominator, e)
             for x, y, e in terms
         )
-        num, den = _lcm_sum(self.p, ints, 0)
+        (num,), den = _lcm_sum(self.p, 1, ints, 0)
         return Fraction(num, den) if num else _ZERO
 
     def exa_inv(self, a):
@@ -364,6 +378,14 @@ class CoeffElem:
     @classmethod
     def from_exact(cls, cfg, value, ram=1, prec=INF):
         """Build from one exact field element (the w^0 digit)."""
+        if cfg.kind == "zp":
+            # p leaves the denominator as w^-ram; _zp_digit strips the numerator
+            num, den = value.as_integer_ratio()
+            val = 0
+            while den % cfg.p == 0:
+                den //= cfg.p
+                val -= ram
+            return _zp_digit(cfg, ram, [num] + [0] * (ram - 1), den, val, INF).reduce_prec(prec)
         digits = [value] + [cfg.exa_zero()] * (ram - 1)
         return _normalize(cfg, ram, 0, digits, INF).reduce_prec(prec)
 
@@ -498,9 +520,8 @@ class CoeffElem:
         if a.unit is None or b.unit is None:
             return CoeffElem.o_term(cfg, out_abs, ram)
         if ram == 1 and cfg.kind == "zp":
-            x, y = a.unit[0], b.unit[0]
-            v = a.num_val + b.num_val
-            return _zp_digit(cfg, x.numerator * y.numerator, x.denominator * y.denominator, v, out_abs)
+            (xn, xd), (yn, yd) = a.unit[0].as_integer_ratio(), b.unit[0].as_integer_ratio()
+            return _zp_digit(cfg, 1, [xn * yn], xd * yd, a.num_val + b.num_val, out_abs)
         if ram == 1:
             prec = min(a.prec, b.prec)
             digits = _reduce_digits(cfg, 1, (a.unit[0] * b.unit[0],), prec)
@@ -659,13 +680,14 @@ def sum_products(cfg, ram, pairs, lone=()) -> CoeffElem:
     Elements of a smaller ram are lifted with ``with_ram``.  Digit x of a
     times digit y of b sits at w^s = w^(s mod ram) * pi^(s div ram), and
     digit i of a lone element x at w^(v_x + i), so the exact sum is one
-    ``exa_dot`` per w-residue and needs no fold.  The absolute precision is
-    the minimum over the terms: v_a + v_b + min(prec_a, prec_b) for a
-    product, v + prec for a lone element.  Z_p at ram 1 sums raw ints
-    instead (``_zp_sum``).
+    sum per w-residue and needs no fold.  The absolute precision is the
+    minimum over the terms: v_a + v_b + min(prec_a, prec_b) for a product,
+    v + prec for a lone element.  Z_p sums raw ints at every ram
+    (``_zp_sum_products``); GF(q) sums ``RatFunc``s, one ``exa_dot`` per
+    w-residue, and normalises them with ``_normalize``.
     """
-    if ram == 1 and cfg.kind == "zp":
-        return _zp_sum_products(cfg, pairs, lone)
+    if cfg.kind == "zp":
+        return _zp_sum_products(cfg, ram, pairs, lone)
     abs_w = INF
     base = INF  # lowest pi power of a term
     terms = [[] for _ in range(ram)]
@@ -727,24 +749,24 @@ def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
     acc's exponents in acc's order, then the product's exponents k = i + j <
     up in first-seen order (i over a, j over b); a digit that cancels to an
     exact zero is left out.  Each digit is normalised once.  With no
-    product exponent below up this is a copy of acc.  Z_p at ram 1 takes
-    one Kronecker multiply of the two factors' packs, each built once per
-    series (``_zp_pack``) and kept in its ``_pack`` slot; GF(q) digits
-    (``RatFunc``s) and ram > 1 digit vectors do not pack, so there every
-    digit is one ``sum_products`` over the sparser factor, with acc's
-    digit, where there is one, as its lone summand.
+    product exponent below up this is a copy of acc.  Over Z_p, at every
+    ram, it is one Kronecker multiply of the two factors' packs, each built
+    once per series (``_zp_pack``) and kept in its ``_pack`` slot.  GF(q)
+    digits (``RatFunc``s) do not pack, so there every digit is one
+    ``sum_products`` over the sparser factor, with acc's digit, where there
+    is one, as its lone summand.
     """
     ca, cb = a.coeffs, b.coeffs
     keys = [k for k in dict.fromkeys([i + j for i in ca for j in cb]) if k < up]
     out = dict(acc)
     if not keys:
         return out
-    if cfg.kind == "zp" and ram == 1:
+    if cfg.kind == "zp":
         # a series is never changed after it is built, so its pack stays valid
         for s in (a, b):
             if s._pack is None:
-                s._pack = _zp_pack(cfg.p, s.coeffs)
-        _zp_kronecker(cfg, a._pack, b._pack, keys, out, sign)
+                s._pack = _zp_pack(cfg.p, ram, s.coeffs)
+        _zp_kronecker(cfg, ram, a._pack, b._pack, keys, out, sign)
         return out
     sa, sb = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
     if sign < 0:
@@ -759,16 +781,19 @@ def series_product(cfg, ram, a, b, up, acc, sign) -> dict:
     return out
 
 
-def _zp_pack(p, coeffs):
-    """A ram-1 Z_p factor as the Kronecker product reads it: (ints, vals,
+def _zp_pack(p, ram, coeffs):
+    """A Z_p factor as the Kronecker product reads it: (ints, vals,
     inexact).
 
-    ints is (v0, D, [(i, A_i)], i0, bits) with digit i equal to A_i *
-    p^v0 / D, D the lcm of the unit denominators (prime to p), v0 the
-    lowest valuation, i0 the lowest exponent and bits the bit length of
-    the largest |A_i|; it is None when no digit is known.  vals is [(j,
-    v_j)] over every digit, O-terms too, and inexact is [(i, v_i + prec_i)]
-    over the digits of finite precision."""
+    ints is (W0, D, [(f, A)], i0, bits), None when no digit is known: D is
+    the lcm of the unit digits' denominators (prime to p), W0 the lowest
+    w-valuation, i0 the lowest exponent and bits the bit length of the
+    largest |A|.  Unit digit t = num/den of the digit at u^i of valuation v
+    is the term num/den * w^(v + t); with m = v - W0 + t it is A * w^W0 / D
+    * w^(m mod ram) with A = num * (D/den) * p^(m div ram), and A goes to
+    field f = (i - i0) * (2*ram - 1) + m mod ram.  vals is [(j, v_j)] over
+    every digit, O-terms too, by exponent, and inexact is [(i, v_i +
+    prec_i)] over the digits of finite precision."""
     vals, inexact, known = [], [], []
     v0 = i0 = None
     den = 1
@@ -778,97 +803,143 @@ def _zp_pack(p, coeffs):
         if c.prec != INF:
             inexact.append((i, v + c.prec))
         if c.unit is not None:
-            u = c.unit[0]
-            known.append((i, v, u))
-            if den % u.denominator:
-                den = math.lcm(den, u.denominator)
             if v0 is None or v < v0:
                 v0 = v
             if i0 is None or i < i0:
                 i0 = i
+            for u in c.unit:  # unit digit t sits at w^(v + t)
+                n, d = u.as_integer_ratio()
+                known.append((i, v, n, d))
+                if den % d:
+                    den = math.lcm(den, d)
+                v += 1
+    vals.sort()
     if v0 is None:
         return None, vals, inexact
     xs, top = [], 0
-    for i, v, u in known:
-        x = u.numerator * (den // u.denominator)
-        if v != v0:
-            x *= p ** (v - v0)
-        xs.append((i, x))
-        if abs(x) > top:
-            top = abs(x)
+    if ram == 1:  # residue 0 and field i - i0: A = num * (D/den) * p^(v - W0)
+        for i, m, n, d in known:
+            x = n * (den // d)
+            if m != v0:
+                x *= p ** (m - v0)
+            xs.append((i - i0, x))
+            if abs(x) > top:
+                top = abs(x)
+    else:
+        for i, m, n, d in known:
+            x = n * (den // d)
+            if x:
+                q, j = divmod(m - v0, ram)
+                if q:
+                    x *= p**q
+                xs.append(((i - i0) * (2 * ram - 1) + j, x))
+                if abs(x) > top:
+                    top = abs(x)
     return (v0, den, xs, i0, top.bit_length()), vals, inexact
 
 
-def _zp_kronecker(cfg, pa, pb, keys, out, sign):
-    """``series_product`` for ram-1 Z_p, from the two factors' packs
+def _zp_kronecker(cfg, ram, pa, pb, keys, out, sign):
+    """``series_product`` over Z_p, from the two factors' packs
     (``_zp_pack``): the packed ints are shifted into one int each, one
-    multiply, signed digits unpacked with a borrow; each digit C_k is added
-    to out[k] over the lcm of the two denominators and normalised once, in
+    multiply, signed fields unpacked with a borrow; each digit is added to
+    out[k] over the lcm of the two denominators and normalised once, in
     place.
 
-    The absolute precision of product digit k is the minimum over i + j = k
-    of v_i + v_j + min(prec_i, prec_j), over the pairs with an inexact
-    factor; a key left out is exact.  Each pair is read from both sides, an
-    inexact digit of one factor against every digit of the other, so the
+    Product digit k is the 2*ram - 1 fields C_(k, s) from field (k - k0) *
+    (2*ram - 1), k0 = i0a + i0b: the residue vector R_j = C_(k, j) + p *
+    C_(k, j + ram) (w^ram = p) times w^(W0a + W0b) / (Da*Db).  The absolute
+    precision of product digit k is the minimum over i + j = k of v_i + v_j
+    + min(prec_i, prec_j), over the pairs with an inexact factor; a key with
+    none is exact.  Each pair is read from both sides, an inexact digit of
+    one factor against every digit of the other, up to the last key, so the
     scan runs only when a factor has an inexact digit."""
     (ia, vals_a, inexact_a), (ib, vals_b, inexact_b) = pa, pb
-    digits, k0, val0, den = [], 0, 0, 1
+    stride, last = 2 * ram - 1, max(keys)
+    fields, k0, val0, den = [], 0, 0, 1
     if ia is not None and ib is not None:
         (va, da, xs, i0, bits_a), (vb, db, ys, j0, bits_b) = ia, ib
+        # a field sums at most one term per entry of either factor
         width = bits_a + bits_b + min(len(xs), len(ys)).bit_length() + 2
         packed = 0
-        for i, x in xs:
-            packed += x << (width * (i - i0))
+        for f, x in xs:
+            packed += x << (width * f)
         other = 0
-        for j, y in ys:
-            other += y << (width * (j - j0))
+        for f, y in ys:
+            other += y << (width * f)
         # the signed reading below holds for a negative product too
         packed *= other if sign > 0 else -other
         k0 = i0 + j0
         mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
-        for _ in range(max(keys) - k0 + 1):
+        for _ in range((last - k0 + 1) * stride):
             c = packed & mask
             packed >>= width
             if c >= half:
                 c -= full
                 packed += 1
-            digits.append(c)
+            fields.append(c)
         val0, den = va + vb, da * db
-    precs = {}
+    # abs of digit k at precs[k - lo]: lo, the least i + j, is min(keys)
+    lo = vals_a[0][0] + vals_b[0][0]
+    span = last - lo + 1
+    precs = [INF] * span
     for inexact, vals in ((inexact_a, vals_b), (inexact_b, vals_a)):
         for i, t in inexact:
-            for j, v in vals:
-                if t + v < precs.get(i + j, INF):
-                    precs[i + j] = t + v
+            for j, v in vals:  # by exponent: the rest lies beyond the keys
+                k = i + j - lo
+                if k >= span:
+                    break
+                if t + v < precs[k]:
+                    precs[k] = t + v
+    p = cfg.p
+    if ram > 1:  # w^ram = p: fields ram .. 2*ram - 2 of a key fold onto 0 .. ram - 2
+        for f in range(0, len(fields), stride):
+            for j in range(f, f + ram - 1):
+                fields[j] += p * fields[j + ram]
+    n, zeros = len(fields), [0] * ram
     for k in keys:
-        c = digits[k - k0] if 0 <= k - k0 < len(digits) else 0
-        abs_w = precs.get(k, INF)
+        if ram == 1:
+            f = k - k0
+            cs = [fields[f] if 0 <= f < n else 0]
+        else:
+            f = (k - k0) * stride
+            cs = fields[f:f + ram] if 0 <= f < n else zeros
+        abs_w = precs[k - lo]
         x = out.get(k)
         if x is None:
-            d = _zp_digit(cfg, c, den, val0, abs_w)
-        elif c == 0 and abs_w == INF:
+            d = _zp_digit(cfg, ram, cs, den, val0, abs_w)
+        elif abs_w == INF and cs == zeros:
             continue  # an exact zero product digit leaves x as it is
         else:
-            terms = [(c, den, val0)]
-            if x.unit is not None:
-                u = x.unit[0]
-                terms.append((u.numerator, u.denominator, x.num_val))
-            d = _zp_sum(cfg, terms, min(val0, x.num_val), min(abs_w, x.num_val + x.prec))
+            v = x.num_val
+            if ram == 1:
+                terms = [(cs[0], den, val0)]
+                if x.unit is not None:
+                    un, ud = x.unit[0].as_integer_ratio()
+                    terms.append((un, ud, v))
+            else:
+                terms = []
+                for j, c in enumerate(cs, val0):
+                    terms.append((c, den, j))
+                for j, u in enumerate(x.unit or (), v):
+                    un, ud = u.as_integer_ratio()
+                    terms.append((un, ud, j))
+            d = _zp_sum(cfg, ram, terms, min(val0, v), min(abs_w, v + x.prec))
         if d.zero:
             out.pop(k, None)
         else:
             out[k] = d
 
 
-def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
-    """``sum_products`` at ram 1 over Z_p: each product of unit digits
-    x*y at p^(v_a + v_b) goes to the int running-lcm sum; no ``Fraction``
-    and no ``CoeffElem`` is built for a term."""
+def _zp_sum_products(cfg, ram, pairs, lone) -> CoeffElem:
+    """``sum_products`` over Z_p: each product of unit digits x*y at
+    w^(v_a + v_b + s + t), s and t their places, and each unit digit of a
+    lone summand goes to the int running-lcm sum; no ``Fraction`` and no
+    ``CoeffElem`` is built for a term."""
     abs_w = base = INF
     terms = []
     for x in lone:
-        if x.ram != 1:
-            x.with_ram(1)  # raises: nothing lowers to ram 1
+        if x.ram != ram:
+            x = x.with_ram(ram)  # raises below x's own ram
         if x.zero:
             continue
         v = x.num_val
@@ -876,13 +947,17 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = v + x.prec
         if x.unit is None:
             continue
-        u = x.unit[0]
-        terms.append((u.numerator, u.denominator, v))
         if v < base:
             base = v
+        for u in x.unit:  # unit digit t sits at w^(v + t)
+            n, d = u.as_integer_ratio()
+            terms.append((n, d, v))
+            v += 1
     for a, b in pairs:
-        if a.ram != 1 or b.ram != 1:
-            a, b = a.with_ram(1), b.with_ram(1)  # raises: nothing lowers to ram 1
+        if a.ram != ram:
+            a = a.with_ram(ram)
+        if b.ram != ram:
+            b = b.with_ram(ram)
         if a.zero or b.zero:
             continue
         v = a.num_val + b.num_val
@@ -891,57 +966,128 @@ def _zp_sum_products(cfg, pairs, lone) -> CoeffElem:
             abs_w = t
         if a.unit is None or b.unit is None:
             continue
-        x, y = a.unit[0], b.unit[0]
-        terms.append((x.numerator * y.numerator, x.denominator * y.denominator, v))
         if v < base:
             base = v
-    return _zp_sum(cfg, terms, base, abs_w)
+        if ram == 1:
+            (xn, xd), (yn, yd) = a.unit[0].as_integer_ratio(), b.unit[0].as_integer_ratio()
+            terms.append((xn * yn, xd * yd, v))
+            continue
+        ys = [(t, y.as_integer_ratio()) for t, y in enumerate(b.unit, v) if y]
+        for s, x in enumerate(a.unit):
+            if x:
+                xn, xd = x.as_integer_ratio()
+                for t, (yn, yd) in ys:
+                    terms.append((xn * yn, xd * yd, s + t))
+    return _zp_sum(cfg, ram, terms, base, abs_w)
 
 
-def _zp_sum(cfg, terms, base, abs_w) -> CoeffElem:
-    """The ram-1 Z_p element sum n/d * p^v over (n, d, v) int triples, d
-    prime to p and v >= base, at absolute precision abs_w: ints over a
-    running lcm of the denominators, at p^base."""
+def _zp_sum(cfg, ram, terms, base, abs_w) -> CoeffElem:
+    """The Z_p element sum n/d * w^e over (n, d, e) int triples, d prime to
+    p and e >= base, at absolute precision abs_w: ints over a running lcm
+    of the denominators, one per w-residue, at w^base."""
     if not terms:
-        return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
-    num, den = _lcm_sum(cfg.p, terms, base)
-    return _zp_digit(cfg, num, den, base, abs_w)
+        return CoeffElem.exact_zero(cfg, ram) if abs_w == INF else CoeffElem.o_term(cfg, abs_w, ram)
+    nums, den = _lcm_sum(cfg.p, ram, terms, base)
+    return _zp_digit(cfg, ram, nums, den, base, abs_w)
 
 
-def _lcm_sum(p, terms, base):
-    """(num, den) with num/den = sum n/d * p^(v - base) over (n, d, v) int
-    triples with d > 0 and v >= base: ints over a running lcm of the
-    denominators."""
-    num, den = 0, 1
-    for n, d, v in terms:
-        if v != base:
-            n *= p ** (v - base)
+def _lcm_sum(p, ram, terms, base):
+    """(nums, den) with sum_j nums[j] w^j / den = sum n/d * w^(e - base)
+    over (n, d, e) int triples with d > 0 and e >= base, where w^ram = p:
+    ints over a running lcm of the denominators."""
+    if ram == 1:
+        num, den = 0, 1
+        for n, d, v in terms:
+            if v != base:
+                n *= p ** (v - base)
+            if d == den:
+                num += n
+            else:
+                g = math.gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den *= d // g
+        return [num], den
+    nums, den = [0] * ram, 1
+    for n, d, e in terms:
+        q, j = divmod(e - base, ram)
+        if q:
+            n *= p**q
         if d == den:
-            num += n
+            nums[j] += n
         else:
             g = math.gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den *= d // g
-    return num, den
+            if g != d:
+                f = d // g
+                for t in range(ram):
+                    nums[t] *= f
+                den *= f
+            nums[j] += n * (den // d)
+    return nums, den
 
 
-def _zp_digit(cfg, c, den, val, abs_w) -> CoeffElem:
-    """The ram-1 Z_p element c/den * p^val (den prime to p) at absolute
-    precision abs_w: p is stripped from c once, and the unit is the exact
-    ``Fraction`` or, at finite abs_w, the int residue mod p^(abs_w - val)."""
-    if c == 0:
-        return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
+def _zp_digit(cfg, ram, cs, den, val, abs_w) -> CoeffElem:
+    """The Z_p element w^val / den * sum_j cs[j] w^j (den prime to p) at
+    absolute precision abs_w, from the int residue vector cs of length ram.
+
+    Its grade is the minimum over j of ram * v_p(cs[j]) + j; the valuation
+    is val + grade, and dividing by w^grade moves cs[j] to place (j -
+    grade) mod ram times p^((j - grade) div ram), an exact division.  The
+    residue of least grade is stripped of p on the way and becomes unit
+    digit 0.  Each unit digit is the exact ``Fraction`` or, at finite
+    abs_w, its int residue mod p^ceil((prec - t)/ram), prec = abs_w - val -
+    grade.  At ram 1 this is: strip p from the one residue c once, then the
+    ``Fraction`` c/den or the int residue mod p^(abs_w - val)."""
     p = cfg.p
-    while c % p == 0:
-        c //= p
-        val += 1
-    if abs_w == INF:
-        return CoeffElem(cfg, 1, val, INF, (Fraction(c, den) if den != 1 else Fraction(c),))
+    if ram == 1:
+        c = cs[0]
+        if c == 0:
+            return CoeffElem.exact_zero(cfg) if abs_w == INF else CoeffElem.o_term(cfg, abs_w)
+        while c % p == 0:
+            c //= p
+            val += 1
+        if abs_w == INF:
+            return CoeffElem(cfg, 1, val, INF, (Fraction(c, den) if den != 1 else Fraction(c),))
+        if val >= abs_w:
+            return CoeffElem.o_term(cfg, abs_w)
+        m = p ** (abs_w - val)
+        unit = c * pow(den, -1, m) if den != 1 else c
+        return CoeffElem(cfg, 1, val, abs_w - val, (unit % m,))
+    grade = None
+    for j, c in enumerate(cs):
+        if not c:
+            continue
+        g = j
+        if grade is None:
+            while c % p == 0:
+                c //= p
+                g += ram
+        else:
+            while g < grade and c % p == 0:
+                c //= p
+                g += ram
+            if g >= grade:
+                continue
+        grade, low = g, c
+    if grade is None:
+        return CoeffElem.exact_zero(cfg, ram) if abs_w == INF else CoeffElem.o_term(cfg, abs_w, ram)
+    val += grade
     if val >= abs_w:
-        return CoeffElem.o_term(cfg, abs_w)
-    m = p ** (abs_w - val)
-    unit = c * pow(den, -1, m) if den != 1 else c
-    return CoeffElem(cfg, 1, val, abs_w - val, (unit % m,))
+        return CoeffElem.o_term(cfg, abs_w, ram)
+    q, r = divmod(grade, ram)
+    pq = p**q
+    prec = abs_w - val
+    if prec != INF:
+        inv = pow(den, -1, p ** -(-prec // ram)) if den != 1 else 1  # digit 0 has the largest modulus
+    out = []
+    for t in range(ram):
+        j = r + t
+        n = low if not t else cs[j] // pq if j < ram else cs[j - ram] // (pq * p)
+        if prec == INF:
+            out.append(Fraction(n, den) if n else _ZERO)
+        else:
+            e = -((t - prec) // ram)  # ceil((prec - t)/ram)
+            out.append(n * inv % p**e if e > 0 else 0)
+    return CoeffElem(cfg, ram, val, prec, tuple(out))
 
 
 def _unit_poly_inverse(cfg, ram, digits):

@@ -66,8 +66,8 @@ def _floor(x) -> int:
 
 class SnuSeries:
     # every attribute is set here once and never changed, so ``_pack``, the
-    # ram-1 Z_p Kronecker operand that ``coeffs.series_product`` builds from
-    # coeffs on first use, stays valid for the life of the series
+    # Z_p Kronecker operand that ``coeffs.series_product`` builds from coeffs
+    # on first use, stays valid for the life of the series
     __slots__ = ("cfg", "slope", "ram", "coeffs", "u_prec", "tail_bound", "_pack")
 
     def __init__(self, cfg, slope: Slope, coeffs, u_prec=INF, tail_bound=None, ram=None):
@@ -728,14 +728,15 @@ def _dense(s: SnuSeries, lo, zero, digit):
     return out
 
 
-def _divmod_dense(r, x, zero, is_zero, inv, rows=()):
+def _divmod_dense(r, x, zero, is_zero, inv, submul, rows=()):
     """The one classical division by actual degree in K[u]: r = q*x + rem on
     dense digit lists from one base exponent, x's last digit exact and
     nonzero.  Returns (q, rem), q from u^0 and rem the first len(x) - 1
     digits of r (changed in place) less its top exact zeros.  The top digit
     of each step cancels exactly and is not computed, so the degree drops
     even for finite-precision digits of r.  Each pair (acc, by) of ``rows``
-    takes the same steps in place: acc -= q*by."""
+    takes the same steps in place: acc -= q*by.  ``submul(c)`` gives the
+    update (a, f) -> a - c*f of the step with quotient digit c."""
     top = len(x) - 1
     lead_inv, below = inv(x[top]), x[:top]
     q = [zero] * max(0, len(r) - top)
@@ -744,16 +745,29 @@ def _divmod_dense(r, x, zero, is_zero, inv, rows=()):
         if is_zero(c):
             continue
         c = q[e] = c * lead_inv
+        sub = submul(c)
         for acc, by in ((r, below), *rows):
             if len(acc) < e + len(by):
                 acc.extend([zero] * (e + len(by) - len(acc)))
             for j, f in enumerate(by):
                 if not is_zero(f):
-                    acc[e + j] = acc[e + j] - c * f
+                    acc[e + j] = sub(acc[e + j], f)
     rem = r[:top]
     while rem and is_zero(rem[-1]):
         rem.pop()
     return q, rem
+
+
+def _coeff_submul(c):
+    """(a, f) -> a - c*f on ``CoeffElem``s: c is negated once, and each
+    update is one ``sum_products`` term with a as its lone summand."""
+    cfg, ram, nc = c.cfg, c.ram, -c
+    return lambda a, f: sum_products(cfg, ram, ((nc, f),), (a,))
+
+
+def _exact_submul(c):
+    """(a, f) -> a - c*f by the operators of the exact elements."""
+    return lambda a, f: a - c * f
 
 
 def poly_divmod(y: SnuSeries, x: SnuSeries):
@@ -777,7 +791,7 @@ def poly_divmod(y: SnuSeries, x: SnuSeries):
     zero, lo = CoeffElem.exact_zero(cfg, ram), min(x.min_exp(), y.min_exp())
     digit = partial(CoeffElem.with_ram, ram=ram)
     q, r = _divmod_dense(_dense(y, lo, zero, digit), _dense(x, lo, zero, digit),
-                         zero, CoeffElem.is_exact_zero, CoeffElem.inv)
+                         zero, CoeffElem.is_exact_zero, CoeffElem.inv, _coeff_submul)
     return (SnuSeries(cfg, slope, dict(enumerate(q)), ram=ram),
             SnuSeries(cfg, slope, {lo + i: c for i, c in enumerate(r)}, ram=ram))
 
@@ -825,6 +839,7 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
         swapped = True
     if ram == 1:
         zero, one, is_zero, inv = cfg.exa_zero(), cfg.exa_one(), cfg.exa_is_zero, cfg.exa_inv
+        submul = _exact_submul
 
         def exact(c):
             return cfg.exa_shift_pi(c.unit[0], c.num_val)
@@ -833,7 +848,7 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
             return CoeffElem.from_exact(cfg, e)
     else:
         zero, one = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram)
-        is_zero, inv = CoeffElem.is_exact_zero, CoeffElem.inv
+        is_zero, inv, submul = CoeffElem.is_exact_zero, CoeffElem.inv, _coeff_submul
         exact = elem = partial(CoeffElem.with_ram, ram=ram)
 
     lo = min(x.min_exp(), y.min_exp())
@@ -844,7 +859,7 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     r1, s1, t1 = _dense(b, lo, zero, exact), [], [one]
     steps = 0
     while r1:
-        rem = _divmod_dense(r0, r1, zero, is_zero, inv, rows=((s0, s1), (t0, t1)))[1]
+        rem = _divmod_dense(r0, r1, zero, is_zero, inv, submul, rows=((s0, s1), (t0, t1)))[1]
         r0, s0, t0, r1, s1, t1 = r1, s1, t1, rem, s0, t0
         steps += 1
     lead = r0[-1]

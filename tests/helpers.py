@@ -171,18 +171,87 @@ def series_strict(s):
     return s.ram, s.u_prec, type(s.tail_bound), s.tail_bound, digits
 
 
+def sum_products_exa_dot(cfg, ram, pairs, lone=()):
+    """``sum_products`` by the generic body: the exact digits of every
+    product and lone summand are summed per w-residue by the backend's
+    ``exa_dot`` and normalised once by ``_normalize``.  This was the Z_p
+    path at ram > 1 before the integer kernel, and is kept as its oracle."""
+    abs_w = base = INF
+    terms = [[] for _ in range(ram)]
+    for x in lone:
+        x = x.with_ram(ram)
+        if x.zero:
+            continue
+        abs_w = min(abs_w, x.num_val + x.prec)
+        if x.unit is None:
+            continue
+        base = min(base, x.num_val // ram)
+        for i, d in enumerate(x.unit):
+            if not cfg.exa_is_zero(d):
+                s = x.num_val + i
+                terms[s % ram].append((d, None, s // ram))
+    for a, b in pairs:
+        a, b = a.with_ram(ram), b.with_ram(ram)
+        if a.zero or b.zero:
+            continue
+        v = a.num_val + b.num_val
+        abs_w = min(abs_w, v + min(a.prec, b.prec))
+        if a.unit is None or b.unit is None:
+            continue
+        base = min(base, v // ram)
+        for i, x in enumerate(a.unit):
+            for j, y in enumerate(b.unit):
+                if not (cfg.exa_is_zero(x) or cfg.exa_is_zero(y)):
+                    s = v + i + j
+                    terms[s % ram].append((x, y, s // ram))
+    if _isinf(base):
+        return CoeffElem.exact_zero(cfg, ram) if _isinf(abs_w) else CoeffElem.o_term(cfg, abs_w, ram)
+    digits = [cfg.exa_dot((x, y, e - base) for x, y, e in t) for t in terms]
+    return _normalize(cfg, ram, base * ram, digits, abs_w)
+
+
+def _digit_sum(ram):
+    """The per-digit sum of the product oracles: ``sum_products`` at ram 1,
+    which the Kronecker kernel is checked against, and the generic body at
+    ram > 1, so that no oracle runs through the integer kernel there."""
+    return sum_products if ram == 1 else sum_products_exa_dot
+
+
 def mul_per_digit(x, y):
     """x*y with one ``sum_products`` per output exponent over the sparser
     factor, keys in first-seen order: the product loop before the Kronecker
     kernel, kept as its oracle."""
     a, b, up = _product_frame(x, y)
+    total = _digit_sum(a.ram)
     sa, sb = (a.coeffs, b.coeffs) if len(a.coeffs) <= len(b.coeffs) else (b.coeffs, a.coeffs)
     coeffs = {
-        k: sum_products(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
+        k: total(a.cfg, a.ram, ((c, sb[k - i]) for i, c in sa.items() if k - i in sb))
         for k in dict.fromkeys(i + j for i in a.coeffs for j in b.coeffs)
         if k < up
     }
     return _product_series(a, b, up, coeffs)
+
+
+def series_product_per_digit(cfg, ram, a, b, up, acc, sign):
+    """``coeffs.series_product`` by the per-digit loop it took for GF(q)
+    and for ram > 1 before the Kronecker kernel: one sum per product
+    exponent over the sparser factor (negated for sign -1), with acc's
+    digit as its lone summand."""
+    total = _digit_sum(ram)
+    ca, cb = a.coeffs, b.coeffs
+    out = dict(acc)
+    sa, sb = (ca, cb) if len(ca) <= len(cb) else (cb, ca)
+    if sign < 0:
+        sa = {i: -x for i, x in sa.items()}
+    for k in dict.fromkeys(i + j for i in ca for j in cb):
+        if k >= up:
+            continue
+        c = total(cfg, ram, ((x, sb[k - i]) for i, x in sa.items() if k - i in sb), (out[k],) if k in out else ())
+        if c.zero:
+            out.pop(k, None)
+        else:
+            out[k] = c
+    return out
 
 
 def _product_frame(x, y):
@@ -286,13 +355,14 @@ def fraction_levels(x, p):
 
 def divide_fold(z, x, u_prec):
     """divide_by_unit by the sequential recurrence acc = z_j; acc -= x_i *
-    b_{j-i}; b_j = acc * a_0^-1 (valid inputs only: no checks)."""
+    b_{j-i}; b_j = acc * a_0^-1 (valid inputs only: no checks), each step
+    by the fold oracles ``add_fold`` and ``coeff_mul_fold``."""
     vx, _ = x.certified_val_deg()
     lz = z.lower_bound()
     a0_inv = x.coeff(0).inv()
     xs = sorted(i for i in x.coeffs if i > 0)
     if not xs and z.is_polynomial():
-        return z.scale_coeff(a0_inv)
+        return z.map_coeffs(lambda i, c: coeff_mul_fold(c, a0_inv))
     cap = min(u_prec, z.u_prec, x.u_prec)
     if _isinf(cap):
         cap = z.u_prec
@@ -303,7 +373,7 @@ def divide_fold(z, x, u_prec):
             if i > j:
                 break
             if (j - i) in b:
-                acc = acc - coeff_mul_fold(x.coeffs[i], b[j - i])
+                acc = add_fold(acc, -coeff_mul_fold(x.coeffs[i], b[j - i]))
         bj = coeff_mul_fold(acc, a0_inv)
         if not bj.is_exact_zero():
             b[j] = bj

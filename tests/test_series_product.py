@@ -1,5 +1,5 @@
-"""Property tests of the L1 integer kernels: the Kronecker product of ram-1
-Z_p series against the per-digit ``sum_products`` loop, the packs it keeps
+"""Property tests of the L1 integer kernels: the Kronecker product of Z_p
+series against the per-digit ``sum_products`` loop, the packs it keeps
 with each series against fresh copies, and the integer level keys against
 the Fraction level formula."""
 
@@ -132,7 +132,8 @@ def _count_calls(monkeypatch, name):
 
 @st.composite
 def fallback_pairs(draw):
-    """GF(2) digits at ram 1 and Z5 digits at ram 2, which do not pack."""
+    """GF(2) digits at ram 1, which do not pack, and Z5 digits at ram 2,
+    which do."""
     cfg, values, ram = draw(st.sampled_from([(F2, f2_values(), 1), (Z5, zp_values(), 2)]))
     slope = draw(st.sampled_from(SLOPES[:2]))
     x = draw(series(cfg, slope, values, ram))
@@ -146,20 +147,29 @@ def _exact_monomial(s):
 
 @PROPERTY
 @given(fallback_pairs())
-def test_gf_and_ramified_products_take_the_per_digit_loop(pair):
-    """One ``sum_products`` per product exponent, unless a factor is an
-    exact monomial: that product is one ``CoeffElem`` product per digit,
-    which over GF(q) at ram 1 is a ``RatFunc`` product, not a
-    ``sum_products`` (see the next test)."""
+def test_gf_products_take_the_per_digit_loop_and_ramified_zp_ones_one_multiply(pair):
+    """Over GF(2): one ``sum_products`` per product exponent, unless a
+    factor is an exact monomial: that product is one ``CoeffElem`` product
+    per digit, which over GF(q) at ram 1 is a ``RatFunc`` product, not a
+    ``sum_products`` (see the next test).  Over Z5 at ram 2: one Kronecker
+    multiply and no ``sum_products`` and no generic ``_normalize``, unless
+    a factor is an exact monomial."""
     x, y = pair
     with pytest.MonkeyPatch.context() as mp:
         per_digit = _count_calls(mp, "sum_products")
         packed = _count_calls(mp, "_zp_kronecker")
+        generic = _count_calls(mp, "_normalize")
         got = x * y
     up = min(x.u_prec + min(y.coeffs, default=y.u_prec), y.u_prec + min(x.coeffs, default=x.u_prec))
-    assert not packed
-    if not (_exact_monomial(x) or _exact_monomial(y)):
-        assert len(per_digit) == len({i + j for i in x.coeffs for j in y.coeffs if i + j < up})
+    keys = {i + j for i in x.coeffs for j in y.coeffs if i + j < up}
+    monomial = _exact_monomial(x) or _exact_monomial(y)
+    if x.cfg.kind == "fq":
+        assert not packed
+        if not monomial:
+            assert len(per_digit) == len(keys)
+    elif not monomial:
+        assert len(packed) == (1 if keys else 0)
+        assert not per_digit and not generic
     assert series_strict(got) == series_strict(mul_per_digit(x, y))
 
 
@@ -200,7 +210,7 @@ def test_zp_ram_one_products_take_one_multiply(monkeypatch):
     packed = _count_calls(monkeypatch, "_zp_kronecker")
     built = []
     real = coeffs._zp_pack
-    monkeypatch.setattr(coeffs, "_zp_pack", lambda p, digits: built.append(digits) or real(p, digits))
+    monkeypatch.setattr(coeffs, "_zp_pack", lambda p, ram, digits: built.append(digits) or real(p, ram, digits))
     x * x
     assert packed == ["_zp_kronecker"] and not per_digit
     x * y

@@ -1,7 +1,8 @@
 """Property tests of the ram-1 Z_p integer digit sums: ``sum_products`` and
 ``CoeffElem.__add__``/``__sub__`` against the exact Fraction sum of the
-stored values, ``divide_by_unit`` against the sequential recurrence, and
-the GF(q) and ram > 1 inputs that must keep the generic path."""
+stored values, ``divide_by_unit`` against the sequential recurrence, the
+GF(q) inputs that must keep the generic path and the ram > 1 Z_p inputs
+that must not."""
 
 import math
 from fractions import Fraction
@@ -16,7 +17,8 @@ from slomod.errors import ConfigMismatch
 from slomod.contfrac import Slope
 from slomod.series import SnuSeries, divide_by_unit
 
-from helpers import F2, NU0, Z3, Z5, Z7, divide_fold, zp_element, zp_stored_value, zp_sum_oracle
+from helpers import (F2, NU0, Z3, Z5, Z7, divide_fold, sum_products_exa_dot, zp_element, zp_stored_value,
+                     zp_sum_oracle)
 
 PROPERTY = settings(
     max_examples=150,
@@ -228,20 +230,33 @@ def generic_inputs(draw):
 
 @PROPERTY
 @given(generic_inputs())
-def test_gf_and_ramified_digits_keep_the_generic_path(data):
+def test_gf_digits_keep_the_generic_path_and_ramified_zp_ones_take_the_integer_one(data):
+    """GF(2) sums, sums and differences reach no Z_p helper; Z5 ones at ram
+    2 go through ``_zp_sum`` and ``_zp_digit``, products too, and never
+    through the generic ``_normalize``.  Each sum is the generic body's."""
     cfg, ram, pairs, lone = data
     with pytest.MonkeyPatch.context() as mp:
         seen = _watch_zp_helpers(mp)
-        sum_products(cfg, ram, pairs, (lone,))
+        generic = []
+        real = coeffs._normalize
+        mp.setattr(coeffs, "_normalize", lambda *args: generic.append(args) or real(*args))
+        got = sum_products(cfg, ram, pairs, (lone,))
         for a, b in pairs:
             a + b
             a - b
-    assert not seen
+            if cfg.kind == "zp":
+                a * b
+    if cfg.kind == "fq":
+        assert not seen
+    else:
+        assert "_zp_sum" in seen and set(seen) <= {"_zp_sum", "_zp_digit"}
+        assert not generic
+    assert _strict(got) == _strict(sum_products_exa_dot(cfg, ram, pairs, (lone,)))
 
 
 def test_zp_ram_one_digits_take_the_integer_path(monkeypatch):
-    seen = _watch_zp_helpers(monkeypatch)
     x, y = CoeffElem.from_int(Z5, 3), CoeffElem.from_exact(Z5, Fraction(7, 2), prec=4)
+    seen = _watch_zp_helpers(monkeypatch)
     x + y
     assert seen == ["_zp_sum", "_zp_digit"]
     seen.clear()
