@@ -743,7 +743,8 @@ def saturation_u(B: SMat, n_level) -> SMat:
 
 
 # ---------------------------------------------------------------------------
-# module arithmetic over one localization
+# module arithmetic over one localization (a sum is the Hermite form of the
+# concatenation: ``pairrep.pair_max_sum``)
 # ---------------------------------------------------------------------------
 
 
@@ -751,13 +752,6 @@ def _concat(M: SMat, M2: SMat) -> SMat:
     if M.rows != M2.rows:
         raise BadParameters("ambient dimensions differ")
     return SMat(M.cfg, M.slope, [M.a[i] + M2.a[i] for i in range(M.rows)], M.ram)
-
-
-def module_sum(M: SMat, M2: SMat, loc: str, prec) -> SMat:
-    """Generators of the sum: pivot columns of the echelon of (M M2)."""
-    C = _concat(M, M2)
-    ech = echelon_pi(C, prec) if loc == "pi" else hnf_u(C, prec)
-    return SMat.from_columns(M.cfg, M.slope, M.rows, [ech.T.col(j) for j in range(ech.rank)], M.ram)
 
 
 def module_intersect(M: SMat, M2: SMat, loc: str, prec) -> SMat:

@@ -3,8 +3,10 @@
 A maximal module is pinned down by the pair (M_pi, M_u) of its
 localizations in Hermite Normal Form; the pair is in the image of the
 correspondence exactly when both components generate the same vector space
-over the common fraction-type field E.  Intersections and maximal sums act
-componentwise; saturation touches only the u component; conversions to and
+over the common fraction-type field E.  At full rank each triangular
+component spans E^d by its shape; below it B is its own u-side echelon.
+Intersections and maximal sums act componentwise (a sum with one Hermite
+form per side); saturation touches only the u component; conversions to and
 from the (M, L) form go through determinant scalings and the matrix
 reduction.
 """
@@ -18,13 +20,13 @@ from .errors import BadParameters, NotFullRank, NotInImage
 from .localized import (
     Echelon,
     SMat,
+    _concat,
     _substitute,
     _u_coordinates,
     _u_window,
     hnf_pi,
     hnf_u,
     module_intersect,
-    module_sum,
     mu_monomial,
     saturation_u,
     u_divide,
@@ -118,28 +120,32 @@ def _e_membership(vec, M: SMat, ech, prec) -> bool:
 
 def verify_image_condition(P: LocalPair, prec) -> bool:
     """Both components generate the same E-vector space: rank equality plus
-    cross membership of every generator."""
+    cross membership of every generator.  B, a stored u-side Hermite form,
+    is its own echelon, so only A is echeloned (``psi_inverse`` needs
+    neither at full rank, see ``_check_triangular``)."""
     if P.A.cols != P.B.cols:
         return False
-    for X, Y in ((P.A, P.B), (P.B, P.A)):
-        if X.cols:
-            ech = hnf_u(Y, prec)  # one echelon per component, not per column
-            if not all(_e_membership(X.col(j), Y, ech, prec) for j in range(X.cols)):
-                return False
-    return True
+
+    def spans(X, Y, ech):
+        return all(_e_membership(X.col(j), Y, ech, prec) for j in range(X.cols))
+
+    return spans(P.A, P.B, Echelon(P.B, [], P.b_rows, P.b_vals)) and spans(P.B, P.A, hnf_u(P.A, prec))
 
 
 def psi_inverse(P: LocalPair, prec):
     """Generators over the slope ring of the unique preimage A cap B.
 
-    Full-rank pairs go through the determinant recipe directly; lower rank
-    is reduced to the full-rank case in the coordinates of the pi basis.
+    Full-rank pairs go through the determinant recipe directly, with no
+    membership test (``_check_triangular``); lower rank is reduced to the
+    full-rank case in the coordinates of the pi basis.
     """
-    if not verify_image_condition(P, prec):
-        raise NotInImage("the two components span different E-subspaces")
+    if P.A.cols != P.B.cols:
+        raise NotInImage("the two components have different ranks")
     if P.rank == P.dim:
         ml = pair_to_ml(P, prec)
         return ml.expand_generators(), ml
+    if not verify_image_condition(P, prec):
+        raise NotInImage("the two components span different E-subspaces")
     # coordinates w.r.t. the pi-side basis: solve A * Y = B over E
     hi_window = _u_window([e for M in (P.A, P.B) for r in M.a for e in r], prec, P.slope)
 
@@ -147,19 +153,13 @@ def psi_inverse(P: LocalPair, prec):
         return _e_divide(e, P.A.a[P.a_rows[i]][i], prec, hi_window) if e.has_certain_digit() else None
 
     Y_cols = [_substitute(P.B.col(j), P.A, enumerate(P.a_rows), divide)[0] for j in range(P.B.cols)]
-    ml_c = pair_to_ml(_coordinate_pair(P, Y_cols, prec), prec)
+    r = P.rank
+    ep = Echelon(SMat.identity(P.cfg, P.slope, r, P.ram), [], list(range(r)))
+    eu = hnf_u(SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram), prec)
+    ml_c = pair_to_ml(_pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram), prec)
     # map coordinate generators back through the basis
     M = P.A.matmul(ml_c.expand_generators())
     return M, max_module(M, prec)
-
-
-def _coordinate_pair(P: LocalPair, Y_cols, prec) -> LocalPair:
-    r = P.rank
-    ident = SMat.identity(P.cfg, P.slope, r, P.ram)
-    ep = Echelon(ident, [], list(range(r)))
-    Y = SMat.from_columns(P.cfg, P.slope, r, Y_cols, P.ram)
-    eu = hnf_u(Y, prec)
-    return _pair_from_hnfs(P.cfg, P.slope, r, ep, eu, P.ram)
 
 
 def pair_intersect(P: LocalPair, Q: LocalPair, prec) -> LocalPair:
@@ -169,8 +169,9 @@ def pair_intersect(P: LocalPair, Q: LocalPair, prec) -> LocalPair:
 
 
 def pair_max_sum(P: LocalPair, Q: LocalPair, prec) -> LocalPair:
-    """Componentwise sum: the pair of the maximal sum."""
-    return _componentwise(module_sum, P, Q, prec)
+    """Componentwise sum, the pair of the maximal sum: one Hermite form of
+    each concatenated side, whose first ``rank`` columns span the sum."""
+    return _componentwise(lambda M, M2, loc, prec: _concat(M, M2), P, Q, prec)
 
 
 def _componentwise(op, P: LocalPair, Q: LocalPair, prec) -> LocalPair:
@@ -187,24 +188,19 @@ def saturate(P: LocalPair, prec) -> LocalPair:
     component becomes the saturation of its span, E-span cap O^d (the
     identity for full rank)."""
     if P.rank == P.dim:
-        B = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
-        return LocalPair(
-            P.cfg, P.slope, P.dim, P.A, B, P.a_rows,
-            list(range(P.dim)), [Fraction(0)] * P.dim, P.ram,
-        )
-    eu = hnf_u(saturation_u(P.B, prec), prec)
-    return _pair_from_hnfs(
-        P.cfg, P.slope, P.dim,
-        Echelon(P.A, [], P.a_rows), eu, P.ram,
-    )
+        ident = SMat.identity(P.cfg, P.slope, P.dim, P.ram)
+        eu = Echelon(ident, [], list(range(P.dim)), [Fraction(0)] * P.dim)
+    else:
+        eu = hnf_u(saturation_u(P.B, prec), prec)
+    return _pair_from_hnfs(P.cfg, P.slope, P.dim, Echelon(P.A, [], P.a_rows), eu, P.ram)
 
 
 def pair_to_ml(P: LocalPair, prec) -> MLModule:
     """The (M, L) representation of a full-rank pair: scale each side by the
     opposite determinant, concatenate, reduce.
 
-    At full rank both Hermite forms are lower-triangular with a pivot on
-    every row, so det A is the product of A's diagonal and
+    At full rank both Hermite forms are lower-triangular with a certain
+    pivot on every row, so det A is the product of A's diagonal and
     v(det B) = sum(b_vals); a pair of any other shape is rejected."""
     if P.rank != P.dim:
         raise NotFullRank("pair_to_ml needs a full-rank pair")
@@ -241,10 +237,10 @@ def pair_to_ml(P: LocalPair, prec) -> MLModule:
 
 
 def _check_triangular(P: LocalPair):
-    """Both components square lower-triangular Hermite forms with the pivot
-    of column i on row i (the shape of a full-rank pair).  A is exact above
-    its diagonal; hnf_u may leave a digit-free O-term there in B (zero at
-    the working level), so only a certain digit rejects B."""
+    """Both components square lower-triangular with a certain pivot digit in
+    column i on row i: a full-rank pair, each component spanning E^d.  A is
+    exact above its diagonal; hnf_u may leave a digit-free O-term there in B
+    (zero at the working level), so only a certain digit rejects B."""
     n = P.dim
     if P.a_rows != list(range(n)) or P.b_rows != list(range(n)):
         raise BadParameters("full-rank pair without a pivot on every row")
@@ -253,3 +249,5 @@ def _check_triangular(P: LocalPair):
             nonzero(M.a[i][j]) for i in range(n) for j in range(i + 1, n)
         ):
             raise BadParameters("full-rank pair component is not lower-triangular")
+        if not all(M.a[i][i].has_certain_digit() for i in range(n)):
+            raise BadParameters("full-rank pair component has a pivot with no certain digit")

@@ -7,8 +7,9 @@ from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize, sum_products
 from slomod.contfrac import Slope, cf_expand
 from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionExhausted, SlopeMismatch
-from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index
+from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index, hnf_u
 from slomod.maxmod import MLModule
+from slomod.pairrep import _e_membership
 from slomod.precision import PrecisionLattice, _frac
 from slomod.series import SnuSeries, _ceil, _newton_refine, euclid_div_full
 
@@ -424,6 +425,20 @@ def smith_saturation(M, n_level):
                 D.a[k][c] = SnuSeries.zero(D.cfg, D.slope, D.ram)
         k += 1
     return SMat.from_columns(M.cfg, M.slope, M.rows, [U_inv.col(j) for j in range(k)], M.ram)
+
+
+def verify_image_condition_hnf(P, prec) -> bool:
+    """``pairrep.verify_image_condition`` with a fresh u-side Hermite form
+    of each component, B's included, instead of the echelon the pair
+    states for B: rank equality plus cross membership of every generator."""
+    if P.A.cols != P.B.cols:
+        return False
+    for X, Y in ((P.A, P.B), (P.B, P.A)):
+        if X.cols:
+            ech = hnf_u(Y, prec)
+            if not all(_e_membership(X.col(j), Y, ech, prec) for j in range(X.cols)):
+                return False
+    return True
 
 
 def geometric_u_invert_unit(w, n_level, hi_window):

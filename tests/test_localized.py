@@ -12,6 +12,7 @@ from slomod.contfrac import Slope
 from slomod.errors import BadParameters, OutOfRange, PrecisionExhausted
 from slomod.localized import (
     SMat,
+    _concat,
     hnf_pi,
     hnf_u,
     kernel_pi,
@@ -19,7 +20,6 @@ from slomod.localized import (
     member_pi,
     member_u,
     module_intersect,
-    module_sum,
     mu_monomial,
     saturation_u,
 )
@@ -225,7 +225,7 @@ def test_echelon_pi_low_valuation_pivot(cfg):
 
 
 def test_echelon_pi_builds_p_on_first_read():
-    # callers that read only T (psi, module_sum, the CLI hnf) never replay
+    # callers that read only T (psi, pair_max_sum, the CLI hnf) never replay
     # the column operations; member_pi and kernel_pi read P and still work
     rng = random.Random(7)
     for cfg in (Z5, F2):
@@ -615,17 +615,18 @@ def test_hnf_u_ramified_valuation():
 
 
 def test_module_sum_unit_absorption():
-    # u and pi over the pi-localization: pi is a unit, sum is everything
+    # u and pi over the pi-localization: pi is a unit, sum is everything;
+    # the first rank columns of the Hermite form of (A B) span the sum
     A = SMat(Z5, NU0, [[poly(Z5, NU0, [(1, 1)])]])
     B = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 5)])]])
-    S = module_sum(A, B, "pi", 8)
-    assert S.cols == 1
-    assert S.a[0][0] == SnuSeries.one(Z5, NU0)
+    S = hnf_pi(_concat(A, B), 8)
+    assert S.rank == 1
+    assert S.T.a[0][0] == SnuSeries.one(Z5, NU0)
 
 
 def test_module_sum_idempotent():
     A = SMat(Z5, NU0, [[poly(Z5, NU0, [(1, 1), (0, 5)])], [poly(Z5, NU0, [(0, 1)])]])
-    S1 = hnf_pi(module_sum(A, A, "pi", 8), 8)
+    S1 = hnf_pi(_concat(A, A), 8)
     S2 = hnf_pi(A, 8)
     for i in range(2):
         for j in range(S2.rank):

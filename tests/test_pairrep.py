@@ -5,9 +5,9 @@ import pytest
 
 from slomod import pairrep
 from slomod.contfrac import Slope
-from slomod.errors import AlgebraError, BadParameters, NotFullRank, PrecisionExhausted
+from slomod.errors import AlgebraError, BadParameters, NotFullRank, NotInImage, PrecisionExhausted
 from slomod.localized import Echelon, SMat, hnf_u, saturation_u
-from slomod.maxmod import MLModule, max_sum_ml, qis_closure_member
+from slomod.maxmod import MLModule, max_module, max_sum_ml, qis_closure_member
 from slomod.pairrep import (
     LocalPair,
     pair_intersect,
@@ -20,7 +20,18 @@ from slomod.pairrep import (
 )
 from slomod.series import SnuSeries
 
-from helpers import F2, NU0, Z3, Z5, det_cofactor, mono, poly, random_exact_poly, smith_saturation
+from helpers import (
+    F2,
+    NU0,
+    Z3,
+    Z5,
+    det_cofactor,
+    mono,
+    poly,
+    random_exact_poly,
+    smith_saturation,
+    verify_image_condition_hnf,
+)
 
 
 def random_maximal_ml(rng, slope, d, upper=True):
@@ -77,6 +88,9 @@ def test_image_condition_negative():
     B = SMat(Z5, NU0, [[one], [z]])
     P = LocalPair(Z5, NU0, 2, A, B, [0, 1], [0], [Fraction(0)])
     assert not verify_image_condition(P, 8)
+    # psi_inverse's full-rank path tests no membership, but still the ranks
+    with pytest.raises(NotInImage):
+        psi_inverse(P, 8)
 
 
 def test_psi_inverse_simple():
@@ -133,6 +147,49 @@ def test_two_sum_paths_agree():
             via_ml = psi(max_sum_ml(A, B, 12), 12)
             via_pair = pair_max_sum(psi(A, 12), psi(B, 12), 12)
             assert via_ml.equal(via_pair)
+    # psi of random exact matrices: either route may fail on a
+    # finite-precision Hermite form (ROADMAP item 20), so only the inputs
+    # where both succeed are compared
+    agreed = 0
+    for cfg in (Z5, Z3, F2):
+        for slope in (NU0, Slope(1, 2), Slope(2, 3)):
+            for d in (2, 3):
+                rng = random.Random(f"{cfg!r}/{slope}/{d}/sum")
+                for _ in range(3):
+                    A, B = (_random_matrix(rng, cfg, slope, d) for _ in range(2))
+                    via_ml = _outcome(lambda: psi(max_sum_ml(max_module(A, 8), max_module(B, 8), 8), 8))
+                    via_pair = _outcome(lambda: pair_max_sum(psi(A, 8), psi(B, 8), 8))
+                    if not (isinstance(via_ml, type) or isinstance(via_pair, type)):
+                        assert via_ml.equal(via_pair) and via_pair.equal(via_ml)
+                        agreed += 1
+    assert agreed >= 20
+
+
+def test_pair_max_sum_takes_one_hermite_form_per_side(monkeypatch):
+    # Z3 at slope 1/2: psi(A) holds working-precision entries that a second
+    # Hermite pass over the echelon columns of (A B) refused
+    h = Slope(1, 2)
+    two_2u = poly(Z3, h, [(0, 2), (1, 2)])
+    A = SMat.from_columns(Z3, h, 3, [[mono(Z3, h, 1, 0, 2), poly(Z3, h, [(0, 2), (1, 1)]), two_2u]])
+    B = SMat.from_columns(Z3, h, 3, [[mono(Z3, h, 2, -1), poly(Z3, h, [(1, 1)]), two_2u]])
+    P, Q = psi(A, 8), psi(B, 8)
+    calls = []
+
+    def counting(name):
+        real = getattr(pairrep, name)
+
+        def run(M, *args):
+            calls.append(name)
+            return real(M, *args)
+
+        return run
+
+    for name in ("hnf_pi", "hnf_u"):
+        monkeypatch.setattr(pairrep, name, counting(name))
+    S = pair_max_sum(P, Q, 8)
+    assert calls == ["hnf_pi", "hnf_u"]
+    monkeypatch.undo()
+    assert S.equal(psi(max_sum_ml(max_module(A, 8), max_module(B, 8), 8), 8))
 
 
 def test_intersection_is_maximal():
@@ -189,6 +246,12 @@ def _outcome(fn, *args):
         return fn(*args)
     except AlgebraError as e:
         return type(e)
+
+
+def _random_matrix(rng, cfg, slope, d):
+    """A d x k exact matrix, k from 1 to d + 1, of digits of degree <= 1."""
+    k = rng.randrange(1, d + 2)
+    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, 1, 1) for _ in range(k)] for _ in range(d)])
 
 
 # two draws of degree <= 1 per cell: wider draws run into the u side's digit
@@ -332,35 +395,89 @@ def test_psi_inverse_rank_zero(slope):
 
 
 def test_verify_image_condition_one_hnf_per_component(monkeypatch):
-    # a 3x3 psi_inverse echelons each component once, not once per column
+    # a full-rank psi_inverse echelons neither component and tests no
+    # membership: both triangular forms span E^d by their shape; below full
+    # rank B is its own echelon, so only A is echeloned, once and not once
+    # per column
     slope = Slope(1, 2)
     z = SnuSeries.zero(Z5, slope)
     one = SnuSeries.one(Z5, slope)
     u = poly(Z5, slope, [(1, 1)])
     pu = poly(Z5, slope, [(0, 5), (1, 1)])
     opu = poly(Z5, slope, [(0, 1), (1, 1)])
-    P = psi(SMat.from_columns(Z5, slope, 3, [[one, z, z], [opu, u, z], [z, opu, pu]]), 12)
-    assert P.rank == P.dim == 3
-    expected = pair_to_ml(P, 12).expand_generators()
-    # the per-column membership tests with a fresh echelon each time
-    assert all(
-        pairrep._e_membership(X.col(j), Y, pairrep.hnf_u(Y, 12), 12)
-        for X, Y in ((P.A, P.B), (P.B, P.A))
-        for j in range(X.cols)
-    )
-    calls = []
-    real = pairrep.hnf_u
+    for cols, rank, want in (
+        ([[one, z, z], [opu, u, z], [z, opu, pu]], 3, []),
+        ([[one, pu, z], [z, u, opu], [u, u * pu, z]], 2, ["A"]),
+    ):
+        P = psi(SMat.from_columns(Z5, slope, 3, cols), 12)
+        assert P.rank == rank and P.dim == 3
+        if rank == 3:
+            expected = pair_to_ml(P, 12).expand_generators()
+        # the per-column membership tests with a fresh echelon each time
+        assert all(
+            pairrep._e_membership(X.col(j), Y, pairrep.hnf_u(Y, 12), 12)
+            for X, Y in ((P.A, P.B), (P.B, P.A))
+            for j in range(X.cols)
+        )
+        calls, tests = [], []
+        real_hnf_u, real_membership = pairrep.hnf_u, pairrep._e_membership
 
-    def counting(M, *args, **kwargs):
-        if M is P.A or M is P.B:
-            calls.append(M)
-        return real(M, *args, **kwargs)
+        def counting(M, *args, **kwargs):
+            if M is P.A or M is P.B:
+                calls.append("A" if M is P.A else "B")
+            return real_hnf_u(M, *args, **kwargs)
 
-    monkeypatch.setattr(pairrep, "hnf_u", counting)
-    gens, ml = psi_inverse(P, 12)
-    assert len(calls) == 2
-    assert gens.rows == expected.rows and gens.cols == expected.cols
-    assert all(
-        gens.a[i][j] == expected.a[i][j] for i in range(gens.rows) for j in range(gens.cols)
-    )
-    assert psi(ml, 12).equal(P)
+        def membership(*args):
+            tests.append(args)
+            return real_membership(*args)
+
+        monkeypatch.setattr(pairrep, "hnf_u", counting)
+        monkeypatch.setattr(pairrep, "_e_membership", membership)
+        gens, ml = psi_inverse(P, 12)
+        monkeypatch.undo()
+        assert calls == want
+        assert len(tests) == (0 if rank == 3 else 2 * rank)
+        if rank == 3:
+            assert gens.rows == expected.rows and gens.cols == expected.cols
+            assert all(
+                gens.a[i][j] == expected.a[i][j] for i in range(gens.rows) for j in range(gens.cols)
+            )
+        assert psi(ml, 12).equal(P)
+
+
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2)], ids=str)
+def test_full_rank_pivot_without_a_certain_digit_is_bad_parameters(slope):
+    # a full-rank-shaped pair whose pivot is an exact zero or an O-term
+    # (below and above the working level) spans no E^d: the shape check
+    # refuses it, in either component
+    z = SnuSeries.zero(Z5, slope)
+    one = SnuSeries.one(Z5, slope)
+    ident = SMat(Z5, slope, [[one, z], [z, one]])
+    for pivot in (z, SnuSeries(Z5, slope, {}, 30, Fraction(3)), SnuSeries(Z5, slope, {}, 30, Fraction(15))):
+        bad = SMat(Z5, slope, [[one, z], [z, pivot]])
+        for A, B in ((bad, ident), (ident, bad)):
+            P = LocalPair(Z5, slope, 2, A, B, [0, 1], [0, 1], [Fraction(0)] * 2)
+            for fn in (psi_inverse, pair_to_ml):
+                with pytest.raises(BadParameters, match="certain digit"):
+                    fn(P, 10)
+
+
+@pytest.mark.parametrize("cfg", [Z5, Z3, F2], ids=["Z5", "Z3", "GF2"])
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2), Slope(2, 3)], ids=str)
+def test_verify_image_condition_matches_the_two_hnf_oracle(cfg, slope):
+    # psi pairs, and mixed pairs (A of one input, B of another of the same
+    # rank): the same answer, or the same error class, as echeloning B anew
+    n = 8
+    compared = 0
+    for d in (2, 3):
+        rng = random.Random(f"{cfg!r}/{slope}/{d}/image")
+        pairs = [P for P in (_outcome(psi, _random_matrix(rng, cfg, slope, d), n) for _ in range(5))
+                 if not isinstance(P, type)]
+        mixed = [
+            LocalPair(cfg, slope, d, P.A, Q.B, P.a_rows, Q.b_rows, Q.b_vals)
+            for P in pairs for Q in pairs if P is not Q and P.A.cols == Q.B.cols
+        ]
+        for X in pairs + mixed:
+            assert _outcome(verify_image_condition, X, n) == _outcome(verify_image_condition_hnf, X, n)
+            compared += 1
+    assert compared >= 10
