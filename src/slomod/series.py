@@ -31,10 +31,11 @@ operations specific to the non-localized ring assert non-negative support.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 
-from .coeffs import INF, CoeffElem, _isinf, series_product, sum_products
+from .coeffs import INF, CoeffElem, _isinf, _zp_digit, series_product, sum_products
 from .contfrac import Slope
 from .errors import (
     BadParameters,
@@ -796,6 +797,141 @@ def poly_divmod(y: SnuSeries, x: SnuSeries):
             SnuSeries(cfg, slope, {lo + i: c for i, c in enumerate(r)}, ram=ram))
 
 
+def _zp_int_row(s: SnuSeries, lo):
+    """(A, alpha): the ram-1 Z_p polynomial s times alpha, the lcm of its
+    digits' denominators, as an int list from u^lo to its top."""
+    p = s.cfg.p
+    ratios = []
+    for i, c in s.coeffs.items():
+        n, d = c.unit[0].as_integer_ratio()
+        if c.num_val >= 0:
+            n *= p**c.num_val
+        else:
+            d *= p**-c.num_val
+        ratios.append((i - lo, n, d))
+    alpha = math.lcm(*(d for _, _, d in ratios))
+    out = [0] * (s.max_deg() - lo + 1)
+    for i, n, d in ratios:
+        out[i] = n * (alpha // d)
+    return out, alpha
+
+
+def _zp_ratio_series(cfg, slope, nums, f, den, base=0):
+    """The series sum_i nums[i]*f/den * u^(base + i) over Z_p at ram 1, each
+    digit normalised from its (numerator, denominator) pair by
+    ``_zp_digit`` as ``CoeffElem.from_exact`` does: p leaves den once for
+    the whole series, and the digit strips p from its numerator."""
+    p, val = cfg.p, 0
+    if den < 0:
+        den, f = -den, -f
+    while den % p == 0:
+        den //= p
+        val -= 1
+    digits = {base + i: _zp_digit(cfg, 1, (c * f,), den, val, INF) for i, c in enumerate(nums) if c}
+    return SnuSeries(cfg, slope, digits)
+
+
+def _zp_bezout(a: SnuSeries, b: SnuSeries, lo, sign):
+    """(g, k, l, m, n) of ``gcd_extended`` for exact Z_p polynomials a, b at
+    ram 1, with k*n - l*m = sign, by the primitive remainder sequence on
+    ints.
+
+    With A = alpha*a and B = beta*b integral, each row (r, s, t) keeps
+    r = s*A + t*B in ints.  A division step r0 <- (c1/h)*r0 - (c0/h)*u^e*r1,
+    c0 the top digit of r0, c1 that of r1 and h their gcd, is mirrored on
+    the cofactors, and after each remainder the three rows are divided by
+    their common content.  Over Q(u) the remainders are those of the field
+    loop up to scalars, as are their cofactor rows, so normalising g to be
+    monic and (m, n) by the determinant gives the same five results.  The
+    determinant s0*t1 - t0*s1 of the cofactor rows is an int constant, so it
+    is the product of their constant terms."""
+    cfg, slope = a.cfg, a.slope
+    A, alpha = _zp_int_row(a, lo)
+    B, beta = _zp_int_row(b, lo)
+    r0, s0, t0 = A, [1], []
+    r1, s1, t1 = B, [], [1]
+    while r1:
+        top = len(r1) - 1
+        c1 = r1[top]
+        for e in range(len(r0) - 1 - top, -1, -1):
+            c0 = r0[e + top]
+            if not c0:
+                continue
+            h = math.gcd(c0, c1)
+            f0, f1 = c1 // h, c0 // h
+            # the top digit of r0 cancels and is not computed
+            if f0 != 1:
+                r0[:e + top] = [v * f0 for v in r0[:e + top]]
+            for j in range(top):
+                if r1[j]:
+                    r0[e + j] -= f1 * r1[j]
+            for acc, by in ((s0, s1), (t0, t1)):
+                if f0 != 1:
+                    acc[:] = [v * f0 for v in acc]
+                if len(acc) < e + len(by):
+                    acc.extend([0] * (e + len(by) - len(acc)))
+                for j, v in enumerate(by):
+                    if v:
+                        acc[e + j] -= f1 * v
+        del r0[top:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        h = math.gcd(*r0, *s0, *t0)
+        if h > 1:
+            r0, s0, t0 = ([v // h for v in row] for row in (r0, s0, t0))
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, r0, s0, t0
+    lead = r0[-1]
+    det = (s0[0] if s0 else 0) * (t1[0] if t1 else 0) - (t0[0] if t0 else 0) * (s1[0] if s1 else 0)
+    f = sign * lead
+    return (_zp_ratio_series(cfg, slope, r0, 1, lead, lo),
+            _zp_ratio_series(cfg, slope, s0, alpha, lead),
+            _zp_ratio_series(cfg, slope, t0, beta, lead),
+            _zp_ratio_series(cfg, slope, s1, f, beta * det),
+            _zp_ratio_series(cfg, slope, t1, f, alpha * det))
+
+
+def _dense_bezout(a: SnuSeries, b: SnuSeries, lo, ram, sign):
+    """(g, k, l, m, n) of ``gcd_extended`` for exact polynomials a, b at the
+    common ram, with k*n - l*m = sign: one ``_divmod_dense`` per Euclidean
+    step with the two cofactor rows mirrored, on ``RatFunc`` digits at ram
+    1 and on exact ``CoeffElem``s at ram > 1."""
+    cfg, slope = a.cfg, a.slope
+    if ram == 1:
+        zero, one, is_zero, inv = cfg.exa_zero(), cfg.exa_one(), cfg.exa_is_zero, cfg.exa_inv
+        submul = _exact_submul
+
+        def exact(c):
+            return cfg.exa_shift_pi(c.unit[0], c.num_val)
+
+        def elem(e):
+            return CoeffElem.from_exact(cfg, e)
+    else:
+        zero, one = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram)
+        is_zero, inv, submul = CoeffElem.is_exact_zero, CoeffElem.inv, _coeff_submul
+        exact = elem = partial(CoeffElem.with_ram, ram=ram)
+
+    # rows: (r, s, t) with r = s*a + t*b; each step swaps the rows of
+    # [[s0, t0], [s1, t1]], so its determinant is (-1)^steps
+    r0, s0, t0 = _dense(a, lo, zero, exact), [one], []
+    r1, s1, t1 = _dense(b, lo, zero, exact), [], [one]
+    steps = 0
+    while r1:
+        rem = _divmod_dense(r0, r1, zero, is_zero, inv, submul, rows=((s0, s1), (t0, t1)))[1]
+        r0, s0, t0, r1, s1, t1 = r1, s1, t1, rem, s0, t0
+        steps += 1
+    lead = r0[-1]
+    c = inv(lead)
+    # k*t1 - l*s1 = (-1)^steps * c: scaling (s1, t1) by +-lead makes the
+    # determinant exactly sign
+    fix = -lead if (steps % 2) != (sign < 0) else lead
+
+    def as_series(cs, f, base=0):
+        digits = {base + i: elem(e * f) for i, e in enumerate(cs) if not is_zero(e)}
+        return SnuSeries(cfg, slope, digits, ram=ram)
+
+    return as_series(r0, c, lo), as_series(s0, c), as_series(t0, c), as_series(s1, fix), as_series(t1, fix)
+
+
 def gcd_extended(x: SnuSeries, y: SnuSeries):
     """Extended gcd over the pi-localization for exactly-known polynomials.
 
@@ -804,14 +940,20 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     operands are rejected: the Euclidean algorithm is not stable, so no
     approximate gcd is offered.
 
-    Each Euclidean step is one ``_divmod_dense`` with the two cofactor rows
-    mirrored, on dense lists of exact elements: the backend's (``Fraction``
-    on Z_p, ``RatFunc`` on GF(q)) at ram 1, exact ``CoeffElem``s of the
-    common ram otherwise.  Quotients have no negative exponent, so
-    remainders are lists from the lowest exponent of either operand (the
-    CLI passes Laurent input) and cofactors lists from u^0; only the five
-    results become series.  Exact elements are canonical, so the digits are
-    those of the loop on series.
+    One Euclidean loop per digit type.  Z_p digits at ram 1 run on int
+    rows (``_zp_bezout``, Collins' primitive remainder sequence): a loop on
+    ``Fraction`` digits re-normalises a rational at every product, and in
+    the pi-side clearing of larger matrices the digits reach hundreds of
+    bits, where those gcds take most of the time.  The other digits have no
+    int form to clear into: ``RatFunc``s (GF(q) at ram 1) and exact
+    ``CoeffElem``s of the common ram (ram > 1) take one ``_divmod_dense``
+    per step on dense lists (``_dense_bezout``).  Quotients have no
+    negative exponent, so remainders are lists from the lowest exponent of
+    either operand (the CLI passes Laurent input) and cofactors lists from
+    u^0; only the five results become series.  Exact elements are
+    canonical and the remainder sequence over K(u) is unique up to scalars,
+    which the normalisation fixes, so both loops give the digits of the
+    loop on series.
     """
     x._check_compat(y)
     if not (x.is_exact() and y.is_exact()):
@@ -837,44 +979,12 @@ def gcd_extended(x: SnuSeries, y: SnuSeries):
     if key(b) < key(a):
         a, b = b, a
         swapped = True
-    if ram == 1:
-        zero, one, is_zero, inv = cfg.exa_zero(), cfg.exa_one(), cfg.exa_is_zero, cfg.exa_inv
-        submul = _exact_submul
-
-        def exact(c):
-            return cfg.exa_shift_pi(c.unit[0], c.num_val)
-
-        def elem(e):
-            return CoeffElem.from_exact(cfg, e)
-    else:
-        zero, one = CoeffElem.exact_zero(cfg, ram), CoeffElem.from_int(cfg, 1, ram=ram)
-        is_zero, inv, submul = CoeffElem.is_exact_zero, CoeffElem.inv, _coeff_submul
-        exact = elem = partial(CoeffElem.with_ram, ram=ram)
-
     lo = min(x.min_exp(), y.min_exp())
-    # rows: (r, s, t) with r = s*x0 + t*y0 in the (a, b) frame; each step
-    # swaps the rows of [[s0, t0], [s1, t1]], so its determinant is
-    # (-1)^steps
-    r0, s0, t0 = _dense(a, lo, zero, exact), [one], []
-    r1, s1, t1 = _dense(b, lo, zero, exact), [], [one]
-    steps = 0
-    while r1:
-        rem = _divmod_dense(r0, r1, zero, is_zero, inv, submul, rows=((s0, s1), (t0, t1)))[1]
-        r0, s0, t0, r1, s1, t1 = r1, s1, t1, rem, s0, t0
-        steps += 1
-    lead = r0[-1]
-    c = inv(lead)
-    # k*t1 - l*s1 = (-1)^steps * c, and swapping back to the (x, y) frame
-    # flips its sign once more: scaling (s1, t1) by the inverse makes the
-    # determinant exactly 1
-    fix = -lead if (steps + swapped) % 2 else lead
-
-    def as_series(cs, f, base=0):
-        digits = {base + i: elem(e * f) for i, e in enumerate(cs) if not is_zero(e)}
-        return SnuSeries(cfg, slope, digits, ram=ram)
-
-    g, k, l = as_series(r0, c, lo), as_series(s0, c), as_series(t0, c)
-    m, n = as_series(s1, fix), as_series(t1, fix)
+    sign = -1 if swapped else 1
+    if ram == 1 and cfg.kind == "zp":
+        g, k, l, m, n = _zp_bezout(a, b, lo, sign)
+    else:
+        g, k, l, m, n = _dense_bezout(a, b, lo, ram, sign)
     if swapped:
         return g, l, k, n, m
     return g, k, l, m, n

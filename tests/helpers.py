@@ -1,6 +1,7 @@
 """Shared builders and independent brute-force oracles for the test suite."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from slomod import gfq
@@ -69,6 +70,14 @@ def random_exact_poly(rng, cfg, slope, max_deg=3, max_pi=3):
             coeffs[i] = CoeffElem.from_int(cfg, c).scale_pi(v)
         if coeffs:
             return SnuSeries(cfg, slope, coeffs)
+
+
+def square_draw(cfg, slope, size):
+    """ROADMAP item 13's square input of one size: ``Random(5)``, entries of
+    ``random_exact_poly`` with ``max_deg=1`` and ``max_pi=1``, row by row."""
+    rng = random.Random(5)
+    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1) for _ in range(size)]
+                             for _ in range(size)])
 
 
 def random_unit(rng, cfg, slope, max_deg=4):

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from slomod.cli import main, parse_session, run_command
+from slomod.contfrac import Slope
 from slomod.errors import ParseError
+from slomod.maxmod import max_module, scalar_extend
 
 MINIMAL = """\
 ring zp p=5 prec=20
@@ -126,6 +128,40 @@ def test_main_divmod_takes_a_fractional_prec(tmp_path, capsys):
     for level in ("0", "-1/2"):
         assert main(["divmod", str(f), "y", "x", f"--prec={level}"]) == 1
         assert capsys.readouterr().err == f"ParseError: --prec {level} is not above 0\n"
+
+
+EXTEND = """\
+ring zp p=5 prec=12
+slope 1/3
+matrix M 2 2
+25 ! ; 5*u^3 !
+u ! ; 1 + u^2 !
+"""
+
+
+@pytest.mark.parametrize("target", ["1/3", "1/2", "2/3", "1/1"])
+def test_main_extend_prints_the_scalar_extension_of_the_maximal_module(tmp_path, capsys, target):
+    f = tmp_path / "s.txt"
+    f.write_text(EXTEND)
+    assert main(["extend", str(f), "M", "--to", target]) == 0
+    nu2 = Slope(*map(int, target.split("/")))
+    ml = scalar_extend(max_module(parse_session(EXTEND).matrix("M"), 12), nu2)
+    assert ml.slope == nu2
+    lines = [f"M = {ml.as_matrix()!r}", f"L = {ml.L}"]
+    lines += [f"schedule[{j}] = " + " ".join(f"({f},{d},{n})" for f, d, n in sched.sequences)
+              for j, sched in enumerate(ml.schedules())]
+    out = capsys.readouterr().out
+    assert out == "\n".join(lines) + "\n"
+    assert out.startswith("M = [pi^2, pi*u^3; u, 1 + u^2]\nL = [0, 0]\n")
+
+
+def test_main_extend_below_the_session_slope_is_slope_order(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text(EXTEND)
+    assert main(["extend", str(f), "M", "--to", "1/5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "SlopeOrder: target slope 1/5 below 1/3\n"
 
 
 def test_sum_and_eq_reports():

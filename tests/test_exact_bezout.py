@@ -1,12 +1,15 @@
 """The exact Bezout clearing of the pi side.  ``series.gcd_extended`` runs
-its Euclidean loop on dense coefficient lists; every output is checked
-against the loop on series it replaced (``helpers.gcd_extended_series``).
+its Euclidean loop on int rows (Z_p digits at ram 1) or on dense lists of
+exact digits (the rest); every output is checked against the loop on series
+(``helpers.gcd_extended_series``), and so is the Hermite form it clears.
 ``localized._echelon`` computes no entry of T that a step overwrites; T is
 checked against M.P on every row, on both sides."""
 
 import random
 import sys
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,18 @@ from slomod.contfrac import Slope
 from slomod.localized import SMat, echelon_pi, hnf_pi, hnf_u, kernel_pi
 from slomod.series import SnuSeries, _ceil, gcd_extended
 
-from helpers import F2, NU0, Z3, Z5, _unit_range, gcd_extended_series, mats_agree, poly, random_exact_poly
+from helpers import (
+    F2,
+    NU0,
+    Z3,
+    Z5,
+    _unit_range,
+    gcd_extended_series,
+    mats_agree,
+    poly,
+    random_exact_poly,
+    square_draw,
+)
 
 PROPERTY = settings(
     max_examples=480,
@@ -64,14 +78,56 @@ def gcd_cases(draw):
     return x, y
 
 
-@given(gcd_cases())
-@PROPERTY
+WIDTHS = [(bn, bd) for bn in (1, 64, 300) for bd in (1, 64, 300)]
+
+
+@st.composite
+def wide_zp_operand(draw, cfg, slope, lo, hi):
+    """An exact ram-1 Z_p polynomial from u^lo to u^hi whose digits are units
+    n/d, numerator and denominator of 1, 64 or 300 bits each, times p^j, j
+    at most 3 above the least the slope allows."""
+    coeffs = {}
+    for i in range(lo, hi + 1):
+        if i == hi or draw(st.booleans()):
+            n, d = (draw(st.integers(2**b >> 1, 2**b)) for b in draw(st.sampled_from(WIDTHS)))
+            assume(n % cfg.p and d % cfg.p)
+            c = CoeffElem.from_exact(cfg, Fraction(draw(st.sampled_from([1, -1])) * n, d))
+            coeffs[i] = c.scale_w(_ceil(-slope.nu * i) + draw(st.integers(0, 3)))
+    return SnuSeries(cfg, slope, coeffs)
+
+
+@st.composite
+def wide_zp_cases(draw):
+    """(x, y) over Z3 or Z5 at ram 1, the integer rows of gcd_extended:
+    degrees up to 8, Laurent operands from u^-2, digits of hundreds of bits,
+    and half of the pairs times a common factor of degree 1 to 3, so that
+    the gcd has positive degree."""
+    cfg = draw(st.sampled_from([Z3, Z5]))
+    slope = draw(st.sampled_from([NU0, HALF, Slope(2, 3)]))
+
+    def operand():
+        lo = draw(st.integers(-2, 0))
+        return draw(wide_zp_operand(cfg, slope, lo, lo + draw(st.sampled_from(range(9)))))
+
+    x, y = operand(), operand()
+    if draw(st.booleans()):
+        f = draw(wide_zp_operand(cfg, slope, 0, draw(st.sampled_from([1, 2, 3]))))
+        x, y = x * f, y * f
+    return x, y
+
+
+@given(st.one_of(gcd_cases(), wide_zp_cases()))
+@settings(PROPERTY, max_examples=960)
 def test_gcd_extended_equals_the_loop_on_series(case):
     x, y = case
     for a, b in ((x, y), (y, x)):  # both orders, so the keys swap
         got, want = gcd_extended(a, b), gcd_extended_series(a, b)
         assert got == want, (a, b, got, want)
         assert [s.ram for s in got] == [s.ram for s in want]
+        g, k, l, m, n = got
+        assert k * a + l * b == g
+        assert (m * a + n * b).is_exact_zero()
+        assert k * n - l * m == SnuSeries.one(a.cfg, a.slope, g.ram)
 
 
 def test_gcd_extended_of_laurent_operands():
@@ -95,6 +151,30 @@ def test_gcd_extended_of_mixed_ram_operands_is_at_the_common_ram():
     assert g == y.with_ram(2)
     assert k * x + l * y == g
     assert (m * x + n * y).is_exact_zero()
+
+
+@pytest.mark.parametrize("cfg", [Z3, Z5], ids=["Z3", "Z5"])
+@pytest.mark.parametrize("slope", [NU0, HALF], ids=str)
+def test_hnf_pi_of_square_draws_equals_the_clearing_by_the_series_loop(cfg, slope, monkeypatch):
+    # the Bezout digits of these inputs grow to hundreds of bits with the
+    # size; the Hermite form is the same, entry for entry, with every
+    # clearing step run by the loop on series
+    oracle_calls = []
+
+    def oracle(x, y):
+        oracle_calls.append(x)
+        return gcd_extended_series(x, y)
+
+    for size in range(2, 9):
+        M = square_draw(cfg, slope, size)
+        got = hnf_pi(M, 8)
+        monkeypatch.setattr(localized, "gcd_extended", oracle)
+        want = hnf_pi(M, 8)
+        monkeypatch.undo()
+        assert got.pivot_rows == want.pivot_rows, size
+        assert got.T.a == want.T.a, size
+        assert got.P.a == want.P.a, size
+    assert oracle_calls
 
 
 def _random_matrices(cfg, slope, seed, count=8):

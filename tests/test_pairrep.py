@@ -397,8 +397,8 @@ def test_psi_inverse_rank_zero(slope):
 def test_verify_image_condition_one_hnf_per_component(monkeypatch):
     # a full-rank psi_inverse echelons neither component and tests no
     # membership: both triangular forms span E^d by their shape; below full
-    # rank B is its own echelon, so only A is echeloned, once and not once
-    # per column
+    # rank B is its own echelon and A's E-independent columns are tested in
+    # it, one membership test per column and no echelon of either component
     slope = Slope(1, 2)
     z = SnuSeries.zero(Z5, slope)
     one = SnuSeries.one(Z5, slope)
@@ -407,7 +407,7 @@ def test_verify_image_condition_one_hnf_per_component(monkeypatch):
     opu = poly(Z5, slope, [(0, 1), (1, 1)])
     for cols, rank, want in (
         ([[one, z, z], [opu, u, z], [z, opu, pu]], 3, []),
-        ([[one, pu, z], [z, u, opu], [u, u * pu, z]], 2, ["A"]),
+        ([[one, pu, z], [z, u, opu], [u, u * pu, z]], 2, []),
     ):
         P = psi(SMat.from_columns(Z5, slope, 3, cols), 12)
         assert P.rank == rank and P.dim == 3
@@ -436,7 +436,7 @@ def test_verify_image_condition_one_hnf_per_component(monkeypatch):
         gens, ml = psi_inverse(P, 12)
         monkeypatch.undo()
         assert calls == want
-        assert len(tests) == (0 if rank == 3 else 2 * rank)
+        assert len(tests) == (0 if rank == 3 else rank)
         if rank == 3:
             assert gens.rows == expected.rows and gens.cols == expected.cols
             assert all(
@@ -481,3 +481,57 @@ def test_verify_image_condition_matches_the_two_hnf_oracle(cfg, slope):
             assert _outcome(verify_image_condition, X, n) == _outcome(verify_image_condition_hnf, X, n)
             compared += 1
     assert compared >= 10
+
+
+# psi of exact matrices whose pair fails its own image condition (the u
+# side leaves certain digits above the level in B's third row)
+IMAGE_CONDITION_FALSE = [
+    (F2, [[[(1, 1)], [(0, 1), (1, 1)]], [[(1, 1)], [(1, 1)]], [[(1, 1)], [(1, 1)]]]),
+    (Z3, [[[(1, 2)], [(0, 1), (1, 2)]], [[(1, 2)], [(1, 2)]], [[(0, 2), (1, 1)], [(0, 2), (1, 1)]]]),
+]
+
+
+@pytest.mark.parametrize("cfg", [Z5, Z3, F2], ids=["Z5", "Z3", "GF2"])
+@pytest.mark.parametrize("slope", [NU0, Slope(1, 2), Slope(2, 3)], ids=str)
+def test_one_membership_direction_matches_the_two_direction_oracle_below_full_rank(cfg, slope, monkeypatch):
+    # lower-rank psi and mixed pairs, where the membership test decides:
+    # testing A in B alone gives the oracle's answer or error class, and
+    # echelons no component
+    n = 8
+    pairs = []
+    for d in (2, 3):
+        rng = random.Random(f"{cfg!r}/{slope}/{d}/lower-rank")
+        drawn = [P for P in (_outcome(psi, _random_matrix(rng, cfg, slope, d), n) for _ in range(8))
+                 if not isinstance(P, type) and 0 < P.rank < d]
+        pairs += drawn + [
+            LocalPair(cfg, slope, d, P.A, Q.B, P.a_rows, Q.b_rows, Q.b_vals)
+            for P in drawn for Q in drawn if P is not Q and P.A.cols == Q.B.cols
+        ]
+    if slope == Slope(2, 3):
+        pairs += [psi(SMat(c, slope, [[poly(c, slope, t) for t in r] for r in rows]), n)
+                  for c, rows in IMAGE_CONDITION_FALSE if c is cfg]
+    echeloned = []
+
+    def counting(M, *args, **kwargs):
+        echeloned.append(M)
+        return hnf_u(M, *args, **kwargs)
+
+    outcomes = []
+    for P in pairs:
+        monkeypatch.setattr(pairrep, "hnf_u", counting)
+        got = _outcome(verify_image_condition, P, n)
+        monkeypatch.undo()
+        assert got == _outcome(verify_image_condition_hnf, P, n), P
+        outcomes.append(got)
+    assert echeloned == []
+    assert len(pairs) >= 4 and True in outcomes
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+@pytest.mark.parametrize("cfg, rows", IMAGE_CONDITION_FALSE, ids=["GF2", "Z3"])
+def test_image_condition_false_on_psi_of_a_rank_two_matrix(cfg, rows, n):
+    slope = Slope(2, 3)
+    P = psi(SMat(cfg, slope, [[poly(cfg, slope, t) for t in r] for r in rows]), n)
+    assert P.rank == 2 and P.dim == 3
+    assert verify_image_condition(P, n) is False
+    assert verify_image_condition_hnf(P, n) is False
