@@ -843,8 +843,8 @@ def _zp_bezout(a: SnuSeries, b: SnuSeries, lo, sign):
     their common content.  Over Q(u) the remainders are those of the field
     loop up to scalars, as are their cofactor rows, so normalising g to be
     monic and (m, n) by the determinant gives the same five results.  The
-    determinant s0*t1 - t0*s1 of the cofactor rows is an int constant, so it
-    is the product of their constant terms."""
+    determinant s0*t1 - t0*s1 of the cofactor rows is an int constant (each
+    step scales it), so it is read off their constant terms."""
     cfg, slope = a.cfg, a.slope
     A, alpha = _zp_int_row(a, lo)
     B, beta = _zp_int_row(b, lo)
