@@ -9,8 +9,6 @@ A session file declares the ring, the slope and named blocks::
     25 ; 5*u^3
     series f
     1 - u !
-    vector v
-    5 ; u
 
 Series literals are polynomials ``c*u^k + ...`` with integer coefficients
 (zp backend) or polynomials in t (fq backend, parenthesized inside
@@ -234,7 +232,7 @@ def parse_session(text: str) -> SessionFile:
             if len(words) < 2:
                 raise ParseError("slope needs beta/alpha", lineno)
             slope = _slope(words[1], lineno)
-        elif head in ("matrix", "vector", "series"):
+        elif head in ("matrix", "series"):
             if cfg is None or slope is None:
                 raise ParseError("header (ring, slope) must precede blocks", lineno)
             if len(words) < (4 if head == "matrix" else 2):
@@ -260,13 +258,6 @@ def parse_session(text: str) -> SessionFile:
                         )
                     entries.append([parse_series_literal(cfg, slope, c, prec, i) for c in cells])
                 blocks[name] = ("matrix", SMat(cfg, slope, entries), tag)
-            elif head == "vector":
-                cells = body_line(head, lineno).split(";")
-                blocks[name] = (
-                    "vector",
-                    [parse_series_literal(cfg, slope, c, prec, i) for c in cells],
-                    tag,
-                )
             else:
                 body = body_line(head, lineno)
                 blocks[name] = ("series", parse_series_literal(cfg, slope, body, prec, i), tag)

@@ -48,6 +48,7 @@ from .series import (
     _ceil,
     _floor,
     _newton_refine,
+    _pi_shift_divide,
     divide_by_unit,
     euclid_div_full,
     gcd_extended,
@@ -426,14 +427,10 @@ def _lifting_budget(gain, e) -> int:
 def _scale_col_by_unit_inverse(M: SMat, col, w: SnuSeries, prec, rows=None):
     """Column *= w^{-1} for w of Weierstrass degree 0 (any valuation), on
     ``rows`` (all when None)."""
-    vw = w.certified_valuation()
     for i in range(M.rows) if rows is None else rows:
         e = M.a[i][col]
-        if e.is_exact_zero():
-            continue
-        shift = max(0, _ceil(vw - e.lower_bound()))
-        q = divide_by_unit(e.scale_pi(shift), w, u_prec=_col_cap(e, w, prec))
-        M.a[i][col] = q.scale_pi(-shift)
+        if not e.is_exact_zero():
+            M.a[i][col] = _pi_shift_divide(divide_by_unit, e, w, _col_cap(e, w, prec))
 
 
 def _col_cap(e: SnuSeries, w: SnuSeries, prec):
@@ -453,13 +450,9 @@ def _reduce_mod_monic(e: SnuSeries, t: SnuSeries, prec):
     e may be a series: split off the polynomial part of degree >= deg t via
     Euclidean division by the monic t."""
     if e.is_polynomial():
-        q, _ = poly_divmod(e, t)
-        return None if q.is_exact_zero() else q
-    vt, _ = t.certified_val_deg()
-    lb = e.lower_bound()
-    shift = max(0, _ceil(vt - lb))
-    res = euclid_div_full(e.scale_pi(shift), t, prec)
-    q = res.q.scale_pi(-shift)
+        q = poly_divmod(e, t)[0]
+    else:
+        q = _pi_shift_divide(euclid_div_full, e, t, prec).q
     return None if q.is_exact_zero() else q
 
 
@@ -521,13 +514,10 @@ def member_pi(vec, M: SMat, prec):
     def divide(i, e):
         if not e.has_certain_digit():
             return None
-        t = ech.pivots[i]
-        vt, _ = t.certified_val_deg()
-        shift = max(0, _ceil(vt - e.lower_bound()))
-        res = euclid_div_full(e.scale_pi(shift), t, prec)
+        res = _pi_shift_divide(euclid_div_full, e, ech.pivots[i], prec)
         if res.r.has_certain_digit():
             return _NOT_IN_SPAN  # certain nonzero remainder: not divisible
-        return res.q.scale_pi(-shift)
+        return res.q
 
     solved = _substitute(vec, ech.T, enumerate(ech.pivot_rows), divide)
     if solved is None or any(e.has_certain_digit() for e in solved[1]):

@@ -9,12 +9,17 @@ vt_j = v_nu(r_j) - L[j]/alpha.
 
 Bookkeeping reconciliation (the printed sources mix signs): the division
 eligibility test compares the scaled valuations  vt_j  (minus sign, as in
-the vector-addition variant of the algorithm); the enlargement step picks
-the unique maximal-degree entry j0 (which then has strictly minimal vt),
-moves the integer part of  delta = min_{j != j0} vt_j - vt_j0  into the
-matrices (column j0 of M divided by pi^floor(delta), row j0 of R multiplied
-by it) and the fractional remainder into L[j0] (an integer number of
-w-units), so L stays integral and M.R = 0 is preserved verbatim.
+the vector-addition variant of the algorithm).  Relation reduction here and
+vector addition (``precise_sum``) share one Euclidean step: a column
+reader, a division step and one rescale, which moves pi^d from column j of
+M onto row j of the coefficient matrix and adds alpha*d to L[j], so M.R and
+every generator keep their values.  Before a division by a j0 of larger
+plain valuation, relation reduction rescales the dividend's row j1 and
+vector addition the divisor's row j0.  The enlargement step picks the
+unique maximal-degree entry j0 (which then has strictly minimal vt) and
+divides its generator by pi^delta, delta = min_{j != j0} vt_j - vt_j0: it
+rescales by floor(delta) and L[j0] drops by alpha*delta (whole w-units),
+so L stays integral and M.R = 0 is preserved verbatim.
 """
 
 from __future__ import annotations
@@ -138,14 +143,9 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None):
     free_rows = set(range(k))
     for t in range(R.cols):
         while True:
-            data = {}
-            for j in sorted(free_rows):
-                d = _entry_data(R.a[j][t])
-                if d is not None:
-                    data[j] = d
+            data, vt = _column_data(R, t, sorted(free_rows), L, alpha)
             if len(data) <= 1:
                 break
-            vt = {j: data[j][0] - Fraction(L[j], alpha) for j in data}
             pair = _pick_pair(data, vt)
             if pair is None:
                 # enlargement: unique max-degree entry has minimal scaled
@@ -161,30 +161,16 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None):
                         f"enlargement shift alpha*(delta - floor(delta)) = {shift} "
                         "is not a whole number of w-units"
                     )
-                frac_w = int(shift)
                 if d_int:
-                    for c in range(M.rows):
-                        M.a[c][j0] = M.a[c][j0].scale_pi(-d_int)
-                    for c in range(R.cols):
-                        R.a[j0][c] = R.a[j0][c].scale_pi(d_int)
-                L[j0] -= frac_w
+                    _rescale(M, R, L, j0, d_int, alpha)
+                L[j0] -= int(alpha * delta)  # the generator over pi^delta
                 snapshot()
             else:
                 j0, j1 = pair
-                v0, v1 = data[j0][0], data[j1][0]
-                if v0 > v1:
-                    d0 = _ceil(v0 - v1)
-                    for c in range(R.cols):
-                        R.a[j1][c] = R.a[j1][c].scale_pi(d0)
-                    for c in range(M.rows):
-                        M.a[c][j1] = M.a[c][j1].scale_pi(-d0)
-                    L[j1] += alpha * d0
-                res = euclid_div_full(R.a[j1][t], R.a[j0][t], prec)
-                q = res.q
-                M.addmul_col(j0, j1, q)
-                for c in range(R.cols):
-                    R.a[j1][c] = R.a[j1][c].addmul(-1, q, R.a[j0][c])
-                R.a[j1][t] = res.r  # the division's own remainder, structurally
+                if data[j0][0] > data[j1][0]:
+                    # raise the dividend's row to the divisor's valuation
+                    _rescale(M, R, L, j1, _ceil(data[j0][0] - data[j1][0]), alpha)
+                _division_step(M, R, t, j0, j1, euclid_div_full(R.a[j1][t], R.a[j0][t], prec))
                 snapshot()
             steps += 1
             if steps > budget:
@@ -203,6 +189,35 @@ def matrix_reduction(M: SMat, R: SMat, prec, L=None, trace=None):
             free_rows.discard(jstar)
             snapshot()
     return M, R, L
+
+
+def _column_data(C: SMat, t, rows, L, alpha):
+    """The reader of coefficient column t: data[j] = (v, deg) of each
+    nonzero entry C[j][t], j in ``rows``, and its scaled valuation
+    vt[j] = v - L[j]/alpha."""
+    data = {j: d for j in rows if (d := _entry_data(C.a[j][t])) is not None}
+    return data, {j: data[j][0] - Fraction(L[j], alpha) for j in data}
+
+
+def _rescale(M: SMat, C: SMat, L, j, d, alpha):
+    """Move pi^d from column j of M onto row j of the coefficient matrix C
+    and add alpha*d to L[j]: M.C and the generator w^L[j] C_j(M) keep their
+    values."""
+    for c in range(C.cols):
+        C.a[j][c] = C.a[j][c].scale_pi(d)
+    for r in range(M.rows):
+        M.a[r][j] = M.a[r][j].scale_pi(-d)
+    L[j] += alpha * d
+
+
+def _division_step(M: SMat, C: SMat, t, j0, j1, res):
+    """Apply ``res``, the division of C[j1][t] by C[j0][t] with quotient q:
+    row j1 of C becomes row j1 - q * row j0, with the division's own
+    remainder at column t, and C_j0(M) += q C_j1(M) mirrors it, so M.C keeps
+    its value."""
+    M.addmul_col(j0, j1, res.q)
+    for c in range(C.cols):
+        C.a[j1][c] = res.r if c == t else C.a[j1][c].addmul(-1, res.q, C.a[j0][c])
 
 
 def _pick_pair(data, vt):

@@ -32,7 +32,7 @@ from .localized import (
     u_divide,
 )
 from .maxmod import MLModule, _pi_denominator, _reduce_to_ml, _u_denominator, max_module
-from .series import SnuSeries, _ceil
+from .series import SnuSeries, _ceil, _pi_shift_divide
 
 
 class LocalPair:
@@ -101,14 +101,6 @@ def psi(m, prec) -> LocalPair:
     return _pair_from_hnfs(m.cfg, m.slope, m.dim, ep, eu, m.ram)
 
 
-def _e_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
-    """a / b in the field E: pi-rescale until the DVR division applies."""
-    vb = b.certified_valuation()
-    lb = a.lower_bound()
-    s = max(0, _ceil(vb - lb))
-    return u_divide(a.scale_pi(s), b, n_level, hi_window).scale_pi(-s)
-
-
 def _e_membership(vec, M: SMat, ech, prec) -> bool:
     """Is vec in the E-span of the columns of M (u-side echelon ``ech``)?
     Tested over the DVR after clearing a pi power bounded by the total
@@ -149,8 +141,10 @@ def psi_inverse(P: LocalPair, prec):
     # coordinates w.r.t. the pi-side basis: solve A * Y = B over E
     hi_window = _u_window([e for M in (P.A, P.B) for r in M.a for e in r], prec, P.slope)
 
-    def divide(i, e):
-        return _e_divide(e, P.A.a[P.a_rows[i]][i], prec, hi_window) if e.has_certain_digit() else None
+    def divide(i, e):  # e / pivot in the field E: the DVR division of a pi-rescaled e
+        if not e.has_certain_digit():
+            return None
+        return _pi_shift_divide(u_divide, e, P.A.a[P.a_rows[i]][i], prec, hi_window)
 
     Y_cols = [_substitute(P.B.col(j), P.A, enumerate(P.a_rows), divide)[0] for j in range(P.B.cols)]
     r = P.rank

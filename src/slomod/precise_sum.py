@@ -23,9 +23,17 @@ from .errors import (
     PrecisionExhausted,
 )
 from .localized import _NOT_IN_SPAN, SMat, _substitute, member_pi
-from .maxmod import MLModule, _assemble_ml, _entry_data, _pick_pair, _reslope
+from .maxmod import (
+    MLModule,
+    _assemble_ml,
+    _column_data,
+    _division_step,
+    _pick_pair,
+    _rescale,
+    _reslope,
+)
 from .precision import PrecisionLattice, reduce_series
-from .series import SnuSeries, _ceil, divide_by_unit, euclid_div_full
+from .series import SnuSeries, _ceil, _pi_shift_divide, divide_by_unit, euclid_div_full
 
 
 class GapCertificate:
@@ -49,10 +57,11 @@ class GapCertificate:
 def add_vector(M: SMat, lambdas, prec, p_u, L):
     """Generators of (span of M) +_max t for t = sum lambda_i C_i(M).
 
-    The lambda_i are polynomials with possibly negative valuation; Euclidean
-    reductions consolidate them (mirrored on the columns of M) and each
-    rebalance divides one generator by a w power, certified by the relation
-    itself.  Terminates when every scaled coefficient
+    The lambda_i, held as a one-column coefficient matrix, are polynomials
+    with possibly negative valuation; the Euclidean steps of ``maxmod``
+    consolidate them (mirrored on the columns of M) and each enlargement
+    divides one generator by a w power, certified by the relation itself.
+    Terminates when every scaled coefficient
     v_nu(lambda_j) - L[j]/alpha is >= 0, i.e. t lies in the scaled span.
     Returns the raw (M, L) pair (L integers of any sign).
     """
@@ -60,7 +69,6 @@ def add_vector(M: SMat, lambdas, prec, p_u, L):
     h = M.cols
     if len(lambdas) != h:
         raise BadParameters("one lambda per generator column")
-    lambdas = list(lambdas)
     for lam in lambdas:
         if not lam.is_polynomial():
             raise BadCoefficients("lambda coefficients must be polynomials")
@@ -68,37 +76,22 @@ def add_vector(M: SMat, lambdas, prec, p_u, L):
             raise BadCoefficients(f"lambda degree exceeds {p_u - 1}")
     M = M.copy()
     L = list(L)
-
-    def data():
-        out = {j: _entry_data(lam) for j, lam in enumerate(lambdas)}
-        return {j: d for j, d in out.items() if d is not None}
-
+    C = SMat.from_columns(M.cfg, M.slope, h, [lambdas], M.ram)  # t = M.C
     budget = _addition_budget(lambdas)
     exhausted = f"vector addition exceeded its budget 40*sum+60 = {budget} steps"
     steps = 0
     while True:
-        d = data()
-        vt = {j: d[j][0] - Fraction(L[j], alpha) for j in d}
+        d, vt = _column_data(C, 0, range(h), L, alpha)
         if all(v >= 0 for v in vt.values()):
             break
         # Euclidean consolidation
-        while True:
-            pair = _pick_pair(d, vt)
-            if pair is None:
-                break
+        while (pair := _pick_pair(d, vt)) is not None:
             j0, j1 = pair
-            v0, v1 = d[j0][0], d[j1][0]
-            if v0 > v1:
-                d0 = _ceil(v0 - v1)
-                lambdas[j0] = lambdas[j0].scale_pi(-d0)
-                for r in range(M.rows):
-                    M.a[r][j0] = M.a[r][j0].scale_pi(d0)
-                L[j0] -= alpha * d0
-            res = euclid_div_full(lambdas[j1], lambdas[j0], prec)
-            M.addmul_col(j0, j1, res.q)
-            lambdas[j1] = res.r
-            d = data()
-            vt = {j: d[j][0] - Fraction(L[j], alpha) for j in d}
+            if d[j0][0] > d[j1][0]:
+                # lower the divisor's lambda to the dividend's valuation
+                _rescale(M, C, L, j0, -_ceil(d[j0][0] - d[j1][0]), alpha)
+            _division_step(M, C, 0, j0, j1, euclid_div_full(C.a[j1][0], C.a[j0][0], prec))
+            d, vt = _column_data(C, 0, range(h), L, alpha)
             steps += 1
             if steps > budget:
                 raise NonTermination(exhausted)
@@ -213,14 +206,12 @@ def _solve_pi(M: SMat, t, prec):
                 e.u_prec, e.tail_bound, ram=e.ram,
             )
             return ee.shift_u(-b).scale_coeff(piv.coeffs[b].inv())
-        vp, dp = piv.certified_val_deg()
-        if dp != 0:
+        if piv.certified_val_deg()[1] != 0:
             raise PrecisionExhausted("diagonal pivot does not have degree zero")
-        s = max(0, _ceil(vp - e.lower_bound()))
         cap = e.u_prec
         if _isinf(cap):
             cap = (e.max_deg() or 0) + (piv.max_deg() or 0) + prec * M.slope.alpha + 8
-        return divide_by_unit(e.scale_pi(s), piv, u_prec=cap).scale_pi(-s)
+        return _pi_shift_divide(divide_by_unit, e, piv, cap)
 
     # back substitution from the last row up: a solved row is never read
     # again, and no residual is left to check

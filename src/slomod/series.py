@@ -601,6 +601,10 @@ class DivisionResult:
         self.r = r
         self.loops = loops
 
+    def scale_pi(self, j: int) -> "DivisionResult":
+        """The division of pi^j y: quotient and remainder times pi^j."""
+        return DivisionResult(self.q.scale_pi(j), self.r.scale_pi(j), self.loops)
+
 
 def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
     """Division y = q*x + r with deg r < deg_W(x), up to v_nu >= prec.
@@ -677,6 +681,16 @@ def euclid_div_full(y: SnuSeries, x: SnuSeries, prec) -> DivisionResult:
 def euclid_div(y: SnuSeries, x: SnuSeries, prec):
     res = euclid_div_full(y, x, prec)
     return res.q, res.r
+
+
+def _pi_shift_divide(divide, y: SnuSeries, x: SnuSeries, *args):
+    """``divide(y, x, *args)`` for a dividend of any level: y is raised by
+    the least pi^s, s = max(0, ceil(v_nu(x) - lower_bound(y))), that
+    certifies v_nu(pi^s y) >= v_nu(x), as ``divide_by_unit``,
+    ``euclid_div_full`` and ``localized.u_divide`` require, and the result
+    (a quotient, or a DivisionResult) is shifted back by pi^-s."""
+    s = max(0, _ceil(x.certified_valuation() - y.lower_bound()))
+    return divide(y.scale_pi(s), x, *args).scale_pi(-s)
 
 
 def weierstrass_prep(x: SnuSeries, prec):

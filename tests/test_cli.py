@@ -6,10 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from slomod.cli import main, parse_session, run_command
+from slomod.cli import main, parse_series_literal, parse_session, run_command
+from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
 from slomod.errors import ParseError
 from slomod.maxmod import max_module, scalar_extend
+from slomod.series import SnuSeries
+
+from helpers import NU0, Z5
 
 MINIMAL = """\
 ring zp p=5 prec=20
@@ -236,7 +240,7 @@ DIVMOD = "series y\nu^2 !\nseries x\nu - 5 !\n"
     "session, argv, message",
     [
         (HEAD + "series f\n", ["max", "A"], "line 3: unexpected end of series block"),
-        (HEAD + "vector v\n", ["max", "A"], "line 3: unexpected end of vector block"),
+        (HEAD + "vector v\n", ["max", "A"], "line 3: unknown directive 'vector'"),
         (HEAD + "matrix A\n1 !\n", ["max", "A"], "line 3: matrix block needs"),
         (HEAD + "matrix A 1 x\n1 !\n", ["max", "A"], "line 3: expected an integer"),
         ("ring zp p=5 prec=8\nslope 1\n", ["max", "A"], "line 2: expected num/den"),
@@ -330,3 +334,12 @@ def test_readme_cli_session(tmp_path, capsys):
         out, err = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
         assert out.splitlines() == expected, argv
         assert err == ""
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [("1 - u^2 !", {0: 1, 2: -1}), ("-u !", {1: -1}), ("3 - u^-1 !", {0: 3, -1: -1})],
+)
+def test_a_minus_sign_negates_the_u_term_after_it(text, terms):
+    want = SnuSeries(Z5, NU0, {i: CoeffElem.from_int(Z5, c) for i, c in terms.items()})
+    assert parse_series_literal(Z5, NU0, text, 8) == want

@@ -230,7 +230,12 @@ def test_pi_normalize_divides_no_entry_of_the_pivot_row(monkeypatch):
     real = localized.divide_by_unit
 
     def spy(z, x, u_prec):
-        if sys._getframe(1).f_code.co_name == "_scale_col_by_unit_inverse":
+        # the column scaling's divisions: its frame is on the stack, not
+        # necessarily the immediate caller (the pi-shift helper sits between)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_scale_col_by_unit_inverse":
+            frame = frame.f_back
+        if frame is not None:
             divided.append(z)
         return real(z, x, u_prec)
 

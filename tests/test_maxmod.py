@@ -97,6 +97,32 @@ def test_matrix_reduction_budget_error_names_its_rule(monkeypatch):
         matrix_reduction(M, relations_approx(M), prec=12)
 
 
+def test_matrix_reduction_computes_no_relation_entry_it_overwrites(monkeypatch):
+    # a division step sets R[j1][t] to the division's remainder, so of row
+    # j1 only the other R.cols - 1 entries take a product with the quotient
+    quotients, updates = [], []
+    real_div, real_addmul = maxmod.euclid_div_full, SnuSeries.addmul
+
+    def div(y, x, prec):
+        res = real_div(y, x, prec)
+        quotients.append(res.q)
+        updates.append(0)
+        return res
+
+    def addmul(self, sign, x, y):
+        if quotients and x is quotients[-1] and sign == -1:
+            updates[-1] += 1
+        return real_addmul(self, sign, x, y)
+
+    monkeypatch.setattr(maxmod, "euclid_div_full", div)
+    monkeypatch.setattr(SnuSeries, "addmul", addmul)
+    M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 25)]), poly(Z5, NU0, [(3, 5)]), poly(Z5, NU0, [(0, 1), (1, 5)])]])
+    R = relations_approx(M)
+    assert R.cols == 2
+    matrix_reduction(M, R, 12)
+    assert updates and all(n == R.cols - 1 for n in updates), updates
+
+
 def test_matrix_reduction_no_relations():
     M = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)])]])
     R = SMat.zeros(Z5, NU0, 1, 0)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from slomod import precise_sum
+from slomod.coeffs import CoeffElem
 from slomod.contfrac import Slope
 from slomod.errors import BadCoefficients, CertificateViolation, NonTermination
 from slomod.localized import SMat
@@ -167,3 +168,24 @@ def test_add_vector_rebalances_the_pi_power(monkeypatch):
     want = max_module(SMat.from_columns(Z5, NU0, 2, gens + [t]), 12)
     got = MLModule(Z5, NU0, 2, [[e.scale_pi(L1[j]) for e in M1.col(j)] for j in range(2)], [0, 0])
     assert psi(got, 12).equal(psi(want, 12))
+
+
+def test_solve_pi_leaves_the_coordinate_of_an_uncertain_residual_at_zero():
+    # an approximate triangular base: the last residual entry O(pi^7) has no
+    # certain digit, so its coordinate stays 0, and the first is 3
+    unknown = SnuSeries(Z5, NU0, {0: CoeffElem.from_int(Z5, 5**7).reduce_abs_w(6)})
+    assert not unknown.has_certain_digit() and not unknown.is_exact_zero()
+    one = poly(Z5, NU0, [(0, 1)], prec=6)
+    M = SMat(Z5, NU0, [[one, poly(Z5, NU0, [(1, 1)])], [SnuSeries.zero(Z5, NU0), poly(Z5, NU0, [(0, 2)])]])
+    X = precise_sum._solve_pi(M, [poly(Z5, NU0, [(0, 3)]), unknown], 10)
+    assert X[1].is_exact_zero()
+    assert X[0].certified_val_deg() == (0, 0) and X[0].digits_agree(poly(Z5, NU0, [(0, 3)]))
+
+
+def test_approx_sum_rejects_a_certain_digit_below_a_monomial_pivot():
+    # the base pivot u is the monomial c*u^b with b = 1; the generator 1 has
+    # its certain digit at u^0, so it is no pi-multiple of the pivot
+    M1 = SMat(Z5, NU0, [[poly(Z5, NU0, [(1, 1)])]])
+    M2 = SMat(Z5, NU0, [[poly(Z5, NU0, [(0, 1)])]])
+    with pytest.raises(CertificateViolation, match="pi-span of the base"):
+        approx_max_sum(M1, M2, GapCertificate(1, 6, 6), 10)
