@@ -427,10 +427,11 @@ def _lifting_budget(gain, e) -> int:
 def _scale_col_by_unit_inverse(M: SMat, col, w: SnuSeries, prec, rows=None):
     """Column *= w^{-1} for w of Weierstrass degree 0 (any valuation), on
     ``rows`` (all when None)."""
+    vw = w.certified_valuation()
     for i in range(M.rows) if rows is None else rows:
         e = M.a[i][col]
         if not e.is_exact_zero():
-            M.a[i][col] = _pi_shift_divide(divide_by_unit, e, w, _col_cap(e, w, prec))
+            M.a[i][col] = _pi_shift_divide(divide_by_unit, e, w, _col_cap(e, w, prec), vx=vw)
 
 
 def _col_cap(e: SnuSeries, w: SnuSeries, prec):
@@ -452,7 +453,7 @@ def _reduce_mod_monic(e: SnuSeries, t: SnuSeries, prec):
     if e.is_polynomial():
         q = poly_divmod(e, t)[0]
     else:
-        q = _pi_shift_divide(euclid_div_full, e, t, prec).q
+        q = _pi_shift_divide(lambda y, x: euclid_div_full(y, x, prec).q, e, t)
     return None if q.is_exact_zero() else q
 
 

@@ -683,13 +683,14 @@ def euclid_div(y: SnuSeries, x: SnuSeries, prec):
     return res.q, res.r
 
 
-def _pi_shift_divide(divide, y: SnuSeries, x: SnuSeries, *args):
+def _pi_shift_divide(divide, y: SnuSeries, x: SnuSeries, *args, vx=None):
     """``divide(y, x, *args)`` for a dividend of any level: y is raised by
     the least pi^s, s = max(0, ceil(v_nu(x) - lower_bound(y))), that
     certifies v_nu(pi^s y) >= v_nu(x), as ``divide_by_unit``,
     ``euclid_div_full`` and ``localized.u_divide`` require, and the result
-    (a quotient, or a DivisionResult) is shifted back by pi^-s."""
-    s = max(0, _ceil(x.certified_valuation() - y.lower_bound()))
+    (a quotient, or a DivisionResult) is shifted back by pi^-s.  ``vx``
+    is v_nu(x) when the caller already holds it."""
+    s = max(0, _ceil((x.certified_valuation() if vx is None else vx) - y.lower_bound()))
     return divide(y.scale_pi(s), x, *args).scale_pi(-s)
 
 

@@ -1,6 +1,6 @@
 """A seeded robustness survey of the library on inputs outside the benchmark pools.
 
-    python3 tools/survey.py [--draws N] [--cells TEXT]...
+    python3 tools/survey.py [--draws N]
 
 Each cell draws its inputs from one ``random.Random(11)`` and runs one
 library call per draw under a 15 s interval-timer deadline, as
@@ -9,14 +9,16 @@ each outcome (``ok``, the class of each ``AlgebraError``, ``late`` past the
 deadline, ``crash:<class>`` for any other exception) and a sha256 over the
 outcome of every draw, a report's full text included, so that two commits
 can be compared cell by cell.  ``--draws`` runs the first N draws of each
-cell (default 20); ``--cells`` keeps the cells whose name contains one of
-the given texts.
+cell (default 20).
 
 The cells:
 
-- ``max`` and ``sum`` on exact 2x2 and 3x3 input (``random_exact_poly``,
-  ``max_deg=1``, ``max_pi=1``, prec 8; Z5, Z3 and GF(2); slopes 0 and 1/2),
-  reported as the CLI commands of the same names report;
+- ``max`` on exact 2x3 and 3x4 input and ``sum`` on exact 2x2 and 3x3
+  input (``random_exact_poly``, ``max_deg=1``, ``max_pi=1``, prec 8; Z5, Z3
+  and GF(2); slopes 0 and 1/2), reported as the CLI commands of the same
+  names report; an n x (n+1) draw has a relation among its columns for
+  ``max_module``'s reduction to work on, where a square draw mostly has
+  none;
 - ``approx_max_sum`` on a 2x2 upper-triangular Z5 base A with unit
   diagonal and B = pi^-c A x with one or two columns (c = 1 and 2,
   p_u = p_pi = 6, slope 0): the generators of B have coordinates of
@@ -73,7 +75,7 @@ def _matrix(rng, cfg, slope, rows, cols):
 
 
 def _max(rng, cfg, slope, n):
-    M = _matrix(rng, cfg, slope, n, n)
+    M = _matrix(rng, cfg, slope, n, n + 1)
     return lambda: _fmt_ml(max_module(M, PREC))
 
 
@@ -122,11 +124,11 @@ def cells():
     """(name, draw) of every cell; ``draw(rng)`` builds one input, untimed,
     and returns the call to time."""
     out = []
-    for op, build in (("max", _max), ("sum", _sum)):
+    for op, build, extra in (("max", _max, 1), ("sum", _sum, 0)):
         for ring, cfg in RINGS.items():
             for slope in SLOPES:
                 for n in (2, 3):
-                    out.append((f"{op} {ring} {slope} {n}x{n}",
+                    out.append((f"{op} {ring} {slope} {n}x{n + extra}",
                                 lambda rng, b=build, cfg=cfg, s=slope, n=n: b(rng, cfg, s, n)))
     for c in (1, 2):
         for e in (1, 2):
@@ -159,11 +161,9 @@ def outcome(call) -> tuple[str, str]:
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
-def survey(draws, keep=()) -> dict:
+def survey(draws) -> dict:
     out = {}
     for name, draw in cells():
-        if keep and not any(k in name for k in keep):
-            continue
         rng = random.Random(11)
         counts, h = {}, hashlib.sha256()
         for _ in range(draws):
@@ -185,11 +185,10 @@ def _draws(text) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--draws", type=_draws, default=DRAWS, help="draws per cell (default 20)")
-    ap.add_argument("--cells", action="append", default=[], help="keep cells whose name contains this")
     args = ap.parse_args(argv)
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     try:
-        out = survey(args.draws, args.cells)
+        out = survey(args.draws)
     finally:
         signal.signal(signal.SIGALRM, previous)
     print(json.dumps({"prec": PREC, "draws": args.draws, "cells": out}))
