@@ -38,6 +38,7 @@ be certified; precision-safe module arithmetic lives in ``precise_sum``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .coeffs import CoeffElem, _isinf
@@ -124,6 +125,23 @@ class SMat:
         for i in range(self.rows) if rows is None else rows:
             self.a[i][j0] = self.a[i][j0].addmul(1, q, self.a[i][j1])
 
+    # the u side's twins of the two above take a memoized zero-argument
+    # factor and call it only if a row reads it (``_reading``)
+
+    def scale_col_by(self, j, factor, rows=None):
+        """C_j *= factor()."""
+        self.scale_col_series(j, *self._reading(j, factor, rows))
+
+    def addmul_col_by(self, j0, j1, factor, rows=None):
+        """C_j0 += factor() * C_j1."""
+        self.addmul_col(j0, j1, *self._reading(j1, factor, rows))
+
+    def _reading(self, j, factor, rows):
+        """(factor(), the rows of ``rows`` with no exact zero in column j);
+        (None, []) with no call when every product would be that zero."""
+        rows = [i for i in (range(self.rows) if rows is None else rows) if not self.a[i][j].is_exact_zero()]
+        return (factor() if rows else None), rows
+
     def transform_cols_2x2(self, j0, j1, k, l, m, n, rows=None):
         """(C_j0, C_j1) <- (k C_j0 + l C_j1, m C_j0 + n C_j1)."""
         for i in range(self.rows) if rows is None else rows:
@@ -169,7 +187,7 @@ class Echelon:
     column i is T's entry on row pivot_rows[i], and pivot_vals[i] is the
     key it was chosen by (on the u side, its valuation m_i/alpha).  P is
     built on first read, by replaying on the identity the column operations
-    recorded on T."""
+    recorded on T, with the u-side factors that T never read."""
 
     __slots__ = ("T", "_ops", "_P", "pivot_rows", "pivot_vals", "rank")
 
@@ -187,6 +205,8 @@ class Echelon:
 
     @property
     def P(self) -> SMat:
+        """T = M.P.  A factor that fails in the replay (PrecisionExhausted
+        from a unit inverse) fails every read of P, and no P is kept."""
         if self._P is None:
             P = SMat.identity(self.T.cfg, self.T.slope, self.T.cols, self.T.ram)
             for op, args in self._ops:
@@ -203,9 +223,9 @@ class Echelon:
         for op, args in self._ops:
             if op is SMat.swap_cols:
                 Q.swap_cols(*args)
-            elif op is SMat.addmul_col:
-                j0, j1, q = args
-                Q.addmul_col(j1, j0, -q)
+            elif op is SMat.addmul_col_by:
+                j0, j1, factor = args
+                Q.addmul_col(j1, j0, -factor())
             else:
                 raise BadParameters(f"inverse_transpose replays swaps and column additions only, "
                                     f"not {op.__name__}")
@@ -219,7 +239,10 @@ def _echelon(M: SMat, side, normalize=True, hnf=False) -> Echelon:
     cleared against it and it is made canonical; later rows touch only the
     columns right of it.  Every column operation goes through ``op``, which
     records it for P and applies it to T, on the rows that ``rows=`` names
-    when it is given.
+    when it is given.  A u-side factor is a memoized zero-argument function
+    that T calls only where a row reads it (``SMat.scale_col_by``); the
+    factor of a full-rank echelon's last pivot scales only exact zeros of
+    T, so only P's replay computes it.
 
     No entry of T is computed just to be overwritten.  On the pivot row the
     steps set what they already know: the cleared entries are zero; the
@@ -596,7 +619,8 @@ def _monomial_inverse(mu: SnuSeries) -> SnuSeries:
 def _u_divider(b: SnuSeries, n_level, hi_window):
     """The map a -> a / b in the u-localization (for v_nu(a) >= v_nu(b)).
     b = mu * w with mu the canonical monomial of its valuation and w a unit;
-    the Newton inverse of w is computed once, for every a the map divides.
+    the Newton inverse of w is computed at the map's first call, once for
+    every a it divides, so a map that is never called inverts nothing.
     When w is one exact digit c at u^0 (b is c*mu up to its u_prec), that
     inverse is the exact c^-1, so the map multiplies by c^-1 mu^-1 only."""
     m = _valuation_index(b.certified_valuation(), b.slope)
@@ -606,8 +630,8 @@ def _u_divider(b: SnuSeries, n_level, hi_window):
     if len(w.coeffs) == 1 and c is not None and c.is_exact():
         inv = mu_inv.scale_coeff(c.inv())
         return lambda a: (a * inv).truncate_u(hi_window)
-    w_inv = u_invert_unit(w, n_level, hi_window)
-    return lambda a: (a * mu_inv * w_inv).truncate_u(hi_window)
+    w_inv = cache(lambda: u_invert_unit(w, n_level, hi_window))
+    return lambda a: (a * mu_inv * w_inv()).truncate_u(hi_window)
 
 
 def u_divide(a: SnuSeries, b: SnuSeries, n_level, hi_window) -> SnuSeries:
@@ -643,17 +667,22 @@ class _USide:
         return _u_entry_val(e, self.n_level)
 
     def clear(self, op, T: SMat, row, col, rest):
-        # made only for a use: a pivot with nothing to clear and no
-        # normalization costs no unit inverse
-        self.divide = _u_divider(T.a[row][col], self.n_level, self.window) if rest else None
+        """C_j -= (T[row][j] / pivot) C_col for each j in ``rest``, each
+        quotient computed where a row of T or P reads it: one unit inverse
+        of the pivot for all, none when only an unread P reads them."""
+        self.divide = divide = _u_divider(T.a[row][col], self.n_level, self.window) if rest else None
         others = _other_rows(T, row)
         for j in rest:
-            op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]), rows=others)
+            op(SMat.addmul_col_by, j, col, cache(lambda a=T.a[row][j]: -divide(a)), rows=others)
 
     def normalize(self, op, T: SMat, row, col, v):
+        """Scale the pivot column by mu / pivot, so the pivot becomes mu.
+        The factor is computed where a row reads it; the last pivot of a
+        full-rank echelon has exact zeros above it, so its unit inverse is
+        left to P's replay."""
         mu = mu_monomial(T.cfg, T.slope, _valuation_index(v, T.slope), T.ram)
         divide = self.divide or _u_divider(T.a[row][col], self.n_level, self.window)
-        op(SMat.scale_col_series, col, divide(mu), rows=_other_rows(T, row))
+        op(SMat.scale_col_by, col, cache(lambda: divide(mu)), rows=_other_rows(T, row))
         T.a[row][col] = mu  # structurally exact after unit scaling
 
     def reduce(self, op, T: SMat, row, col, v):

@@ -8,7 +8,22 @@ from slomod import gfq
 from slomod.coeffs import INF, CoeffElem, FqConfig, ZpConfig, _align, _isinf, _normalize, sum_products
 from slomod.contfrac import Slope, cf_expand
 from slomod.errors import BadParameters, NotDistinguishedCertificate, PrecisionExhausted, SlopeMismatch
-from slomod.localized import SMat, _u_divider, _u_entry_val, _u_window, _valuation_index, hnf_u
+from slomod.localized import (
+    SMat,
+    _echelon,
+    _kernel,
+    _monomial_inverse,
+    _other_rows,
+    _u_coordinates,
+    _u_divider,
+    _u_entry_val,
+    _u_window,
+    _USide,
+    _valuation_index,
+    hnf_u,
+    mu_monomial,
+    u_invert_unit,
+)
 from slomod.maxmod import MLModule
 from slomod.pairrep import _e_membership
 from slomod.precision import PrecisionLattice, _frac
@@ -474,6 +489,67 @@ def geometric_u_invert_unit(w, n_level, hi_window):
     y = (acc * base).truncate_u(hi_window)
     budget = 2 * (_ceil(Fraction(n_level) * alpha).bit_length() + 3)
     return _newton_refine(w.truncate_u(hi_window), y, n_level, hi_window, budget)
+
+
+def eager_u_divider(b, n_level, hi_window):
+    """``localized._u_divider`` as it was before its unit inverse waited for
+    the first division: the Newton inverse is computed when the map is made."""
+    m = _valuation_index(b.certified_valuation(), b.slope)
+    mu_inv = _monomial_inverse(mu_monomial(b.cfg, b.slope, m, b.ram))
+    w = (b * mu_inv).truncate_u(hi_window)
+    c = w.coeffs.get(0)
+    if len(w.coeffs) == 1 and c is not None and c.is_exact():
+        inv = mu_inv.scale_coeff(c.inv())
+        return lambda a: (a * inv).truncate_u(hi_window)
+    w_inv = u_invert_unit(w, n_level, hi_window)
+    return lambda a: (a * mu_inv * w_inv).truncate_u(hi_window)
+
+
+class EagerUSide(_USide):
+    """``localized._USide`` with every column factor evaluated when its
+    operation is recorded and applied to every row but the pivot row, as
+    before a factor that no row of T reads was left to P's replay: the
+    value oracle of that deferral."""
+
+    def clear(self, op, T, row, col, rest):
+        self.divide = eager_u_divider(T.a[row][col], self.n_level, self.window) if rest else None
+        for j in rest:
+            op(SMat.addmul_col, j, col, -self.divide(T.a[row][j]), rows=_other_rows(T, row))
+
+    def normalize(self, op, T, row, col, v):
+        mu = mu_monomial(T.cfg, T.slope, _valuation_index(v, T.slope), T.ram)
+        divide = self.divide or eager_u_divider(T.a[row][col], self.n_level, self.window)
+        op(SMat.scale_col_series, col, divide(mu), rows=_other_rows(T, row))
+        T.a[row][col] = mu
+
+
+def eager_hnf_u(M, n_level, hnf=True):
+    return _echelon(M, EagerUSide(M, n_level), hnf=hnf)
+
+
+def eager_kernel_u(M, n_level):
+    return _kernel(M, eager_hnf_u(M, n_level, hnf=False), lambda e: _u_entry_val(e, n_level) is None)
+
+
+def eager_member_u(vec, M, n_level):
+    ech = eager_hnf_u(M, n_level)
+    y = _u_coordinates(vec, M, ech, n_level)
+    return None if y is None else ech.P.apply_to_vector(y)
+
+
+def eager_saturation_u(B, n_level):
+    """``localized.saturation_u`` on the eager echelon: (P^-1)^t replayed
+    from its swaps and column additions C_j0 += q C_j1 (C_j1 -= q C_j0)."""
+    Bt = SMat(B.cfg, B.slope, [list(r) for r in zip(*B.a)], B.ram)
+    ech = _echelon(Bt, EagerUSide(Bt, n_level), normalize=False)
+    Q = SMat.identity(B.cfg, B.slope, Bt.cols, B.ram)
+    for fn, args in ech._ops:
+        if fn is SMat.swap_cols:
+            Q.swap_cols(*args)
+        else:
+            j0, j1, q = args
+            Q.addmul_col(j1, j0, -q)
+    return SMat.from_columns(B.cfg, B.slope, B.rows, [Q.col(j) for j in range(ech.rank)], B.ram)
 
 
 def weierstrass_monic_exact(g, prec):

@@ -9,7 +9,7 @@ import pytest
 from slomod import localized, maxmod, pairrep, precise_sum, series
 from slomod.coeffs import INF, CoeffElem
 from slomod.contfrac import Slope
-from slomod.errors import BadParameters, OutOfRange, PrecisionExhausted
+from slomod.errors import AlgebraError, BadParameters, OutOfRange, PrecisionExhausted
 from slomod.localized import (
     SMat,
     _concat,
@@ -31,6 +31,10 @@ from helpers import (
     Z3,
     Z5,
     _unit_range,
+    eager_hnf_u,
+    eager_kernel_u,
+    eager_member_u,
+    eager_saturation_u,
     geometric_u_invert_unit,
     mats_agree,
     mono,
@@ -477,7 +481,9 @@ def test_inverse_transpose_of_a_normalized_echelon_is_refused():
 def test_one_unit_inverse_per_u_pivot(monkeypatch):
     # every entry a pivot clears, and the pivot's own normalisation, reuse
     # one Newton inversion of that pivot's unit part; a pivot with nothing
-    # to clear and no normalisation makes none
+    # to clear and no normalisation makes none, and the last pivot of a
+    # full-rank echelon, whose factor only P reads, makes its inversion on
+    # the first read of P
     calls = []
     real = localized.u_invert_unit
 
@@ -488,7 +494,12 @@ def test_one_unit_inverse_per_u_pivot(monkeypatch):
     monkeypatch.setattr(localized, "u_invert_unit", counting)
     u, one, pi = poly(Z5, HALF, [(1, 1)]), SnuSeries.one(Z5, HALF), poly(Z5, HALF, [(0, 5)])
     M = SMat(Z5, HALF, [[one + u, u, pi], [u, one, one + u], [pi, u, one + u * u]])
-    assert hnf_u(M, 6, hnf=False).rank == 3
+    ech = hnf_u(M, 6, hnf=False)
+    assert ech.rank == 3
+    assert len(calls) == 2
+    ech.P
+    assert len(calls) == 3
+    ech.P
     assert len(calls) == 3
     calls.clear()
     assert saturation_u(M, 6).cols == 3
@@ -496,6 +507,84 @@ def test_one_unit_inverse_per_u_pivot(monkeypatch):
     calls.clear()
     assert saturation_u(SMat(Z5, HALF, [[one + u], [SnuSeries.zero(Z5, HALF)]]), 6).cols == 1
     assert calls == []
+
+
+def _deferral_draw(rng, cfg, slope, size, exact, deficient):
+    """A size x size matrix of ``random_exact_poly`` entries, of rank below
+    size when ``deficient`` makes one row exact zeros ("row") or its last
+    column its first times an exact polynomial ("column"); unless ``exact``,
+    every digit of about half the entries has relative precision 3 or 5."""
+    rows = [[random_exact_poly(rng, cfg, slope, max_deg=2, max_pi=1) for _ in range(size)] for _ in range(size)]
+    if deficient == "row":
+        rows[rng.randrange(size)] = [SnuSeries.zero(cfg, slope)] * size
+    elif deficient == "column":
+        f = random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1)
+        for r in rows:
+            r[-1] = r[0] * f
+    if not exact:
+        rows = [[e.map_coeffs(lambda i, c, p=rng.choice([3, 5]): c.reduce_prec(p)) if rng.random() < 0.5 else e
+                 for e in r] for r in rows]
+    return SMat(cfg, slope, rows)
+
+
+def _outcome(fn):
+    """fn(), or the class of the AlgebraError it raised."""
+    try:
+        return fn()
+    except AlgebraError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("cfg", [Z5, Z3, F2], ids=["Z5", "Z3", "GF2"])
+@pytest.mark.parametrize("slope", [NU0, HALF, Slope(2, 3)], ids=str)
+def test_deferred_u_factors_give_the_eager_values(cfg, slope):
+    # a factor that only P reads is computed by P's replay: T, pivot_vals
+    # and P, and kernel_u, member_u and saturation_u, equal those of the
+    # echelon that computes every factor when it records it
+    rng, n = random.Random(31), 4
+    ok = 0
+    cells = itertools.product((2, 3, 4), (True, False), (None, "row", "column"))
+    for k, (size, exact, deficient) in enumerate(cells):
+        M = _deferral_draw(rng, cfg, slope, size, exact, deficient)
+        vec = [random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1) for _ in range(size)]
+        vec = vec if k % 2 else M.apply_to_vector(vec)  # a member every other draw
+
+        def forms(hnf):
+            return lambda: (lambda e: (e.T.a, e.pivot_vals, e.P.a))(hnf(M, n))
+
+        got = _outcome(forms(hnf_u))
+        assert got == _outcome(forms(eager_hnf_u)), (size, exact, deficient)
+        ok += not isinstance(got, type)
+        assert _outcome(lambda: kernel_u(M, n)) == _outcome(lambda: eager_kernel_u(M, n))
+        assert _outcome(lambda: member_u(vec, M, n)) == _outcome(lambda: eager_member_u(vec, M, n))
+        assert _outcome(lambda: saturation_u(M, n).a) == _outcome(lambda: eager_saturation_u(M, n).a)
+    assert ok >= 8
+
+
+def test_a_failing_deferred_factor_fails_every_read_of_p(monkeypatch):
+    # the last pivot's unit inverse, which only P reads, raises: hnf_u
+    # still returns T, and each read of P raises that error again rather
+    # than keep a P
+    u, one, pi = poly(Z5, HALF, [(1, 1)]), SnuSeries.one(Z5, HALF), poly(Z5, HALF, [(0, 5)])
+    M = SMat(Z5, HALF, [[one + u, u, pi], [u, one, one + u], [pi, u, one + u * u]])
+    want = hnf_u(M, 6, hnf=False)
+    calls, real = [], localized.u_invert_unit
+
+    def failing_third(*args):
+        calls.append(args)
+        if len(calls) >= 3:
+            raise PrecisionExhausted("the last pivot's unit")
+        return real(*args)
+
+    monkeypatch.setattr(localized, "u_invert_unit", failing_third)
+    ech = hnf_u(M, 6, hnf=False)
+    assert len(calls) == 2 and ech.T.a == want.T.a
+    for reads in (3, 4):
+        with pytest.raises(PrecisionExhausted, match="the last pivot's unit"):
+            ech.P
+        assert len(calls) == reads
+    monkeypatch.setattr(localized, "u_invert_unit", real)
+    assert ech.P.a == want.P.a
 
 
 def _level_unit(rng, cfg, ram, slope, exps, prec):
