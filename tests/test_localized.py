@@ -527,12 +527,17 @@ def _deferral_draw(rng, cfg, slope, size, exact, deficient):
     return SMat(cfg, slope, rows)
 
 
-def _outcome(fn):
-    """fn(), or the class of the AlgebraError it raised."""
+def _outcome(fn, *args):
+    """fn(*args), or the class of the AlgebraError it raised."""
     try:
-        return fn()
+        return fn(*args)
     except AlgebraError as e:
         return type(e)
+
+
+def _forms(hnf, M, n):
+    ech = hnf(M, n)
+    return ech.T.a, ech.pivot_vals, ech.P.a
 
 
 @pytest.mark.parametrize("cfg", [Z5, Z3, F2], ids=["Z5", "Z3", "GF2"])
@@ -548,15 +553,11 @@ def test_deferred_u_factors_give_the_eager_values(cfg, slope):
         M = _deferral_draw(rng, cfg, slope, size, exact, deficient)
         vec = [random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1) for _ in range(size)]
         vec = vec if k % 2 else M.apply_to_vector(vec)  # a member every other draw
-
-        def forms(hnf):
-            return lambda: (lambda e: (e.T.a, e.pivot_vals, e.P.a))(hnf(M, n))
-
-        got = _outcome(forms(hnf_u))
-        assert got == _outcome(forms(eager_hnf_u)), (size, exact, deficient)
+        got = _outcome(_forms, hnf_u, M, n)
+        assert got == _outcome(_forms, eager_hnf_u, M, n), (size, exact, deficient)
         ok += not isinstance(got, type)
-        assert _outcome(lambda: kernel_u(M, n)) == _outcome(lambda: eager_kernel_u(M, n))
-        assert _outcome(lambda: member_u(vec, M, n)) == _outcome(lambda: eager_member_u(vec, M, n))
+        assert _outcome(kernel_u, M, n) == _outcome(eager_kernel_u, M, n)
+        assert _outcome(member_u, vec, M, n) == _outcome(eager_member_u, vec, M, n)
         assert _outcome(lambda: saturation_u(M, n).a) == _outcome(lambda: eager_saturation_u(M, n).a)
     assert ok >= 8
 
