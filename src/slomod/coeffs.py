@@ -143,6 +143,24 @@ def _isinf(x) -> bool:
     return x == INF
 
 
+# a chunk of 600 digits converts under every limit that
+# sys.set_int_max_str_digits accepts (0, or at least 640)
+_CHUNK_DIGITS = 600
+
+
+def _long_decimal(n: int) -> str:
+    """The decimal text of an int too long for one ``str()`` under the
+    interpreter's integer string conversion limit, converted in chunks;
+    no process-wide setting changes."""
+    chunk = 10**_CHUNK_DIGITS
+    m, parts = abs(n), []
+    while m:
+        m, r = divmod(m, chunk)
+        parts.append(r)
+    head, *rest = reversed(parts)
+    return ("-" if n < 0 else "") + str(head) + "".join(f"{r:0{_CHUNK_DIGITS}d}" for r in rest)
+
+
 # ---------------------------------------------------------------------------
 # Ring configurations
 # ---------------------------------------------------------------------------
@@ -250,9 +268,13 @@ class ZpConfig(RingConfig):
         return Fraction(a)
 
     def exa_str(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            if a.denominator == 1:
+                return str(a.numerator)
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            num = _long_decimal(a.numerator)
+            return num if a.denominator == 1 else f"{num}/{_long_decimal(a.denominator)}"
 
 
 class FqConfig(RingConfig):

@@ -87,12 +87,16 @@ def random_exact_poly(rng, cfg, slope, max_deg=3, max_pi=3):
             return SnuSeries(cfg, slope, coeffs)
 
 
+def random_matrix(rng, cfg, slope, rows, cols, max_deg, max_pi):
+    """A rows x cols ``SMat`` of ``random_exact_poly`` entries, drawn row by row."""
+    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, max_deg, max_pi) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
 def square_draw(cfg, slope, size):
     """ROADMAP item 13's square input of one size: ``Random(5)``, entries of
     ``random_exact_poly`` with ``max_deg=1`` and ``max_pi=1``, row by row."""
-    rng = random.Random(5)
-    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1) for _ in range(size)]
-                             for _ in range(size)])
+    return random_matrix(random.Random(5), cfg, slope, size, size, max_deg=1, max_pi=1)
 
 
 def random_unit(rng, cfg, slope, max_deg=4):

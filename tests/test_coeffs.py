@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,34 @@ def test_render_names_the_uniformizer_of_a_finite_precision_digit():
     # changes report digests
     assert CoeffElem.o_term(Z5, 7).render() == "O(pi^7)"
     assert CoeffElem.from_int(Z5, 125, prec=4).render() == "pi^3 + O(pi^7)"
+
+
+BIG = 10**5000 + 1  # 5001 digits, past the default limit of 4300; a unit at 3 and 5
+BIG_TEXT = "1" + "0" * 4999 + "1"
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(BIG, 3), f"({BIG_TEXT}/3)"),
+    (Fraction(-3, BIG), f"-(3/{BIG_TEXT})"),
+    (Fraction(-BIG), f"-{BIG_TEXT}"),
+], ids=["numerator", "negative-denominator", "negative-integer"])
+def test_render_prints_a_digit_past_the_int_string_limit(value, text):
+    # str() of an int longer than sys.get_int_max_str_digits() raises
+    # ValueError; such a part is printed in chunks of digits instead
+    assert CoeffElem.from_exact(Z5, value).render() == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit")
+def test_render_under_the_lowest_int_string_limit():
+    n = 7**2000  # 1691 digits
+    text = str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = CoeffElem.from_exact(Z5, Fraction(n, 2)).render()
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == f"({text}/2)"
 
 
 def _unit_value(rng, cfg):

@@ -40,6 +40,7 @@ from helpers import (
     mono,
     poly,
     random_exact_poly,
+    random_matrix,
     series_is_zeroish,
 )
 
@@ -304,10 +305,7 @@ def test_hnf_u_transform_agrees_below_the_working_level():
         for slope in (NU0, HALF, Slope(2, 3)):
             for _ in range(12):
                 rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-                M = SMat(cfg, slope, [
-                    [random_exact_poly(rng, cfg, slope, max_deg=2, max_pi=2) for _ in range(cols)]
-                    for _ in range(rows)
-                ])
+                M = random_matrix(rng, cfg, slope, rows, cols, max_deg=2, max_pi=2)
                 ech = hnf_u(M, n)
                 MP = M.matmul(ech.P)
                 for i in range(rows):

@@ -28,7 +28,7 @@ from helpers import (
     det_cofactor,
     mono,
     poly,
-    random_exact_poly,
+    random_matrix,
     smith_saturation,
     verify_image_condition_hnf,
 )
@@ -251,7 +251,7 @@ def _outcome(fn, *args):
 def _random_matrix(rng, cfg, slope, d):
     """A d x k exact matrix, k from 1 to d + 1, of digits of degree <= 1."""
     k = rng.randrange(1, d + 2)
-    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, 1, 1) for _ in range(k)] for _ in range(d)])
+    return random_matrix(rng, cfg, slope, d, k, 1, 1)
 
 
 # two draws of degree <= 1 per cell: wider draws run into the u side's digit
@@ -269,8 +269,7 @@ def test_saturate_below_full_rank_matches_the_smith_oracle(cfg, slope, rows, col
     n = 8
     rng = random.Random(f"{cfg!r}/{slope}/{rows}x{cols}")
     for _ in range(DRAWS):
-        B = SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, MAX_DEG, MAX_PI) for _ in range(cols)]
-                              for _ in range(rows)])
+        B = random_matrix(rng, cfg, slope, rows, cols, MAX_DEG, MAX_PI)
         P = _outcome(psi, B, n)
         if isinstance(P, type):
             continue

@@ -7,7 +7,7 @@
     python3 tools/profile_pool.py --workload pi_exact --within localized._PiSide.clear
 
 Each pool input of the workload (``perfbench/gen.py``) is prepared and run
-once through ``check_reference.run``, with the profiler on for both steps;
+once through ``check_reference.outcome``, with the profiler on throughout;
 ``--limit N`` (N >= 1) replays the first N inputs only.  Prints the replay's
 wall time, the outcome counts, and the ``TOP`` functions with the largest
 self time (calls, self and cumulative seconds); ``--sort cumulative`` ranks
@@ -35,13 +35,12 @@ import functools
 import importlib
 import inspect
 import pstats
-import signal
 import sys
 import time
 
-import check_reference  # puts src/ and perfbench/ on sys.path
+import runner  # puts src/, tests/ and perfbench/ on sys.path
+import check_reference
 import gen
-import worker
 
 TOP = 30
 
@@ -54,7 +53,7 @@ def replay(pool, profiler):
         if profiler is not None:
             profiler.enable()
         try:
-            kind, _ = check_reference.run(op)
+            kind = check_reference.outcome(op).partition(":")[0]
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -118,18 +117,10 @@ def profile_within(target: str, profiler):
     return calls, restore
 
 
-def _count(text) -> int:
-    """An argparse type: an int of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is below 1")
-    return n
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(gen.WORKLOADS))
-    ap.add_argument("--limit", type=_count, default=None, help="replay only the first N pool inputs")
+    ap.add_argument("--limit", type=runner.count, default=None, help="replay only the first N pool inputs")
     ap.add_argument("--sort", choices=["tottime", "cumulative"], default="tottime",
                     help="rank the functions by self time (default) or by cumulative time")
     ap.add_argument("--within", metavar="MODULE.FUNC", default=None,
@@ -139,7 +130,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     pool = gen.pool(args.workload)[: args.limit]
-    signal.signal(signal.SIGALRM, worker._on_alarm)
     profiler = cProfile.Profile()
     calls, restore = None, lambda: None
     if args.within:
@@ -149,7 +139,8 @@ def main(argv=None) -> int:
             ap.error(f"--within {args.within}: {e}")
     t0 = time.perf_counter()
     try:
-        kinds = replay(pool, None if args.within else profiler)
+        with runner.alarm():
+            kinds = replay(pool, None if args.within else profiler)
     finally:
         restore()
     wall = time.perf_counter() - t0

@@ -3,8 +3,8 @@
     python3 tools/survey.py [--draws N]
 
 Each cell draws its inputs from one ``random.Random(11)`` and runs one
-library call per draw under a 15 s interval-timer deadline, as
-``perfbench/worker.py`` does.  Prints one JSON line: per cell, the count of
+library call per draw with ``runner.outcome``, the benchmark worker's timed
+call, under a 15 s deadline.  Prints one JSON line: per cell, the count of
 each outcome (``ok``, the class of each ``AlgebraError``, ``late`` past the
 deadline, ``crash:<class>`` for any other exception) and a sha256 over the
 outcome of every draw, a report's full text included, so that two commits
@@ -26,7 +26,10 @@ The cells:
 - ``qis_closure_member`` of each column of ``max_module(M)``'s generators
   over the slope ring, M a 2x2 draw as in ``max``;
 - ``psi_inverse`` of the pair of a 3x3 input of rank 1 or 2, the product of
-  a 3 x r and an r x 3 draw.
+  a 3 x r and an r x 3 draw;
+- ``hnf_u`` and ``hnf_pi`` on exact 3x3 input (``max_deg=2``, ``max_pi=2``;
+  Z5 and GF(2); slopes 0, 1/2 and 2/3), reported as the CLI's ``hnf``
+  reports: T, the pivot rows and the pivots, without P.
 """
 
 from __future__ import annotations
@@ -34,23 +37,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
-import signal
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
-
-from helpers import F2, Z3, Z5, random_exact_poly, random_unit  # noqa: E402
-from slomod.cli import _fmt_ml  # noqa: E402
-from slomod.contfrac import Slope  # noqa: E402
-from slomod.errors import AlgebraError  # noqa: E402
-from slomod.localized import SMat  # noqa: E402
-from slomod.maxmod import max_module, max_sum_ml, qis_closure_member  # noqa: E402
-from slomod.pairrep import psi, psi_inverse  # noqa: E402
-from slomod.precise_sum import GapCertificate, approx_max_sum  # noqa: E402
-from slomod.series import SnuSeries  # noqa: E402
+import runner  # puts src/, tests/ and perfbench/ on sys.path
+from helpers import F2, Z3, Z5, random_exact_poly, random_matrix, random_unit
+from slomod.cli import _fmt_ml
+from slomod.contfrac import Slope
+from slomod.localized import SMat, hnf_pi, hnf_u
+from slomod.maxmod import max_module, max_sum_ml, qis_closure_member
+from slomod.pairrep import psi, psi_inverse
+from slomod.precise_sum import GapCertificate, approx_max_sum
+from slomod.series import SnuSeries
 
 PREC = 8
 DEADLINE_S = 15.0
@@ -59,28 +57,13 @@ RINGS = {"Z5": Z5, "Z3": Z3, "GF2": F2}
 SLOPES = (Slope(0, 1), Slope(1, 2))
 
 
-class DeadlineExceeded(BaseException):
-    """Raised from the interval timer; a BaseException so that no handler in
-    the library can swallow it."""
-
-
-def _on_alarm(signum, frame):
-    raise DeadlineExceeded()
-
-
-def _matrix(rng, cfg, slope, rows, cols):
-    """A rows x cols draw of ``random_exact_poly`` entries, row by row."""
-    return SMat(cfg, slope, [[random_exact_poly(rng, cfg, slope, max_deg=1, max_pi=1)
-                              for _ in range(cols)] for _ in range(rows)])
-
-
 def _max(rng, cfg, slope, n):
-    M = _matrix(rng, cfg, slope, n, n + 1)
+    M = random_matrix(rng, cfg, slope, n, n + 1, 1, 1)
     return lambda: _fmt_ml(max_module(M, PREC))
 
 
 def _sum(rng, cfg, slope, n):
-    A, B = _matrix(rng, cfg, slope, n, n), _matrix(rng, cfg, slope, n, n)
+    A, B = (random_matrix(rng, cfg, slope, n, n, 1, 1) for _ in range(2))
     return lambda: _fmt_ml(max_sum_ml(max_module(A, PREC), max_module(B, PREC), PREC))
 
 
@@ -90,7 +73,7 @@ def _approx(rng, c, e):
         [random_unit(rng, Z5, slope, max_deg=1), random_exact_poly(rng, Z5, slope, max_deg=1, max_pi=1)],
         [SnuSeries.zero(Z5, slope), random_unit(rng, Z5, slope, max_deg=1)],
     ])
-    x = _matrix(rng, Z5, slope, 2, e)
+    x = random_matrix(rng, Z5, slope, 2, e, 1, 1)
     B = A.matmul(x).map(lambda s: s.scale_pi(-c))
 
     def call():
@@ -101,7 +84,7 @@ def _approx(rng, c, e):
 
 
 def _qis(rng, cfg, slope):
-    M = _matrix(rng, cfg, slope, 2, 2)
+    M = random_matrix(rng, cfg, slope, 2, 2, 1, 1)
 
     def call():
         gens = max_module(M, PREC).expand_generators()
@@ -111,11 +94,23 @@ def _qis(rng, cfg, slope):
 
 
 def _psi_inverse(rng, cfg, slope, rank):
-    M = _matrix(rng, cfg, slope, 3, rank).matmul(_matrix(rng, cfg, slope, rank, 3))
+    M = random_matrix(rng, cfg, slope, 3, rank, 1, 1).matmul(random_matrix(rng, cfg, slope, rank, 3, 1, 1))
 
     def call():
         gens, ml = psi_inverse(psi(M, PREC), PREC)
         return f"gens = {gens!r}\nL = {ml.L}"
+
+    return call
+
+
+def _hnf(rng, cfg, slope, hnf):
+    M = random_matrix(rng, cfg, slope, 3, 3, max_deg=2, max_pi=2)
+
+    def call():
+        ech = hnf(M, PREC)
+        piv = (f"pivots = [{', '.join(p.render() for p in ech.pivots)}]" if hnf is hnf_pi
+               else f"pivots_u = [{', '.join(str(v) for v in ech.pivot_vals)}]")
+        return f"T = {ech.T!r}\nrows = {ech.pivot_rows}\n{piv}"
 
     return call
 
@@ -142,23 +137,12 @@ def cells():
             for rank in (1, 2):
                 out.append((f"psi_inverse {ring} {slope} rank {rank}",
                             lambda rng, cfg=cfg, s=slope, r=rank: _psi_inverse(rng, cfg, s, r)))
+    for hnf in (hnf_u, hnf_pi):
+        for ring in ("Z5", "GF2"):
+            for slope in SLOPES + (Slope(2, 3),):
+                out.append((f"{hnf.__name__} {ring} {slope} 3x3",
+                            lambda rng, cfg=RINGS[ring], s=slope, f=hnf: _hnf(rng, cfg, s, f)))
     return out
-
-
-def outcome(call) -> tuple[str, str]:
-    """(kind, report) of one call under the deadline: kind is ``ok``, the
-    AlgebraError class, ``late`` or ``crash:<class>``."""
-    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
-    try:
-        return "ok", call()
-    except AlgebraError as e:
-        return type(e).__name__, ""
-    except DeadlineExceeded:
-        return "late", ""
-    except Exception as e:  # the survey must report, not die, on a crash
-        return f"crash:{type(e).__name__}", repr(e)[:200]
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def survey(draws) -> dict:
@@ -167,30 +151,19 @@ def survey(draws) -> dict:
         rng = random.Random(11)
         counts, h = {}, hashlib.sha256()
         for _ in range(draws):
-            kind, report = outcome(draw(rng))
+            kind, report, _ = runner.outcome(draw(rng), DEADLINE_S)
             counts[kind] = counts.get(kind, 0) + 1
             h.update(f"{kind}\n{report}\n".encode())
         out[name] = {**dict(sorted(counts.items())), "sha256": h.hexdigest()}
     return out
 
 
-def _draws(text) -> int:
-    """An argparse type: an int of at least 1."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is below 1")
-    return n
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--draws", type=_draws, default=DRAWS, help="draws per cell (default 20)")
+    ap.add_argument("--draws", type=runner.count, default=DRAWS, help="draws per cell (default 20)")
     args = ap.parse_args(argv)
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    try:
+    with runner.alarm():
         out = survey(args.draws)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
     print(json.dumps({"prec": PREC, "draws": args.draws, "cells": out}))
     return 0
 
